@@ -88,9 +88,8 @@ class RunConfig:
     grid_start: float | None = None
     grid_stop: float | None = None
     grid_count: int | None = None
-    grid_scale: str = "log1m"
+    grid_scale: str | None = None
     tolerance: float | None = None
-    threads: int = 1
 
 
 class UsageError(Exception):
@@ -109,13 +108,18 @@ class MeasureContext:
     label: str = "measure"
 
 
+def _effective_seed(spec: dict, cfg: RunConfig) -> int:
+    """The construction seed: the spec's own ``seed`` wins over ``--seed``."""
+    return int(spec.get("seed", cfg.seed))
+
+
 def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
     if not isinstance(spec, dict):
         raise UsageError("measure spec must be a JSON object")
     kind = spec.get("type")
     params = spec.get("params", {})
     depth = cfg.depth if cfg.depth is not None else int(spec.get("depth", 12))
-    seed = int(spec.get("seed", cfg.seed))
+    seed = _effective_seed(spec, cfg)
     if kind == "lebesgue":
         mu = lebesgue(float(params.get("mass", 1.0)))
         return MeasureContext(spec, mu, LogPower(1.0, 0.5), label="lebesgue")
@@ -376,8 +380,8 @@ def cmd_suite(cfg: RunConfig) -> int:
         if not report.passed:
             worst = 1
         print(f"{report.name}: {report.verdict}")
-    summary = {"preset": cfg.preset, "seed": cfg.seed, "measure": cfg.spec,
-               "reports": entries}
+    summary = {"preset": cfg.preset, "seed": _effective_seed(cfg.spec, cfg),
+               "measure": cfg.spec, "reports": entries}
     import jsonschema
 
     jsonschema.validate(summary, _load_schema())
@@ -438,17 +442,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        threads = max(1, int(os.environ.get("CYCLIA_THREADS", "1")))
-    except ValueError:
-        threads = 1
-    try:
         cfg = RunConfig(
             command=ns.command, spec=_parse_spec(ns.spec), check=ns.check,
             preset=ns.preset, p=ns.p, alpha=ns.alpha, epsilon=ns.epsilon,
             depth=ns.depth, seed=ns.seed, out=ns.out,
             grid_start=ns.grid_start, grid_stop=ns.grid_stop,
             grid_count=ns.grid_count, grid_scale=ns.grid_scale,
-            tolerance=ns.tolerance, threads=threads)
+            tolerance=ns.tolerance)
         if cfg.command == "measure":
             return cmd_measure(cfg)
         if cfg.command == "check":

@@ -5,14 +5,17 @@ Two evaluation paths, cross-checked in the tests:
 * scalar points: the Herglotz integral of an atoms-plus-pieces measure has
   an exact antiderivative per arc; the logarithm's branch is kept honest by
   bisecting any arc whose endpoint ratio leaves the right half plane.
-* full rings: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n, evaluated on M
-  equispaced points of a radius-r circle by folding the truncated
-  coefficient tail modulo M and one inverse FFT.  Measures whose pieces are
+* full rings: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n and H'(z) come
+  together from one jet kernel on M equispaced points of a radius-r circle.
+  The truncated coefficients, viewed as rows of length M, are folded by a
+  rank-one damping (a row factor times a column factor) in one matrix
+  product, and one inverse FFT finishes both.  Measures whose pieces are
   the uniform dyadic leaves get their coefficients from a single FFT.
 
 Function models are immutable evaluation trees (inner powers, logs, outer
 functions, polynomials, dilations, products, quotients), each exposing
-value and derivative at interior points and on rings.
+value and derivative at interior points and the jet (f, f') on rings;
+composite models compose the jets of their parts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 from .measures import CircleMeasure
 
 __all__ = [
-    "herglotz", "herglotz_derivative", "poisson", "herglotz_ring",
+    "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
+    "herglotz_ring",
     "FunctionModel", "SingularInnerPower", "LogOfSingularInner", "Outer",
     "Polynomial", "Dilate", "Product", "Quotient",
     "CoefficientVector", "maclaurin", "log_coefficients",
@@ -189,32 +193,45 @@ def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
     return n
 
 
-def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
-                  deriv: bool = False) -> np.ndarray:
-    """H (or H') at the M points r e^{2 pi i (k + offset)/M}, k = 0..M-1.
+def herglotz_jet(mu: CircleMeasure, r: float, m: int,
+                 offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1.
 
-    Truncates the Taylor tail of H below 1e-14, folds the coefficients
-    modulo M and applies one inverse FFT.
+    The Taylor tail of H is truncated below 1e-14.  With n = q + 1 + jM the
+    damping r^n e^{2 pi i n offset/M} splits into a column factor (q) and a
+    row factor w_j = r^{jM} e^{2 pi i j offset}, so the coefficients viewed as
+    rows of length M fold by one (2, rows) @ (rows, M) product: the value
+    fold weights row j by w_j, the derivative fold by n w_j.  One inverse
+    FFT of the two folds gives H and H' (summed as n c_n z^(n-1), so no
+    division by z, which underflows for tiny r).
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("ring radius must be in [0, 1)")
     if r == 0.0:
-        v = herglotz_derivative(mu, 0.0) if deriv else herglotz(mu, 0.0)
-        return np.full(m, v, dtype=complex)
-    cache = _spectral(mu)
+        return (np.full(m, herglotz(mu, 0.0), dtype=complex),
+                np.full(m, herglotz_derivative(mu, 0.0), dtype=complex))
     n_max = _truncation_order(r, mu.total_mass)
-    ns = np.arange(1, n_max + 1)
-    c = 2.0 * cache.coeffs(n_max)
-    if deriv:
-        c = c * ns
-    c = c * np.exp(ns * math.log(r) + _TWO_PI_I * ns * offset / m)
-    folded = np.zeros(m, dtype=complex)
-    np.add.at(folded, ns % m, c)
-    vals = m * np.fft.ifft(folded)
-    if deriv:
-        zs = r * np.exp(_TWO_PI_I * (np.arange(m) + offset) / m)
-        return vals / zs
-    return vals + mu.total_mass
+    c = _spectral(mu).coeffs(n_max)
+    rows, rem = divmod(n_max, m)
+    log_r = math.log(r)
+    j = np.arange(rows + 1)
+    w = 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset)
+    weights = np.stack([w, (j * m) * w])
+    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
+    folds[:, :rem] += weights[:, rows:] * c[rows * m:]
+    q = np.arange(m + 1)
+    col = np.exp(q * log_r + _TWO_PI_I * q * offset / m)
+    folds[1] += q[1:] * folds[0]
+    folds[0] = np.roll(folds[0] * col[1:], 1)   # z^n, n = q + 1: bin (q + 1) mod M
+    folds[1] *= col[:-1]                        # n z^(n-1): bin q
+    h, h1 = m * np.fft.ifft(folds, axis=1)
+    return h + mu.total_mass, h1
+
+
+def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
+                  deriv: bool = False) -> np.ndarray:
+    """H (or H') at the M ring points of herglotz_jet."""
+    return herglotz_jet(mu, r, m, offset)[1 if deriv else 0]
 
 
 def poisson_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0) -> np.ndarray:
@@ -230,7 +247,7 @@ def _ring_points(r, m, offset):
 
 class FunctionModel:
     """Evaluatable analytic function on the disc: value and derivative at
-    interior points, plus fast evaluation on full equispaced rings."""
+    interior points, plus the jet (f, f') on full equispaced rings."""
 
     def val(self, z):
         raise NotImplementedError
@@ -238,11 +255,17 @@ class FunctionModel:
     def dval(self, z):
         raise NotImplementedError
 
+    def jet(self, r: float, m: int, offset: float = 0.0):
+        """(f, f') at the M points r e^{2 pi i (k + offset)/M}."""
+        z = _ring_points(r, m, offset)
+        return (np.asarray(self.val(z), dtype=complex),
+                np.asarray(self.dval(z), dtype=complex))
+
     def ring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
-        return np.asarray(self.val(_ring_points(r, m, offset)), dtype=complex)
+        return self.jet(r, m, offset)[0]
 
     def dring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
-        return np.asarray(self.dval(_ring_points(r, m, offset)), dtype=complex)
+        return self.jet(r, m, offset)[1]
 
 
 @dataclass(frozen=True)
@@ -277,20 +300,14 @@ class SingularInnerPower(FunctionModel):
                 * np.exp(self.log_val(z))
         return np.array([complex(self.dval(zz)) for zz in z.ravel()]).reshape(z.shape)
 
-    def log_ring(self, r, m, offset=0.0):
-        return -self.alpha * herglotz_ring(self.mu, r, m, offset)
-
-    def ring(self, r, m, offset=0.0):
-        return np.exp(self.log_ring(r, m, offset))
-
-    def dring(self, r, m, offset=0.0):
-        h1 = herglotz_ring(self.mu, r, m, offset, deriv=True)
-        return -self.alpha * h1 * self.ring(r, m, offset)
+    def jet(self, r, m, offset=0.0):
+        h, h1 = herglotz_jet(self.mu, r, m, offset)
+        f = np.exp(-self.alpha * h)
+        return f, -self.alpha * h1 * f
 
     def log_abs_dring(self, r, m, offset=0.0):
         """log |f'| on a ring without underflow in the inner factor."""
-        h1 = herglotz_ring(self.mu, r, m, offset, deriv=True)
-        h = herglotz_ring(self.mu, r, m, offset)
+        h, h1 = herglotz_jet(self.mu, r, m, offset)
         with np.errstate(divide="ignore"):
             return math.log(self.alpha) + np.log(np.abs(h1)) - self.alpha * h.real
 
@@ -314,11 +331,9 @@ class LogOfSingularInner(FunctionModel):
         return np.array([-herglotz_derivative(self.mu, zz) for zz in z.ravel()]
                         ).reshape(z.shape)
 
-    def ring(self, r, m, offset=0.0):
-        return -herglotz_ring(self.mu, r, m, offset)
-
-    def dring(self, r, m, offset=0.0):
-        return -herglotz_ring(self.mu, r, m, offset, deriv=True)
+    def jet(self, r, m, offset=0.0):
+        h, h1 = herglotz_jet(self.mu, r, m, offset)
+        return -h, -h1
 
 
 @dataclass(frozen=True)
@@ -344,12 +359,10 @@ class Outer(FunctionModel):
                 * np.exp(herglotz(self.log_modulus, complex(z)))
         return np.array([complex(self.dval(zz)) for zz in z.ravel()]).reshape(z.shape)
 
-    def ring(self, r, m, offset=0.0):
-        return np.exp(herglotz_ring(self.log_modulus, r, m, offset))
-
-    def dring(self, r, m, offset=0.0):
-        return herglotz_ring(self.log_modulus, r, m, offset, deriv=True) \
-            * self.ring(r, m, offset)
+    def jet(self, r, m, offset=0.0):
+        h, h1 = herglotz_jet(self.log_modulus, r, m, offset)
+        f = np.exp(h)
+        return f, h1 * f
 
 
 class Polynomial(FunctionModel):
@@ -387,11 +400,9 @@ class Dilate(FunctionModel):
     def dval(self, z):
         return self.t * self.inner.dval(self.t * np.asarray(z, dtype=complex))
 
-    def ring(self, r, m, offset=0.0):
-        return self.inner.ring(self.t * r, m, offset)
-
-    def dring(self, r, m, offset=0.0):
-        return self.t * self.inner.dring(self.t * r, m, offset)
+    def jet(self, r, m, offset=0.0):
+        f, df = self.inner.jet(self.t * r, m, offset)
+        return f, self.t * df
 
 
 @dataclass(frozen=True)
@@ -401,43 +412,27 @@ class Product(FunctionModel):
     def __init__(self, factors):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def val(self, z):
-        out = None
-        for f in self.factors:
-            v = f.val(z)
-            out = v if out is None else out * v
+    @staticmethod
+    def _leibniz(vals, dvals):
+        """sum_i f_i' prod_{k != i} f_k."""
+        out = 0.0
+        for i, term in enumerate(dvals):
+            for k, v in enumerate(vals):
+                if k != i:
+                    term = term * v
+            out = out + term
         return out
+
+    def val(self, z):
+        return math.prod([f.val(z) for f in self.factors])
 
     def dval(self, z):
-        vals = [f.val(z) for f in self.factors]
-        dvals = [f.dval(z) for f in self.factors]
-        out = 0.0
-        for i in range(len(self.factors)):
-            term = dvals[i]
-            for k, v in enumerate(vals):
-                if k != i:
-                    term = term * v
-            out = out + term
-        return out
+        return self._leibniz([f.val(z) for f in self.factors],
+                             [f.dval(z) for f in self.factors])
 
-    def ring(self, r, m, offset=0.0):
-        out = None
-        for f in self.factors:
-            v = f.ring(r, m, offset)
-            out = v if out is None else out * v
-        return out
-
-    def dring(self, r, m, offset=0.0):
-        vals = [f.ring(r, m, offset) for f in self.factors]
-        dvals = [f.dring(r, m, offset) for f in self.factors]
-        out = np.zeros(m, dtype=complex)
-        for i in range(len(self.factors)):
-            term = dvals[i]
-            for k, v in enumerate(vals):
-                if k != i:
-                    term = term * v
-            out = out + term
-        return out
+    def jet(self, r, m, offset=0.0):
+        vals, dvals = zip(*(f.jet(r, m, offset) for f in self.factors))
+        return math.prod(vals), self._leibniz(vals, dvals)
 
 
 @dataclass(frozen=True)
@@ -463,16 +458,11 @@ class Quotient(FunctionModel):
         self._check(d)
         return (self.num.dval(z) * d - self.num.val(z) * self.den.dval(z)) / d**2
 
-    def ring(self, r, m, offset=0.0):
-        d = self.den.ring(r, m, offset)
+    def jet(self, r, m, offset=0.0):
+        d, dd = self.den.jet(r, m, offset)
         self._check(d)
-        return self.num.ring(r, m, offset) / d
-
-    def dring(self, r, m, offset=0.0):
-        d = self.den.ring(r, m, offset)
-        self._check(d)
-        return (self.num.dring(r, m, offset) * d
-                - self.num.ring(r, m, offset) * self.den.dring(r, m, offset)) / d**2
+        n, dn = self.num.jet(r, m, offset)
+        return n / d, (dn * d - n * dd) / d**2
 
 
 # -- Maclaurin coefficients ------------------------------------------------

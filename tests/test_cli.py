@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from cyclia.cli import main
+from cyclia.cli import RunConfig, main, make_grid
 
 ATOM_SPEC = '{"type": "atomic", "params": {"atoms": [[0.0, 1.0]]}}'
 LEB_SPEC = '{"type": "lebesgue"}'
@@ -92,6 +92,11 @@ class TestCheckCommand:
         assert len(rows) == 1 + 3
 
 
+    def test_default_config_keeps_check_scale(self):
+        cfg = RunConfig(command="check", spec={})
+        assert list(make_grid(cfg, 2, 12, 11, "dyadic")[:2]) == [0.25, 0.125]
+
+
 class TestSuiteCommand:
     def test_unknown_preset_exits_two(self, tmp_path):
         assert run("suite", "--spec", LEB_SPEC, "--preset", "nope",
@@ -119,6 +124,15 @@ class TestSuiteCommand:
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem", "--out", out)
         summary = json.load(open(os.path.join(out, "summary.json")))
         jsonschema.validate(summary, _load_schema())
+
+    def test_summary_records_spec_seed(self, tmp_path):
+        out = str(tmp_path / "s")
+        spec = json.loads(SALEM_SPEC)
+        spec["seed"] = 11
+        run("suite", "--spec", json.dumps(spec), "--preset",
+            "theorem-necessity", "--seed", "0", "--out", out)
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["seed"] == 11
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

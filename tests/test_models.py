@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclia.measures import (SalemSpec, atomic, choose_salem_parameters,
-                             kahane_smooth, lebesgue, salem_measure)
+from cyclia import models
+from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
+                             choose_salem_parameters, kahane_smooth, lebesgue,
+                             salem_measure)
 from cyclia.models import (AliasBoundError, Dilate, EvaluationError,
                            LogOfSingularInner, Outer, Polynomial, Product,
                            Quotient, SingularInnerPower, herglotz,
-                           herglotz_derivative, herglotz_ring,
+                           herglotz_derivative, herglotz_jet, herglotz_ring,
                            log_coefficients, maclaurin, poisson, poisson_ring)
+from cyclia.norms import QuadratureGrid, besov_seminorm
+from cyclia.profiles import LogPower
 
 
 ATOM = atomic([(0.0, 1.0)])
@@ -94,6 +100,125 @@ class TestRings:
         mu = kahane_smooth(LogPower(1.0, 0.5), 10, seed=5)
         vals = poisson_ring(mu, 0.99, 4096)
         assert vals.mean() == pytest.approx(mu.total_mass, abs=1e-10)
+
+
+def _ring(r, m, offset=0.0):
+    return r * np.exp(2j * np.pi * (np.arange(m) + offset) / m)
+
+
+def _assert_close(got, want, atol=None):
+    if atol is None:
+        atol = 1e-10 * max(1.0, np.abs(want).max())
+    assert np.abs(got - want).max() <= atol
+
+
+def _assert_jet_matches_scalar(mu, r, m, offset):
+    """Rounding in the Taylor sums scales with the sum of the moduli of
+    their terms, bounded through |hat mu(n)| <= mu(T) by mu(T) (1 + 2/(1-r))
+    for H and 2 mu(T)/(1-r)^2 for H'; far from the support the values are
+    much smaller than that."""
+    h, h1 = herglotz_jet(mu, r, m, offset)
+    pts = _ring(r, m, offset)
+    mass = mu.total_mass
+    _assert_close(h, np.array([herglotz(mu, z) for z in pts]),
+                  1e-13 * mass * (1.0 + 2.0 / (1.0 - r)))
+    _assert_close(h1, np.array([herglotz_derivative(mu, z) for z in pts]),
+                  1e-13 * mass * 2.0 / (1.0 - r) ** 2)
+
+
+@st.composite
+def _measures(draw):
+    """Atoms plus either the uniform dyadic leaves (the FFT coefficient
+    path) or disjoint pieces at random breakpoints (the generic sum)."""
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    mass = st.floats(0.05, 2.0)
+    atoms = draw(st.lists(st.tuples(unit, mass), max_size=3))
+    if draw(st.booleans()):
+        p = 1 << draw(st.integers(0, 4))
+        dens = draw(st.lists(mass, min_size=p, max_size=p))
+        pieces = [(i / p, (i + 1) / p, d) for i, d in enumerate(dens)]
+    else:
+        cuts = sorted(set(draw(st.lists(unit, min_size=2, max_size=7))))
+        pieces = [(a, b, draw(mass)) for a, b in zip(cuts[:-1], cuts[1:])
+                  if draw(st.booleans())]
+    if not atoms and not pieces:
+        atoms = [(draw(unit), 1.0)]
+    return CircleMeasure(atoms=atoms, pieces=pieces)
+
+
+class TestJetKernel:
+    @given(_measures(), st.floats(0.0, 0.999, exclude_min=True),
+           st.integers(3, 10), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_scalar_oracle(self, mu, r, log2_m, offset):
+        _assert_jet_matches_scalar(mu, r, 1 << log2_m, offset)
+
+    def test_fewer_coefficients_than_points(self):
+        # N < M: the fold has no full row, only the remainder
+        r, m = 0.1, 1024
+        assert models._truncation_order(r, ATOM.total_mass) < m
+        _assert_jet_matches_scalar(atomic([(0.2, 1.0)]), r, m, 0.0)
+
+    def test_coefficients_fill_whole_rows(self):
+        # N a multiple of M: the fold has no remainder row
+        mu = CircleMeasure(atoms=[(0.4, 0.5)], pieces=[(0.1, 0.3, 2.0)])
+        m = 16
+        r = next(r for r in np.linspace(0.5, 0.95, 400)
+                 if models._truncation_order(r, mu.total_mass) % m == 0)
+        assert models._truncation_order(r, mu.total_mass) >= m
+        _assert_jet_matches_scalar(mu, r, m, 0.0)
+
+    def test_offset_point_three(self):
+        mu = kahane_smooth(LogPower(1.0, 0.5), 6, seed=4)
+        _assert_jet_matches_scalar(mu, 0.97, 64, 0.3)
+
+    def test_radius_zero(self):
+        mu = atomic([(0.1, 0.7), (0.6, 0.3)])
+        h, h1 = herglotz_jet(mu, 0.0, 8)
+        assert np.all(h == herglotz(mu, 0.0))
+        assert np.all(h1 == herglotz_derivative(mu, 0.0))
+
+    def test_ring_selects_from_jet(self):
+        h, h1 = herglotz_jet(ATOM, 0.9, 32, 0.25)
+        assert np.array_equal(herglotz_ring(ATOM, 0.9, 32, 0.25), h)
+        assert np.array_equal(herglotz_ring(ATOM, 0.9, 32, 0.25, deriv=True), h1)
+
+
+class TestJetComposition:
+    MU = atomic([(0.0, 0.6), (0.35, 0.4)])
+
+    @pytest.mark.parametrize("make", [
+        lambda mu: Dilate(SingularInnerPower(mu, 0.7), 0.8),
+        lambda mu: Product([SingularInnerPower(mu, 0.5), Polynomial([1.0, 0.5]),
+                            LogOfSingularInner(mu)]),
+        lambda mu: Quotient(SingularInnerPower(mu), Dilate(SingularInnerPower(mu), 0.6)),
+        lambda mu: Outer(CircleMeasure(pieces=[(0.1, 0.6, -0.5)], signed=True)),
+        lambda mu: LogOfSingularInner(mu),
+        lambda mu: SingularInnerPower(mu, 1.3),
+    ], ids=["dilate", "product", "quotient", "outer", "log", "inner"])
+    def test_jet_matches_pointwise(self, make):
+        f = make(self.MU)
+        r, m, offset = 0.85, 32, 0.5
+        val, dval = f.jet(r, m, offset)
+        pts = _ring(r, m, offset)
+        _assert_close(val, np.array([complex(f.val(z)) for z in pts]))
+        _assert_close(dval, np.array([complex(f.dval(z)) for z in pts]))
+
+    def test_dilate_quotient_two_kernel_calls_per_ring(self, monkeypatch):
+        calls = []
+        kernel = models.herglotz_jet
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(models, "herglotz_jet", counting)
+        S = SingularInnerPower(self.MU)
+        grid = QuadratureGrid.build(u_max=4.0, panels=2, nodes_per_panel=4,
+                                    m_min=16, m_max=256)
+        besov_seminorm(Quotient(S, Dilate(S, 0.5)), 2.0, grid)
+        rings = len(grid) + len(grid.refine()) + 1
+        assert len(calls) == 2 * rings
 
 
 class TestModels:
