@@ -218,8 +218,9 @@ def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
 # -- commands --------------------------------------------------------------
 
 
-def cmd_measure(cfg: RunConfig) -> int:
-    ctx = build_measure(cfg.spec, cfg)
+def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
+    if ctx is None:
+        ctx = build_measure(cfg.spec, cfg)
     mu, out = ctx.mu, cfg.out
     rows = []
     for x, m in zip(mu.atom_x, mu.atom_m):
@@ -370,7 +371,7 @@ def cmd_suite(cfg: RunConfig) -> int:
     entries = []
     worst = 0
     if cfg.preset == "salem":
-        cmd_measure(cfg)
+        cmd_measure(cfg, ctx)
     for name in PRESETS[cfg.preset]:
         report = run_check(name, ctx, cfg)
         files = _write_report(report, cfg.out, f"{ctx.label}_{report.name}")

@@ -409,8 +409,9 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
     t0 = time.perf_counter()
     ent = bc_entropy(E)
     mass = measure_of_set(mu, E)
-    rows = [{"a": a, "b": b, "mass": mu.closed_arc_mass(a, b)}
-            for a, b in E.arcs]
+    arc_mass = (mu.closed_arc_mass(*np.array(E.arcs).T).tolist()
+                if E.arcs else [])
+    rows = [{"a": a, "b": b, "mass": m} for (a, b), m in zip(E.arcs, arc_mass)]
     obstruction = ent.convergent and mass > 1e-12
     conclusion = ("not cyclic in any coefficient space with p > 2"
                   if obstruction else "no obstruction from this set")

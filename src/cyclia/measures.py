@@ -5,8 +5,14 @@ measures), moduli of continuity/smoothness, closed-form Fourier
 coefficients, and Beurling-Carleson entropy of candidate supports.
 
 The representation is exact: pieces keep their real endpoints (Salem's
-d-adic geometry is never snapped to a dyadic grid) and all interval masses
-are closed-form interval intersections.
+d-adic geometry is never snapped to a dyadic grid).  Every mass query reads
+one periodic CDF table built at construction: the cumulative mass at the
+interleaved piece edges, linear in between, plus the atoms' cumulative
+masses.  An interval mass is a difference of two CDF values, and the
+modulus of smoothness scans second differences of the CDF.  Fourier
+coefficients come from one blocked kernel: writing n = qB + j turns the
+sum over atoms and pieces into a product of a row (q) and a column (j)
+factor matrix, with every phase reduced modulo 1 exactly.
 """
 
 from __future__ import annotations
@@ -23,11 +29,61 @@ __all__ = [
     "CircleMeasure", "IntervalSet", "SalemSpec",
     "lebesgue", "atomic", "kahane_smooth", "salem_measure",
     "choose_salem_parameters", "modulus_continuity", "modulus_smoothness",
-    "smoothness_constant", "anderson_check", "fourier_coefficient",
+    "smoothness_constant", "anderson_check",
     "bc_entropy", "measure_of_set",
 ]
 
 MASS_TOL = 1e-12
+
+_BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
+_TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
+_WORKSPACE = 4_000_000    # elements per row chunk of the Fourier kernel
+
+
+def _split(x):
+    """x = hi + lo, each part with at most 26 significant bits (Veltkamp),
+    so its product with an integer of at most 26 significant bits is exact."""
+    t = x * 134217729.0  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _midpoint_length(a, b):
+    """Midpoints (a + b)/2 and lengths b - a, each as parts whose sum is
+    exact: the two _split halves of the float result plus its rounding
+    error."""
+    s, e = _two_sum(a, b)
+    ln, le = _two_sum(b, -a)
+    return (*_split(0.5 * s), 0.5 * e), (*_split(ln), le)
+
+
+def _phase(k, parts, period=1.0):
+    """k x modulo period, in [-period/2, period/2], as the outer product of
+    integers k and points x = sum(parts).  Each part's products are reduced
+    on their own, exactly for _split parts and k of at most 26 significant
+    bits (j < B, and qB for |q| < 2^26, that is |n| < 2^32), so the result
+    is within one rounding of the true phase."""
+    total = 0.0
+    for p in parts:
+        y = np.multiply.outer(k, p)
+        total = total + (y - period * np.round(y / period))
+    return total - period * np.round(total / period)
+
+
+def _cis(t):
+    """e^{-2 pi i t}."""
+    return np.exp(-2j * np.pi * t)
+
+
+def _sin_cos_pi(t):
+    return np.sin(np.pi * t), np.cos(np.pi * t)
 
 
 class CircleMeasure:
@@ -63,8 +119,8 @@ class CircleMeasure:
                 raise ValueError(f"piece [{a}, {b}) is empty or reversed")
             if b - a > 1.0 + 1e-15:
                 raise ValueError(f"piece [{a}, {b}) longer than the circle")
+            length = min(b - a, 1.0)  # before a is reduced modulo 1
             a %= 1.0
-            length = b - a if b - a <= 1.0 else 1.0
             if a + length <= 1.0 + 1e-15:
                 pa.append(a)
                 pb.append(min(a + length, 1.0))
@@ -85,32 +141,30 @@ class CircleMeasure:
                 raise ValueError("negative atom mass in positive measure")
             if (self.piece_d < 0).any():
                 raise ValueError("negative density in positive measure")
-        # cumulative piece mass at piece starts, for O(log) mass queries
         piece_masses = self.piece_d * (self.piece_b - self.piece_a)
-        self._piece_cum = np.concatenate([[0.0], np.cumsum(piece_masses)])
         self.total_mass = float(self.atom_m.sum() + piece_masses.sum())
+        # the CDF table: the density part is linear between the interleaved
+        # piece edges (kept nondecreasing where pieces touch within 1e-15),
+        # and the atoms are a step function of their cumulative masses
+        cum = np.concatenate([[0.0], np.cumsum(piece_masses)])
+        self._knots = np.maximum.accumulate(np.concatenate([
+            [0.0], np.column_stack([self.piece_a, self.piece_b]).ravel(), [1.0]]))
+        self._knot_cdf = np.concatenate([
+            [0.0], np.column_stack([cum[:-1], cum[1:]]).ravel(), [cum[-1]]])
+        self._atom_cum = np.concatenate([[0.0], np.cumsum(self.atom_m)])
+        self._period = cum[-1] + self._atom_cum[-1]
 
     # -- mass queries ------------------------------------------------------
 
-    def _piece_cdf(self, x):
-        """Mass of the density part on [0, x), 0 <= x <= 1, vectorized."""
+    def cdf(self, x) -> np.ndarray:
+        """mu([0, x)) for real x, extended to all of R by
+        F(x + 1) = F(x) + mu(T), so F(b) - F(a) = mu([a, b)) for a <= b."""
         x = np.asarray(x, dtype=float)
-        k = np.searchsorted(self.piece_a, x, side="right") - 1
-        out = np.where(k >= 0, self._piece_cum[np.clip(k, 0, None)], 0.0)
-        kc = np.clip(k, 0, max(len(self.piece_a) - 1, 0))
-        if len(self.piece_a):
-            inside = np.clip(x - self.piece_a[kc], 0.0,
-                             self.piece_b[kc] - self.piece_a[kc])
-            out = out + np.where(k >= 0, self.piece_d[kc] * inside, 0.0)
-        return out
-
-    def _atom_count_mass(self, lo, hi, closed_right=False):
-        """Total atom mass with lo <= x < hi (or <= hi), vectorized."""
-        side = "right" if closed_right else "left"
-        i0 = np.searchsorted(self.atom_x, lo, side="left")
-        i1 = np.searchsorted(self.atom_x, hi, side=side)
-        cum = np.concatenate([[0.0], np.cumsum(self.atom_m)])
-        return cum[i1] - cum[i0]
+        k = np.floor(x)
+        f = x - k
+        return (np.interp(f, self._knots, self._knot_cdf)
+                + self._atom_cum[np.searchsorted(self.atom_x, f, side="left")]
+                + k * self._period)
 
     def interval_mass_many(self, a, b):
         """mu([a, b)) for arrays of endpoints; intervals wrap modulo 1."""
@@ -119,34 +173,21 @@ class CircleMeasure:
         length = b - a
         if (length < -1e-15).any() or (length > 1.0 + 1e-15).any():
             raise ValueError("interval length must lie in [0, 1]")
-        full = length >= 1.0
         a = a % 1.0
-        hi = a + np.minimum(length, 1.0)
-        wraps = hi > 1.0
-        m = np.where(
-            wraps,
-            (self._piece_cdf(np.ones_like(a)) - self._piece_cdf(a))
-            + self._piece_cdf(np.minimum(hi - 1.0, 1.0))
-            + self._atom_count_mass(a, np.ones_like(a))
-            + self._atom_count_mass(np.zeros_like(a), hi - 1.0),
-            self._piece_cdf(np.minimum(hi, 1.0)) - self._piece_cdf(a)
-            + self._atom_count_mass(a, np.minimum(hi, 1.0)),
-        )
-        return np.where(full, self.total_mass, m)
+        m = self.cdf(a + np.minimum(length, 1.0)) - self.cdf(a)
+        return np.where(length >= 1.0, self.total_mass, m)
 
     def interval_mass(self, a: float, b: float) -> float:
         return float(self.interval_mass_many([a], [b])[0])
 
-    def closed_arc_mass(self, a: float, b: float) -> float:
-        """mu([a, b]) with both boundary atoms counted, a <= b within [0, 1]."""
-        piece = float(self._piece_cdf(np.array([min(b, 1.0)]))[0]
-                      - self._piece_cdf(np.array([a]))[0])
-        atom = float(self._atom_count_mass(np.array([a]), np.array([min(b, 1.0)]),
-                                           closed_right=True)[0])
-        # an arc ending exactly at 1 also closes on the atom at 0
-        if b >= 1.0 and self.atom_x.size and self.atom_x[0] == 0.0:
-            atom += float(self.atom_m[0])
-        return piece + atom
+    def closed_arc_mass(self, a, b):
+        """mu([a, b]) for a <= b (scalars or arrays): both boundary atoms
+        counted, and an arc ending at 1 closes on the atom at 0."""
+        b = np.asarray(b, dtype=float)
+        fb = b - np.floor(b)
+        on_b = (self._atom_cum[np.searchsorted(self.atom_x, fb, side="right")]
+                - self._atom_cum[np.searchsorted(self.atom_x, fb, side="left")])
+        return self.cdf(b) - self.cdf(a) + on_b
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -154,35 +195,78 @@ class CircleMeasure:
         return np.unique(np.concatenate([
             self.atom_x, self.piece_a, self.piece_b % 1.0, [0.0]]))
 
-    def max_leaf_density(self) -> float:
-        """Proxy for singularity of finite-depth constructions."""
-        if not len(self.piece_d):
-            return math.inf if self.atom_x.size else 0.0
-        d = float(np.abs(self.piece_d).max())
-        return math.inf if self.atom_x.size else d
-
     # -- Fourier ----------------------------------------------------------
 
     def fourier_many(self, ns) -> np.ndarray:
-        """hat mu(n) = int e^{-2 pi i n x} dmu(x), exact closed form, vectorized."""
-        ns = np.atleast_1d(np.asarray(ns))
-        out = np.zeros(ns.shape, dtype=complex)
-        if self.atom_x.size:
-            out += np.exp(-2j * np.pi * np.outer(ns, self.atom_x)) @ self.atom_m
+        """hat mu(n) = int e^{-2 pi i n x} dmu(x) for integer n, closed form.
+
+        With n = qB + j (B = 64, 0 <= j < B) each sum over atoms and pieces
+        is a (rows q) @ (columns j) matrix product (_fourier_rows), with
+        phases reduced exactly for |n| < 2^32.  A contiguous range of n is
+        a run of consecutive rows; any other set of n is gathered from the
+        rows of its distinct q.
+        """
+        ns = np.asarray(ns)
+        if not np.issubdtype(ns.dtype, np.integer):
+            if not np.array_equal(ns, np.round(ns)):
+                raise ValueError("Fourier frequencies must be integers")
+            ns = ns.astype(np.int64)
+        n = ns.ravel()
+        out = np.empty(n.size, dtype=complex)
+        if n.size == 0:
+            return out.reshape(ns.shape)
+        chunk = max(1, _WORKSPACE // (2 * min(self.piece_a.size, _TERM_CHUNK)
+                                      + min(self.atom_x.size, _TERM_CHUNK) + _BLOCK))
+        if n[-1] - n[0] == n.size - 1 and (np.diff(n) == 1).all():
+            start = n[0] - n[0] % _BLOCK
+            rows = np.arange(start, n[-1] + 1, _BLOCK) // _BLOCK
+            for s in range(0, rows.size, chunk):
+                block = self._fourier_rows(rows[s:s + chunk]).ravel()
+                first = start + s * _BLOCK  # the n of block[0]
+                lo, hi = max(first, n[0]), min(first + block.size, n[-1] + 1)
+                out[lo - n[0]:hi - n[0]] = block[lo - first:hi - first]
+        else:
+            rows, inv = np.unique(n // _BLOCK, return_inverse=True)
+            order = np.argsort(inv, kind="stable")
+            bounds = np.searchsorted(inv[order], np.arange(0, rows.size + chunk, chunk))
+            for s, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
+                idx = order[i0:i1]
+                block = self._fourier_rows(rows[s * chunk:(s + 1) * chunk])
+                out[idx] = block[inv[idx] - s * chunk, n[idx] % _BLOCK]
+        out[n == 0] = self.total_mass
+        return out.reshape(ns.shape)
+
+    def _fourier_rows(self, q) -> np.ndarray:
+        """(len(q), B) array of hat mu(qB + j), j = 0..B-1, except at n = 0,
+        which the caller sets to mu(T).
+
+        An atom is a rank-one term: e^{-2 pi i n x} = e^{-2 pi i qBx}
+        e^{-2 pi i jx}.  A piece of density d, midpoint c and length L gives
+        d e^{-2 pi i n c} sin(pi n L)/(pi n), free of the cancellation in
+        (e^{-2 pi i n a} - e^{-2 pi i n b})/(2 pi i n); with
+        sin(pi (qB + j) L) = sin(pi qBL) cos(pi jL) + cos(pi qBL) sin(pi jL)
+        it is a rank-two term.  Every phase is reduced exactly (_phase).
+        """
+        j = np.arange(_BLOCK)
+        qb = q * _BLOCK
+        out = np.zeros((q.size, _BLOCK), dtype=complex)
+        for s in range(0, self.atom_x.size, _TERM_CHUNK):
+            x = _split(self.atom_x[s:s + _TERM_CHUNK])
+            out += (_cis(_phase(qb, x)) * self.atom_m[s:s + _TERM_CHUNK]) \
+                @ _cis(_phase(j, x)).T
         if self.piece_a.size:
-            nz = ns != 0
-            n_nz = ns[nz]
-            if n_nz.size:
-                # chunk over n to bound the pieces-by-n workspace
-                res = np.empty(n_nz.size, dtype=complex)
-                chunk = max(1, int(4e6 / max(len(self.piece_a), 1)))
-                for s in range(0, n_nz.size, chunk):
-                    nn = n_nz[s:s + chunk, None]
-                    ea = np.exp(-2j * np.pi * nn * self.piece_a[None, :])
-                    eb = np.exp(-2j * np.pi * nn * self.piece_b[None, :])
-                    res[s:s + chunk] = ((ea - eb) / (2j * np.pi * nn)) @ self.piece_d
-                out[nz] += res
-            out[~nz] += np.sum(self.piece_d * (self.piece_b - self.piece_a))
+            acc = np.zeros_like(out)
+            for s in range(0, self.piece_a.size, _TERM_CHUNK):
+                c, length = _midpoint_length(self.piece_a[s:s + _TERM_CHUNK],
+                                             self.piece_b[s:s + _TERM_CHUNK])
+                eq = _cis(_phase(qb, c)) * self.piece_d[s:s + _TERM_CHUNK]
+                sq, cq = _sin_cos_pi(_phase(qb, length, 2.0))
+                ej = _cis(_phase(j, c)).T
+                sj, cj = _sin_cos_pi(_phase(j, length, 2.0).T)
+                acc += np.hstack([eq * sq, eq * cq]) @ np.vstack([ej * cj, ej * sj])
+            pi_n = np.pi * (qb[:, None] + j)
+            pi_n[pi_n == 0] = 1.0
+            out += acc / pi_n
         return out
 
     def fourier(self, n: int) -> complex:
@@ -440,8 +524,7 @@ def modulus_continuity(mu: CircleMeasure, t: float) -> float:
     return float(mu.interval_mass_many(xs, xs + t).max())
 
 
-def _smoothness_h_candidates(mu: CircleMeasure, t: float) -> np.ndarray:
-    b = mu.breakpoints
+def _smoothness_h_candidates(b: np.ndarray, t: float) -> np.ndarray:
     cands = [np.array([t])]
     gaps = np.diff(np.concatenate([b, [b[0] + 1.0]]))
     cands.append(np.unique(gaps))
@@ -456,7 +539,7 @@ def _smoothness_h_candidates(mu: CircleMeasure, t: float) -> np.ndarray:
 
 def modulus_smoothness(mu: CircleMeasure, t: float) -> float:
     """omega_mu(t): sup over adjacent equal-length windows |I| = |J| <= t
-    of |mu(I) - mu(J)|.
+    of |mu(I) - mu(J)| = |F(x + h) - 2 F(x) + F(x - h)|, F = mu.cdf.
 
     For each candidate half-width h the position scan is exact (the
     difference is piecewise linear between breakpoint translates); h runs
@@ -466,16 +549,14 @@ def modulus_smoothness(mu: CircleMeasure, t: float) -> float:
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must be in (0, 1], got {t}")
+    b = mu.breakpoints
     best = 0.0
-    for h in _smoothness_h_candidates(mu, t):
-        b = mu.breakpoints
+    for h in _smoothness_h_candidates(b, t):
         xs = np.concatenate([b, (b - h) % 1.0, (b + h) % 1.0])
         if mu.atom_x.size:
             xs = np.concatenate([xs, (xs + _NUDGE) % 1.0, (xs - _NUDGE) % 1.0])
-        xs = np.unique(xs)
-        right = mu.interval_mass_many(xs, xs + h)
-        left = mu.interval_mass_many((xs - h) % 1.0, (xs - h) % 1.0 + h)
-        best = max(best, float(np.abs(right - left).max()))
+        second = mu.cdf(xs + h) - 2.0 * mu.cdf(xs) + mu.cdf(xs - h)
+        best = max(best, float(np.abs(second).max()))
     return best
 
 
@@ -516,11 +597,6 @@ def anderson_check(mu: CircleMeasure, t_grid) -> AndersonReport:
         wd = max(wd, delta / delta_bound)
         wo = max(wo, omega / omega_bound)
     return AndersonReport(rows, wd <= 1.0 + 1e-12, wo <= 1.0 + 1e-12, wd, wo)
-
-
-def fourier_coefficient(mu: CircleMeasure, n: int) -> complex:
-    """hat mu(n), exact closed form (atoms plus piecewise-constant pieces)."""
-    return mu.fourier(n)
 
 
 # -- Beurling-Carleson entropy --------------------------------------------
@@ -576,7 +652,10 @@ def bc_entropy(E: IntervalSet) -> BCEntropyReport:
 
 def measure_of_set(mu: CircleMeasure, E: IntervalSet) -> float:
     """mu-mass of the union of closed arcs (boundary atoms counted in)."""
-    return float(sum(mu.closed_arc_mass(a, b) for a, b in E.arcs))
+    if not E.arcs:
+        return 0.0
+    a, b = np.array(E.arcs).T
+    return float(sum(mu.closed_arc_mass(a, b).tolist()))
 
 
 def martingale_of(mu: CircleMeasure, depth: int) -> DyadicMartingale:

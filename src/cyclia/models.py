@@ -85,11 +85,12 @@ def _arc_log_sum(a, b, dens, z):
     depth = 0
     while stack:
         a, b, d = stack.pop()
+        # ratio = 1 + s with s = (w_b - w_a)/(w_a - z), and w_b - w_a taken
+        # from sin(pi (b - a)), so a short arc keeps its relative accuracy
         wa = np.exp(_TWO_PI_I * a)
-        wb = np.exp(_TWO_PI_I * b)
-        ratio = (wb - z) / (wa - z)
-        ok = (ratio.real > 0) | (b - a < 1e-15)
-        total += np.sum(d[ok] * np.log(ratio[ok]))
+        s = _chord(a, b) / (wa - z)
+        ok = (1.0 + s.real > 0) | (b - a < 1e-15)
+        total += np.sum(d[ok] * _log1p(s[ok]))
         if not ok.all():
             depth += 1
             if depth > 200:
@@ -99,6 +100,21 @@ def _arc_log_sum(a, b, dens, z):
             stack.append((a, mid, d))
             stack.append((mid, b, d))
     return total
+
+
+def _chord(a, b):
+    """w(b) - w(a) = 2i sin(pi (b - a)) e^{pi i (a + b)}, w(x) = e^{2 pi i x}."""
+    return 2j * np.sin(np.pi * (b - a)) * np.exp(1j * np.pi * (a + b))
+
+
+def _log1p(s):
+    """Principal Log(1 + s): for |s| < 1/2 the modulus comes from a real
+    log1p (numpy's complex log1p is log(1 + s), inexact for small s)."""
+    re, im = s.real, s.imag
+    mod = np.log(np.abs(1.0 + s))
+    small = np.abs(s) < 0.5
+    mod[small] = 0.5 * np.log1p(re[small] * (2.0 + re[small]) + im[small] ** 2)
+    return mod + 1j * np.arctan2(im, 1.0 + re)
 
 
 def herglotz(mu: CircleMeasure, z: complex) -> complex:
@@ -128,9 +144,11 @@ def herglotz_derivative(mu: CircleMeasure, z: complex) -> complex:
         w = np.exp(_TWO_PI_I * mu.atom_x)
         out += np.sum(mu.atom_m * 2.0 * w / (w - z) ** 2)
     if mu.piece_a.size:
+        # 1/(w_a - z) - 1/(w_b - z) = (w_b - w_a)/((w_a - z)(w_b - z))
         wa = np.exp(_TWO_PI_I * mu.piece_a)
         wb = np.exp(_TWO_PI_I * mu.piece_b)
-        out += np.sum(mu.piece_d * (1.0 / (wa - z) - 1.0 / (wb - z))) / (1j * np.pi)
+        out += np.sum(mu.piece_d * _chord(mu.piece_a, mu.piece_b)
+                      / ((wa - z) * (wb - z))) / (1j * np.pi)
     return complex(out)
 
 
@@ -150,6 +168,9 @@ class _SpectralCache:
         self._coeffs = np.zeros(0, dtype=complex)
         self._dyadic_n = mu.dyadic_resolution()
         self._dyadic_dft = None
+        if self._dyadic_n is not None and mu.atom_x.size:
+            self._atoms = CircleMeasure(atoms=zip(mu.atom_x, mu.atom_m),
+                                        signed=mu.signed)
 
     def coeffs(self, count: int) -> np.ndarray:
         if count <= self._coeffs.size:
@@ -158,8 +179,7 @@ class _SpectralCache:
         if self._dyadic_n is not None:
             new = self._dyadic_coeffs(ns)
             if self.mu.atom_x.size:
-                new = new + np.exp(
-                    -_TWO_PI_I * np.outer(ns, self.mu.atom_x)) @ self.mu.atom_m
+                new = new + self._atoms.fourier_many(ns)
         else:
             new = self.mu.fourier_many(ns)
         self._coeffs = np.concatenate([self._coeffs, new])

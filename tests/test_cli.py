@@ -134,6 +134,20 @@ class TestSuiteCommand:
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["seed"] == 11
 
+    def test_salem_preset_builds_the_measure_once(self, tmp_path, monkeypatch):
+        from cyclia import cli
+        calls = []
+        build = cli.salem_measure
+
+        def counting(spec):
+            calls.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(cli, "salem_measure", counting)
+        run("suite", "--spec", SALEM_SPEC, "--preset", "salem",
+            "--out", str(tmp_path / "s"))
+        assert len(calls) == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem", "--out", a)

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclia import measures
 from cyclia.measures import (CircleMeasure, IntervalSet, KahaneLog, SalemSpec,
                              anderson_check, atomic, bc_entropy,
                              choose_salem_parameters, kahane_smooth, lebesgue,
@@ -62,6 +64,41 @@ class TestCircleMeasure:
         target = 2.0 * (np.exp(-2j * np.pi * n * 0.1)
                         - np.exp(-2j * np.pi * n * 0.4)) / (2j * np.pi * n)
         assert mu.fourier(n) == pytest.approx(target)
+
+    def test_closed_arc_ending_at_one_closes_on_zero(self):
+        mu = CircleMeasure(atoms=[(0.0, 2.0), (0.5, 1.0)], pieces=[(0.2, 0.6, 1.0)])
+        assert mu.closed_arc_mass(0.5, 1.0) == pytest.approx(3.1)
+        a, b = np.array([0.0, 0.1, 0.5, 0.5]), np.array([0.0, 0.5, 0.5, 1.0])
+        many = mu.closed_arc_mass(a, b)
+        assert list(many) == [mu.closed_arc_mass(x, y) for x, y in zip(a, b)]
+        assert many[:3] == pytest.approx([2.0, 1.3, 1.0])
+
+    def test_cdf_is_periodic(self):
+        mu = CircleMeasure(atoms=[(0.0, 0.5), (0.3, 0.25)], pieces=[(0.1, 0.6, 2.0)])
+        assert mu.cdf(0.0) == 0.0
+        assert mu.cdf(1.0) == mu.total_mass
+        x = np.linspace(-2.0, 2.0, 41) + 0.0123  # off the atoms
+        assert np.allclose(mu.cdf(x + 3.0), mu.cdf(x) + 3.0 * mu.total_mass,
+                           rtol=0, atol=1e-13)
+
+    def test_cdf_continuous_at_the_seam(self):
+        # the period is the table's own last value: for this measure the
+        # pairwise total_mass differs from the sequential sums by 2e-14
+        d, xi = choose_salem_parameters(0.8, 0.05)
+        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
+                                        generations=10, seed=3))
+        assert mu.cdf(1.0) == mu.cdf(np.nextafter(1.0, 0.0))
+        assert mu.cdf(-1e-17) == mu.cdf(0.0)
+
+    @pytest.mark.parametrize("piece, mass", [
+        ((-0.1, 0.1, 1.0), 0.2), ((1.2, 1.5, 1.0), 0.3),
+        ((-0.125, 0.875, 0.25), 0.25)])
+    def test_piece_outside_unit_interval_keeps_its_length(self, piece, mass):
+        mu = CircleMeasure(pieces=[piece])
+        assert (mu.piece_b > mu.piece_a).all()
+        assert mu.total_mass == pytest.approx(mass, abs=1e-15)
+        a, b, _ = piece
+        assert mu.interval_mass(a, b) == pytest.approx(mass, abs=1e-15)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -198,3 +235,201 @@ class TestEntropyAndSets:
     def test_martingale_of_depth(self):
         m = martingale_of(lebesgue(), 8)
         assert m.depth == 8 and m.root_value == pytest.approx(1.0)
+
+
+# -- oracles for the CDF table and the Fourier kernel ------------------------
+
+GRID = st.integers(0, 255).map(lambda k: k / 256)
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@st.composite
+def _measures(draw, atoms=True, max_cuts=12):
+    """Pieces between sorted cuts (optionally one across the seam) and
+    atoms on the grid k/256, where interval endpoints can hit them exactly."""
+    cuts = sorted(set(draw(st.lists(st.one_of(GRID, UNIT), min_size=2,
+                                    max_size=max_cuts))))
+    dens = st.floats(0.0, 3.0)
+    pieces = [(a, b, draw(dens)) for a, b in zip(cuts[:-1], cuts[1:])
+              if draw(st.booleans())]
+    if draw(st.booleans()):
+        pieces.append((cuts[-1], cuts[0] + 1.0, draw(dens)))
+    pts = draw(st.lists(st.tuples(GRID, st.floats(0.05, 2.0)), max_size=4)) \
+        if atoms else []
+    return CircleMeasure(atoms=pts, pieces=pieces)
+
+
+def _direct_mass(mu, lo, hi):
+    """mu([lo, hi)) for 0 <= lo < 1, lo <= hi <= lo + 1, by intersecting the
+    interval with every piece and its translate by 1 and testing each atom
+    and its translate (compared as x < hi - 1, which is exact)."""
+    lo = np.atleast_1d(lo)[:, None]
+    hi = np.atleast_1d(hi)[:, None]
+    total = 0.0
+    for k in (0.0, 1.0):
+        overlap = np.minimum(hi, mu.piece_b + k) - np.maximum(lo, mu.piece_a + k)
+        total = total + np.clip(overlap, 0.0, None) @ mu.piece_d
+    inside = ((mu.atom_x >= lo) & (mu.atom_x < hi)) | (mu.atom_x < hi - 1.0)
+    return total + inside @ mu.atom_m
+
+
+class TestIntervalMassOracle:
+    @given(_measures(), st.lists(st.tuples(
+        st.one_of(st.builds(lambda x, k: x + k, GRID, st.integers(-1, 1)),
+                  st.floats(-2.0, 2.0)),
+        st.one_of(st.integers(0, 256).map(lambda k: k / 256),
+                  st.floats(0.0, 1.0))), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_intersection(self, mu, intervals):
+        a = np.array([x for x, _ in intervals])
+        b = a + np.array([w for _, w in intervals])
+        got = mu.interval_mass_many(a, b)
+        length = b - a
+        lo = a % 1.0
+        want = np.where(length >= 1.0, mu.total_mass,
+                        _direct_mass(mu, lo, lo + np.minimum(length, 1.0)))
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, mu.total_mass)
+
+    def test_atoms_on_both_endpoints(self):
+        mu = CircleMeasure(atoms=[(0.25, 1.0), (0.75, 2.0)], pieces=[(0.5, 1.0, 1.0)])
+        # [0.75, 1.25) holds the atom at 0.75 but not the one at 0.25
+        assert mu.interval_mass(0.75, 1.25) == pytest.approx(2.25)
+        assert mu.interval_mass(-0.75, 0.25) == pytest.approx(3.5)
+        assert mu.interval_mass(0.25, 0.75) == pytest.approx(1.25)
+
+
+def _omega_vertex_oracle(mu, t):
+    """max |F(x + h) - 2 F(x) + F(x - h)| over 0 < h <= t, for a measure
+    without atoms.  The second difference is piecewise linear in (x, h),
+    with kinks on the lines x = b_i, x + h = b_j, x - h = b_k (mod 1) and
+    h = t, so the supremum is attained at one of their crossings:
+    x = b_i with h = (b_j - b_i) mod 1 or (b_i - b_j) mod 1,
+    x = b_k + h with h = ((b_j - b_k) mod 1)/2, and h = t with x in
+    b, b - t, b + t.  Masses come from _direct_mass, not from the CDF."""
+    b = np.unique(np.concatenate([mu.piece_a, mu.piece_b % 1.0, [0.0]]))
+    diffs = ((b[None, :] - b[:, None]) % 1.0).ravel()
+    xi = np.repeat(b, b.size)
+    xs = np.concatenate([xi, xi, xi + diffs / 2, b, b - t, b + t])
+    hs = np.concatenate([diffs, (-diffs) % 1.0, diffs / 2, np.full(3 * b.size, t)])
+    keep = (hs > 0) & (hs <= t)
+    xs, hs = xs[keep] % 1.0, hs[keep]
+    right = _direct_mass(mu, xs, xs + hs)
+    left_lo = (xs - hs) % 1.0
+    left = _direct_mass(mu, left_lo, left_lo + hs)
+    return float(np.abs(right - left).max())
+
+
+class TestSmoothnessOracle:
+    @given(_measures(atoms=False, max_cuts=30), st.floats(1e-3, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_vertex_enumeration(self, mu, t):
+        # at most 32 breakpoints, where the candidate half-widths include
+        # every pairwise span and its half
+        assert mu.breakpoints.size <= 64
+        want = _omega_vertex_oracle(mu, t)
+        assert modulus_smoothness(mu, t) == pytest.approx(
+            want, abs=1e-12 * max(1.0, mu.total_mass))
+
+
+def _direct_fourier(mu, ns):
+    """The direct closed-form sum over atoms and piece endpoints."""
+    n = np.asarray(ns, dtype=float)[:, None]
+    out = np.exp(-2j * np.pi * n * mu.atom_x) @ mu.atom_m
+    nz = np.where(n == 0, 1.0, n)
+    pieces = (np.exp(-2j * np.pi * n * mu.piece_a)
+              - np.exp(-2j * np.pi * n * mu.piece_b)) / (2j * np.pi * nz)
+    pieces[n[:, 0] == 0] = mu.piece_b - mu.piece_a
+    return out + pieces @ mu.piece_d
+
+
+def _mp_fourier(mu, n):
+    """hat mu(n) in 40-digit arithmetic from the exact float endpoints."""
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for x, m in zip(mu.atom_x, mu.atom_m):
+            total += m * mpmath.expj(-2 * mpmath.pi * n * mpmath.mpf(x))
+        for a, b, d in zip(mu.piece_a, mu.piece_b, mu.piece_d):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            if n == 0:
+                total += d * (b - a)
+            else:
+                total += d * (mpmath.expj(-2 * mpmath.pi * n * a)
+                              - mpmath.expj(-2 * mpmath.pi * n * b)) \
+                    / (2j * mpmath.pi * n)
+        return complex(total)
+
+
+@st.composite
+def _short_piece_measures(draw):
+    """Disjoint pieces of length 1e-7 .. 0.3 at random positions, plus atoms."""
+    starts = sorted(set(draw(st.lists(UNIT, min_size=1, max_size=5))))
+    pieces, end = [], 0.0
+    for a in starts:
+        length = draw(st.one_of(st.floats(1e-7, 1e-3), st.floats(1e-3, 0.3)))
+        if a >= end and a + length < 1.0:
+            pieces.append((a, a + length, draw(st.floats(0.1, 1e4))))
+            end = a + length
+    atoms = draw(st.lists(st.tuples(UNIT, st.floats(0.05, 2.0)), max_size=3))
+    if not pieces and not atoms:
+        atoms = [(draw(UNIT), 1.0)]
+    return CircleMeasure(atoms=atoms, pieces=pieces)
+
+
+FREQS = st.one_of(
+    st.builds(lambda n0, k: np.arange(n0, n0 + k),
+              st.integers(-5000, 5000), st.integers(1, 300)),
+    st.lists(st.integers(-5000, 5000), min_size=1, max_size=40).map(np.array))
+
+
+class TestFourierKernel:
+    @given(_measures(), FREQS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_direct_sum(self, mu, ns):
+        # the direct sum's phases 2 pi n x lose |n| ulps
+        got = mu.fourier_many(ns)
+        want = _direct_fourier(mu, ns)
+        tol = 1e-13 * max(1.0, mu.total_mass) * (1.0 + np.abs(ns))
+        assert (np.abs(got - want) <= tol).all()
+
+    @given(_short_piece_measures(), st.one_of(
+        st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=8).map(np.array),
+        st.builds(lambda n0: np.arange(n0, n0 + 70), st.integers(-2**20, 2**20))))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_mpmath(self, mu, ns):
+        got = mu.fourier_many(ns)
+        want = np.array([_mp_fourier(mu, int(n)) for n in ns])
+        assert np.abs(got - want).max() <= 1e-12 * mu.total_mass
+
+    @pytest.mark.parametrize("a", [0.1234567, 0.7234567891234567])
+    def test_short_piece_beats_direct_sum(self, a):
+        # unit mass on 1e-7; at 0.72... the float sum a + b rounds, and at
+        # n ~ 2^20 that rounding alone would move the midpoint phase by 4e-10
+        mu = CircleMeasure(pieces=[(a, a + 1e-7, 1e7)])
+        ns = np.array([1, 3, 1000, 2**20 - 1])
+        want = np.array([_mp_fourier(mu, int(n)) for n in ns])
+        assert np.abs(mu.fourier_many(ns) - want).max() <= 1e-14
+        assert np.abs(_direct_fourier(mu, ns) - want).max() > 1e-12
+
+    def test_shape_zero_and_integrality(self):
+        mu = CircleMeasure(atoms=[(0.3, 0.5)], pieces=[(0.1, 0.2, 2.0)])
+        grid = np.arange(-6, 6).reshape(3, 4)
+        got = mu.fourier_many(grid)
+        assert got.shape == (3, 4)
+        assert got[1, 2] == mu.total_mass       # n = 0
+        assert np.allclose(got.ravel(), _direct_fourier(mu, grid.ravel()),
+                           rtol=0, atol=1e-14)
+        assert mu.fourier_many(np.array([2.0]))[0] == mu.fourier(2)
+        assert mu.fourier_many([]).shape == (0,)
+        with pytest.raises(ValueError):
+            mu.fourier_many([0.5])
+
+    def test_chunked_products_agree(self, monkeypatch):
+        mu = CircleMeasure(atoms=[(0.05 * k, 0.1) for k in range(7)],
+                           pieces=[(0.5 + 0.04 * k, 0.52 + 0.04 * k, 1.0 + k)
+                                   for k in range(11)])
+        ranged, scattered = np.arange(-700, 900), np.array([5, -300, 4096, 5, 77])
+        whole = mu.fourier_many(ranged), mu.fourier_many(scattered)
+        monkeypatch.setattr(measures, "_TERM_CHUNK", 4)
+        monkeypatch.setattr(measures, "_WORKSPACE", 200)
+        assert np.allclose(mu.fourier_many(ranged), whole[0], rtol=0, atol=1e-14)
+        assert np.allclose(mu.fourier_many(scattered), whole[1], rtol=0, atol=1e-14)

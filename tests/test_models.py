@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclia import models
@@ -150,6 +150,13 @@ class TestJetKernel:
     @given(_measures(), st.floats(0.0, 0.999, exclude_min=True),
            st.integers(3, 10), st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=30, deadline=None)
+    # a short arc: the oracle's log of a ratio 1 + O(1e-5) used to err by
+    # 6e-17 against a 5e-18 tolerance
+    @example(CircleMeasure(pieces=[(0.0, 1e-5, 1.0)]), 0.5, 3, 0.0)
+    # a ring point within 1 - r of an atom: atom coefficients with
+    # the phase 2 pi n x rounded as a float product drifted by n ulps
+    @example(CircleMeasure(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 0.25)]),
+             0.998046875, 3, 0.0)
     def test_matches_scalar_oracle(self, mu, r, log2_m, offset):
         _assert_jet_matches_scalar(mu, r, 1 << log2_m, offset)
 
