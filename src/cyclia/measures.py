@@ -202,9 +202,9 @@ class CircleMeasure:
 
         With n = qB + j (B = 64, 0 <= j < B) each sum over atoms and pieces
         is a (rows q) @ (columns j) matrix product (_fourier_rows), with
-        phases reduced exactly for |n| < 2^32.  A contiguous range of n is
-        a run of consecutive rows; any other set of n is gathered from the
-        rows of its distinct q.
+        phases reduced exactly for |n| < 2^32.  The rows from min(n) // B to
+        max(n) // B are filled in chunks, and each n is read at its offset
+        n - B (min(n) // B) into them.
         """
         ns = np.asarray(ns)
         if not np.issubdtype(ns.dtype, np.integer):
@@ -212,27 +212,16 @@ class CircleMeasure:
                 raise ValueError("Fourier frequencies must be integers")
             ns = ns.astype(np.int64)
         n = ns.ravel()
-        out = np.empty(n.size, dtype=complex)
         if n.size == 0:
-            return out.reshape(ns.shape)
+            return np.empty(ns.shape, dtype=complex)
         chunk = max(1, _WORKSPACE // (2 * min(self.piece_a.size, _TERM_CHUNK)
                                       + min(self.atom_x.size, _TERM_CHUNK) + _BLOCK))
-        if n[-1] - n[0] == n.size - 1 and (np.diff(n) == 1).all():
-            start = n[0] - n[0] % _BLOCK
-            rows = np.arange(start, n[-1] + 1, _BLOCK) // _BLOCK
-            for s in range(0, rows.size, chunk):
-                block = self._fourier_rows(rows[s:s + chunk]).ravel()
-                first = start + s * _BLOCK  # the n of block[0]
-                lo, hi = max(first, n[0]), min(first + block.size, n[-1] + 1)
-                out[lo - n[0]:hi - n[0]] = block[lo - first:hi - first]
-        else:
-            rows, inv = np.unique(n // _BLOCK, return_inverse=True)
-            order = np.argsort(inv, kind="stable")
-            bounds = np.searchsorted(inv[order], np.arange(0, rows.size + chunk, chunk))
-            for s, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
-                idx = order[i0:i1]
-                block = self._fourier_rows(rows[s * chunk:(s + 1) * chunk])
-                out[idx] = block[inv[idx] - s * chunk, n[idx] % _BLOCK]
+        q0 = n.min() // _BLOCK
+        rows = np.arange(q0, n.max() // _BLOCK + 1)
+        span = np.empty((rows.size, _BLOCK), dtype=complex)
+        for s in range(0, rows.size, chunk):
+            span[s:s + chunk] = self._fourier_rows(rows[s:s + chunk])
+        out = span.ravel()[n - q0 * _BLOCK]
         out[n == 0] = self.total_mass
         return out.reshape(ns.shape)
 

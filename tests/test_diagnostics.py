@@ -237,6 +237,17 @@ class TestFourier:
         with pytest.raises(ValueError):
             fourier_decay_fit(LEB, 256)
 
+    def test_envelope_ties_take_the_first_n(self):
+        # |hat mu(n)| = 1 at every multiple of 5, up to rounding; each
+        # octave reports the first of them, whatever the rounding
+        mu = atomic([(0.1, 0.25), (0.3, 0.5), (0.7, 0.25)])
+        rep = fourier_decay_fit(mu, 4096)
+        first = {row["octave"]: row["n"] for row in rep.table}
+        assert [first[k] for k in range(2, 12)] == \
+            [5, 10, 20, 35, 65, 130, 260, 515, 1025, 2050]
+        assert all(row["envelope"] == pytest.approx(1.0, abs=1e-12)
+                   for row in rep.table if 2 <= row["octave"] <= 11)
+
     def test_salem_decay(self, salem):
         mu, _ = salem
         rep = fourier_decay_fit(mu, 2048)

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclia import measures
@@ -244,10 +244,10 @@ UNIT = st.floats(0.0, 1.0, exclude_max=True)
 
 
 @st.composite
-def _measures(draw, atoms=True, max_cuts=12):
+def _measures(draw, atoms=True, min_cuts=2, max_cuts=12):
     """Pieces between sorted cuts (optionally one across the seam) and
     atoms on the grid k/256, where interval endpoints can hit them exactly."""
-    cuts = sorted(set(draw(st.lists(st.one_of(GRID, UNIT), min_size=2,
+    cuts = sorted(set(draw(st.lists(st.one_of(GRID, UNIT), min_size=min_cuts,
                                     max_size=max_cuts))))
     dens = st.floats(0.0, 3.0)
     pieces = [(a, b, draw(dens)) for a, b in zip(cuts[:-1], cuts[1:])
@@ -319,12 +319,22 @@ def _omega_vertex_oracle(mu, t):
     return float(np.abs(right - left).max())
 
 
+# pieces between 0, 63 irregular cuts and 1: 64 breakpoints, the most for
+# which the candidate half-widths include every pairwise span and its half
+_CUTS64 = np.concatenate([[0.0], np.sort(np.random.default_rng(10).random(63)), [1.0]])
+_MU64 = CircleMeasure(pieces=[
+    (a, b, 1.0 + (k % 3)) for k, (a, b) in enumerate(zip(_CUTS64[:-1], _CUTS64[1:]))])
+
+
 class TestSmoothnessOracle:
-    @given(_measures(atoms=False, max_cuts=30), st.floats(1e-3, 0.5))
+    @given(st.one_of(_measures(atoms=False, max_cuts=63),
+                     _measures(atoms=False, min_cuts=48, max_cuts=63)),
+           st.floats(1e-3, 0.5))
+    @example(_MU64, 0.5)
+    @example(_MU64, 0.1)
     @settings(max_examples=40, deadline=None)
     def test_matches_vertex_enumeration(self, mu, t):
-        # at most 32 breakpoints, where the candidate half-widths include
-        # every pairwise span and its half
+        # at most 63 cuts plus the point 0: at most 64 breakpoints
         assert mu.breakpoints.size <= 64
         want = _omega_vertex_oracle(mu, t)
         assert modulus_smoothness(mu, t) == pytest.approx(
