@@ -10,67 +10,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import Callable
 
 import numpy as np
 
 from . import diagnostics as diag
-from .diagnostics import CheckReport
-from .measures import (CircleMeasure, IntervalSet, SalemSpec, anderson_check,
-                       atomic, bc_entropy, choose_salem_parameters,
-                       kahane_smooth, lebesgue, modulus_continuity,
-                       modulus_smoothness, salem_measure)
+from .diagnostics import CheckReport, csv_table
+from .measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
+                       bc_entropy, choose_salem_parameters, kahane_smooth,
+                       lebesgue, modulus_continuity, modulus_smoothness,
+                       salem_measure)
 from .models import Polynomial, SingularInnerPower
-from .profiles import LogPower, PowerLaw, integrability_tests
-
-CHECK_NAMES = (
-    "brown-shields", "pmeans", "poisson-martingale", "multiplier",
-    "korenblum", "annihilator", "bloch-diff", "fourier-decay", "fourier-lp",
-    "anderson", "derivative-sup", "integrability",
-)
-
-PRESETS = {
-    "theorem-main": ("anderson", "derivative-sup", "multiplier", "pmeans",
-                     "brown-shields"),
-    "theorem-power": ("integrability", "brown-shields"),
-    "theorem-necessity": ("korenblum",),
-    "salem": ("fourier-decay", "fourier-lp", "korenblum"),
-}
-
-STATEMENTS = {
-    "anderson": "Both moduli of the measure obey the absolute bounds "
-                "8t(2 + log log(e/t)/96) and 36t/sqrt(log(e/t)).",
-    "derivative-sup": "sup over |z|=r of |S'(z)| stays within a constant "
-                      "multiple of phi(1-r)/(1-r).",
-    "multiplier": "The box measure |S'|^p (1-|z|)^{p-1} dA satisfies the "
-                  "one-box condition with logarithmic gain, so S multiplies "
-                  "the weighted Besov space.",
-    "pmeans": "The reciprocal p-means of S are controlled by the accumulated "
-              "gauge times a Gaussian factor of it.",
-    "brown-shields": "The dilation quotients f/f_t are bounded in the "
-                     "weighted Besov seminorm, the dilate criterion for "
-                     "cyclicity.",
-    "poisson-martingale": "The Poisson integral at top-half box centers is "
-                          "controlled by the dyadic martingale mu(I)/|I| up "
-                          "to a stable additive gap.",
-    "korenblum": "Positive mass on a finite-entropy carrier rules out "
-                 "cyclicity in the coefficient spaces with p > 2.",
-    "annihilator": "The truncated pairing of z^m S against the shifted "
-                   "coefficients of S tends to zero, exhibiting an "
-                   "annihilating functional.",
-    "bloch-diff": "The dilation-difference integrals against a Bloch factor "
-                  "are bounded by the product of the Besov and Bloch norms.",
-    "fourier-decay": "The Fourier coefficients of the measure decay "
-                     "polynomially.",
-    "fourier-lp": "The p-th powers of the Fourier coefficients are summable.",
-    "integrability": "The gauge integrals int phi^p/t dt and the "
-                     "bracket-weighted variant converge.",
-}
+from .profiles import LogPower, PowerLaw
 
 
 @dataclass
@@ -113,12 +70,17 @@ def _effective_seed(spec: dict, cfg: RunConfig) -> int:
     return int(spec.get("seed", cfg.seed))
 
 
+def _effective_depth(spec: dict, cfg: RunConfig) -> int:
+    """The construction depth: ``--depth`` wins over the spec's ``depth``."""
+    return cfg.depth if cfg.depth is not None else int(spec.get("depth", 12))
+
+
 def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
     if not isinstance(spec, dict):
         raise UsageError("measure spec must be a JSON object")
     kind = spec.get("type")
     params = spec.get("params", {})
-    depth = cfg.depth if cfg.depth is not None else int(spec.get("depth", 12))
+    depth = _effective_depth(spec, cfg)
     seed = _effective_seed(spec, cfg)
     if kind == "lebesgue":
         mu = lebesgue(float(params.get("mass", 1.0)))
@@ -137,8 +99,10 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
         mu = kahane_smooth(phi, depth, seed=seed)
         return MeasureContext(spec, mu, phi, label="kahane")
     if kind == "salem":
-        alpha = float(params.get("alpha", cfg.alpha or 0.8))
-        epsilon = float(params.get("epsilon", cfg.epsilon or 0.05))
+        alpha = float(params.get("alpha",
+                                 0.8 if cfg.alpha is None else cfg.alpha))
+        epsilon = float(params.get(
+            "epsilon", 0.05 if cfg.epsilon is None else cfg.epsilon))
         if "d" in params and "xi" in params:
             d, xi = int(params["d"]), float(params["xi"])
         else:
@@ -169,28 +133,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(rows, keys) -> str:
-    out = [",".join(keys)]
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row[k]
-            if isinstance(v, (float, np.floating)):
-                cells.append(f"{float(v):.17g}")
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
-
-
-def _write_report(report: CheckReport, out: str, stem: str) -> list:
-    jpath = os.path.join(out, stem + ".json")
-    cpath = os.path.join(out, stem + ".csv")
-    _write_atomic(jpath, report.to_json())
-    _write_atomic(cpath, report.to_csv())
-    return [jpath, cpath]
-
-
 # -- grids -----------------------------------------------------------------
 
 
@@ -215,13 +157,131 @@ def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
     raise UsageError(f"unknown grid scale {scale!r}")
 
 
+# -- the check registry ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """A check: ``run(ctx, cfg, grid)``, its statement, the default grid
+    ``(start, stop, count, scale)`` or None, the defaults of the flags it
+    reads (used when the flag is None), and the presets it belongs to."""
+
+    run: Callable
+    statement: str
+    grid: tuple | None = None
+    defaults: dict = field(default_factory=dict)
+    presets: tuple = ()
+
+
+def _support(ctx: MeasureContext) -> IntervalSet:
+    if ctx.support is None:
+        raise UsageError("korenblum needs a measure with support "
+                         "metadata (atomic or salem)")
+    return ctx.support
+
+
+# Table order is the report order of every preset.  Entries call
+# diagnostics through the module (``diag.f``), so a wrapper installed on
+# the module attribute sees the call.
+CHECKS = {
+    "anderson": Check(
+        lambda ctx, cfg, ts: diag.anderson_report(ctx.mu, ts),
+        "Both moduli of the measure obey the absolute bounds "
+        "8t(2 + log log(e/t)/96) and 36t/sqrt(log(e/t)).",
+        grid=(2.0, 12.0, 11, "dyadic"), presets=("theorem-main",)),
+    "derivative-sup": Check(
+        lambda ctx, cfg, rs: diag.derivative_sup_ratio(ctx.mu, ctx.phi, rs),
+        "sup over |z|=r of |S'(z)| stays within a constant multiple of "
+        "phi(1-r)/(1-r).",
+        grid=(0.6, 5.4, 17, "log1m"), presets=("theorem-main",)),
+    "multiplier": Check(
+        lambda ctx, cfg, _: diag.multiplier_log_onebox(
+            ctx.mu, cfg.p, min(_effective_depth(ctx.spec, cfg), 12)),
+        "The box measure |S'|^p (1-|z|)^{p-1} dA satisfies the one-box "
+        "condition with logarithmic gain, so S multiplies the weighted Besov "
+        "space.",
+        defaults={"p": 3.0}, presets=("theorem-main",)),
+    "pmeans": Check(
+        lambda ctx, cfg, rs: diag.pmean_ratio(ctx.mu, ctx.phi, cfg.p, rs),
+        "The reciprocal p-means of S are controlled by the accumulated gauge "
+        "times a Gaussian factor of it.",
+        grid=(0.6, 3.6, 11, "log1m"), defaults={"p": 3.0},
+        presets=("theorem-main",)),
+    "integrability": Check(
+        lambda ctx, cfg, _: diag.integrability_report(ctx.phi, cfg.p,
+                                                      cfg.epsilon),
+        "The gauge integrals int phi^p/t dt and the bracket-weighted variant "
+        "converge.",
+        defaults={"p": 3.0, "epsilon": 0.05}, presets=("theorem-power",)),
+    "brown-shields": Check(
+        lambda ctx, cfg, ts: diag.brown_shields_table(
+            SingularInnerPower(ctx.mu, cfg.alpha), cfg.p, ts),
+        "The dilation quotients f/f_t are bounded in the weighted Besov "
+        "seminorm, the dilate criterion for cyclicity.",
+        grid=(0.3, 3.0, 4, "log1m"), defaults={"p": 3.0, "alpha": 1.0},
+        presets=("theorem-main", "theorem-power")),
+    "fourier-decay": Check(
+        # 0.0 - tolerance, so that a tolerance of 0 gives the threshold +0.0
+        lambda ctx, cfg, _: diag.fourier_decay_fit(
+            ctx.mu, 4096, slope_threshold=0.0 - cfg.tolerance),
+        "The Fourier coefficients of the measure decay polynomially.",
+        defaults={"tolerance": 0.25}, presets=("salem",)),
+    "fourier-lp": Check(
+        lambda ctx, cfg, _: diag.fourier_lp_summability(ctx.mu, cfg.p, 4096),
+        "The p-th powers of the Fourier coefficients are summable.",
+        defaults={"p": 4.0}, presets=("salem",)),
+    "korenblum": Check(
+        lambda ctx, cfg, _: diag.korenblum_necessity(ctx.mu, _support(ctx)),
+        "Positive mass on a finite-entropy carrier rules out cyclicity in "
+        "the coefficient spaces with p > 2.",
+        presets=("theorem-necessity", "salem")),
+    "poisson-martingale": Check(
+        lambda ctx, cfg, _: diag.poisson_martingale_gap(
+            ctx.mu, min(_effective_depth(ctx.spec, cfg), 16)),
+        "The Poisson integral at top-half box centers is controlled by the "
+        "dyadic martingale mu(I)/|I| up to a stable additive gap."),
+    "annihilator": Check(
+        lambda ctx, cfg, _: diag.annihilator_report(ctx.mu),
+        "The truncated pairing of z^m S against the shifted coefficients of "
+        "S tends to zero, exhibiting an annihilating functional."),
+    "bloch-diff": Check(
+        lambda ctx, cfg, ts: diag.bloch_difference_bound(
+            SingularInnerPower(ctx.mu, 1.0), Polynomial([0.0] * 5 + [1.0]),
+            cfg.p, ts),
+        "The dilation-difference integrals against a Bloch factor are "
+        "bounded by the product of the Besov and Bloch norms.",
+        grid=(0.3, 2.0, 4, "log1m"), defaults={"p": 2.0}),
+}
+
+PRESETS = {preset: tuple(n for n, c in CHECKS.items() if preset in c.presets)
+           for preset in sorted({p for c in CHECKS.values()
+                                 for p in c.presets})}
+
+
+def run_check(name: str, ctx: MeasureContext, cfg: RunConfig) -> CheckReport:
+    """Run one registered check; ``report.runtime`` is the check's own time."""
+    check = CHECKS[name]
+    cfg = replace(cfg, **{k: v for k, v in check.defaults.items()
+                          if getattr(cfg, k) is None})
+    grid = make_grid(cfg, *check.grid) if check.grid else None
+    t0 = time.perf_counter()
+    report = check.run(ctx, cfg, grid)
+    report.runtime = time.perf_counter() - t0
+    return report
+
+
 # -- commands --------------------------------------------------------------
 
 
 def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
     if ctx is None:
         ctx = build_measure(cfg.spec, cfg)
-    mu, out = ctx.mu, cfg.out
+    mu, files = ctx.mu, []
+
+    def write(suffix: str, text: str) -> None:
+        files.append(os.path.join(cfg.out, ctx.label + suffix))
+        _write_atomic(files[-1], text)
+
     rows = []
     for x, m in zip(mu.atom_x, mu.atom_m):
         rows.append({"kind": "atom", "a": float(x), "b": float(x),
@@ -229,10 +289,7 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
     for a, b, d in zip(mu.piece_a, mu.piece_b, mu.piece_d):
         rows.append({"kind": "piece", "a": float(a), "b": float(b),
                      "value": float(d)})
-    files = []
-    p1 = os.path.join(out, ctx.label + "_measure.csv")
-    _write_atomic(p1, _csv(rows, ["kind", "a", "b", "value"]))
-    files.append(p1)
+    write("_measure.csv", csv_table(rows, ["kind", "a", "b", "value"]))
 
     trows = []
     for k in range(2, 13):
@@ -241,117 +298,39 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
         omega = modulus_smoothness(mu, t)
         trows.append({"t": t, "delta": delta, "omega": omega,
                       "fitted_C": omega / (t * float(ctx.phi.phi(t)))})
-    p2 = os.path.join(out, ctx.label + "_moduli.csv")
-    _write_atomic(p2, _csv(trows, ["t", "delta", "omega", "fitted_C"]))
-    files.append(p2)
+    write("_moduli.csv", csv_table(trows, ["t", "delta", "omega", "fitted_C"]))
 
     ns = np.arange(0, 513)
     coeffs = mu.fourier_many(ns)
     frows = [{"n": int(n), "re": c.real, "im": c.imag, "abs": abs(c)}
              for n, c in zip(ns, coeffs)]
-    p3 = os.path.join(out, ctx.label + "_fourier.csv")
-    _write_atomic(p3, _csv(frows, ["n", "re", "im", "abs"]))
-    files.append(p3)
+    write("_fourier.csv", csv_table(frows, ["n", "re", "im", "abs"]))
 
     if ctx.support is not None:
         ent = bc_entropy(ctx.support)
         payload = {"entropy": ent.total, "verdict": ent.verdict,
                    "generation_subtotals": [[g, s] for g, s in
                                             ent.generation_subtotals]}
-        p4 = os.path.join(out, ctx.label + "_bc_entropy.json")
-        _write_atomic(p4, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        files.append(p4)
+        write("_bc_entropy.json",
+              json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for f in files:
         print(f)
     return 0
 
 
-def run_check(name: str, ctx: MeasureContext, cfg: RunConfig) -> CheckReport:
-    mu, phi = ctx.mu, ctx.phi
-    p = cfg.p
-    depth = cfg.depth if cfg.depth is not None else int(ctx.spec.get("depth", 12))
-    if name == "brown-shields":
-        t_grid = make_grid(cfg, 0.3, 3.0, 4, "log1m")
-        f = SingularInnerPower(mu, cfg.alpha if cfg.alpha else 1.0)
-        return diag.brown_shields_table(f, p or 3.0, t_grid)
-    if name == "pmeans":
-        r_grid = make_grid(cfg, 0.6, 3.6, 11, "log1m")
-        return diag.pmean_ratio(mu, phi, p or 3.0, r_grid)
-    if name == "poisson-martingale":
-        return diag.poisson_martingale_gap(mu, min(depth, 16))
-    if name == "multiplier":
-        return diag.multiplier_log_onebox(mu, p or 3.0, min(depth, 12))
-    if name == "korenblum":
-        if ctx.support is None:
-            raise UsageError("korenblum needs a measure with support "
-                             "metadata (atomic or salem)")
-        return diag.korenblum_necessity(mu, ctx.support)
-    if name == "annihilator":
-        rows = []
-        for m in (0, 1, 2):
-            for r in (0.9, 0.99):
-                v = diag.annihilator_pairing(mu, m, 400, r)
-                rows.append({"m": m, "r": r, "abs_value": abs(v),
-                             "re": v.real, "im": v.imag})
-        worst = max(row["abs_value"] for row in rows if row["r"] == 0.99)
-        ref = max(row["abs_value"] for row in rows if row["r"] == 0.9)
-        decreasing = worst <= ref + 1e-12
-        return CheckReport(
-            name="annihilator", params={"K": 400, "m": [0, 1, 2]},
-            table=rows, fits={"sup_abs": worst},
-            worst_ratio=0.0 if decreasing else 1.0, threshold=0.5,
-            verdict="pass" if decreasing else "fail")
-    if name == "bloch-diff":
-        t_grid = make_grid(cfg, 0.3, 2.0, 4, "log1m")
-        fB = SingularInnerPower(mu, 1.0)
-        g = Polynomial([0.0] * 5 + [1.0])
-        return diag.bloch_difference_bound(fB, g, p or 2.0, t_grid)
-    if name == "derivative-sup":
-        r_grid = make_grid(cfg, 0.6, 5.4, 17, "log1m")
-        return diag.derivative_sup_ratio(mu, phi, r_grid)
-    if name == "fourier-decay":
-        thr = -cfg.tolerance if cfg.tolerance else -0.25
-        return diag.fourier_decay_fit(mu, 4096, slope_threshold=thr)
-    if name == "fourier-lp":
-        return diag.fourier_lp_summability(mu, p or 4.0, 4096)
-    if name == "anderson":
-        ts = make_grid(cfg, 2.0, 12.0, 11, "dyadic")
-        rep = anderson_check(mu, ts)
-        rows = [{"t": t, "delta": d, "delta_bound": db, "omega": o,
-                 "omega_bound": ob} for t, d, db, o, ob in rep.rows]
-        worst = max(rep.worst_delta_margin, rep.worst_omega_margin)
-        return CheckReport(
-            name="anderson", params={"t_grid": [float(t) for t in ts]},
-            table=rows,
-            fits={"worst_delta_margin": rep.worst_delta_margin,
-                  "worst_omega_margin": rep.worst_omega_margin},
-            worst_ratio=worst, threshold=1.0,
-            verdict="pass" if rep.delta_pass and rep.omega_pass else "fail")
-    if name == "integrability":
-        rep = integrability_tests(phi, p or 3.0, cfg.epsilon or 0.05)
-        rows = [{"k": k, "first": v1, "weighted": v2}
-                for k, v1, v2 in rep.truncations]
-        ok = rep.verdict1 == "convergent" and rep.verdict2 == "convergent"
-        return CheckReport(
-            name="integrability",
-            params={"p": p or 3.0, "epsilon": cfg.epsilon or 0.05},
-            table=rows,
-            fits={"slope_first": rep.slope1, "slope_weighted": rep.slope2,
-                  "verdict_first": rep.verdict1,
-                  "verdict_weighted": rep.verdict2},
-            worst_ratio=max(rep.slope1, rep.slope2),
-            threshold=rep.SLOPE_CUTOFF,
-            verdict="pass" if ok else "fail")
-    raise UsageError(f"unknown check {name!r}; available: "
-                     + " | ".join(CHECK_NAMES))
+def _run_and_write(name: str, ctx: MeasureContext, cfg: RunConfig):
+    """Run one check and write its JSON and CSV reports; returns both."""
+    report = run_check(name, ctx, cfg)
+    stem = os.path.join(cfg.out, f"{ctx.label}_{report.name}")
+    files = [stem + ".json", stem + ".csv"]
+    _write_atomic(files[0], report.to_json())
+    _write_atomic(files[1], report.to_csv())
+    return report, files
 
 
 def cmd_check(cfg: RunConfig) -> int:
-    if not cfg.check:
-        raise UsageError("--check is required")
     ctx = build_measure(cfg.spec, cfg)
-    report = run_check(cfg.check, ctx, cfg)
-    files = _write_report(report, cfg.out, f"{ctx.label}_{report.name}")
+    report, files = _run_and_write(cfg.check, ctx, cfg)
     for f in files:
         print(f)
     print(f"{report.name}: {report.verdict}")
@@ -364,19 +343,15 @@ def _load_schema() -> dict:
 
 
 def cmd_suite(cfg: RunConfig) -> int:
-    if cfg.preset not in PRESETS:
-        raise UsageError(f"unknown preset {cfg.preset!r}; available: "
-                         + " | ".join(sorted(PRESETS)))
     ctx = build_measure(cfg.spec, cfg)
     entries = []
     worst = 0
     if cfg.preset == "salem":
         cmd_measure(cfg, ctx)
     for name in PRESETS[cfg.preset]:
-        report = run_check(name, ctx, cfg)
-        files = _write_report(report, cfg.out, f"{ctx.label}_{report.name}")
+        report, files = _run_and_write(name, ctx, cfg)
         entries.append({"check": report.name, "verdict": report.verdict,
-                        "statement": STATEMENTS[report.name],
+                        "statement": CHECKS[report.name].statement,
                         "files": [os.path.basename(f) for f in files]})
         if not report.passed:
             worst = 1
@@ -419,8 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--spec", required=True,
                         help="measure spec: JSON object or path to one")
-        sp.add_argument("--check", choices=CHECK_NAMES)
-        sp.add_argument("--preset", choices=sorted(PRESETS))
+        if name == "check":
+            sp.add_argument("--check", choices=tuple(CHECKS), required=True)
+        if name == "suite":
+            sp.add_argument("--preset", choices=sorted(PRESETS), required=True)
         sp.add_argument("--p", type=float)
         sp.add_argument("--alpha", type=float)
         sp.add_argument("--epsilon", type=float)
@@ -443,13 +420,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        cfg = RunConfig(
-            command=ns.command, spec=_parse_spec(ns.spec), check=ns.check,
-            preset=ns.preset, p=ns.p, alpha=ns.alpha, epsilon=ns.epsilon,
-            depth=ns.depth, seed=ns.seed, out=ns.out,
-            grid_start=ns.grid_start, grid_stop=ns.grid_stop,
-            grid_count=ns.grid_count, grid_scale=ns.grid_scale,
-            tolerance=ns.tolerance)
+        cfg = RunConfig(**dict(vars(ns), spec=_parse_spec(ns.spec)))
         if cfg.command == "measure":
             return cmd_measure(cfg)
         if cfg.command == "check":

@@ -10,28 +10,28 @@ in log space; reports serialize to JSON and CSV deterministically.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .dyadic import DyadicInterval
-from .measures import (CircleMeasure, IntervalSet, bc_entropy, martingale_of,
+from .dyadic import DyadicInterval, martingale_from_measure
+from .measures import (CircleMeasure, IntervalSet, anderson_check, bc_entropy,
                        smoothness_constant)
 from .models import (Dilate, EvaluationError, FunctionModel, Quotient,
                      SingularInnerPower, maclaurin, poisson_ring)
 from .norms import QuadratureGrid, besov_seminorm, bloch_seminorm, default_grid
+from .profiles import SmoothnessProfile, integrability_tests
 
 __all__ = [
-    "CheckReport", "TREND_SLOPE_MAX",
+    "CheckReport", "TREND_SLOPE_MAX", "csv_table",
     "brown_shields_table", "pmean_ratio", "poisson_martingale_gap",
     "carleson_box_measure", "multiplier_log_onebox", "derivative_sup_ratio",
-    "korenblum_necessity", "annihilator_pairing", "bloch_difference_bound",
-    "fourier_decay_fit", "fourier_lp_summability",
+    "anderson_report", "korenblum_necessity", "annihilator_pairing",
+    "annihilator_report", "bloch_difference_bound", "fourier_decay_fit",
+    "fourier_lp_summability", "integrability_report",
 ]
 
 # a sequence counts as bounded when the fitted slope of its log-values
@@ -78,13 +78,7 @@ class CheckReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        if self.table:
-            keys = list(self.table[0].keys())
-            buf.write(",".join(keys) + "\n")
-            for row in self.table:
-                buf.write(",".join(_csv_cell(row[k]) for k in keys) + "\n")
-        return buf.getvalue()
+        return csv_table(self.table, list(self.table[0])) if self.table else ""
 
 
 def _jsonable(x):
@@ -112,6 +106,14 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
+def csv_table(rows, keys) -> str:
+    """CSV text of ``rows`` (dicts) under a header of ``keys``; floats are
+    written with 17 significant digits so they round-trip exactly."""
+    lines = [",".join(keys)]
+    lines += [",".join(_csv_cell(row[k]) for k in keys) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _fit_slope(x, y) -> float:
     """Least-squares slope; +inf when the data already blew up."""
     x = np.asarray(x, dtype=float)
@@ -121,11 +123,6 @@ def _fit_slope(x, y) -> float:
     if len(x) < 2 or np.ptp(x) == 0:
         return 0.0
     return float(np.polyfit(x, y, 1)[0])
-
-
-def _timed(report: CheckReport, t0: float) -> CheckReport:
-    report.runtime = time.perf_counter() - t0
-    return report
 
 
 def _ring_count(r: float, floor: int = 1024, cap: int = 1 << 16) -> int:
@@ -144,7 +141,6 @@ def brown_shields_table(f: FunctionModel, p: float, t_grid,
     log(1/(1-t))) is the numerical surrogate for the dilate criterion of
     cyclicity; a monotone blow-up is a fail.
     """
-    t0 = time.perf_counter()
     if p <= 2:
         raise ValueError("p must exceed 2")
     rows = []
@@ -168,11 +164,10 @@ def brown_shields_table(f: FunctionModel, p: float, t_grid,
                            np.log(np.maximum(vals, _ZERO)))
     verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
     sup = float(vals.max()) if np.isfinite(vals).all() else math.inf
-    rep = CheckReport(
+    return CheckReport(
         name="brown-shields", params={"p": p, "t_grid": [float(t) for t in ts]},
         table=rows, fits={"slope": slope, "sup_value": sup},
         worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
-    return _timed(rep, t0)
 
 
 # -- reciprocal p-means ----------------------------------------------------
@@ -185,7 +180,6 @@ def pmean_ratio(mu: CircleMeasure, phi, p: float, r_grid) -> CheckReport:
     a measure whose reciprocal means obey the gauge produces residuals
     spanning under one decade, which is the pass condition.
     """
-    t0 = time.perf_counter()
     if p <= 0:
         raise ValueError("p must be positive")
     cs = smoothness_constant(mu, phi, [2.0**-6, 2.0**-10])
@@ -209,14 +203,13 @@ def pmean_ratio(mu: CircleMeasure, phi, p: float, r_grid) -> CheckReport:
         row["residual"] = float(rr)
     spread = float(np.ptp(resid)) / math.log(10.0)
     verdict = "pass" if spread <= 1.0 else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="pmeans",
         params={"p": p, "r_grid": [float(r["r"]) for r in rows]},
         table=rows,
         fits={"C_p": float(cp), "log_C": float(logc),
               "residual_spread_decades": spread, "smoothness_constant": cs},
         worst_ratio=spread, threshold=1.0, verdict=verdict)
-    return _timed(rep, t0)
 
 
 # -- Poisson integral vs dyadic martingale ---------------------------------
@@ -230,8 +223,7 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
     origin; the check passes when the per-generation additive gap
     sup(P - C M) shows no upward trend.
     """
-    t0 = time.perf_counter()
-    mart = martingale_of(mu, depth)
+    mart = martingale_from_measure(mu, depth)
     samples = []
     for n in range(1, depth + 1):
         r = 1.0 - 0.75 * 2.0**-n
@@ -252,11 +244,10 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
     scale = 1.0 + float(np.median(np.abs(gaps)))
     slope = _fit_slope(ns[keep], gaps[keep]) / scale
     verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="poisson-martingale", params={"depth": depth}, table=rows,
         fits={"C": c, "gap_trend_slope": slope, "sup_gap": float(gaps.max())},
         worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
-    return _timed(rep, t0)
 
 
 # -- Carleson boxes and the multiplier test --------------------------------
@@ -317,7 +308,6 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
     Each quadrature ring is evaluated once and its cell-aligned partial
     sums are folded upward through the generations.
     """
-    t0 = time.perf_counter()
     if p <= 2:
         raise ValueError("p must exceed 2")
     if max_generation < 1:
@@ -356,11 +346,10 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
         keep = ns >= min(4, max_generation)
         slope = _fit_slope(ns[keep], np.log(np.maximum(ratios[keep], _ZERO)))
     verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="multiplier", params={"p": p, "max_generation": max_generation},
         table=rows, fits={"slope": slope, "sup_ratio": float(ratios.max())},
         worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
-    return _timed(rep, t0)
 
 
 # -- derivative growth -----------------------------------------------------
@@ -368,7 +357,6 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
 
 def derivative_sup_ratio(mu: CircleMeasure, phi, r_grid) -> CheckReport:
     """sup_{|z|=r} |S_mu'(z)| (1-r) / phi(1-r), boundedness across r_grid."""
-    t0 = time.perf_counter()
     S = SingularInnerPower(mu, 1.0)
     rows = []
     for r in np.atleast_1d(np.asarray(r_grid, dtype=float)):
@@ -389,12 +377,48 @@ def derivative_sup_ratio(mu: CircleMeasure, phi, r_grid) -> CheckReport:
         slope = _fit_slope(np.log(1.0 / (1.0 - rs[j0:])),
                            np.log(np.maximum(ratios[j0:], _ZERO)))
     verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="derivative-sup", params={"r_grid": [float(r) for r in rs]},
         table=rows, fits={"slope": slope,
                           "sup_ratio": float(ratios.max())},
         worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
-    return _timed(rep, t0)
+
+
+# -- the moduli and the gauge ----------------------------------------------
+
+
+def anderson_report(mu: CircleMeasure, t_grid) -> CheckReport:
+    """Both moduli of mu against Anderson's absolute bounds over t_grid;
+    the worst ratio is the larger of the two margins."""
+    rep = anderson_check(mu, t_grid)
+    rows = [{"t": t, "delta": d, "delta_bound": db, "omega": o,
+             "omega_bound": ob} for t, d, db, o, ob in rep.rows]
+    return CheckReport(
+        name="anderson", params={"t_grid": [float(t) for t in t_grid]},
+        table=rows,
+        fits={"worst_delta_margin": rep.worst_delta_margin,
+              "worst_omega_margin": rep.worst_omega_margin},
+        worst_ratio=max(rep.worst_delta_margin, rep.worst_omega_margin),
+        threshold=1.0,
+        verdict="pass" if rep.delta_pass and rep.omega_pass else "fail")
+
+
+def integrability_report(phi: SmoothnessProfile, p: float,
+                         epsilon: float) -> CheckReport:
+    """Convergence of int phi^p/t dt and of its bracket-weighted variant,
+    tabulated by truncation; pass when both are convergent."""
+    rep = integrability_tests(phi, p, epsilon)
+    rows = [{"k": k, "first": v1, "weighted": v2}
+            for k, v1, v2 in rep.truncations]
+    ok = rep.verdict1 == "convergent" and rep.verdict2 == "convergent"
+    return CheckReport(
+        name="integrability", params={"p": p, "epsilon": epsilon},
+        table=rows,
+        fits={"slope_first": rep.slope1, "slope_weighted": rep.slope2,
+              "verdict_first": rep.verdict1,
+              "verdict_weighted": rep.verdict2},
+        worst_ratio=max(rep.slope1, rep.slope2), threshold=rep.SLOPE_CUTOFF,
+        verdict="pass" if ok else "fail")
 
 
 # -- necessity -------------------------------------------------------------
@@ -407,7 +431,6 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
     not cyclic in any of the sequence spaces with p > 2); "pass" means no
     obstruction from this set.
     """
-    t0 = time.perf_counter()
     ent = bc_entropy(E)
     arc_mass = (mu.closed_arc_mass(*np.array(E.arcs).T).tolist()
                 if E.arcs else [])
@@ -416,13 +439,12 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
     obstruction = ent.convergent and mass > 1e-12
     conclusion = ("not cyclic in any coefficient space with p > 2"
                   if obstruction else "no obstruction from this set")
-    rep = CheckReport(
+    return CheckReport(
         name="korenblum", params={"arcs": len(E.arcs)}, table=rows,
         fits={"entropy": ent.total, "entropy_verdict": ent.verdict,
               "mass": mass, "conclusion": conclusion},
         worst_ratio=mass if ent.convergent else 0.0, threshold=1e-12,
         verdict="fail" if obstruction else "pass")
-    return _timed(rep, t0)
 
 
 # -- annihilating functional -----------------------------------------------
@@ -445,6 +467,24 @@ def annihilator_pairing(mu, m: int, K: int, r: float,
     return complex(2.0 * math.pi * terms.sum())
 
 
+def annihilator_report(mu: CircleMeasure, K: int = 400) -> CheckReport:
+    """The pairing for m = 0, 1, 2 at r = 0.9 and 0.99; pass when the sup
+    of its modulus does not grow from r = 0.9 to r = 0.99."""
+    rows = []
+    for m in (0, 1, 2):
+        for r in (0.9, 0.99):
+            v = annihilator_pairing(mu, m, K, r)
+            rows.append({"m": m, "r": r, "abs_value": abs(v),
+                         "re": v.real, "im": v.imag})
+    worst = max(row["abs_value"] for row in rows if row["r"] == 0.99)
+    ref = max(row["abs_value"] for row in rows if row["r"] == 0.9)
+    decreasing = worst <= ref + 1e-12
+    return CheckReport(
+        name="annihilator", params={"K": K, "m": [0, 1, 2]}, table=rows,
+        fits={"sup_abs": worst}, worst_ratio=0.0 if decreasing else 1.0,
+        threshold=0.5, verdict="pass" if decreasing else "fail")
+
+
 # -- Bloch difference bound ------------------------------------------------
 
 
@@ -455,7 +495,6 @@ def bloch_difference_bound(fB: FunctionModel, phiF: FunctionModel, p: float,
     Compared against seminorm(g)^p * bloch(f)^p with a fitted constant;
     pass when the per-t values show no blow-up trend as t -> 1.
     """
-    t0 = time.perf_counter()
     if p <= 1:
         raise ValueError("p must exceed 1")
     if grid is None:
@@ -481,13 +520,12 @@ def bloch_difference_bound(fB: FunctionModel, phiF: FunctionModel, p: float,
         slope = _fit_slope(np.log(1.0 / (1.0 - ts)),
                            np.log(np.maximum(vals, _ZERO)))
     verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="bloch-diff", params={"p": p, "t_grid": [float(t) for t in ts]},
         table=rows,
         fits={"slope": slope, "rhs": rhs,
               "fitted_constant": float(vals.max() / rhs) if rhs > 0 else 0.0},
         worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
-    return _timed(rep, t0)
 
 
 # -- Fourier decay and summability -----------------------------------------
@@ -502,7 +540,6 @@ def fourier_decay_fit(mu: CircleMeasure, n_max: int,
     the least-squares slope of its log against log n, and the check passes
     when the slope is at most the threshold.
     """
-    t0 = time.perf_counter()
     if n_max < 64:
         raise ValueError("n_max must be at least 64")
     ns = np.arange(1, n_max + 1)
@@ -526,12 +563,11 @@ def fourier_decay_fit(mu: CircleMeasure, n_max: int,
     ys = np.log([row["envelope"] for row in rows])
     slope = _fit_slope(xs, ys)
     verdict = "pass" if slope <= slope_threshold else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="fourier-decay", params={"n_max": n_max,
                                       "slope_threshold": slope_threshold},
         table=rows, fits={"slope": slope},
         worst_ratio=slope, threshold=slope_threshold, verdict=verdict)
-    return _timed(rep, t0)
 
 
 def fourier_lp_summability(mu: CircleMeasure, p: float, n_max: int,
@@ -545,7 +581,6 @@ def fourier_lp_summability(mu: CircleMeasure, p: float, n_max: int,
     octave increments is reported too, but single-measure increments are
     too oscillatory to decide on.)
     """
-    t0 = time.perf_counter()
     if p < 2:
         raise ValueError("p must be at least 2")
     if n_max < 4:
@@ -573,10 +608,9 @@ def fourier_lp_summability(mu: CircleMeasure, p: float, n_max: int,
     head = float(rows[-3]["partial_sum"]) if len(rows) >= 3 else 0.0
     tail_fraction = (total - head) / total if total > 0 else 0.0
     verdict = "pass" if tail_fraction <= tail_fraction_max else "fail"
-    rep = CheckReport(
+    return CheckReport(
         name="fourier-lp", params={"p": p, "n_max": n_max}, table=rows,
         fits={"increment_slope": slope, "partial_sum": total,
               "tail_fraction": tail_fraction},
         worst_ratio=tail_fraction, threshold=tail_fraction_max,
         verdict=verdict)
-    return _timed(rep, t0)

@@ -57,10 +57,6 @@ class DyadicInterval:
         return self.left <= x % 1.0 < self.right
 
 
-def children(interval: DyadicInterval) -> tuple[DyadicInterval, DyadicInterval]:
-    return interval.children()
-
-
 def common_ancestor(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
     """Smallest dyadic interval containing both same-generation cells.
 

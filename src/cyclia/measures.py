@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import MAX_DEPTH, DyadicMartingale
+from .dyadic import MAX_DEPTH
 from .profiles import SmoothnessProfile
 
 __all__ = [
@@ -645,10 +645,3 @@ def measure_of_set(mu: CircleMeasure, E: IntervalSet) -> float:
         return 0.0
     a, b = np.array(E.arcs).T
     return float(sum(mu.closed_arc_mass(a, b).tolist()))
-
-
-def martingale_of(mu: CircleMeasure, depth: int) -> DyadicMartingale:
-    """Convenience re-export: the dyadic martingale mu(I)/|I| of the measure."""
-    from .dyadic import martingale_from_measure
-
-    return martingale_from_measure(mu, depth)

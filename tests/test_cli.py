@@ -1,9 +1,12 @@
+import inspect
 import json
 import os
 
 import pytest
 
-from cyclia.cli import RunConfig, main, make_grid
+from cyclia import cli
+from cyclia.cli import (CHECKS, PRESETS, RunConfig, build_measure,
+                        build_parser, main, make_grid, run_check)
 
 ATOM_SPEC = '{"type": "atomic", "params": {"atoms": [[0.0, 1.0]]}}'
 LEB_SPEC = '{"type": "lebesgue"}'
@@ -96,10 +99,43 @@ class TestCheckCommand:
         cfg = RunConfig(command="check", spec={})
         assert list(make_grid(cfg, 2, 12, 11, "dyadic")[:2]) == [0.25, 0.125]
 
+    def test_zero_p_is_used_not_defaulted(self, tmp_path, capsys):
+        assert run("check", "--spec", LEB_SPEC, "--check", "pmeans",
+                   "--p", "0", "--out", str(tmp_path / "c")) == 2
+        assert "p must be positive" in capsys.readouterr().err
+
+    def test_zero_tolerance_gives_zero_threshold(self, tmp_path):
+        out = str(tmp_path / "c")
+        run("check", "--spec", SALEM_SPEC, "--check", "fourier-decay",
+            "--tolerance", "0", "--out", out)
+        text = open(os.path.join(out, "salem_fourier-decay.json")).read()
+        data = json.loads(text)
+        assert data["threshold"] == 0.0 and '"threshold": 0.0' in text
+        assert data["params"]["slope_threshold"] == 0.0
+
+    def test_zero_epsilon_reaches_the_salem_construction(self, tmp_path,
+                                                         capsys):
+        spec = '{"type": "salem", "depth": 6, "seed": 3}'
+        assert run("check", "--spec", spec, "--check", "korenblum",
+                   "--epsilon", "0", "--out", str(tmp_path / "c")) == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
+
+    def test_check_flag_is_required(self, tmp_path):
+        assert run("check", "--spec", LEB_SPEC,
+                   "--out", str(tmp_path / "c")) == 2
+
+    def test_measure_rejects_check_flag(self, tmp_path):
+        assert run("measure", "--spec", LEB_SPEC, "--check", "pmeans",
+                   "--out", str(tmp_path / "m")) == 2
+
 
 class TestSuiteCommand:
     def test_unknown_preset_exits_two(self, tmp_path):
         assert run("suite", "--spec", LEB_SPEC, "--preset", "nope",
+                   "--out", str(tmp_path / "s")) == 2
+
+    def test_preset_flag_is_required(self, tmp_path):
+        assert run("suite", "--spec", LEB_SPEC,
                    "--out", str(tmp_path / "s")) == 2
 
     def test_salem_preset_files_and_summary(self, tmp_path):
@@ -156,3 +192,41 @@ class TestSuiteCommand:
             fa = open(os.path.join(a, name), "rb").read()
             fb = open(os.path.join(b, name), "rb").read()
             assert fa == fb, name
+
+
+class TestRegistry:
+    def test_preset_report_order(self):
+        # summary.json lists the reports in this order
+        assert PRESETS == {
+            "theorem-main": ("anderson", "derivative-sup", "multiplier",
+                             "pmeans", "brown-shields"),
+            "theorem-power": ("integrability", "brown-shields"),
+            "theorem-necessity": ("korenblum",),
+            "salem": ("fourier-decay", "fourier-lp", "korenblum"),
+        }
+
+    def test_every_check_has_a_statement(self):
+        assert len(CHECKS) == 12
+        assert all(c.statement.strip() for c in CHECKS.values())
+
+    def test_check_choices_are_the_registry(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        check = next(a for a in sub.choices["check"]._actions
+                     if a.dest == "check")
+        assert tuple(check.choices) == tuple(CHECKS)
+
+    def test_run_check_fills_runtime_not_serialized(self):
+        spec = json.loads(LEB_SPEC)
+        cfg = RunConfig(command="check", spec=spec)
+        report = run_check("pmeans", build_measure(spec, cfg), cfg)
+        assert report.runtime > 0
+        assert "runtime" not in json.loads(report.to_json())
+
+    def test_benchmark_entry_points(self):
+        # the benchmark's runner and tracer call these by name
+        assert list(inspect.signature(run_check).parameters)[0] == "name"
+        assert list(inspect.signature(build_measure).parameters) == [
+            "spec", "cfg"]
+        assert callable(cli.cmd_measure)
+        cfg = RunConfig(command="check", spec={})
+        assert (cfg.command, cfg.spec) == ("check", {})

@@ -10,7 +10,7 @@ from cyclia import measures
 from cyclia.measures import (CircleMeasure, IntervalSet, KahaneLog, SalemSpec,
                              anderson_check, atomic, bc_entropy,
                              choose_salem_parameters, kahane_smooth, lebesgue,
-                             martingale_of, measure_of_set, modulus_continuity,
+                             measure_of_set, modulus_continuity,
                              modulus_smoothness, salem_measure,
                              smoothness_constant)
 from cyclia.profiles import LogPower
@@ -231,10 +231,6 @@ class TestEntropyAndSets:
         subs = [s for _, s in rep.generation_subtotals]
         # geometric decay of the per-generation subtotals over the tail
         assert subs[-1] < 0.5 * max(subs)
-
-    def test_martingale_of_depth(self):
-        m = martingale_of(lebesgue(), 8)
-        assert m.depth == 8 and m.root_value == pytest.approx(1.0)
 
 
 # -- oracles for the CDF table and the Fourier kernel ------------------------
