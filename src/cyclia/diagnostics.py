@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .dyadic import DyadicInterval, martingale_from_measure
+from .dyadic import DyadicInterval, logsumexp, martingale_from_measure
 from .measures import (CircleMeasure, IntervalSet, anderson_check, bc_entropy,
                        smoothness_constant)
 from .models import (Dilate, EvaluationError, FunctionModel, Quotient,

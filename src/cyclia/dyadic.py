@@ -261,6 +261,27 @@ def tail_distribution(m: DyadicMartingale, n: int, s: float) -> float:
     return float(np.count_nonzero(devs >= s)) / 2**n
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a real array, without overflow.
+
+    The form of ``scipy.special.logsumexp`` (Blanchard, Higham and Higham,
+    IMA J. Numer. Anal. 41(4), 2021): the maximal terms are taken out of
+    the sum, so log1p(s) + log(ties) + max stays accurate when they
+    dominate.  A non-finite result (an inf or nan entry, or every entry
+    -inf) is recomputed directly, as scipy does.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        ties = a == top
+        count = ties.sum()
+        s = np.exp(np.where(ties, -np.inf, a) - top).sum() / count
+        out = np.log1p(s) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 @dataclass
 class ExpMomentReport:
     value: float            # may be inf when the sum overflows
@@ -283,8 +304,6 @@ def exp_moment(m: DyadicMartingale, n: int, alpha: float) -> ExpMomentReport:
         raise ValueError(f"generation {n} exceeds depth {m.depth}")
     a = alpha * np.abs(m.levels[n])
     if a.max() > 700.0:
-        from scipy.special import logsumexp
-
         log_value = float(logsumexp(a) - n * math.log(2.0))
         value = math.inf if log_value > 700.0 else math.exp(log_value)
     else:

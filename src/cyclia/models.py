@@ -161,11 +161,19 @@ def poisson(mu: CircleMeasure, z: complex) -> float:
 
 
 class _SpectralCache:
-    """Growing cache of 2 hat mu(n), n >= 1, attached to a measure."""
+    """Growing cache of hat mu(n), n >= 1, attached to a measure.
+
+    The first ``size`` entries of a buffer hold hat mu(1..size).  A request
+    beyond them computes exactly the missing n as one block; a full buffer
+    is reallocated at 3/2 of its capacity (or the request, if larger), so
+    the copies cost O(1) per coefficient.  A factor of 2 raised the peak
+    memory of the longest ring sequences through allocator retention.
+    """
 
     def __init__(self, mu: CircleMeasure):
         self.mu = mu
-        self._coeffs = np.zeros(0, dtype=complex)
+        self._buf = np.zeros(0, dtype=complex)
+        self._size = 0
         self._dyadic_n = mu.dyadic_resolution()
         self._dyadic_dft = None
         if self._dyadic_n is not None and mu.atom_x.size:
@@ -173,17 +181,22 @@ class _SpectralCache:
                                         signed=mu.signed)
 
     def coeffs(self, count: int) -> np.ndarray:
-        if count <= self._coeffs.size:
-            return self._coeffs[:count]
-        ns = np.arange(self._coeffs.size + 1, count + 1)
-        if self._dyadic_n is not None:
-            new = self._dyadic_coeffs(ns)
-            if self.mu.atom_x.size:
-                new = new + self._atoms.fourier_many(ns)
-        else:
-            new = self.mu.fourier_many(ns)
-        self._coeffs = np.concatenate([self._coeffs, new])
-        return self._coeffs[:count]
+        if count > self._size:
+            if count > self._buf.size:
+                # np.empty: capacity that is never written stays unmapped
+                buf = np.empty(max(count, 3 * self._buf.size // 2), dtype=complex)
+                buf[:self._size] = self._buf[:self._size]
+                self._buf = buf
+            ns = np.arange(self._size + 1, count + 1)
+            if self._dyadic_n is not None:
+                new = self._dyadic_coeffs(ns)
+                if self.mu.atom_x.size:
+                    new = new + self._atoms.fourier_many(ns)
+            else:
+                new = self.mu.fourier_many(ns)
+            self._buf[self._size:count] = new
+            self._size = count
+        return self._buf[:count]
 
     def _dyadic_coeffs(self, ns) -> np.ndarray:
         p = 1 << self._dyadic_n
@@ -457,7 +470,8 @@ class Product(FunctionModel):
 
 @dataclass(frozen=True)
 class Quotient(FunctionModel):
-    """num/den; raises EvaluationError when the denominator vanishes."""
+    """num/den; raises EvaluationError when the denominator vanishes, or,
+    for the derivative, when its square underflows (|den| < 2e-162)."""
 
     num: FunctionModel
     den: FunctionModel
@@ -465,24 +479,24 @@ class Quotient(FunctionModel):
     @staticmethod
     def _check(d):
         if np.any(d == 0):
-            raise EvaluationError("quotient denominator vanished at an "
-                                  "evaluation point")
+            raise EvaluationError("quotient denominator (or its square) "
+                                  "vanished at an evaluation point")
+        return d
 
     def val(self, z):
-        d = self.den.val(z)
-        self._check(d)
+        d = self._check(self.den.val(z))
         return self.num.val(z) / d
 
     def dval(self, z):
         d = self.den.val(z)
-        self._check(d)
-        return (self.num.dval(z) * d - self.num.val(z) * self.den.dval(z)) / d**2
+        d2 = self._check(d**2)
+        return (self.num.dval(z) * d - self.num.val(z) * self.den.dval(z)) / d2
 
     def jet(self, r, m, offset=0.0):
         d, dd = self.den.jet(r, m, offset)
-        self._check(d)
+        d2 = self._check(d**2)
         n, dn = self.num.jet(r, m, offset)
-        return n / d, (dn * d - n * dd) / d**2
+        return n / d, (dn * d - n * dd) / d2
 
 
 # -- Maclaurin coefficients ------------------------------------------------

@@ -121,12 +121,14 @@ def _ring_mean_abs_pow(f: FunctionModel, r: float, m: int, p: float,
     return float(np.mean(np.abs(vals) ** p))
 
 
-def _besov_integral(f: FunctionModel, p: float, grid: QuadratureGrid) -> float:
+def _besov_integral(f: FunctionModel, p: float,
+                    grid: QuadratureGrid) -> tuple[float, float]:
+    """The radial rule's sum, and the mean of |f'|^p on the last ring."""
     total = 0.0
     for r, w, m in zip(grid.r, grid.w, grid.m):
         mean = _ring_mean_abs_pow(f, float(r), int(m), p, deriv=True)
         total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
-    return total
+    return total, mean
 
 
 def besov_seminorm(f: FunctionModel, p: float,
@@ -142,12 +144,10 @@ def besov_seminorm(f: FunctionModel, p: float,
     if grid is None:
         grid = default_grid()
     fine = grid.refine()
-    coarse_i = _besov_integral(f, p, grid)
-    fine_i = _besov_integral(f, p, fine)
+    coarse_i, _ = _besov_integral(f, p, grid)
+    fine_i, last_mean = _besov_integral(f, p, fine)
     r_last = float(fine.r[-1])
-    m_last = int(fine.m[-1])
-    tail = (_ring_mean_abs_pow(f, r_last, m_last, p, deriv=True)
-            * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last))
+    tail = last_mean * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last)
     value = fine_i ** (1.0 / p)
     err = abs(value - coarse_i ** (1.0 / p)) + tail ** (1.0 / p) if tail > 0 \
         else abs(value - coarse_i ** (1.0 / p))

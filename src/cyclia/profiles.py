@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class SmoothnessProfile:
@@ -31,6 +30,8 @@ class SmoothnessProfile:
         """(int_s^1 phi(t)^2/t dt)^(1/2), by quadrature on u = log(1/t)."""
         if not 0.0 < s < 1.0:
             raise ValueError(f"s must be in (0, 1), got {s}")
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda u: float(self.phi(math.exp(-u))) ** 2, 0.0, math.log(1.0 / s),
             epsrel=1e-9, epsabs=0.0, limit=200,
@@ -176,6 +177,7 @@ def integrability_tests(phi: SmoothnessProfile, p: float, epsilon: float,
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
+    from scipy.integrate import quad
 
     def g1(v):
         return float(phi.phi(math.exp(1.0 - v))) ** p

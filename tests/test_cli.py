@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -230,3 +232,24 @@ class TestRegistry:
         assert callable(cli.cmd_measure)
         cfg = RunConfig(command="check", spec={})
         assert (cfg.command, cfg.spec) == ("check", {})
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """cyclia starts on numpy alone: scipy is loaded only by the
+    integrability check and the tabulated gauges."""
+    code = (
+        "import sys\n"
+        "from cyclia import cli\n"
+        "spec = '{\"type\": \"kahane\", \"params\": {\"C\": 1.0, \"gamma\": 0.5},"
+        " \"depth\": 6, \"seed\": 7}'\n"
+        "for check in ('anderson', 'pmeans'):\n"
+        "    assert cli.main(['check', '--spec', spec, '--check', check,"
+        " '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

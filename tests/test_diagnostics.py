@@ -65,6 +65,14 @@ class TestBrownShields:
         vals = [row["value"] for row in rep.table]
         assert vals[-1] > 10 * vals[0]
 
+    def test_underflowing_denominator_is_an_evaluation_error(self):
+        # near the two atoms |S(0.999 z)|^2 underflows on some rings: the
+        # row is inf through EvaluationError, without a divide-by-zero
+        f = SingularInnerPower(atomic([(0.1, 0.6), (0.55, 0.4)]))
+        with np.errstate(divide="raise"):
+            rep = brown_shields_table(f, 3.0, [0.999])
+        assert rep.table == [{"t": 0.999, "value": math.inf, "error": math.inf}]
+
     def test_p_validated(self):
         with pytest.raises(ValueError):
             brown_shields_table(Polynomial([1.0]), 2.0, [0.5])

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclia.dyadic import (DyadicInterval, DyadicMartingale, SmoothnessSequence,
-                           common_ancestor, exp_moment, martingale_from_measure,
-                           max_square, smoothness_check, square_function,
-                           tail_distribution)
+                           common_ancestor, exp_moment, logsumexp,
+                           martingale_from_measure, max_square, smoothness_check,
+                           square_function, tail_distribution)
 from cyclia.measures import atomic, kahane_smooth, lebesgue
 from cyclia.profiles import LogPower
 
@@ -172,6 +172,47 @@ class TestConcentration:
         rep = exp_moment(big, 1, alpha=2.0)
         assert rep.value == math.inf and math.isfinite(rep.log_value)
         assert rep.log_value == pytest.approx(2.0 * 900 - math.log(2), rel=1e-6)
+
+
+class TestLogSumExp:
+    """The numpy logsumexp reproduces scipy.special.logsumexp bit for bit."""
+
+    @staticmethod
+    def _same(a):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        a = np.asarray(a, dtype=float)
+        want = float(scipy_logsumexp(a))
+        got = logsumexp(a)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (a, got, want)
+
+    @pytest.mark.parametrize("a", [
+        [3.5],                              # a single element
+        [-math.inf],
+        [2.0, 2.0, 2.0],                    # all tied
+        [1.0, 4.0, 4.0, -2.0, 4.0],         # tied maximum among others
+        [-math.inf, 0.0, -math.inf, 1.5],   # -inf entries
+        [-math.inf, -math.inf],             # every entry -inf
+        [710.0, 705.5, 900.0, 900.0],       # above exp's overflow
+        [800.0, 1e-3, -800.0],
+        [0.0, -40.0],                       # a dominant term: log1p keeps 4e-18
+        [-700.0, -735.0, -736.0],
+        [math.inf, 1.0],
+        [math.nan, 1.0],
+    ])
+    def test_edge_cases(self, a):
+        self._same(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300),
+           st.sampled_from([1.0, 10.0, 100.0, 800.0]),
+           st.sampled_from([0.0, 700.0, -700.0, 1000.0]), st.integers(-1, 2))
+    def test_random_arrays(self, seed, size, spread, shift, decimals):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=size) * spread + shift
+        if decimals >= 0:
+            a = np.round(a, decimals)       # rounded values make ties
+        self._same(a)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -51,6 +52,19 @@ class TestHerglotz:
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             herglotz(ATOM, 1.0 + 0j)
+
+    def test_short_arc_matches_mpmath(self):
+        # Log of a ratio 1 + O(1e-5): the scalar sum keeps its relative
+        # accuracy through log1p and the chord
+        mu = CircleMeasure(pieces=[(0.0, 1e-5, 1.0)])
+        r, m = 0.5, 8
+        want, want1 = _mp_herglotz_jet(mu, r, m, 0.0)
+        pts = _ring(r, m)
+        mass = mu.total_mass
+        _assert_close(np.array([herglotz(mu, z) for z in pts]), want,
+                      1e-13 * mass * (1.0 + 2.0 / (1.0 - r)))
+        _assert_close(np.array([herglotz_derivative(mu, z) for z in pts]), want1,
+                      1e-13 * mass * 2.0 / (1.0 - r) ** 2)
 
     def test_additivity_in_measure(self):
         mu2 = atomic([(0.25, 0.5), (0.75, 0.5)])
@@ -112,18 +126,60 @@ def _assert_close(got, want, atol=None):
     assert np.abs(got - want).max() <= atol
 
 
-def _assert_jet_matches_scalar(mu, r, m, offset):
+def _mp_herglotz_jet(mu, r, m, offset):
+    """(H, H') to 40 digits at the exact ring points r e^{2 pi i (k + offset)/M}.
+
+    An atom of mass c at w gives c (w + z)/(w - z) and 2 c w/(w - z)^2.  An
+    arc [a, b] of density d, cut in halves when longer than 1/2, gives
+    d (Log(1 + s)/(pi i) - (b - a)) and d s / (pi i (w_b - z)), where
+    s = (w_b - w_a)/(w_a - z) and the chord w_b - w_a = 2i sin(pi (b - a))
+    e^{pi i (a + b)} keeps a short arc's relative accuracy.  Along the arc
+    arg(w - z) grows (its x-derivative is 2 pi Re(w/(w - z)) > 0) by the
+    angle the arc subtends at z, which lies in [0, 2 pi) for b - a <= 1/2;
+    so the argument of 1 + s is its principal value taken in [0, 2 pi).
+    The scalar float oracle is not used: the roundings of its ring points
+    and of e^{2 pi i x} are amplified by |H''| ~ mu(T)/(1-r)^3 past the
+    tolerance near r = 0.999.
+    """
+    mp = mpmath
+    with mp.workdps(40):
+        atoms = [(mp.expjpi(2 * mp.mpf(x)), mp.mpf(c))
+                 for x, c in zip(mu.atom_x, mu.atom_m)]
+        arcs = []
+        for a, b, d in zip(mu.piece_a, mu.piece_b, mu.piece_d):
+            a, b, d = mp.mpf(a), mp.mpf(b), mp.mpf(d)
+            cuts = [a, (a + b) / 2, b] if b - a > 0.5 else [a, b]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                chord = 2j * mp.sin(mp.pi * (hi - lo)) * mp.expjpi(lo + hi)
+                arcs.append((mp.expjpi(2 * lo), chord, hi - lo, d))
+        pi_i = mp.mpc(0, mp.pi)
+        h, h1 = [], []
+        for k in range(m):
+            z = mp.mpf(r) * mp.expjpi(2 * (k + mp.mpf(offset)) / m)
+            val = mp.fsum(c * (w + z) / (w - z) for w, c in atoms)
+            der = mp.fsum(2 * c * w / (w - z) ** 2 for w, c in atoms)
+            for wa, chord, length, d in arcs:
+                s = chord / (wa - z)
+                log = mp.log1p(s)
+                if log.imag < 0:
+                    log += 2 * pi_i
+                val += d * (log / pi_i - length)
+                der += d * s / (pi_i * (wa + chord - z))
+            h.append(complex(val))
+            h1.append(complex(der))
+    return np.array(h), np.array(h1)
+
+
+def _assert_jet_matches_mpmath(mu, r, m, offset):
     """Rounding in the Taylor sums scales with the sum of the moduli of
     their terms, bounded through |hat mu(n)| <= mu(T) by mu(T) (1 + 2/(1-r))
     for H and 2 mu(T)/(1-r)^2 for H'; far from the support the values are
     much smaller than that."""
     h, h1 = herglotz_jet(mu, r, m, offset)
-    pts = _ring(r, m, offset)
+    want, want1 = _mp_herglotz_jet(mu, r, m, offset)
     mass = mu.total_mass
-    _assert_close(h, np.array([herglotz(mu, z) for z in pts]),
-                  1e-13 * mass * (1.0 + 2.0 / (1.0 - r)))
-    _assert_close(h1, np.array([herglotz_derivative(mu, z) for z in pts]),
-                  1e-13 * mass * 2.0 / (1.0 - r) ** 2)
+    _assert_close(h, want, 1e-13 * mass * (1.0 + 2.0 / (1.0 - r)))
+    _assert_close(h1, want1, 1e-13 * mass * 2.0 / (1.0 - r) ** 2)
 
 
 @st.composite
@@ -150,21 +206,20 @@ class TestJetKernel:
     @given(_measures(), st.floats(0.0, 0.999, exclude_min=True),
            st.integers(3, 10), st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=30, deadline=None)
-    # a short arc: the oracle's log of a ratio 1 + O(1e-5) used to err by
-    # 6e-17 against a 5e-18 tolerance
+    # a short arc, where Log(1 + s) needs log1p and the chord
     @example(CircleMeasure(pieces=[(0.0, 1e-5, 1.0)]), 0.5, 3, 0.0)
-    # a ring point within 1 - r of an atom: atom coefficients with
-    # the phase 2 pi n x rounded as a float product drifted by n ulps
+    # a ring point within 1 - r of an atom: the atom coefficients' phases
+    # 2 pi n x must be reduced exactly, or H' drifts by n ulps
     @example(CircleMeasure(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 0.25)]),
              0.998046875, 3, 0.0)
     def test_matches_scalar_oracle(self, mu, r, log2_m, offset):
-        _assert_jet_matches_scalar(mu, r, 1 << log2_m, offset)
+        _assert_jet_matches_mpmath(mu, r, 1 << log2_m, offset)
 
     def test_fewer_coefficients_than_points(self):
         # N < M: the fold has no full row, only the remainder
         r, m = 0.1, 1024
         assert models._truncation_order(r, ATOM.total_mass) < m
-        _assert_jet_matches_scalar(atomic([(0.2, 1.0)]), r, m, 0.0)
+        _assert_jet_matches_mpmath(atomic([(0.2, 1.0)]), r, m, 0.0)
 
     def test_coefficients_fill_whole_rows(self):
         # N a multiple of M: the fold has no remainder row
@@ -173,11 +228,11 @@ class TestJetKernel:
         r = next(r for r in np.linspace(0.5, 0.95, 400)
                  if models._truncation_order(r, mu.total_mass) % m == 0)
         assert models._truncation_order(r, mu.total_mass) >= m
-        _assert_jet_matches_scalar(mu, r, m, 0.0)
+        _assert_jet_matches_mpmath(mu, r, m, 0.0)
 
     def test_offset_point_three(self):
         mu = kahane_smooth(LogPower(1.0, 0.5), 6, seed=4)
-        _assert_jet_matches_scalar(mu, 0.97, 64, 0.3)
+        _assert_jet_matches_mpmath(mu, 0.97, 64, 0.3)
 
     def test_radius_zero(self):
         mu = atomic([(0.1, 0.7), (0.6, 0.3)])
@@ -224,7 +279,8 @@ class TestJetComposition:
         grid = QuadratureGrid.build(u_max=4.0, panels=2, nodes_per_panel=4,
                                     m_min=16, m_max=256)
         besov_seminorm(Quotient(S, Dilate(S, 0.5)), 2.0, grid)
-        rings = len(grid) + len(grid.refine()) + 1
+        # the tail term reuses the fine rule's last ring
+        rings = len(grid) + len(grid.refine())
         assert len(calls) == 2 * rings
 
 
@@ -276,6 +332,19 @@ class TestModels:
         assert q.val(z) == pytest.approx((1 + z) / z)
         with pytest.raises(EvaluationError):
             q.val(0.0)
+
+    def test_quotient_derivative_rejects_underflowing_square(self):
+        # den**2 underflows to 0 below |den| ~ 2e-162: an EvaluationError,
+        # not an inf with a divide-by-zero warning
+        q = Quotient(Polynomial([1.0]), Polynomial([1e-170]))
+        assert q.val(0.5) == pytest.approx(1e170)
+        with np.errstate(divide="raise", invalid="raise"):
+            with pytest.raises(EvaluationError):
+                q.dval(0.5)
+            with pytest.raises(EvaluationError):
+                q.jet(0.5, 8)
+        tiny = Quotient(Polynomial([1.0]), Polynomial([1e-150]))
+        assert tiny.jet(0.5, 8)[1] == pytest.approx(np.zeros(8))
 
     def test_ring_fallback_consistent(self):
         f = Polynomial([1.0, -0.5, 0.25])
