@@ -292,10 +292,9 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
     write("_measure.csv", csv_table(rows, ["kind", "a", "b", "value"]))
 
     trows = []
-    for k in range(2, 13):
-        t = 2.0**-k
+    ts = [2.0**-k for k in range(2, 13)]
+    for t, omega in zip(ts, modulus_smoothness(mu, ts).tolist()):
         delta = modulus_continuity(mu, t)
-        omega = modulus_smoothness(mu, t)
         trows.append({"t": t, "delta": delta, "omega": omega,
                       "fitted_C": omega / (t * float(ctx.phi.phi(t)))})
     write("_moduli.csv", csv_table(trows, ["t", "delta", "omega", "fitted_C"]))

@@ -89,7 +89,9 @@ def _jsonable(x):
         return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
     if isinstance(x, (np.floating, float)):
         v = float(x)
-        return None if math.isnan(v) else ("inf" if math.isinf(v) else v)
+        if math.isnan(v):
+            return None
+        return ("inf" if v > 0 else "-inf") if math.isinf(v) else v
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, (np.bool_,)):
@@ -537,17 +539,18 @@ def fourier_decay_fit(mu: CircleMeasure, n_max: int,
     The envelope is the per-octave max of |hat mu(n)|, taken at the first n
     within a relative 1e-12 of the max; the report's fit is
     the least-squares slope of its log against log n, and the check passes
-    when the slope is at most the threshold.
+    when the slope is at most the threshold.  When every hat mu(n), n >= 1,
+    vanishes the decay is faster than any power: the slope is -inf, the
+    table empty, and the check passes.
     """
     if n_max < 64:
         raise ValueError("n_max must be at least 64")
     ns = np.arange(1, n_max + 1)
     mags = np.abs(mu.fourier_many(ns))
-    if mags.max() <= 1e-14 * max(1.0, mu.total_mass):
-        raise ValueError("all Fourier coefficients vanish; nothing to fit")
+    vanish = mags.max() <= 1e-14 * max(1.0, mu.total_mass)
     rows = []
     k = 0
-    while 2**k <= n_max:
+    while 2**k <= n_max and not vanish:
         lo, hi = 2**k, min(2 ** (k + 1) - 1, n_max)
         block = mags[lo - 1:hi]
         # the first n within _ENVELOPE_TIE of the octave's max, so exact
@@ -558,9 +561,9 @@ def fourier_decay_fit(mu: CircleMeasure, n_max: int,
             rows.append({"octave": k, "n": int(lo + j),
                          "envelope": float(block[j])})
         k += 1
-    xs = np.log([row["n"] for row in rows])
-    ys = np.log([row["envelope"] for row in rows])
-    slope = _fit_slope(xs, ys)
+    slope = (_fit_slope(np.log([row["n"] for row in rows]),
+                        np.log([row["envelope"] for row in rows]))
+             if rows else -math.inf)
     verdict = "pass" if slope <= slope_threshold else "fail"
     return CheckReport(
         name="fourier-decay", params={"n_max": n_max,

@@ -9,10 +9,11 @@ d-adic geometry is never snapped to a dyadic grid).  Every mass query reads
 one periodic CDF table built at construction: the cumulative mass at the
 interleaved piece edges, linear in between, plus the atoms' cumulative
 masses.  An interval mass is a difference of two CDF values, and the
-modulus of smoothness scans second differences of the CDF.  Fourier
-coefficients come from one blocked kernel: writing n = qB + j turns the
-sum over atoms and pieces into a product of a row (q) and a column (j)
-factor matrix, with every phase reduced modulo 1 exactly.
+modulus of smoothness scans second differences of the CDF; it takes a
+scalar t or a grid, and scans each distinct half-width of a grid once.
+Fourier coefficients come from one blocked kernel: writing n = qB + j
+turns the sum over atoms and pieces into a product of a row (q) and a
+column (j) factor matrix, with every phase reduced modulo 1 exactly.
 """
 
 from __future__ import annotations
@@ -513,51 +514,69 @@ def modulus_continuity(mu: CircleMeasure, t: float) -> float:
     return float(mu.interval_mass_many(xs, xs + t).max())
 
 
-def _smoothness_h_candidates(b: np.ndarray, t: float) -> np.ndarray:
-    cands = [np.array([t])]
+def _smoothness_h_candidates(b: np.ndarray, ts: np.ndarray) -> list:
+    """For each t of the grid, the sorted half-widths 0 < h <= t to scan:
+    t itself, breakpoint gaps, dyadic lengths, and (for small breakpoint
+    sets) all pairwise spans and their halves."""
     gaps = np.diff(np.concatenate([b, [b[0] + 1.0]]))
-    cands.append(np.unique(gaps))
-    cands.append(2.0 ** -np.arange(0, 25))
+    cands = [gaps, 2.0 ** -np.arange(0, 25)]
     if b.size <= 64:  # small case: all pairwise spans and their halves
         diffs = (b[None, :] - b[:, None]).ravel() % 1.0
         diffs = diffs[diffs > 0]
         cands.extend([diffs, diffs / 2.0])
     h = np.unique(np.concatenate(cands))
-    return h[(h > 0) & (h <= t)]
+    h = h[h > 0]
+    return [np.unique(np.append(h[h <= t], t)) for t in ts]
 
 
-def modulus_smoothness(mu: CircleMeasure, t: float) -> float:
+def _second_difference_sup(mu: CircleMeasure, b: np.ndarray, h: float) -> float:
+    """g(h) = sup_x |F(x + h) - 2 F(x) + F(x - h)|, F = mu.cdf, b the
+    breakpoints.  The difference is piecewise linear in x between
+    breakpoint translates, so the scan over those (nudged off atoms) is
+    exact."""
+    xs = np.concatenate([b, (b - h) % 1.0, (b + h) % 1.0])
+    if mu.atom_x.size:
+        xs = np.concatenate([xs, (xs + _NUDGE) % 1.0, (xs - _NUDGE) % 1.0])
+    second = mu.cdf(xs + h) - 2.0 * mu.cdf(xs) + mu.cdf(xs - h)
+    return float(np.abs(second).max())
+
+
+def modulus_smoothness(mu: CircleMeasure, t) -> float | np.ndarray:
     """omega_mu(t): sup over adjacent equal-length windows |I| = |J| <= t
     of |mu(I) - mu(J)| = |F(x + h) - 2 F(x) + F(x - h)|, F = mu.cdf.
 
-    For each candidate half-width h the position scan is exact (the
-    difference is piecewise linear between breakpoint translates); h runs
+    t is a scalar (a float is returned) or a 1-D grid (an array, one omega
+    per t).  omega(t) is the max of g(h) = sup_x |F(x + h) - 2 F(x) + F(x - h)|
     over the window lengths where the two-parameter supremum can live for
-    the stored measure class: t itself, breakpoint gaps, dyadic lengths,
-    and (for small breakpoint sets) all pairwise spans and their halves.
+    the stored measure class (_smoothness_h_candidates).  The candidate sets
+    of a grid overlap almost completely, so g is evaluated once per distinct
+    h of their union, and each t takes the max over its own candidates.
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must be in (0, 1], got {t}")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D grid")
+    grid = np.atleast_1d(ts)
+    bad = ~((grid > 0.0) & (grid <= 1.0))
+    if bad.any():
+        raise ValueError(f"t must be in (0, 1], got {float(grid[bad][0])}")
     b = mu.breakpoints
-    best = 0.0
-    for h in _smoothness_h_candidates(b, t):
-        xs = np.concatenate([b, (b - h) % 1.0, (b + h) % 1.0])
-        if mu.atom_x.size:
-            xs = np.concatenate([xs, (xs + _NUDGE) % 1.0, (xs - _NUDGE) % 1.0])
-        second = mu.cdf(xs + h) - 2.0 * mu.cdf(xs) + mu.cdf(xs - h)
-        best = max(best, float(np.abs(second).max()))
-    return best
+    cands = _smoothness_h_candidates(b, grid)
+    hs = np.unique(np.concatenate(cands)) if cands else np.empty(0)
+    g = np.array([_second_difference_sup(mu, b, h) for h in hs])
+    omega = np.array([g[np.searchsorted(hs, c)].max() for c in cands])
+    return float(omega[0]) if ts.ndim == 0 else omega
 
 
 def smoothness_constant(mu: CircleMeasure, phi: SmoothnessProfile, t_grid) -> float:
     """Least admissible C on the grid for omega_mu(t) <= C t phi(t)."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    omegas = modulus_smoothness(mu, t_grid)
     best = 0.0
-    for t in t_grid:
+    for t, omega in zip(t_grid, omegas):
         denom = t * float(phi.phi(t))
         if denom == 0.0:
             raise ZeroDivisionError(f"phi({t}) vanished")
-        best = max(best, modulus_smoothness(mu, float(t)) / denom)
+        best = max(best, float(omega) / denom)
     return best
 
 
@@ -576,10 +595,9 @@ class AndersonReport:
 def anderson_check(mu: CircleMeasure, t_grid) -> AndersonReport:
     rows = []
     wd = wo = 0.0
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        t = float(t)
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    for t, omega in zip(t_grid.tolist(), modulus_smoothness(mu, t_grid).tolist()):
         delta = modulus_continuity(mu, t)
-        omega = modulus_smoothness(mu, t)
         delta_bound = 8.0 * t * (2.0 + math.log(math.log(math.e / t)) / 96.0)
         omega_bound = 36.0 * t / math.sqrt(math.log(math.e / t))
         rows.append((t, delta, delta_bound, omega, omega_bound))

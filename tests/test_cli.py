@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from cyclia import cli
+from cyclia import cli, measures
 from cyclia.cli import (CHECKS, PRESETS, RunConfig, build_measure,
                         build_parser, main, make_grid, run_check)
 
@@ -41,6 +42,23 @@ class TestMeasureCommand:
         lines = open(os.path.join(out, "atomic_moduli.csv")).read().splitlines()
         deltas = {line.split(",")[1] for line in lines[1:]}
         assert deltas == {"1"}
+
+    def test_moduli_grid_scans_each_h_once(self, tmp_path, monkeypatch):
+        seen, scan = [], measures._second_difference_sup
+
+        def counting(mu, b, h):
+            seen.append(float(h))
+            return scan(mu, b, h)
+
+        monkeypatch.setattr(measures, "_second_difference_sup", counting)
+        assert run("measure", "--spec", KAHANE_SPEC,
+                   "--out", str(tmp_path / "m")) == 0
+        spec = json.loads(KAHANE_SPEC)
+        mu = build_measure(spec, RunConfig(command="measure", spec=spec)).mu
+        cands = measures._smoothness_h_candidates(
+            mu.breakpoints, 2.0 ** -np.arange(2, 13))
+        assert seen == np.unique(np.concatenate(cands)).tolist()
+        assert len(seen) < sum(c.size for c in cands)
 
     def test_malformed_spec_exits_two(self, tmp_path, capsys):
         out = str(tmp_path / "m")
@@ -81,6 +99,16 @@ class TestCheckCommand:
     def test_fourier_decay_salem(self, tmp_path):
         assert run("check", "--spec", SALEM_SPEC, "--check", "fourier-decay",
                    "--out", str(tmp_path / "c")) == 0
+
+    def test_fourier_decay_lebesgue_passes(self, tmp_path):
+        # every coefficient past n = 0 vanishes: a valid spec, not a usage
+        # error, and decay faster than any power
+        out = str(tmp_path / "c")
+        assert run("check", "--spec", LEB_SPEC, "--check", "fourier-decay",
+                   "--out", out) == 0
+        data = json.load(open(os.path.join(out, "lebesgue_fourier-decay.json")))
+        assert data["verdict"] == "pass"
+        assert data["fits"]["slope"] == "-inf" and data["table"] == []
 
     def test_anderson_kahane(self, tmp_path):
         assert run("check", "--spec", KAHANE_SPEC, "--check", "anderson",

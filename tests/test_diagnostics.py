@@ -44,6 +44,13 @@ class TestReport:
         assert data["verdict"] == "pass"
         assert "runtime" not in data
 
+    def test_json_signed_infinities_and_nan(self):
+        rep = CheckReport(name="x", params={}, table=[],
+                          fits={"lo": -math.inf, "hi": np.float64(math.inf),
+                                "nan": math.nan}, verdict="pass")
+        assert json.loads(rep.to_json())["fits"] == {
+            "lo": "-inf", "hi": "inf", "nan": None}
+
     def test_csv_layout(self):
         rep = CheckReport(name="x", params={}, table=[{"a": 1.0, "b": 2}],
                           verdict="pass")
@@ -241,9 +248,13 @@ class TestFourier:
         assert rep.fits["slope"] == 0.0
         assert not rep.passed
 
-    def test_lebesgue_raises(self):
-        with pytest.raises(ValueError):
-            fourier_decay_fit(LEB, 256)
+    def test_lebesgue_decays_faster_than_any_power(self):
+        # every hat mu(n), n >= 1, vanishes: no envelope to fit, and a pass
+        rep = fourier_decay_fit(LEB, 256)
+        assert rep.fits["slope"] == -math.inf
+        assert rep.table == [] and rep.to_csv() == ""
+        assert rep.passed
+        assert json.loads(rep.to_json())["fits"]["slope"] == "-inf"
 
     def test_envelope_ties_take_the_first_n(self):
         # |hat mu(n)| = 1 at every multiple of 5, up to rounding; each

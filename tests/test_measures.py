@@ -255,18 +255,22 @@ def _measures(draw, atoms=True, min_cuts=2, max_cuts=12):
     return CircleMeasure(atoms=pts, pieces=pieces)
 
 
-def _direct_mass(mu, lo, hi):
+def _direct_mass(mu, lo, hi, rows=4096):
     """mu([lo, hi)) for 0 <= lo < 1, lo <= hi <= lo + 1, by intersecting the
     interval with every piece and its translate by 1 and testing each atom
-    and its translate (compared as x < hi - 1, which is exact)."""
-    lo = np.atleast_1d(lo)[:, None]
-    hi = np.atleast_1d(hi)[:, None]
-    total = 0.0
-    for k in (0.0, 1.0):
-        overlap = np.minimum(hi, mu.piece_b + k) - np.maximum(lo, mu.piece_a + k)
-        total = total + np.clip(overlap, 0.0, None) @ mu.piece_d
-    inside = ((mu.atom_x >= lo) & (mu.atom_x < hi)) | (mu.atom_x < hi - 1.0)
-    return total + inside @ mu.atom_m
+    and its translate (compared as x < hi - 1, which is exact).  Intervals
+    are taken ``rows`` at a time, so at most rows x pieces overlaps are held."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    out = np.empty(lo.size)
+    for s in range(0, lo.size, rows):
+        a, b = lo[s:s + rows, None], hi[s:s + rows, None]
+        total = 0.0
+        for k in (0.0, 1.0):
+            overlap = np.minimum(b, mu.piece_b + k) - np.maximum(a, mu.piece_a + k)
+            total = total + np.clip(overlap, 0.0, None) @ mu.piece_d
+        inside = ((mu.atom_x >= a) & (mu.atom_x < b)) | (mu.atom_x < b - 1.0)
+        out[s:s + rows] = total + inside @ mu.atom_m
+    return out
 
 
 class TestIntervalMassOracle:
@@ -335,6 +339,90 @@ class TestSmoothnessOracle:
         want = _omega_vertex_oracle(mu, t)
         assert modulus_smoothness(mu, t) == pytest.approx(
             want, abs=1e-12 * max(1.0, mu.total_mass))
+
+    @pytest.mark.parametrize("kind", ["kahane", "salem"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_vertex_enumeration_beyond_64_breakpoints(self, kind, seed):
+        # 256 breakpoints: the half-widths no longer include every pairwise
+        # span, so only the vertex enumeration says the candidate set
+        # suffices.  On the Kahane leaves h = t alone attains omega at these
+        # t; on the Salem geometry it does not.
+        if kind == "kahane":
+            mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=seed)
+        else:
+            d, xi = choose_salem_parameters(0.8, 0.05)
+            mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d,
+                                            xi=xi, generations=7, seed=seed))
+        assert mu.breakpoints.size == 256
+        ts = [2.0**-2, 2.0**-4, 2.0**-6, 2.0**-8]
+        got = modulus_smoothness(mu, ts)
+        want = [_omega_vertex_oracle(mu, t) for t in ts]
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@st.composite
+def _grids(draw):
+    """Unsorted grids in (0, 1] with a repeated t and t = 1."""
+    ts = draw(st.lists(st.one_of(st.floats(1e-3, 1.0), GRID.filter(bool)),
+                       min_size=1, max_size=6))
+    return draw(st.permutations(ts + [ts[0], 1.0]))
+
+
+def _counting_scan(monkeypatch):
+    """Record every h at which modulus_smoothness evaluates g(h)."""
+    seen, scan = [], measures._second_difference_sup
+
+    def counting(mu, b, h):
+        seen.append(float(h))
+        return scan(mu, b, h)
+
+    monkeypatch.setattr(measures, "_second_difference_sup", counting)
+    return seen
+
+
+def _distinct_h(mu, ts):
+    cands = measures._smoothness_h_candidates(mu.breakpoints, np.asarray(ts))
+    return np.unique(np.concatenate(cands)).tolist(), sum(c.size for c in cands)
+
+
+class TestSmoothnessGrid:
+    @given(_measures(), _grids())
+    # g(0.001) = 8.7e-19 here, and 0.0 at every candidate of t = 1: the max
+    # runs over each t's own candidates, not over every h of the grid
+    @example(lebesgue(), [0.001, 0.001, 1.0])
+    @settings(max_examples=40, deadline=None)
+    def test_grid_matches_single_calls(self, mu, ts):
+        got = modulus_smoothness(mu, ts)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
+        for t, omega in zip(ts, got):
+            single = modulus_smoothness(mu, t)
+            assert isinstance(single, float)
+            assert omega == single
+
+    @pytest.mark.parametrize("ts", [[0.5, 0.0], [0.25, 1.5, 0.5], [-0.1],
+                                    [1.0, math.nan], [math.inf]])
+    def test_any_t_outside_unit_interval_raises(self, ts):
+        mu = CircleMeasure(atoms=[(0.3, 1.0)], pieces=[(0.0, 0.5, 2.0)])
+        with pytest.raises(ValueError, match="t must be in"):
+            modulus_smoothness(mu, ts)
+
+    def test_anderson_scans_each_h_once(self, monkeypatch):
+        mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+        ts = [2.0**-k for k in range(2, 13)]
+        seen = _counting_scan(monkeypatch)
+        anderson_check(mu, ts)
+        distinct, per_t = _distinct_h(mu, ts)
+        assert seen == distinct
+        assert len(seen) < per_t  # the grid's candidate sets overlap
+
+    def test_smoothness_constant_scans_each_h_once(self, monkeypatch):
+        mu = CircleMeasure(atoms=[(0.25, 0.5)], pieces=[(0.1, 0.7, 1.0)])
+        ts = [2.0**-k for k in range(3, 13)]
+        seen = _counting_scan(monkeypatch)
+        smoothness_constant(mu, LogPower(1.0, 0.5), ts)
+        distinct, per_t = _distinct_h(mu, ts)
+        assert seen == distinct
+        assert len(seen) < per_t
 
 
 def _direct_fourier(mu, ns):
