@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics as diag
-from .diagnostics import CheckReport, csv_table
+from .diagnostics import CheckReport, csv_table, json_text
 from .measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
                        bc_entropy, choose_salem_parameters, kahane_smooth,
                        lebesgue, modulus_continuity, modulus_smoothness,
@@ -299,10 +299,9 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
                       "fitted_C": omega / (t * float(ctx.phi.phi(t)))})
     write("_moduli.csv", csv_table(trows, ["t", "delta", "omega", "fitted_C"]))
 
-    ns = np.arange(0, 513)
-    coeffs = mu.fourier_many(ns)
-    frows = [{"n": int(n), "re": c.real, "im": c.imag, "abs": abs(c)}
-             for n, c in zip(ns, coeffs)]
+    coeffs = np.concatenate([[mu.total_mass], mu.coefficients(512)])
+    frows = [{"n": n, "re": c.real, "im": c.imag, "abs": abs(c)}
+             for n, c in enumerate(coeffs)]
     write("_fourier.csv", csv_table(frows, ["n", "re", "im", "abs"]))
 
     if ctx.support is not None:
@@ -310,8 +309,7 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
         payload = {"entropy": ent.total, "verdict": ent.verdict,
                    "generation_subtotals": [[g, s] for g, s in
                                             ent.generation_subtotals]}
-        write("_bc_entropy.json",
-              json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write("_bc_entropy.json", json_text(payload))
     for f in files:
         print(f)
     return 0
@@ -361,7 +359,7 @@ def cmd_suite(cfg: RunConfig) -> int:
 
     jsonschema.validate(summary, _load_schema())
     spath = os.path.join(cfg.out, "summary.json")
-    _write_atomic(spath, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_atomic(spath, json_text(summary))
     print(spath)
     return worst
 

@@ -11,15 +11,22 @@ interleaved piece edges, linear in between, plus the atoms' cumulative
 masses.  An interval mass is a difference of two CDF values, and the
 modulus of smoothness scans second differences of the CDF; it takes a
 scalar t or a grid, and scans each distinct half-width of a grid once.
-Fourier coefficients come from one blocked kernel: writing n = qB + j
-turns the sum over atoms and pieces into a product of a row (q) and a
-column (j) factor matrix, with every phase reduced modulo 1 exactly.
+
+Fourier coefficients come from one blocked kernel (``fourier_many``):
+writing n = qB + j turns the sum over atoms and pieces into a product of a
+row (q) and a column (j) factor matrix, with every phase reduced modulo 1
+exactly.  Each measure also owns one lazily grown cache of hat mu(1..N)
+(``coefficients``), which every reader of the coefficients shares.  Its
+strategy is fixed at construction from the pieces: a measure without atoms
+whose pieces are exactly 2^N uniform leaves takes one FFT of the leaf
+densities, with the phase of n read at n mod 2^N; any other measure fills
+the cache from the blocked kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +37,7 @@ __all__ = [
     "CircleMeasure", "IntervalSet", "SalemSpec",
     "lebesgue", "atomic", "kahane_smooth", "salem_measure",
     "choose_salem_parameters", "modulus_continuity", "modulus_smoothness",
-    "smoothness_constant", "anderson_check",
-    "bc_entropy", "measure_of_set",
+    "smoothness_constant", "bc_entropy",
 ]
 
 MASS_TOL = 1e-12
@@ -88,13 +94,10 @@ def _sin_cos_pi(t):
 
 
 class CircleMeasure:
-    """Atoms plus disjoint constant-density pieces on the circle [0, 1).
+    """Positive atoms plus disjoint constant-density pieces on the circle
+    [0, 1)."""
 
-    ``signed=True`` admits negative densities/masses (boundary data for
-    outer functions); the positive variant rejects them.
-    """
-
-    def __init__(self, atoms=(), pieces=(), signed: bool = False):
+    def __init__(self, atoms=(), pieces=()):
         ax, am = [], []
         for x, mss in atoms:
             ax.append(x % 1.0)
@@ -136,12 +139,10 @@ class CircleMeasure:
         self.piece_d = np.asarray(pd, dtype=float)[order]
         if self.piece_a.size > 1 and (self.piece_a[1:] < self.piece_b[:-1] - 1e-15).any():
             raise ValueError("pieces overlap")
-        self.signed = bool(signed)
-        if not signed:
-            if (self.atom_m < 0).any():
-                raise ValueError("negative atom mass in positive measure")
-            if (self.piece_d < 0).any():
-                raise ValueError("negative density in positive measure")
+        if (self.atom_m < 0).any():
+            raise ValueError("negative atom mass in positive measure")
+        if (self.piece_d < 0).any():
+            raise ValueError("negative density in positive measure")
         piece_masses = self.piece_d * (self.piece_b - self.piece_a)
         self.total_mass = float(self.atom_m.sum() + piece_masses.sum())
         # the CDF table: the density part is linear between the interleaved
@@ -154,6 +155,17 @@ class CircleMeasure:
             [0.0], np.column_stack([cum[:-1], cum[1:]]).ravel(), [cum[-1]]])
         self._atom_cum = np.concatenate([[0.0], np.cumsum(self.atom_m)])
         self._period = cum[-1] + self._atom_cum[-1]
+        # the coefficient strategy: one FFT when there are no atoms and the
+        # pieces are exactly p = 2^N uniform leaves, else the blocked kernel
+        p = self.piece_a.size
+        edges = np.arange(p + 1) / max(p, 1)
+        self._leaves = bool(
+            self.atom_x.size == 0 and p and not p & (p - 1)
+            and np.array_equal(self.piece_a, edges[:-1])
+            and np.array_equal(self.piece_b, edges[1:]))
+        self._leaf_table = None
+        self._coef = np.empty(0, dtype=complex)
+        self._ncoef = 0
 
     # -- mass queries ------------------------------------------------------
 
@@ -177,9 +189,6 @@ class CircleMeasure:
         a = a % 1.0
         m = self.cdf(a + np.minimum(length, 1.0)) - self.cdf(a)
         return np.where(length >= 1.0, self.total_mass, m)
-
-    def interval_mass(self, a: float, b: float) -> float:
-        return float(self.interval_mass_many([a], [b])[0])
 
     def closed_arc_mass(self, a, b):
         """mu([a, b]) for a <= b (scalars or arrays): both boundary atoms
@@ -259,27 +268,44 @@ class CircleMeasure:
             out += acc / pi_n
         return out
 
-    def fourier(self, n: int) -> complex:
-        return complex(self.fourier_many([n])[0])
+    def coefficients(self, count: int) -> np.ndarray:
+        """hat mu(1..count) as a read-only view of the measure's one cache.
 
-    # -- dyadic alignment (fast path hook for spectral evaluation) ---------
+        The cache grows lazily: a request beyond it computes exactly the
+        missing n as one block, with the strategy fixed at construction
+        (_leaf_coefficients, or fourier_many).  A full buffer is
+        reallocated at 3/2 of its capacity (or the request, if larger), so
+        the copies cost O(1) per coefficient; a factor of 2 raised the peak
+        memory of the longest ring sequences through allocator retention.
+        """
+        if count > self._ncoef:
+            if count > self._coef.size:
+                # np.empty: capacity that is never written stays unmapped
+                buf = np.empty(max(count, 3 * self._coef.size // 2), dtype=complex)
+                buf[:self._ncoef] = self._coef[:self._ncoef]
+                self._coef = buf
+            ns = np.arange(self._ncoef + 1, count + 1)
+            self._coef[self._ncoef:count] = (self._leaf_coefficients(ns) if self._leaves
+                                             else self.fourier_many(ns))
+            self._ncoef = count
+        view = self._coef[:count]
+        view.flags.writeable = False
+        return view
 
-    def dyadic_resolution(self):
-        """N if all pieces are the 2^N uniform leaves, else None."""
-        p = len(self.piece_a)
-        if p == 0 or p & (p - 1):
-            return None
-        n = p.bit_length() - 1
-        edges = np.arange(p + 1) / p
-        if (np.array_equal(self.piece_a, edges[:-1])
-                and np.array_equal(self.piece_b, edges[1:])):
-            return n
-        return None
+    def _leaf_coefficients(self, ns) -> np.ndarray:
+        """hat mu(n), n >= 1, for p uniform leaves of densities d_k:
+        (1 - e^{-2 pi i n/p}) D[n mod p]/(2 pi i n), D the FFT of d.  The
+        table T[k] = D[k] (1 - e^{-2 pi i k/p}) is built once for k < p, so
+        every phase is exact, however large n."""
+        if self._leaf_table is None:
+            k = np.arange(self.piece_d.size)
+            self._leaf_table = np.fft.fft(self.piece_d) * (
+                1.0 - np.exp(-2j * np.pi * k / k.size))
+        return self._leaf_table[ns % self._leaf_table.size] / (2j * np.pi * ns)
 
     def __repr__(self):
         return (f"CircleMeasure(atoms={len(self.atom_x)}, "
-                f"pieces={len(self.piece_a)}, mass={self.total_mass:.6g}"
-                f"{', signed' if self.signed else ''})")
+                f"pieces={len(self.piece_a)}, mass={self.total_mass:.6g})")
 
 
 # -- constructors ----------------------------------------------------------
@@ -300,19 +326,7 @@ def atomic(points) -> CircleMeasure:
     return CircleMeasure(atoms=pts)
 
 
-@dataclass
-class KahaneLog:
-    """Construction log for kahane_smooth: clip events per generation."""
-
-    clips: list = field(default_factory=list)
-
-    @property
-    def total_clips(self) -> int:
-        return sum(c for _, c in self.clips)
-
-
-def kahane_smooth(phi: SmoothnessProfile, depth: int, seed: int = 0,
-                  log: KahaneLog | None = None) -> CircleMeasure:
+def kahane_smooth(phi: SmoothnessProfile, depth: int, seed: int = 0) -> CircleMeasure:
     """Random-sign martingale measure with increments phi(2^-n)/2 at each level.
 
     Starting from density 1, each node of value m splits into
@@ -328,8 +342,6 @@ def kahane_smooth(phi: SmoothnessProfile, depth: int, seed: int = 0,
     for n in range(1, depth + 1):
         half = float(phi.phi(2.0**-n)) / 2.0
         delta = np.minimum(half, level)
-        if log is not None:
-            log.clips.append((n, int(np.count_nonzero(delta < half))))
         signs = rng.integers(0, 2, size=level.size) * 2 - 1
         child = np.empty(2 * level.size)
         child[0::2] = level + signs * delta
@@ -580,32 +592,6 @@ def smoothness_constant(mu: CircleMeasure, phi: SmoothnessProfile, t_grid) -> fl
     return best
 
 
-@dataclass
-class AndersonReport:
-    """Both-moduli check: delta_mu(t) <= 8t(2 + log log(e/t)/96) and
-    omega_mu(t) <= 36 t / sqrt(log(e/t)) on a grid."""
-
-    rows: list                  # (t, delta, delta_bound, omega, omega_bound)
-    delta_pass: bool
-    omega_pass: bool
-    worst_delta_margin: float   # max delta/bound
-    worst_omega_margin: float
-
-
-def anderson_check(mu: CircleMeasure, t_grid) -> AndersonReport:
-    rows = []
-    wd = wo = 0.0
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    for t, omega in zip(t_grid.tolist(), modulus_smoothness(mu, t_grid).tolist()):
-        delta = modulus_continuity(mu, t)
-        delta_bound = 8.0 * t * (2.0 + math.log(math.log(math.e / t)) / 96.0)
-        omega_bound = 36.0 * t / math.sqrt(math.log(math.e / t))
-        rows.append((t, delta, delta_bound, omega, omega_bound))
-        wd = max(wd, delta / delta_bound)
-        wo = max(wo, omega / omega_bound)
-    return AndersonReport(rows, wd <= 1.0 + 1e-12, wo <= 1.0 + 1e-12, wd, wo)
-
-
 # -- Beurling-Carleson entropy --------------------------------------------
 
 
@@ -656,10 +642,3 @@ def bc_entropy(E: IntervalSet) -> BCEntropyReport:
             verdict = "convergent" if rate < 0.98 else "divergent"
     return BCEntropyReport(total, subtotals, ratios, verdict)
 
-
-def measure_of_set(mu: CircleMeasure, E: IntervalSet) -> float:
-    """mu-mass of the union of closed arcs (boundary atoms counted in)."""
-    if not E.arcs:
-        return 0.0
-    a, b = np.array(E.arcs).T
-    return float(sum(mu.closed_arc_mass(a, b).tolist()))

@@ -7,13 +7,13 @@ Two evaluation paths, cross-checked in the tests:
   bisecting any arc whose endpoint ratio leaves the right half plane.
 * full rings: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n and H'(z) come
   together from one jet kernel on M equispaced points of a radius-r circle.
-  The truncated coefficients, viewed as rows of length M, are folded by a
-  rank-one damping (a row factor times a column factor) in one matrix
-  product, and one inverse FFT finishes both.  Measures whose pieces are
-  the uniform dyadic leaves get their coefficients from a single FFT.
+  The truncated coefficients, read from the measure's own cache
+  (CircleMeasure.coefficients), viewed as rows of length M, are folded by
+  a rank-one damping (a row factor times a column factor) in one matrix
+  product, and one inverse FFT finishes both.
 
-Function models are immutable evaluation trees (inner powers, logs, outer
-functions, polynomials, dilations, products, quotients), each exposing
+Function models are immutable evaluation trees (inner powers,
+polynomials, dilations, products, quotients), each exposing
 value and derivative at interior points and the jet (f, f') on rings;
 composite models compose the jets of their parts.
 """
@@ -30,9 +30,9 @@ from .measures import CircleMeasure
 __all__ = [
     "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
     "herglotz_ring",
-    "FunctionModel", "SingularInnerPower", "LogOfSingularInner", "Outer",
+    "FunctionModel", "SingularInnerPower",
     "Polynomial", "Dilate", "Product", "Quotient",
-    "CoefficientVector", "maclaurin", "log_coefficients",
+    "CoefficientVector", "maclaurin",
     "EvaluationError", "AliasBoundError",
 ]
 
@@ -160,60 +160,6 @@ def poisson(mu: CircleMeasure, z: complex) -> float:
 # -- spectral ring evaluation ---------------------------------------------
 
 
-class _SpectralCache:
-    """Growing cache of hat mu(n), n >= 1, attached to a measure.
-
-    The first ``size`` entries of a buffer hold hat mu(1..size).  A request
-    beyond them computes exactly the missing n as one block; a full buffer
-    is reallocated at 3/2 of its capacity (or the request, if larger), so
-    the copies cost O(1) per coefficient.  A factor of 2 raised the peak
-    memory of the longest ring sequences through allocator retention.
-    """
-
-    def __init__(self, mu: CircleMeasure):
-        self.mu = mu
-        self._buf = np.zeros(0, dtype=complex)
-        self._size = 0
-        self._dyadic_n = mu.dyadic_resolution()
-        self._dyadic_dft = None
-        if self._dyadic_n is not None and mu.atom_x.size:
-            self._atoms = CircleMeasure(atoms=zip(mu.atom_x, mu.atom_m),
-                                        signed=mu.signed)
-
-    def coeffs(self, count: int) -> np.ndarray:
-        if count > self._size:
-            if count > self._buf.size:
-                # np.empty: capacity that is never written stays unmapped
-                buf = np.empty(max(count, 3 * self._buf.size // 2), dtype=complex)
-                buf[:self._size] = self._buf[:self._size]
-                self._buf = buf
-            ns = np.arange(self._size + 1, count + 1)
-            if self._dyadic_n is not None:
-                new = self._dyadic_coeffs(ns)
-                if self.mu.atom_x.size:
-                    new = new + self._atoms.fourier_many(ns)
-            else:
-                new = self.mu.fourier_many(ns)
-            self._buf[self._size:count] = new
-            self._size = count
-        return self._buf[:count]
-
-    def _dyadic_coeffs(self, ns) -> np.ndarray:
-        p = 1 << self._dyadic_n
-        if self._dyadic_dft is None:
-            self._dyadic_dft = np.fft.fft(self.mu.piece_d)
-        phase = np.exp(-_TWO_PI_I * ns / p)
-        return self._dyadic_dft[ns % p] * (1.0 - phase) / (_TWO_PI_I * ns)
-
-
-def _spectral(mu: CircleMeasure) -> _SpectralCache:
-    cache = getattr(mu, "_spectral_cache", None)
-    if cache is None:
-        cache = _SpectralCache(mu)
-        mu._spectral_cache = cache
-    return cache
-
-
 def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
     """Smallest N with 2 mass (N + 1/(1-r)) r^N / (1-r) below tol."""
     if r <= 0.0:
@@ -244,7 +190,7 @@ def herglotz_jet(mu: CircleMeasure, r: float, m: int,
         return (np.full(m, herglotz(mu, 0.0), dtype=complex),
                 np.full(m, herglotz_derivative(mu, 0.0), dtype=complex))
     n_max = _truncation_order(r, mu.total_mass)
-    c = _spectral(mu).coeffs(n_max)
+    c = mu.coefficients(n_max)
     rows, rem = divmod(n_max, m)
     log_r = math.log(r)
     j = np.arange(rows + 1)
@@ -343,59 +289,6 @@ class SingularInnerPower(FunctionModel):
         h, h1 = herglotz_jet(self.mu, r, m, offset)
         with np.errstate(divide="ignore"):
             return math.log(self.alpha) + np.log(np.abs(h1)) - self.alpha * h.real
-
-
-@dataclass(frozen=True)
-class LogOfSingularInner(FunctionModel):
-    """-H_mu(z), the logarithm of the singular inner function of mu."""
-
-    mu: CircleMeasure
-
-    def val(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return -herglotz(self.mu, complex(z))
-        return np.array([-herglotz(self.mu, zz) for zz in z.ravel()]).reshape(z.shape)
-
-    def dval(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return -herglotz_derivative(self.mu, complex(z))
-        return np.array([-herglotz_derivative(self.mu, zz) for zz in z.ravel()]
-                        ).reshape(z.shape)
-
-    def jet(self, r, m, offset=0.0):
-        h, h1 = herglotz_jet(self.mu, r, m, offset)
-        return -h, -h1
-
-
-@dataclass(frozen=True)
-class Outer(FunctionModel):
-    """exp(H_m(z)) for a signed log-modulus boundary measure m.
-
-    The boundary data is the measure whose density carries log |f*| against
-    normalized length, so the value at 0 is the exponentiated mean.
-    """
-
-    log_modulus: CircleMeasure
-
-    def val(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return np.exp(herglotz(self.log_modulus, complex(z)))
-        return np.array([complex(self.val(zz)) for zz in z.ravel()]).reshape(z.shape)
-
-    def dval(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return herglotz_derivative(self.log_modulus, complex(z)) \
-                * np.exp(herglotz(self.log_modulus, complex(z)))
-        return np.array([complex(self.dval(zz)) for zz in z.ravel()]).reshape(z.shape)
-
-    def jet(self, r, m, offset=0.0):
-        h, h1 = herglotz_jet(self.log_modulus, r, m, offset)
-        f = np.exp(h)
-        return f, h1 * f
 
 
 class Polynomial(FunctionModel):
@@ -553,12 +446,3 @@ def maclaurin(f: FunctionModel, k_max: int, r: float | None = None,
         raise AliasBoundError(float(alias.max()), tolerance)
     return CoefficientVector(coeffs, r, m, alias)
 
-
-def log_coefficients(mu: CircleMeasure, k_max: int) -> CoefficientVector:
-    """Maclaurin coefficients of log S_mu = -H_mu from closed-form Fourier
-    coefficients: (-mu(T), -2 hat mu(1), ..., -2 hat mu(k_max))."""
-    coeffs = np.empty(k_max + 1, dtype=complex)
-    coeffs[0] = -mu.total_mass
-    if k_max >= 1:
-        coeffs[1:] = -2.0 * mu.fourier_many(np.arange(1, k_max + 1))
-    return CoefficientVector(coeffs, 0.0, 0, np.zeros(k_max + 1))

@@ -21,7 +21,7 @@ from .models import CoefficientVector, FunctionModel
 
 __all__ = [
     "QuadratureGrid", "lp_a_norm", "weighted_l2alpha",
-    "besov_seminorm", "besov_norm", "bloch_seminorm", "hp_mean",
+    "besov_seminorm", "bloch_seminorm",
 ]
 
 
@@ -115,18 +115,12 @@ def weighted_l2alpha(c, alpha: float) -> float:
 # -- disc integrals --------------------------------------------------------
 
 
-def _ring_mean_abs_pow(f: FunctionModel, r: float, m: int, p: float,
-                       deriv: bool) -> float:
-    vals = f.dring(r, m) if deriv else f.ring(r, m)
-    return float(np.mean(np.abs(vals) ** p))
-
-
 def _besov_integral(f: FunctionModel, p: float,
                     grid: QuadratureGrid) -> tuple[float, float]:
     """The radial rule's sum, and the mean of |f'|^p on the last ring."""
     total = 0.0
     for r, w, m in zip(grid.r, grid.w, grid.m):
-        mean = _ring_mean_abs_pow(f, float(r), int(m), p, deriv=True)
+        mean = float(np.mean(np.abs(f.dring(float(r), int(m))) ** p))
         total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
     return total, mean
 
@@ -154,13 +148,6 @@ def besov_seminorm(f: FunctionModel, p: float,
     return value, err
 
 
-def besov_norm(f: FunctionModel, p: float,
-               grid: QuadratureGrid | None = None) -> tuple[float, float]:
-    """|f(0)| + seminorm; the norm-level wrapper."""
-    semi, err = besov_seminorm(f, p, grid)
-    return abs(complex(np.asarray(f.val(0.0)).item())) + semi, err
-
-
 def bloch_seminorm(f: FunctionModel, grid: QuadratureGrid | None = None) -> float:
     """max over grid points (including z = 0) of |f'(z)| (1 - |z|).
 
@@ -174,11 +161,3 @@ def bloch_seminorm(f: FunctionModel, grid: QuadratureGrid | None = None) -> floa
         best = max(best, ring_max * (1.0 - float(r)))
     return best
 
-
-def hp_mean(f: FunctionModel, p: float, r: float, m: int = 4096) -> float:
-    """M_p(r, f) = (int |f(r e^{i t})|^p dt / 2 pi)^(1/p), angular trapezoid."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must be in (0, 1)")
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return _ring_mean_abs_pow(f, r, m, p, deriv=False) ** (1.0 / p)

@@ -1,13 +1,16 @@
+import csv
+import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from cyclia import cli, measures
+from cyclia import cli, diagnostics, measures, models, norms
 from cyclia.cli import (CHECKS, PRESETS, RunConfig, build_measure,
                         build_parser, main, make_grid, run_check)
 
@@ -59,6 +62,34 @@ class TestMeasureCommand:
             mu.breakpoints, 2.0 ** -np.arange(2, 13))
         assert seen == np.unique(np.concatenate(cands)).tolist()
         assert len(seen) < sum(c.size for c in cands)
+
+    def test_kahane_readers_see_one_set_of_coefficients(self, tmp_path,
+                                                        monkeypatch):
+        # _fourier.csv, fourier-decay and the ring kernel read the measure's
+        # one cache: the same hat mu(n), bit for bit
+        seen, cache = [], measures.CircleMeasure.coefficients
+
+        def recording(mu, count):
+            seen.append(cache(mu, count).copy())
+            return seen[-1]
+
+        monkeypatch.setattr(measures.CircleMeasure, "coefficients", recording)
+        spec = json.loads(KAHANE_SPEC)
+        cfg = RunConfig(command="measure", spec=spec, out=str(tmp_path / "m"))
+        ctx = build_measure(spec, cfg)
+        assert cli.cmd_measure(cfg, ctx) == 0
+        decay = diagnostics.fourier_decay_fit(ctx.mu, 4096)
+        models.herglotz_jet(ctx.mu, 0.999, 64)
+        c = max(seen, key=len)
+        assert all(np.array_equal(s, c[:len(s)]) for s in seen)
+        assert len(c) == models._truncation_order(0.999, ctx.mu.total_mass)
+        with open(tmp_path / "m" / "kahane_fourier.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["re"]) == ctx.mu.total_mass
+        assert [complex(float(r["re"]), float(r["im"])) for r in rows[1:]] \
+            == c[:512].tolist()
+        assert [row["envelope"] for row in decay.table] == \
+            [np.abs(c)[row["n"] - 1] for row in decay.table]
 
     def test_malformed_spec_exits_two(self, tmp_path, capsys):
         out = str(tmp_path / "m")
@@ -214,6 +245,21 @@ class TestSuiteCommand:
             "--out", str(tmp_path / "s"))
         assert len(calls) == 1
 
+    def test_salem_preset_sends_each_coefficient_once(self, tmp_path,
+                                                      monkeypatch):
+        # _fourier.csv (n <= 512), fourier-decay and fourier-lp (n <= 4096)
+        # share the measure's cache: 4096 coefficients, not 8705
+        sent, kernel = [], measures.CircleMeasure.fourier_many
+
+        def counting(mu, ns):
+            sent.append(np.size(ns))
+            return kernel(mu, ns)
+
+        monkeypatch.setattr(measures.CircleMeasure, "fourier_many", counting)
+        run("suite", "--spec", SALEM_SPEC, "--preset", "salem",
+            "--out", str(tmp_path / "s"))
+        assert sum(sent) <= 4096
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem", "--out", a)
@@ -260,6 +306,25 @@ class TestRegistry:
         assert callable(cli.cmd_measure)
         cfg = RunConfig(command="check", spec={})
         assert (cfg.command, cfg.spec) == ("check", {})
+        assert list(inspect.signature(models.herglotz_ring).parameters) == [
+            "mu", "r", "m", "offset", "deriv"]
+        assert "grid" in inspect.signature(norms.besov_seminorm).parameters
+        for method in ("fourier_many", "interval_mass_many"):
+            assert callable(vars(measures.CircleMeasure)[method])
+        for build in ("lebesgue", "atomic", "kahane_smooth", "salem_measure"):
+            assert inspect.isfunction(getattr(measures, build))
+        for method in ("ring", "dring"):
+            assert callable(vars(models.FunctionModel)[method])
+        # the tracer keys a WeakKeyDictionary by the measure
+        mu = measures.lebesgue()
+        assert weakref.ref(mu)() is mu
+        assert weakref.WeakKeyDictionary({mu: 1.0})[mu] == 1.0
+
+    @pytest.mark.parametrize("name", ["diagnostics", "measures", "models",
+                                      "norms"])
+    def test_every_exported_name_resolves(self, name):
+        mod = importlib.import_module(f"cyclia.{name}")
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -1,21 +1,22 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cyclia.diagnostics import (CheckReport, annihilator_pairing,
+from cyclia.diagnostics import (CheckReport, _box_rule, annihilator_pairing,
                                 bloch_difference_bound, brown_shields_table,
-                                carleson_box_measure, derivative_sup_ratio,
-                                fourier_decay_fit, fourier_lp_summability,
-                                korenblum_necessity, multiplier_log_onebox,
-                                pmean_ratio, poisson_martingale_gap)
+                                derivative_sup_ratio, fourier_decay_fit,
+                                fourier_lp_summability, korenblum_necessity,
+                                multiplier_log_onebox, pmean_ratio,
+                                poisson_martingale_gap)
 from cyclia.dyadic import DyadicInterval
 from cyclia.measures import (IntervalSet, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import Polynomial, SingularInnerPower
-from cyclia.norms import QuadratureGrid
+from cyclia.models import FunctionModel, Polynomial, SingularInnerPower
+from cyclia.norms import QuadratureGrid, default_grid
 from cyclia.profiles import LogPower, PowerLaw
 
 ATOM = atomic([(0.0, 1.0)])
@@ -127,6 +128,33 @@ class TestPoissonMartingale:
         assert 0.5 < rep.fits["C"] < 2.0
 
 
+def carleson_box_measure(f: FunctionModel, p: float, I: DyadicInterval,
+                         grid: QuadratureGrid | None = None) -> float:
+    """int over the box S(I) of |f'(z)|^p (1-|z|)^{p-1} dA, one box at a
+    time: the oracle of multiplier_log_onebox, which folds every box of
+    each ring at once.
+
+    The box is {z : z/|z| in I, 1 - |z| <= |I|}.  The radial rule starts
+    exactly at 1 - |I| (the dyadic cut is a panel edge); angular samples
+    are cell-aligned so the arc restriction is an index slice.
+    """
+    if grid is None:
+        grid = default_grid()
+    u_lo = float(I.n)
+    us, ws = _box_rule(u_lo, u_lo + grid.u_max, grid.nodes_per_panel)
+    total = 0.0
+    for u, w in zip(us, ws):
+        r = 1.0 - float(np.exp2(-u))
+        m = min(grid.m_max, max(grid.m_min * 2**I.n,
+                                1 << max(int(math.ceil(u + math.log2(grid.m_min))), 1)))
+        per_cell = m // 2**I.n
+        vals = f.dring(r, m, offset=0.5)
+        arc = vals[I.j * per_cell:(I.j + 1) * per_cell]
+        total += (w * (1.0 - r) ** (p - 1.0) * r * (2.0 * math.pi / m)
+                  * float((np.abs(arc) ** p).sum()))
+    return total
+
+
 class TestCarlesonBox:
     def test_root_box_identity(self):
         p = 3.0
@@ -156,6 +184,22 @@ class TestCarlesonBox:
 
 
 class TestMultiplier:
+    def test_boxes_match_carleson_oracle(self):
+        # with the oracle's rule ending where the multiplier's does (u = 7,
+        # an integer, so the panels coincide), each generation's sup box is
+        # the max of the boxes integrated one at a time
+        mu = kahane_smooth(PHI, 6, seed=7)
+        grid = QuadratureGrid.build(u_max=7.0, panels=7, nodes_per_panel=4,
+                                    m_min=16, m_max=1024)
+        rep = multiplier_log_onebox(mu, 3.0, 3, grid)
+        S = SingularInnerPower(mu)
+        for row in rep.table:
+            n = row["generation"]
+            g = replace(grid, u_max=7.0 - n)
+            boxes = [carleson_box_measure(S, 3.0, DyadicInterval(n, j), g)
+                     for j in range(2**n)]
+            assert row["sup_box"] == pytest.approx(max(boxes), rel=1e-12)
+
     def test_lebesgue_zero(self):
         rep = multiplier_log_onebox(LEB, 3.0, 8)
         assert rep.passed

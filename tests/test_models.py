@@ -11,10 +11,9 @@ from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
 from cyclia.models import (AliasBoundError, Dilate, EvaluationError,
-                           LogOfSingularInner, Outer, Polynomial, Product,
-                           Quotient, SingularInnerPower, herglotz,
-                           herglotz_derivative, herglotz_jet, herglotz_ring,
-                           log_coefficients, maclaurin, poisson, poisson_ring)
+                           Polynomial, Product, Quotient, SingularInnerPower,
+                           herglotz, herglotz_derivative, herglotz_jet,
+                           herglotz_ring, maclaurin, poisson, poisson_ring)
 from cyclia.norms import QuadratureGrid, besov_seminorm
 from cyclia.profiles import LogPower
 
@@ -184,19 +183,20 @@ def _assert_jet_matches_mpmath(mu, r, m, offset):
 
 @st.composite
 def _measures(draw):
-    """Atoms plus either the uniform dyadic leaves (the FFT coefficient
-    path) or disjoint pieces at random breakpoints (the generic sum)."""
+    """Either the uniform dyadic leaves without atoms (the FFT coefficient
+    strategy) or atoms plus disjoint pieces at random breakpoints (the
+    blocked kernel)."""
     unit = st.floats(0.0, 1.0, exclude_max=True)
     mass = st.floats(0.05, 2.0)
-    atoms = draw(st.lists(st.tuples(unit, mass), max_size=3))
     if draw(st.booleans()):
         p = 1 << draw(st.integers(0, 4))
         dens = draw(st.lists(mass, min_size=p, max_size=p))
-        pieces = [(i / p, (i + 1) / p, d) for i, d in enumerate(dens)]
-    else:
-        cuts = sorted(set(draw(st.lists(unit, min_size=2, max_size=7))))
-        pieces = [(a, b, draw(mass)) for a, b in zip(cuts[:-1], cuts[1:])
-                  if draw(st.booleans())]
+        return CircleMeasure(pieces=[(i / p, (i + 1) / p, d)
+                                     for i, d in enumerate(dens)])
+    atoms = draw(st.lists(st.tuples(unit, mass), max_size=3))
+    cuts = sorted(set(draw(st.lists(unit, min_size=2, max_size=7))))
+    pieces = [(a, b, draw(mass)) for a, b in zip(cuts[:-1], cuts[1:])
+              if draw(st.booleans())]
     if not atoms and not pieces:
         atoms = [(draw(unit), 1.0)]
     return CircleMeasure(atoms=atoms, pieces=pieces)
@@ -252,12 +252,10 @@ class TestJetComposition:
     @pytest.mark.parametrize("make", [
         lambda mu: Dilate(SingularInnerPower(mu, 0.7), 0.8),
         lambda mu: Product([SingularInnerPower(mu, 0.5), Polynomial([1.0, 0.5]),
-                            LogOfSingularInner(mu)]),
+                            Dilate(SingularInnerPower(mu), 0.9)]),
         lambda mu: Quotient(SingularInnerPower(mu), Dilate(SingularInnerPower(mu), 0.6)),
-        lambda mu: Outer(CircleMeasure(pieces=[(0.1, 0.6, -0.5)], signed=True)),
-        lambda mu: LogOfSingularInner(mu),
         lambda mu: SingularInnerPower(mu, 1.3),
-    ], ids=["dilate", "product", "quotient", "outer", "log", "inner"])
+    ], ids=["dilate", "product", "quotient", "inner"])
     def test_jet_matches_pointwise(self, make):
         f = make(self.MU)
         r, m, offset = 0.85, 32, 0.5
@@ -305,16 +303,6 @@ class TestModels:
         z, h = 0.3 + 0.2j, 1e-6
         fd = (S.val(z + h) - S.val(z - h)) / (2 * h)
         assert S.dval(z) == pytest.approx(fd, rel=1e-8)
-
-    def test_log_model(self):
-        L = LogOfSingularInner(ATOM)
-        z = 0.25 - 0.1j
-        assert L.val(z) == pytest.approx(-(1 + z) / (1 - z), abs=1e-12)
-
-    def test_outer_from_log_modulus(self):
-        # outer with boundary log-modulus identically 1 is e (constant)
-        w = Outer(lebesgue(1.0))
-        assert w.val(0.2 + 0.3j) == pytest.approx(math.e, abs=1e-10)
 
     def test_polynomial_and_dilate(self):
         f = Polynomial([1.0, 0.0, 2.0])
@@ -390,12 +378,12 @@ class TestMaclaurin:
             maclaurin(Polynomial([1.0] * 5), 3, r=0.99, m=8, tolerance=1e-30)
 
     def test_log_coefficients(self):
-        c = log_coefficients(ATOM, 4)
-        assert c[0] == pytest.approx(-1.0)
+        # log S = -H has the Maclaurin coefficients -mu(T), -2 hat mu(n)
+        L = np.concatenate([[-ATOM.total_mass], -2.0 * ATOM.coefficients(4)])
+        assert L[0] == pytest.approx(-1.0)
         # hat mu(n) = 1 for the unit atom at 0, so the tail entries are -2
-        assert np.allclose(c.coeffs[1:], -2.0)
+        assert np.allclose(L[1:], -2.0)
         # consistency: exp of the log-series reproduces S coefficients
-        L = np.asarray(c.coeffs)
         f = np.zeros(5)
         f[0] = math.exp(L[0].real)
         for k in range(4):
