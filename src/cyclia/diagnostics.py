@@ -370,8 +370,8 @@ def anderson_report(mu: CircleMeasure, t_grid) -> CheckReport:
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float)).tolist()
     rows = []
     wd = wo = 0.0
-    for t, omega in zip(ts, modulus_smoothness(mu, ts).tolist()):
-        delta = modulus_continuity(mu, t)
+    for t, delta, omega in zip(ts, modulus_continuity(mu, ts).tolist(),
+                               modulus_smoothness(mu, ts).tolist()):
         delta_bound = 8.0 * t * (2.0 + math.log(math.log(math.e / t)) / 96.0)
         omega_bound = 36.0 * t / math.sqrt(math.log(math.e / t))
         rows.append({"t": t, "delta": delta, "delta_bound": delta_bound,

@@ -8,19 +8,22 @@ The representation is exact: pieces keep their real endpoints (Salem's
 d-adic geometry is never snapped to a dyadic grid).  Every mass query reads
 one periodic CDF table built at construction: the cumulative mass at the
 interleaved piece edges, linear in between, plus the atoms' cumulative
-masses.  An interval mass is a difference of two CDF values, and the
-modulus of smoothness scans second differences of the CDF; it takes a
-scalar t or a grid, and scans each distinct half-width of a grid once.
+masses.  An interval mass is a difference of two CDF values, the modulus
+of continuity scans window masses and the modulus of smoothness second
+differences of the CDF.  Both take a scalar t or a grid, and the modulus
+of smoothness scans each distinct half-width of a grid once.
 
 Fourier coefficients come from one blocked kernel (``fourier_many``):
 writing n = qB + j turns the sum over atoms and pieces into a product of a
 row (q) and a column (j) factor matrix, with every phase reduced modulo 1
-exactly.  Each measure also owns one lazily grown cache of hat mu(1..N)
-(``coefficients``), which every reader of the coefficients shares.  Its
-strategy is fixed at construction from the pieces: a measure without atoms
-whose pieces are exactly 2^N uniform leaves takes one FFT of the leaf
-densities, with the phase of n read at n mod 2^N; any other measure fills
-the cache from the blocked kernel.
+exactly.  It takes a range of n, fills the rows that cover it in place,
+and returns the slice of them that holds it.  Each measure also owns one
+lazily grown cache of hat mu(1..N) (``coefficients``), which every reader
+of the coefficients shares; a request beyond it sends the missing n as one
+range to the strategy fixed at construction from the pieces: a measure
+without atoms whose pieces are exactly 2^N uniform leaves takes one FFT of
+the leaf densities, and reads its table cyclically from the range's start
+mod 2^N; any other measure fills the cache from the blocked kernel.
 """
 
 from __future__ import annotations
@@ -207,37 +210,33 @@ class CircleMeasure:
 
     # -- Fourier ----------------------------------------------------------
 
-    def fourier_many(self, ns) -> np.ndarray:
-        """hat mu(n) = int e^{-2 pi i n x} dmu(x) for integer n, closed form.
+    def fourier_many(self, ns: range) -> np.ndarray:
+        """hat mu(n) = int e^{-2 pi i n x} dmu(x) for the n of a range (step
+        1), closed form.
 
         With n = qB + j (B = 64, 0 <= j < B) each sum over atoms and pieces
         is a (rows q) @ (columns j) matrix product (_fourier_rows), with
-        phases reduced exactly for |n| < 2^32.  The rows from min(n) // B to
-        max(n) // B are filled in chunks, and each n is read at its offset
-        n - B (min(n) // B) into them.
+        phases reduced exactly for |n| < 2^32.  The rows from start // B to
+        (stop - 1) // B are filled in place, in chunks, and the result is
+        the slice of them that holds the range.
         """
-        ns = np.asarray(ns)
-        if not np.issubdtype(ns.dtype, np.integer):
-            if not np.array_equal(ns, np.round(ns)):
-                raise ValueError("Fourier frequencies must be integers")
-            ns = ns.astype(np.int64)
-        n = ns.ravel()
-        if n.size == 0:
-            return np.empty(ns.shape, dtype=complex)
+        if ns.step != 1:
+            raise ValueError("Fourier frequencies must be a range of step 1")
         chunk = max(1, _WORKSPACE // (2 * min(self.piece_a.size, _TERM_CHUNK)
                                       + min(self.atom_x.size, _TERM_CHUNK) + _BLOCK))
-        q0 = n.min() // _BLOCK
-        rows = np.arange(q0, n.max() // _BLOCK + 1)
+        q0 = ns.start // _BLOCK
+        rows = np.arange(q0, (ns.stop - 1) // _BLOCK + 1)
         span = np.empty((rows.size, _BLOCK), dtype=complex)
         for s in range(0, rows.size, chunk):
-            span[s:s + chunk] = self._fourier_rows(rows[s:s + chunk])
-        out = span.ravel()[n - q0 * _BLOCK]
-        out[n == 0] = self.total_mass
-        return out.reshape(ns.shape)
+            self._fourier_rows(rows[s:s + chunk], span[s:s + chunk])
+        out = span.ravel()[ns.start - q0 * _BLOCK:ns.stop - q0 * _BLOCK]
+        if ns.start <= 0 < ns.stop:
+            out[-ns.start] = self.total_mass
+        return out
 
-    def _fourier_rows(self, q) -> np.ndarray:
-        """(len(q), B) array of hat mu(qB + j), j = 0..B-1, except at n = 0,
-        which the caller sets to mu(T).
+    def _fourier_rows(self, q, out) -> None:
+        """Fill the (len(q), B) array out with hat mu(qB + j), j = 0..B-1,
+        except at n = 0, which the caller sets to mu(T).
 
         An atom is a rank-one term: e^{-2 pi i n x} = e^{-2 pi i qBx}
         e^{-2 pi i jx}.  A piece of density d, midpoint c and length L gives
@@ -248,7 +247,7 @@ class CircleMeasure:
         """
         j = np.arange(_BLOCK)
         qb = q * _BLOCK
-        out = np.zeros((q.size, _BLOCK), dtype=complex)
+        out[...] = 0.0
         for s in range(0, self.atom_x.size, _TERM_CHUNK):
             x = _split(self.atom_x[s:s + _TERM_CHUNK])
             out += (_cis(_phase(qb, x)) * self.atom_m[s:s + _TERM_CHUNK]) \
@@ -265,14 +264,14 @@ class CircleMeasure:
                 acc += np.hstack([eq * sq, eq * cq]) @ np.vstack([ej * cj, ej * sj])
             pi_n = np.pi * (qb[:, None] + j)
             pi_n[pi_n == 0] = 1.0
-            out += acc / pi_n
-        return out
+            acc /= pi_n
+            out += acc
 
     def coefficients(self, count: int) -> np.ndarray:
         """hat mu(1..count) as a read-only view of the measure's one cache.
 
-        The cache grows lazily: a request beyond it computes exactly the
-        missing n as one block, with the strategy fixed at construction
+        The cache grows lazily: a request beyond it sends the missing n as
+        one range to the strategy fixed at construction
         (_leaf_coefficients, or fourier_many).  A full buffer is
         reallocated at 3/2 of its capacity (or the request, if larger), so
         the copies cost O(1) per coefficient; a factor of 2 raised the peak
@@ -284,7 +283,7 @@ class CircleMeasure:
                 buf = np.empty(max(count, 3 * self._coef.size // 2), dtype=complex)
                 buf[:self._ncoef] = self._coef[:self._ncoef]
                 self._coef = buf
-            ns = np.arange(self._ncoef + 1, count + 1)
+            ns = range(self._ncoef + 1, count + 1)
             self._coef[self._ncoef:count] = (self._leaf_coefficients(ns) if self._leaves
                                              else self.fourier_many(ns))
             self._ncoef = count
@@ -292,16 +291,18 @@ class CircleMeasure:
         view.flags.writeable = False
         return view
 
-    def _leaf_coefficients(self, ns) -> np.ndarray:
-        """hat mu(n), n >= 1, for p uniform leaves of densities d_k:
-        (1 - e^{-2 pi i n/p}) D[n mod p]/(2 pi i n), D the FFT of d.  The
-        table T[k] = D[k] (1 - e^{-2 pi i k/p}) is built once for k < p, so
-        every phase is exact, however large n."""
+    def _leaf_coefficients(self, ns: range) -> np.ndarray:
+        """hat mu(n) for the n >= 1 of a range, p uniform leaves of densities
+        d_k: (1 - e^{-2 pi i n/p}) D[n mod p]/(2 pi i n), D the FFT of d.  The
+        table T[k] = D[k] (1 - e^{-2 pi i k/p}), k < p, is built once and read
+        cyclically from start mod p, so every phase is exact, however large n."""
         if self._leaf_table is None:
             k = np.arange(self.piece_d.size)
             self._leaf_table = np.fft.fft(self.piece_d) * (
                 1.0 - np.exp(-2j * np.pi * k / k.size))
-        return self._leaf_table[ns % self._leaf_table.size] / (2j * np.pi * ns)
+        out = np.resize(np.roll(self._leaf_table, -ns.start), len(ns))
+        out /= 2j * np.pi * np.arange(ns.start, ns.stop)
+        return out
 
     def __repr__(self):
         return (f"CircleMeasure(atoms={len(self.atom_x)}, "
@@ -505,25 +506,41 @@ def salem_measure(spec: SalemSpec) -> tuple[CircleMeasure, IntervalSet]:
 _NUDGE = 1e-12
 
 
-def _window_candidates(mu: CircleMeasure, t: float) -> np.ndarray:
-    b = mu.breakpoints
-    cand = np.concatenate([b, (b - t) % 1.0])
-    if mu.atom_x.size:  # window mass jumps at atom translates
-        cand = np.concatenate([cand, (cand + _NUDGE) % 1.0, (cand - _NUDGE) % 1.0])
-    return np.unique(cand)
+def _t_grid(t) -> tuple[np.ndarray, bool]:
+    """t as a 1-D grid in (0, 1], and whether t was a scalar."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("t must be a scalar or a 1-D grid")
+    grid = np.atleast_1d(ts)
+    bad = ~((grid > 0.0) & (grid <= 1.0))
+    if bad.any():
+        raise ValueError(f"t must be in (0, 1], got {float(grid[bad][0])}")
+    return grid, ts.ndim == 0
 
 
-def modulus_continuity(mu: CircleMeasure, t: float) -> float:
-    """delta_mu(t) = sup over intervals |I| <= t of mu(I).
+def _off_atoms(mu: CircleMeasure, xs: np.ndarray) -> np.ndarray:
+    """xs, and, where mu has atoms (at whose translates window masses
+    jump), xs nudged by +/- 1e-12, modulo 1."""
+    if mu.atom_x.size:
+        xs = np.concatenate([xs, (xs + _NUDGE) % 1.0, (xs - _NUDGE) % 1.0])
+    return xs
+
+
+def modulus_continuity(mu: CircleMeasure, t) -> float | np.ndarray:
+    """delta_mu(t) = sup over intervals |I| <= t of mu(I), for a scalar t (a
+    float is returned) or a 1-D grid (an array, one delta per t).
 
     For positive measures the sup over lengths <= t is attained at length t,
     so only the window position is scanned; candidates are the points where
     the window mass is non-smooth (breakpoints and their t-translates).
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t must be in (0, 1], got {t}")
-    xs = _window_candidates(mu, t)
-    return float(mu.interval_mass_many(xs, xs + t).max())
+    grid, scalar = _t_grid(t)
+    b = mu.breakpoints
+    delta = np.empty(grid.size)
+    for i, s in enumerate(grid):
+        xs = np.unique(_off_atoms(mu, np.concatenate([b, (b - s) % 1.0])))
+        delta[i] = mu.interval_mass_many(xs, xs + s).max()
+    return float(delta[0]) if scalar else delta
 
 
 def _smoothness_h_candidates(b: np.ndarray, ts: np.ndarray) -> list:
@@ -546,9 +563,7 @@ def _second_difference_sup(mu: CircleMeasure, b: np.ndarray, h: float) -> float:
     breakpoints.  The difference is piecewise linear in x between
     breakpoint translates, so the scan over those (nudged off atoms) is
     exact."""
-    xs = np.concatenate([b, (b - h) % 1.0, (b + h) % 1.0])
-    if mu.atom_x.size:
-        xs = np.concatenate([xs, (xs + _NUDGE) % 1.0, (xs - _NUDGE) % 1.0])
+    xs = _off_atoms(mu, np.concatenate([b, (b - h) % 1.0, (b + h) % 1.0]))
     second = mu.cdf(xs + h) - 2.0 * mu.cdf(xs) + mu.cdf(xs - h)
     return float(np.abs(second).max())
 
@@ -564,19 +579,13 @@ def modulus_smoothness(mu: CircleMeasure, t) -> float | np.ndarray:
     of a grid overlap almost completely, so g is evaluated once per distinct
     h of their union, and each t takes the max over its own candidates.
     """
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D grid")
-    grid = np.atleast_1d(ts)
-    bad = ~((grid > 0.0) & (grid <= 1.0))
-    if bad.any():
-        raise ValueError(f"t must be in (0, 1], got {float(grid[bad][0])}")
+    grid, scalar = _t_grid(t)
     b = mu.breakpoints
     cands = _smoothness_h_candidates(b, grid)
     hs = np.unique(np.concatenate(cands)) if cands else np.empty(0)
     g = np.array([_second_difference_sup(mu, b, h) for h in hs])
     omega = np.array([g[np.searchsorted(hs, c)].max() for c in cands])
-    return float(omega[0]) if ts.ndim == 0 else omega
+    return float(omega[0]) if scalar else omega
 
 
 def smoothness_constant(mu: CircleMeasure, phi: SmoothnessProfile, t_grid) -> float:

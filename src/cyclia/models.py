@@ -13,9 +13,9 @@ Two evaluation paths, cross-checked in the tests:
   product, and one inverse FFT finishes both.
 
 Function models are immutable evaluation trees (inner powers,
-polynomials, dilations, products, quotients), each exposing
-value and derivative at interior points and the jet (f, f') on rings;
-composite models compose the jets of their parts.
+polynomials, dilations, quotients), each exposing value and derivative at
+interior points and the jet (f, f') on rings; composite models compose the
+jets of their parts.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
     "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
     "herglotz_ring",
     "FunctionModel", "SingularInnerPower",
-    "Polynomial", "Dilate", "Product", "Quotient",
+    "Polynomial", "Dilate", "Quotient",
     "CoefficientVector", "maclaurin",
     "EvaluationError", "AliasBoundError",
 ]
@@ -329,36 +329,6 @@ class Dilate(FunctionModel):
     def jet(self, r, m, offset=0.0):
         f, df = self.inner.jet(self.t * r, m, offset)
         return f, self.t * df
-
-
-@dataclass(frozen=True)
-class Product(FunctionModel):
-    factors: tuple
-
-    def __init__(self, factors):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    @staticmethod
-    def _leibniz(vals, dvals):
-        """sum_i f_i' prod_{k != i} f_k."""
-        out = 0.0
-        for i, term in enumerate(dvals):
-            for k, v in enumerate(vals):
-                if k != i:
-                    term = term * v
-            out = out + term
-        return out
-
-    def val(self, z):
-        return math.prod([f.val(z) for f in self.factors])
-
-    def dval(self, z):
-        return self._leibniz([f.val(z) for f in self.factors],
-                             [f.dval(z) for f in self.factors])
-
-    def jet(self, r, m, offset=0.0):
-        vals, dvals = zip(*(f.jet(r, m, offset) for f in self.factors))
-        return math.prod(vals), self._leibniz(vals, dvals)
 
 
 @dataclass(frozen=True)

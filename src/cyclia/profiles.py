@@ -2,9 +2,8 @@
 
 A gauge is positive and nondecreasing, with a declared exponent beta0 such
 that phi(t)/t^beta0 is almost decreasing.  The accumulated gauge
-bracket(s) = (int_s^1 phi(t)^2 / t dt)^(1/2) has closed forms for the
-log-power and power-law families; tabulated gauges fall back to adaptive
-quadrature at relative error 1e-8.
+bracket(s) = (int_s^1 phi(t)^2 / t dt)^(1/2) has a closed form for each
+of the two families, log-power and power-law.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ import numpy as np
 
 
 class SmoothnessProfile:
-    """Base gauge.  Subclasses implement phi(t) vectorized over t."""
+    """Base gauge.  Subclasses implement phi(t), vectorized over t, and
+    the accumulated gauge bracket(s) in closed form."""
 
     beta0: float
 
@@ -25,18 +25,6 @@ class SmoothnessProfile:
 
     def __call__(self, t):
         return self.phi(t)
-
-    def bracket(self, s: float) -> float:
-        """(int_s^1 phi(t)^2/t dt)^(1/2), by quadrature on u = log(1/t)."""
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"s must be in (0, 1), got {s}")
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda u: float(self.phi(math.exp(-u))) ** 2, 0.0, math.log(1.0 / s),
-            epsrel=1e-9, epsabs=0.0, limit=200,
-        )
-        return math.sqrt(val)
 
     def almost_decreasing_constant(self, grid=None) -> float:
         """Least c with phi(s)/s^beta0 >= c phi(t)/t^beta0 for s < t on the grid."""
@@ -111,25 +99,6 @@ class PowerLaw(SmoothnessProfile):
         if not 0.0 < s < 1.0:
             raise ValueError(f"s must be in (0, 1), got {s}")
         return self.C * math.sqrt((1.0 - s ** (2 * self.beta)) / (2 * self.beta))
-
-
-class TableProfile(SmoothnessProfile):
-    """Sampled gauge with monotone log-linear interpolation, clamped at the ends."""
-
-    def __init__(self, ts, values, beta0: float = 0.5):
-        ts = np.asarray(ts, dtype=float)
-        values = np.asarray(values, dtype=float)
-        order = np.argsort(ts)
-        self.ts, self.values = ts[order], values[order]
-        if (self.values <= 0).any():
-            raise ValueError("table values must be positive")
-        if (np.diff(self.values) < 0).any():
-            raise ValueError("table values must be nondecreasing in t")
-        self.beta0 = beta0
-
-    def phi(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(np.log(t), np.log(self.ts), self.values)
 
 
 # -- integrability diagnostics -------------------------------------------

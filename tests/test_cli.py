@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ class TestMeasureCommand:
             mu.breakpoints, 2.0 ** -np.arange(2, 13))
         assert seen == np.unique(np.concatenate(cands)).tolist()
         assert len(seen) < sum(c.size for c in cands)
+
+    def test_moduli_one_call_each(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("modulus_continuity", "modulus_smoothness"):
+            def counting(mu, t, fn=getattr(cli, name), name=name):
+                calls.append(name)
+                return fn(mu, t)
+            monkeypatch.setattr(cli, name, counting)
+        assert run("measure", "--spec", ATOM_SPEC,
+                   "--out", str(tmp_path / "m")) == 0
+        assert sorted(calls) == ["modulus_continuity", "modulus_smoothness"]
 
     def test_kahane_readers_see_one_set_of_coefficients(self, tmp_path,
                                                         monkeypatch):
@@ -215,12 +227,19 @@ class TestSuiteCommand:
                 assert os.path.exists(os.path.join(out, fname))
 
     def test_summary_validates_against_schema(self, tmp_path):
+        # cyclia builds every field of summary.json and does not validate it
+        # at run time; the summary of every preset matches the packaged schema
         import jsonschema
-        from cyclia.cli import _load_schema
-        out = str(tmp_path / "s")
-        run("suite", "--spec", SALEM_SPEC, "--preset", "salem", "--out", out)
-        summary = json.load(open(os.path.join(out, "summary.json")))
-        jsonschema.validate(summary, _load_schema())
+        schema = json.loads(resources.files("cyclia").joinpath(
+            "summary_schema.json").read_text())
+        for preset in PRESETS:
+            out = str(tmp_path / preset)
+            assert run("suite", "--spec", SALEM_SPEC, "--preset", preset,
+                       "--depth", "4", "--grid-count", "1", "--out", out) in (0, 1)
+            summary = json.load(open(os.path.join(out, "summary.json")))
+            assert summary["preset"] == preset
+            assert len(summary["reports"]) == len(PRESETS[preset])
+            jsonschema.validate(summary, schema)
 
     def test_summary_records_spec_seed(self, tmp_path):
         out = str(tmp_path / "s")
@@ -311,6 +330,15 @@ class TestRegistry:
         assert "grid" in inspect.signature(norms.besov_seminorm).parameters
         for method in ("fourier_many", "interval_mass_many"):
             assert callable(vars(measures.CircleMeasure)[method])
+        # the tracer counts len() of each fourier_many argument as the
+        # coefficients computed, and the kernel takes a range
+        mu, sent = measures.atomic([(0.25, 1.0)]), []
+        kernel = mu.fourier_many
+        mu.fourier_many = lambda ns: sent.append(len(ns)) or kernel(ns)
+        mu.coefficients(100)
+        mu.coefficients(250)
+        assert sent == [100, 150]
+        assert kernel(range(-2, 3))[2] == mu.total_mass
         for build in ("lebesgue", "atomic", "kahane_smooth", "salem_measure"):
             assert inspect.isfunction(getattr(measures, build))
         for method in ("ring", "dring"):
@@ -329,7 +357,7 @@ class TestRegistry:
 
 def test_cli_runs_without_scipy(tmp_path):
     """cyclia starts on numpy alone: scipy is loaded only by the
-    integrability check and the tabulated gauges."""
+    integrability check."""
     code = (
         "import sys\n"
         "from cyclia import cli\n"

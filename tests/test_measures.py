@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -46,8 +47,7 @@ class TestCircleMeasure:
 
     def test_fourier_lebesgue(self):
         mu = lebesgue()
-        ns = np.arange(0, 8)
-        c = mu.fourier_many(ns)
+        c = mu.fourier_many(range(0, 8))
         assert c[0] == pytest.approx(1.0)
         assert np.abs(c[1:]).max() < 1e-15
 
@@ -56,14 +56,14 @@ class TestCircleMeasure:
         mu = atomic([(x0, m0)])
         for n in (1, 5, 17):
             target = m0 * np.exp(-2j * np.pi * n * x0)
-            assert mu.fourier_many([n])[0] == pytest.approx(target)
+            assert mu.fourier_many(range(n, n + 1))[0] == pytest.approx(target)
 
     def test_fourier_piece_closed_form(self):
         mu = CircleMeasure(pieces=[(0.1, 0.4, 2.0)])
         n = 3
         target = 2.0 * (np.exp(-2j * np.pi * n * 0.1)
                         - np.exp(-2j * np.pi * n * 0.4)) / (2j * np.pi * n)
-        assert mu.fourier_many([n])[0] == pytest.approx(target)
+        assert mu.fourier_many(range(n, n + 1))[0] == pytest.approx(target)
 
     def test_closed_arc_ending_at_one_closes_on_zero(self):
         mu = CircleMeasure(atoms=[(0.0, 2.0), (0.5, 1.0)], pieces=[(0.2, 0.6, 1.0)])
@@ -388,19 +388,21 @@ class TestSmoothnessGrid:
     @example(lebesgue(), [0.001, 0.001, 1.0])
     @settings(max_examples=40, deadline=None)
     def test_grid_matches_single_calls(self, mu, ts):
-        got = modulus_smoothness(mu, ts)
-        assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
-        for t, omega in zip(ts, got):
-            single = modulus_smoothness(mu, t)
-            assert isinstance(single, float)
-            assert omega == single
+        for modulus in (modulus_smoothness, modulus_continuity):
+            got = modulus(mu, ts)
+            assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
+            for t, value in zip(ts, got):
+                single = modulus(mu, t)
+                assert isinstance(single, float)
+                assert value == single
 
     @pytest.mark.parametrize("ts", [[0.5, 0.0], [0.25, 1.5, 0.5], [-0.1],
                                     [1.0, math.nan], [math.inf]])
     def test_any_t_outside_unit_interval_raises(self, ts):
         mu = CircleMeasure(atoms=[(0.3, 1.0)], pieces=[(0.0, 0.5, 2.0)])
-        with pytest.raises(ValueError, match="t must be in"):
-            modulus_smoothness(mu, ts)
+        for modulus in (modulus_smoothness, modulus_continuity):
+            with pytest.raises(ValueError, match="t must be in"):
+                modulus(mu, ts)
 
     def test_anderson_scans_each_h_once(self, monkeypatch):
         mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
@@ -410,6 +412,17 @@ class TestSmoothnessGrid:
         distinct, per_t = _distinct_h(mu, ts)
         assert seen == distinct
         assert len(seen) < per_t  # the grid's candidate sets overlap
+
+    def test_anderson_calls_each_modulus_once(self, monkeypatch):
+        from cyclia import diagnostics
+        calls = []
+        for name in ("modulus_continuity", "modulus_smoothness"):
+            def counting(mu, t, fn=getattr(diagnostics, name), name=name):
+                calls.append(name)
+                return fn(mu, t)
+            monkeypatch.setattr(diagnostics, name, counting)
+        anderson_report(atomic([(0.3, 1.0)]), [2.0**-k for k in range(2, 13)])
+        assert sorted(calls) == ["modulus_continuity", "modulus_smoothness"]
 
     def test_smoothness_constant_scans_each_h_once(self, monkeypatch):
         mu = CircleMeasure(atoms=[(0.25, 0.5)], pieces=[(0.1, 0.7, 1.0)])
@@ -465,10 +478,8 @@ def _short_piece_measures(draw):
     return CircleMeasure(atoms=atoms, pieces=pieces)
 
 
-FREQS = st.one_of(
-    st.builds(lambda n0, k: np.arange(n0, n0 + k),
-              st.integers(-5000, 5000), st.integers(1, 300)),
-    st.lists(st.integers(-5000, 5000), min_size=1, max_size=40).map(np.array))
+FREQS = st.builds(lambda n0, k: range(n0, min(n0 + k, 5001)),
+                  st.integers(-5000, 5000), st.integers(1, 300))
 
 
 class TestFourierKernel:
@@ -478,12 +489,12 @@ class TestFourierKernel:
         # the direct sum's phases 2 pi n x lose |n| ulps
         got = mu.fourier_many(ns)
         want = _direct_fourier(mu, ns)
-        tol = 1e-13 * max(1.0, mu.total_mass) * (1.0 + np.abs(ns))
+        tol = 1e-13 * max(1.0, mu.total_mass) * (1.0 + np.abs(np.asarray(ns)))
         assert (np.abs(got - want) <= tol).all()
 
-    @given(_short_piece_measures(), st.one_of(
-        st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=8).map(np.array),
-        st.builds(lambda n0: np.arange(n0, n0 + 70), st.integers(-2**20, 2**20))))
+    @given(_short_piece_measures(), st.builds(
+        lambda n0, k: range(n0, n0 + k), st.integers(-2**20, 2**20),
+        st.sampled_from([1, 70])))
     @settings(max_examples=40, deadline=None)
     def test_matches_mpmath(self, mu, ns):
         got = mu.fourier_many(ns)
@@ -497,32 +508,32 @@ class TestFourierKernel:
         mu = CircleMeasure(pieces=[(a, a + 1e-7, 1e7)])
         ns = np.array([1, 3, 1000, 2**20 - 1])
         want = np.array([_mp_fourier(mu, int(n)) for n in ns])
-        assert np.abs(mu.fourier_many(ns) - want).max() <= 1e-14
+        got = np.array([mu.fourier_many(range(n, n + 1))[0] for n in ns])
+        assert np.abs(got - want).max() <= 1e-14
         assert np.abs(_direct_fourier(mu, ns) - want).max() > 1e-12
 
-    def test_shape_zero_and_integrality(self):
+    def test_zero_inside_a_range_and_the_empty_range(self):
         mu = CircleMeasure(atoms=[(0.3, 0.5)], pieces=[(0.1, 0.2, 2.0)])
-        grid = np.arange(-6, 6).reshape(3, 4)
-        got = mu.fourier_many(grid)
-        assert got.shape == (3, 4)
-        assert got[1, 2] == mu.total_mass       # n = 0
-        assert np.allclose(got.ravel(), _direct_fourier(mu, grid.ravel()),
+        got = mu.fourier_many(range(-6, 6))
+        assert got.shape == (12,)
+        assert got[6] == mu.total_mass       # n = 0
+        assert np.allclose(got, _direct_fourier(mu, range(-6, 6)),
                            rtol=0, atol=1e-14)
-        assert mu.fourier_many(np.array([2.0]))[0] == mu.fourier_many([2])[0]
-        assert mu.fourier_many([]).shape == (0,)
+        assert mu.fourier_many(range(0, 1))[0] == mu.total_mass
+        assert mu.fourier_many(range(5, 5)).shape == (0,)
         with pytest.raises(ValueError):
-            mu.fourier_many([0.5])
+            mu.fourier_many(range(0, 8, 2))
 
     def test_chunked_products_agree(self, monkeypatch):
         mu = CircleMeasure(atoms=[(0.05 * k, 0.1) for k in range(7)],
                            pieces=[(0.5 + 0.04 * k, 0.52 + 0.04 * k, 1.0 + k)
                                    for k in range(11)])
-        ranged, scattered = np.arange(-700, 900), np.array([5, -300, 4096, 5, 77])
-        whole = mu.fourier_many(ranged), mu.fourier_many(scattered)
+        ranges = range(-700, 900), range(4090, 4099)
+        whole = [mu.fourier_many(ns) for ns in ranges]
         monkeypatch.setattr(measures, "_TERM_CHUNK", 4)
         monkeypatch.setattr(measures, "_WORKSPACE", 200)
-        assert np.allclose(mu.fourier_many(ranged), whole[0], rtol=0, atol=1e-14)
-        assert np.allclose(mu.fourier_many(scattered), whole[1], rtol=0, atol=1e-14)
+        for ns, want in zip(ranges, whole):
+            assert np.allclose(mu.fourier_many(ns), want, rtol=0, atol=1e-14)
 
 
 class TestCoefficientCache:
@@ -542,10 +553,10 @@ class TestCoefficientCache:
         # a leaf measure never reaches the blocked kernel
         if kind == "leaves":
             mu = kahane_smooth(LogPower(1.0, 0.5), 6, seed=1)
-            want = mu._leaf_coefficients(np.arange(1, 1001))
+            want = mu._leaf_coefficients(range(1, 1001))
         else:
             mu = CircleMeasure(atoms=[(0.3, 0.5)], pieces=[(0.1, 0.2, 2.0)])
-            want = mu.fourier_many(np.arange(1, 1001))
+            want = mu.fourier_many(range(1, 1001))
         sent, kernel = [], CircleMeasure.fourier_many
 
         def counting(self, ns):
@@ -574,6 +585,23 @@ class TestCoefficientCache:
         # the phase of n is read at n mod 2^N; taking e^{-2 pi i n/p} from a
         # float n would drift by n ulps (2.3e-17 here).  The block function
         # is called directly: filling the cache to 10^7 would hold 160 MB.
-        ns = np.arange(10**7, 10**7 + 4096)
+        ns = range(10**7, 10**7 + 4096)
         got = self.KAHANE._leaf_coefficients(ns)
         assert np.abs(got - self.KAHANE.fourier_many(ns)).max() <= 1e-18
+
+    @pytest.mark.parametrize("pieces, limit", [([], 4.5), ([(0.1, 0.2, 2.0)], 6.0)],
+                             ids=["atom", "atom-and-piece"])
+    def test_growth_peak_per_coefficient(self, pieces, limit):
+        # growing the cache from 2^20 to 2^21 holds the new buffer (2 units
+        # of 16 B per new coefficient), the kernel's rows (1) and one matrix
+        # product (1), and for pieces their sum (1): no array of n, no
+        # offsets and no gathered copy
+        mu = CircleMeasure(atoms=[(0.0, 1.0)], pieces=pieces)
+        mu.coefficients(2**20)
+        tracemalloc.start()
+        try:
+            mu.coefficients(2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * 2**20) <= limit

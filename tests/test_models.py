@@ -11,7 +11,7 @@ from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
 from cyclia.models import (AliasBoundError, Dilate, EvaluationError,
-                           Polynomial, Product, Quotient, SingularInnerPower,
+                           Polynomial, Quotient, SingularInnerPower,
                            herglotz, herglotz_derivative, herglotz_jet,
                            herglotz_ring, maclaurin, poisson, poisson_ring)
 from cyclia.norms import QuadratureGrid, besov_seminorm
@@ -251,11 +251,9 @@ class TestJetComposition:
 
     @pytest.mark.parametrize("make", [
         lambda mu: Dilate(SingularInnerPower(mu, 0.7), 0.8),
-        lambda mu: Product([SingularInnerPower(mu, 0.5), Polynomial([1.0, 0.5]),
-                            Dilate(SingularInnerPower(mu), 0.9)]),
         lambda mu: Quotient(SingularInnerPower(mu), Dilate(SingularInnerPower(mu), 0.6)),
         lambda mu: SingularInnerPower(mu, 1.3),
-    ], ids=["dilate", "product", "quotient", "inner"])
+    ], ids=["dilate", "quotient", "inner"])
     def test_jet_matches_pointwise(self, make):
         f = make(self.MU)
         r, m, offset = 0.85, 32, 0.5
@@ -311,11 +309,10 @@ class TestModels:
         assert g.val(0.8) == pytest.approx(f.val(0.4))
         assert g.dval(0.8) == pytest.approx(0.5 * f.dval(0.4))
 
-    def test_product_and_quotient(self):
+    def test_quotient(self):
         f = Polynomial([0.0, 1.0])
         g = Polynomial([1.0, 1.0])
         z = 0.3 + 0.3j
-        assert Product([f, g]).val(z) == pytest.approx(z * (1 + z))
         q = Quotient(g, f)
         assert q.val(z) == pytest.approx((1 + z) / z)
         with pytest.raises(EvaluationError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclia.profiles import (IntegrabilityReport, LogPower, PowerLaw,
-                             TableProfile, integrability_tests, phi_bracket)
+                             integrability_tests, phi_bracket)
 
 
 class TestLogPower:
@@ -52,18 +52,6 @@ class TestPowerLaw:
     def test_validation(self):
         with pytest.raises(ValueError):
             PowerLaw(1.0, 1.5)
-
-
-class TestTableProfile:
-    def test_interpolates_and_clamps(self):
-        phi = TableProfile([1e-4, 1e-2, 1.0], [0.1, 0.5, 1.0])
-        assert float(phi.phi(1e-2)) == pytest.approx(0.5)
-        assert float(phi.phi(1e-6)) == pytest.approx(0.1)   # clamped
-        assert 0.1 < float(phi.phi(1e-3)) < 0.5
-
-    def test_monotone_required(self):
-        with pytest.raises(ValueError):
-            TableProfile([0.1, 0.5], [1.0, 0.5])
 
 
 class TestIntegrability:
