@@ -299,8 +299,8 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
     write("_moduli.csv", csv_table(trows, ["t", "delta", "omega", "fitted_C"]))
 
     coeffs = np.concatenate([[mu.total_mass], mu.coefficients(512)])
-    frows = [{"n": n, "re": c.real, "im": c.imag, "abs": abs(c)}
-             for n, c in enumerate(coeffs)]
+    frows = [{"n": n, "re": c.real, "im": c.imag, "abs": a}
+             for n, (c, a) in enumerate(zip(coeffs, np.abs(coeffs)))]
     write("_fourier.csv", csv_table(frows, ["n", "re", "im", "abs"]))
 
     if ctx.support is not None:

@@ -22,7 +22,8 @@ from .measures import (CircleMeasure, IntervalSet, bc_entropy,
                        smoothness_constant)
 from .models import (Dilate, EvaluationError, FunctionModel, Quotient,
                      SingularInnerPower, maclaurin, poisson_ring)
-from .norms import QuadratureGrid, besov_seminorm, bloch_seminorm, default_grid
+from .norms import (QuadratureGrid, _radial_rule, besov_seminorm,
+                    bloch_seminorm, default_grid)
 from .profiles import SmoothnessProfile, integrability_tests
 
 __all__ = [
@@ -40,6 +41,8 @@ TREND_SLOPE_MAX = 0.05
 
 _ZERO = 1e-300          # floor before taking logs of possibly-zero values
 _ENVELOPE_TIE = 1e-12   # relative gap below an octave's max that counts as a tie
+_LP_TAIL_FRACTION_MAX = 0.1  # share of the l^p sum its last two octaves may add
+_ANNIHILATOR_K = 400    # last coefficient index of the annihilator pairing
 
 
 @dataclass
@@ -255,23 +258,6 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
 # -- Carleson boxes and the multiplier test --------------------------------
 
 
-def _box_rule(u_lo: float, u_hi: float, nodes: int = 8):
-    """Gauss-Legendre nodes/weights for int . dr on 1-r in [2^-u_hi, 2^-u_lo],
-    one panel per unit of u so dyadic cuts are panel edges."""
-    x, gw = np.polynomial.legendre.leggauss(nodes)
-    us, ws = [], []
-    lo = u_lo
-    while lo < u_hi - 1e-12:
-        hi = min(lo + 1.0, u_hi)
-        half = 0.5 * (hi - lo)
-        us.append(lo + half * (x + 1.0))
-        ws.append(gw * half)
-        lo = hi
-    u = np.concatenate(us)
-    w = np.concatenate(ws) * math.log(2.0) * np.exp2(-u)
-    return u, w
-
-
 def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
                           grid: QuadratureGrid | None = None) -> CheckReport:
     """One-box test with logarithmic gain for S_mu, all boxes at once.
@@ -288,17 +274,16 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
         raise ValueError("need at least one generation")
     if grid is None:
         grid = default_grid()
+    # one panel per unit of u, so every dyadic cut 1 - r = 2^-n is an edge
     u_hi = max(grid.u_max, max_generation + 4.0)
-    us, ws = _box_rule(0.0, u_hi, grid.nodes_per_panel)
+    us, rs, ws, ms = _radial_rule(np.append(np.arange(math.ceil(u_hi)), u_hi),
+                                  grid.nodes_per_panel, grid.m_min, grid.m_max)
     S = SingularInnerPower(mu, 1.0)
     box = {n: np.zeros(2**n) for n in range(1, max_generation + 1)}
-    for u, w in zip(us, ws):
-        r = 1.0 - float(np.exp2(-u))
+    for u, r, w, m in zip(us, rs.tolist(), ws, ms.tolist()):
         g = min(int(u), max_generation)   # deepest generation this ring reaches
         if g < 1:
             continue
-        m = min(grid.m_max, max(grid.m_min * 2**g,
-                                1 << max(int(math.ceil(u + math.log2(grid.m_min))), 1)))
         with np.errstate(over="ignore"):
             dens = np.abs(S.dring(r, m, offset=0.5)) ** p
         cells = dens.reshape(2**g, -1).sum(axis=1) * (
@@ -449,20 +434,22 @@ def annihilator_pairing(mu, m: int, K: int, r: float,
     return complex(2.0 * math.pi * terms.sum())
 
 
-def annihilator_report(mu: CircleMeasure, K: int = 400) -> CheckReport:
-    """The pairing for m = 0, 1, 2 at r = 0.9 and 0.99; pass when the sup
-    of its modulus does not grow from r = 0.9 to r = 0.99."""
+def annihilator_report(mu: CircleMeasure) -> CheckReport:
+    """The pairing for m = 0, 1, 2 at r = 0.9 and 0.99, truncated at
+    K = 400; pass when the sup of its modulus does not grow from r = 0.9
+    to r = 0.99."""
     rows = []
     for m in (0, 1, 2):
         for r in (0.9, 0.99):
-            v = annihilator_pairing(mu, m, K, r)
+            v = annihilator_pairing(mu, m, _ANNIHILATOR_K, r)
             rows.append({"m": m, "r": r, "abs_value": abs(v),
                          "re": v.real, "im": v.imag})
     worst = max(row["abs_value"] for row in rows if row["r"] == 0.99)
     ref = max(row["abs_value"] for row in rows if row["r"] == 0.9)
     decreasing = worst <= ref + 1e-12
     return CheckReport(
-        name="annihilator", params={"K": K, "m": [0, 1, 2]}, table=rows,
+        name="annihilator", params={"K": _ANNIHILATOR_K, "m": [0, 1, 2]},
+        table=rows,
         fits={"sup_abs": worst}, worst_ratio=0.0 if decreasing else 1.0,
         threshold=0.5, verdict="pass" if decreasing else "fail")
 
@@ -552,8 +539,8 @@ def fourier_decay_fit(mu: CircleMeasure, n_max: int,
         worst_ratio=slope, threshold=slope_threshold, verdict=verdict)
 
 
-def fourier_lp_summability(mu: CircleMeasure, p: float, n_max: int,
-                           tail_fraction_max: float = 0.1) -> CheckReport:
+def fourier_lp_summability(mu: CircleMeasure, p: float,
+                           n_max: int) -> CheckReport:
     """Cauchy test for sum |hat mu(n)|^p via dyadic partial sums.
 
     Partial sums over |n| <= K are tabulated at K = 2^k.  The verdict
@@ -589,10 +576,10 @@ def fourier_lp_summability(mu: CircleMeasure, p: float, n_max: int,
     total = float(rows[-1]["partial_sum"])
     head = float(rows[-3]["partial_sum"]) if len(rows) >= 3 else 0.0
     tail_fraction = (total - head) / total if total > 0 else 0.0
-    verdict = "pass" if tail_fraction <= tail_fraction_max else "fail"
+    verdict = "pass" if tail_fraction <= _LP_TAIL_FRACTION_MAX else "fail"
     return CheckReport(
         name="fourier-lp", params={"p": p, "n_max": n_max}, table=rows,
         fits={"increment_slope": slope, "partial_sum": total,
               "tail_fraction": tail_fraction},
-        worst_ratio=tail_fraction, threshold=tail_fraction_max,
+        worst_ratio=tail_fraction, threshold=_LP_TAIL_FRACTION_MAX,
         verdict=verdict)

@@ -1,9 +1,12 @@
-"""Dyadic intervals on the circle and finite-depth dyadic martingales.
+"""Finite-depth dyadic martingales on the circle and the laws they obey.
 
-The circle is parametrized by x in [0, 1); the dyadic interval of
-generation n and index j is [j 2^-n, (j+1) 2^-n).  A martingale is stored
-densely as one value per dyadic cell up to a fixed depth, so every check
-(square functions, smoothness, tail bounds) is an exact finite enumeration.
+The circle is parametrized by x in [0, 1).  A martingale is stored densely
+as one array per generation: ``levels[n][j]`` is its value on the dyadic
+cell [j 2^-n, (j+1) 2^-n).  Every law the smooth measures rest on (the
+mean value, the smoothness bound beta_n, the square function and its
+sub-Gaussian tail and exponential moment, after Chang, Wilson and Wolff,
+Comment. Math. Helv. 60, 1985) is checked by an exact finite enumeration
+of these arrays.
 """
 
 from __future__ import annotations
@@ -13,94 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "MAX_DEPTH", "DyadicMartingale", "martingale_from_measure", "max_square",
+    "SmoothnessReport", "smoothness_check", "tail_distribution", "logsumexp",
+    "ExpMomentReport", "exp_moment",
+]
+
 MAX_DEPTH = 22
 MEAN_VALUE_TOL = 1e-12
-
-
-@dataclass(frozen=True, order=True)
-class DyadicInterval:
-    """Generation-n dyadic cell [j 2^-n, (j+1) 2^-n) on the circle."""
-
-    n: int
-    j: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"generation must be nonnegative, got {self.n}")
-        if not 0 <= self.j < 2**self.n:
-            raise ValueError(f"index {self.j} out of range for generation {self.n}")
-
-    @property
-    def length(self) -> float:
-        return 2.0**-self.n
-
-    @property
-    def left(self) -> float:
-        return self.j * 2.0**-self.n
-
-    @property
-    def right(self) -> float:
-        return (self.j + 1) * 2.0**-self.n
-
-    def children(self) -> tuple["DyadicInterval", "DyadicInterval"]:
-        return (
-            DyadicInterval(self.n + 1, 2 * self.j),
-            DyadicInterval(self.n + 1, 2 * self.j + 1),
-        )
-
-    def parent(self) -> "DyadicInterval":
-        if self.n == 0:
-            raise ValueError("root interval has no parent")
-        return DyadicInterval(self.n - 1, self.j // 2)
-
-    def contains(self, x: float) -> bool:
-        return self.left <= x % 1.0 < self.right
-
-
-def common_ancestor(a: DyadicInterval, b: DyadicInterval) -> DyadicInterval:
-    """Smallest dyadic interval containing both same-generation cells.
-
-    Adjacent cells across the seam at x = 0 only share the root, which is
-    what the climb produces.
-    """
-    if a.n != b.n:
-        raise ValueError(f"generation mismatch: {a.n} != {b.n}")
-    ja, jb, n = a.j, b.j, a.n
-    while ja != jb:
-        ja //= 2
-        jb //= 2
-        n -= 1
-    return DyadicInterval(n, ja)
-
-
-class SmoothnessSequence:
-    """Positive bound beta_n per generation, from a rule or a sequence."""
-
-    def __init__(self, rule):
-        if callable(rule):
-            self._rule = rule
-        else:
-            seq = [float(v) for v in rule]
-            self._rule = lambda n: seq[n - 1]
-        # spot-check positivity on the first few generations
-        for n in range(1, 4):
-            try:
-                v = self._rule(n)
-            except IndexError:
-                break
-            if v <= 0:
-                raise ValueError(f"beta_{n} = {v} must be positive")
-
-    def __call__(self, n: int) -> float:
-        v = float(self._rule(n))
-        if v <= 0:
-            raise ValueError(f"beta_{n} = {v} must be positive")
-        return v
-
-    @classmethod
-    def from_profile(cls, phi) -> "SmoothnessSequence":
-        """beta_n = phi(2^-n) for a smoothness gauge phi."""
-        return cls(lambda n: float(phi.phi(2.0**-n)))
 
 
 class DyadicMartingale:
@@ -139,18 +62,6 @@ class DyadicMartingale:
     @property
     def root_value(self) -> float:
         return float(self.levels[0][0])
-
-    def value(self, interval: DyadicInterval) -> float:
-        if interval.n > self.depth:
-            raise ValueError(f"generation {interval.n} exceeds depth {self.depth}")
-        return float(self.levels[interval.n][interval.j])
-
-    def value_at(self, n: int, x: float) -> float:
-        """M_n(x): the value on the generation-n cell containing x."""
-        if n > self.depth:
-            raise ValueError(f"generation {n} exceeds depth {self.depth}")
-        j = min(int((x % 1.0) * 2**n), 2**n - 1)
-        return float(self.levels[n][j])
 
     @classmethod
     def from_leaves(cls, leaves: np.ndarray) -> "DyadicMartingale":
@@ -195,13 +106,6 @@ def martingale_from_measure(mu, depth: int) -> DyadicMartingale:
     return DyadicMartingale.from_leaves(masses * 2**depth)
 
 
-def square_function(m: DyadicMartingale, n: int, x: float) -> float:
-    """<M>_n(x) = (sum_{j<=n} |M_j(x) - M_{j-1}(x)|^2)^(1/2)."""
-    cells = m.square_function_cells(n)
-    j = min(int((x % 1.0) * 2**n), 2**n - 1)
-    return float(cells[j])
-
-
 def max_square(m: DyadicMartingale, n: int) -> float:
     """A_n = sup_x <M>_n(x), exact over the generation-n cells."""
     return float(m.square_function_cells(n).max())
@@ -214,25 +118,24 @@ class SmoothnessReport:
     worst_increment_ratio: float
     violations: list = field(default_factory=list)
 
-    @property
-    def worst_ratio(self) -> float:
-        return max(self.worst_adjacent_ratio, self.worst_increment_ratio)
-
 
 def smoothness_check(m: DyadicMartingale, beta) -> SmoothnessReport:
     """Verify |M_I - M_J| <= beta_n on adjacent pairs and |M_n - M_{n-1}| <= beta_n/2.
 
-    Adjacency wraps around the seam (last cell, first cell).  The report
-    carries the worst ratios and the violating cells; nothing raises.
+    ``beta`` holds beta_1, ..., beta_depth, each positive.  Adjacency wraps
+    around the seam (last cell, first cell).  The report carries the worst
+    ratios and the violating cells; only a malformed ``beta`` raises.
     """
-    if not isinstance(beta, SmoothnessSequence):
-        beta = SmoothnessSequence(beta)
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (m.depth,):
+        raise ValueError(f"need beta_1..beta_{m.depth}, got shape {beta.shape}")
+    if not (beta > 0).all():
+        raise ValueError(f"every beta_n must be positive, got {beta.tolist()}")
     worst_adj = 0.0
     worst_inc = 0.0
     violations = []
     tol = 1.0 + 1e-9
-    for n in range(1, m.depth + 1):
-        b = beta(n)
+    for n, b in enumerate(beta.tolist(), start=1):
         vals = m.levels[n]
         gaps = np.abs(vals - np.roll(vals, -1))
         ratios = gaps / b

@@ -364,9 +364,6 @@ class IntervalSet:
     gaps: tuple          # ((a, b), ...) open, the complement
     gap_generation: tuple = ()
 
-    def total_arc_length(self) -> float:
-        return sum(b - a for a, b in self.arcs)
-
     @staticmethod
     def from_arcs(arcs) -> "IntervalSet":
         arcs = tuple(sorted((float(a), float(b)) for a, b in arcs))
@@ -608,7 +605,6 @@ def smoothness_constant(mu: CircleMeasure, phi: SmoothnessProfile, t_grid) -> fl
 class BCEntropyReport:
     total: float
     generation_subtotals: list   # (generation, sum |I| log(1/|I|))
-    subtotal_ratios: list
     verdict: str                 # convergent | divergent | trivial
 
     @property
@@ -621,7 +617,7 @@ def bc_entropy(E: IntervalSet) -> BCEntropyReport:
 
     For Cantor-type sets the per-generation subtotals are reported; the
     verdict is convergent when the subtotal sequence decays geometrically
-    (every late-generation ratio below 1).
+    (its mean rate over the later half of the generations is below 0.98).
     """
     lengths = np.array([b - a for a, b in E.gaps])
     gens = np.array(E.gap_generation) if E.gap_generation else np.zeros(len(E.gaps), int)
@@ -632,10 +628,6 @@ def bc_entropy(E: IntervalSet) -> BCEntropyReport:
     subtotals = []
     for g in np.unique(gens):
         subtotals.append((int(g), float(terms[gens == g].sum())))
-    ratios = []
-    for (_, s1), (_, s2) in zip(subtotals, subtotals[1:]):
-        if s1 > 0:
-            ratios.append(s2 / s1)
     if len(subtotals) <= 1:
         verdict = "trivial"
     else:
@@ -649,5 +641,5 @@ def bc_entropy(E: IntervalSet) -> BCEntropyReport:
         else:
             rate = (vals[-1] / vals[j0 - 1]) ** (1.0 / (len(vals) - j0))
             verdict = "convergent" if rate < 0.98 else "divergent"
-    return BCEntropyReport(total, subtotals, ratios, verdict)
+    return BCEntropyReport(total, subtotals, verdict)
 

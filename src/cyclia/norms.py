@@ -25,6 +25,28 @@ __all__ = [
 ]
 
 
+def _radial_rule(edges, nodes_per_panel: int, m_min: int, m_max: int):
+    """Gauss-Legendre panels in u = -log2(1-r) between consecutive edges.
+
+    Returns the nodes u, the radii r = 1 - 2^-u, the weights of the rule
+    for int . dr, and per ring the smallest power of two at or above
+    m_min * 2^u, capped at m_max, as its angular count.
+    """
+    x, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+    us, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        us.append(lo + half * (x + 1.0))
+        ws.append(gw * half)
+    u = np.concatenate(us)
+    r = 1.0 - np.exp2(-u)
+    # dr = ln 2 * 2^-u du
+    w = np.concatenate(ws) * math.log(2.0) * np.exp2(-u)
+    m = np.minimum(m_max, np.maximum(
+        m_min, np.exp2(np.ceil(u + math.log2(m_min))).astype(np.int64)))
+    return u, r, w, m.astype(int)
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Radial nodes/weights for int_0^1 . dr plus per-ring angular counts.
@@ -51,21 +73,9 @@ class QuadratureGrid:
         The last node sits at 1 - r = 2^-u_max; the angular count on each
         ring is the smallest admissible power of two above 64 * 2^u.
         """
-        x, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-        edges = np.linspace(0.0, u_max, panels + 1)
-        us, ws = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            us.append(lo + half * (x + 1.0))
-            ws.append(gw * half)
-        u = np.concatenate(us)
-        wu = np.concatenate(ws)
-        r = 1.0 - np.exp2(-u)
-        # dr = ln 2 * 2^-u du
-        w = wu * math.log(2.0) * np.exp2(-u)
-        m = np.minimum(m_max, np.maximum(
-            m_min, np.exp2(np.ceil(u + math.log2(m_min))).astype(np.int64)))
-        return cls(r=r, w=w, m=m.astype(int), u_max=u_max, panels=panels,
+        _, r, w, m = _radial_rule(np.linspace(0.0, u_max, panels + 1),
+                                  nodes_per_panel, m_min, m_max)
+        return cls(r=r, w=w, m=m, u_max=u_max, panels=panels,
                    nodes_per_panel=nodes_per_panel, m_min=m_min, m_max=m_max)
 
     def refine(self) -> "QuadratureGrid":
@@ -143,8 +153,7 @@ def besov_seminorm(f: FunctionModel, p: float,
     r_last = float(fine.r[-1])
     tail = last_mean * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last)
     value = fine_i ** (1.0 / p)
-    err = abs(value - coarse_i ** (1.0 / p)) + tail ** (1.0 / p) if tail > 0 \
-        else abs(value - coarse_i ** (1.0 / p))
+    err = abs(value - coarse_i ** (1.0 / p)) + tail ** (1.0 / p)
     return value, err
 
 

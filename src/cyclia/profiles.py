@@ -1,9 +1,12 @@
-"""Smoothness gauges phi on (0, 1] and their integral transforms.
+"""Smoothness gauges phi on (0, 1] and the gauge integrals of the theorems.
 
 A gauge is positive and nondecreasing, with a declared exponent beta0 such
-that phi(t)/t^beta0 is almost decreasing.  The accumulated gauge
+that phi(t)/t^beta0 is almost decreasing; ``regularity_report`` witnesses
+all three on one fixed grid of t.  The accumulated gauge
 bracket(s) = (int_s^1 phi(t)^2 / t dt)^(1/2) has a closed form for each
-of the two families, log-power and power-law.
+of the two families, log-power and power-law.  ``integrability_tests``
+decides whether int phi^p/t dt and its bracket-weighted variant converge
+from their first 45 octaves.
 """
 
 from __future__ import annotations
@@ -12,6 +15,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+__all__ = [
+    "SmoothnessProfile", "LogPower", "PowerLaw", "IntegrabilityReport",
+    "integrability_tests", "phi_bracket",
+]
+
+# the grid on which a gauge's regularity is witnessed
+_REGULARITY_GRID = np.geomspace(1e-10, 1.0, 400)
+# octaves 2^-k, k = 1..45, of the integrability truncations
+_OCTAVES = 45
 
 
 class SmoothnessProfile:
@@ -23,27 +36,20 @@ class SmoothnessProfile:
     def phi(self, t):
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.phi(t)
-
-    def almost_decreasing_constant(self, grid=None) -> float:
+    def almost_decreasing_constant(self) -> float:
         """Least c with phi(s)/s^beta0 >= c phi(t)/t^beta0 for s < t on the grid."""
-        if grid is None:
-            grid = np.geomspace(1e-10, 1.0, 400)
-        g = np.asarray(self.phi(grid)) / grid**self.beta0
+        g = np.asarray(self.phi(_REGULARITY_GRID)) / _REGULARITY_GRID**self.beta0
         running_max_right = np.maximum.accumulate(g[::-1])[::-1]
         return float(np.min(g / running_max_right))
 
-    def regularity_report(self, grid=None) -> dict:
+    def regularity_report(self) -> dict:
         """Positivity, monotonicity and the almost-decreasing witness on a grid."""
-        if grid is None:
-            grid = np.geomspace(1e-10, 1.0, 400)
-        vals = np.asarray(self.phi(grid))
+        vals = np.asarray(self.phi(_REGULARITY_GRID))
         return {
             "positive": bool((vals > 0).all()),
             "nondecreasing": bool((np.diff(vals) >= -1e-15).all()),
             "beta0": self.beta0,
-            "almost_decreasing_constant": self.almost_decreasing_constant(grid),
+            "almost_decreasing_constant": self.almost_decreasing_constant(),
         }
 
 
@@ -108,17 +114,12 @@ class PowerLaw(SmoothnessProfile):
 class IntegrabilityReport:
     """Truncated-integral table for int phi^p/t dt and its weighted variant.
 
-    ``truncations`` holds (k, I1(2^-k), I2(2^-k)); ``blocks`` the per-octave
-    increments.  A tail is classified convergent when its block increments
-    decay faster than 1/k (fitted log-log slope below -1.15); the 1/k
-    borderline itself diverges.
+    ``truncations`` holds (k, I1(2^-k), I2(2^-k)).  A tail is classified
+    convergent when its per-octave increments decay faster than 1/k (fitted
+    log-log slope below -1.15); the 1/k borderline itself diverges.
     """
 
-    p: float
-    epsilon: float
     truncations: list
-    blocks1: list
-    blocks2: list
     slope1: float
     slope2: float
     verdict1: str
@@ -136,8 +137,8 @@ def _block_slope(blocks, k_min=8):
     return float(np.polyfit(np.log(ks[mask]), np.log(vals[mask]), 1)[0])
 
 
-def integrability_tests(phi: SmoothnessProfile, p: float, epsilon: float,
-                        k_max: int = 45) -> IntegrabilityReport:
+def integrability_tests(phi: SmoothnessProfile, p: float,
+                        epsilon: float) -> IntegrabilityReport:
     """Truncations of int_delta^1 phi^p/t dt and of the bracket-weighted variant.
 
     Both integrals are accumulated octave by octave, delta = 2^-k, in the
@@ -159,7 +160,7 @@ def integrability_tests(phi: SmoothnessProfile, p: float, epsilon: float,
 
     blocks1, blocks2, truncations = [], [], []
     total1 = total2 = 0.0
-    for k in range(1, k_max + 1):
+    for k in range(1, _OCTAVES + 1):
         v_lo = 1.0 + (k - 1) * math.log(2.0)
         v_hi = 1.0 + k * math.log(2.0)
         b1, _ = quad(g1, v_lo, v_hi, epsrel=1e-10, limit=100)
@@ -174,8 +175,7 @@ def integrability_tests(phi: SmoothnessProfile, p: float, epsilon: float,
     slope2 = _block_slope(blocks2)
     cut = IntegrabilityReport.SLOPE_CUTOFF
     return IntegrabilityReport(
-        p=p, epsilon=epsilon, truncations=truncations,
-        blocks1=blocks1, blocks2=blocks2, slope1=slope1, slope2=slope2,
+        truncations=truncations, slope1=slope1, slope2=slope2,
         verdict1="convergent" if slope1 < cut else "divergent",
         verdict2="convergent" if slope2 < cut else "divergent",
     )

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import inspect
@@ -21,6 +22,20 @@ SALEM_SPEC = ('{"type": "salem", "params": {"alpha": 0.8, "epsilon": 0.05},'
               ' "depth": 8, "seed": 3}')
 KAHANE_SPEC = ('{"type": "kahane", "params": {"C": 1.0, "gamma": 0.5},'
                ' "depth": 10, "seed": 7}')
+
+PACKAGE = ("diagnostics", "dyadic", "measures", "models", "norms", "profiles")
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the callers whose every reference keeps an exported name alive
+REACHING = ("src/cyclia/cli.py", "tests/test_acceptance.py", "bench/tracing.py")
+# exported names that only the tests reach: each is a statement of the
+# paper, with the test that checks it
+PAPER_STATEMENTS = {
+    "smoothness_check":
+        "tests/test_dyadic.py::TestSmoothness::test_increment_bound_detected",
+    "exp_moment": "tests/test_dyadic.py::TestConcentration::test_exp_moment_bound",
+    "lp_a_norm": "tests/test_norms.py::TestSequenceNorms::test_lp_a_closed_form",
+    "weighted_l2alpha": "tests/test_norms.py::TestSequenceNorms::test_weighted_l2",
+}
 
 
 def run(*args):
@@ -100,6 +115,7 @@ class TestMeasureCommand:
         assert float(rows[0]["re"]) == ctx.mu.total_mass
         assert [complex(float(r["re"]), float(r["im"])) for r in rows[1:]] \
             == c[:512].tolist()
+        assert [float(r["abs"]) for r in rows[1:]] == np.abs(c[:512]).tolist()
         assert [row["envelope"] for row in decay.table] == \
             [np.abs(c)[row["n"] - 1] for row in decay.table]
 
@@ -348,11 +364,56 @@ class TestRegistry:
         assert weakref.ref(mu)() is mu
         assert weakref.WeakKeyDictionary({mu: 1.0})[mu] == 1.0
 
-    @pytest.mark.parametrize("name", ["diagnostics", "measures", "models",
-                                      "norms"])
+    @pytest.mark.parametrize("name", PACKAGE)
     def test_every_exported_name_resolves(self, name):
         mod = importlib.import_module(f"cyclia.{name}")
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+    def test_every_exported_name_is_reached(self):
+        # an exported name is referenced by the CLI, the acceptance gate,
+        # the benchmark's tracer or another definition of the package, or
+        # it is a paper statement whose test exists
+        reached = set()
+        for path in REACHING:
+            reached |= _identifiers(_parse(path), strings=True)
+        for name in PACKAGE:
+            for node in _parse(f"src/cyclia/{name}.py").body:
+                own = getattr(node, "name", None)
+                reached |= _identifiers(node) - {own}
+        exported = [n for name in PACKAGE
+                    for n in importlib.import_module(f"cyclia.{name}").__all__]
+        assert [n for n in exported
+                if n not in reached and n not in PAPER_STATEMENTS] == []
+        assert sorted(set(PAPER_STATEMENTS) - set(exported)) == []
+        for test_id in PAPER_STATEMENTS.values():
+            path, *names = test_id.split("::")
+            scope = _parse(path).body
+            for name in names:
+                node = next((d for d in scope if getattr(d, "name", None)
+                             == name), None)
+                assert node is not None, test_id
+                scope = node.body
+
+
+def _parse(path):
+    with open(os.path.join(REPO, path)) as fh:
+        return ast.parse(fh.read())
+
+
+def _identifiers(tree, strings=False):
+    """The names and attributes a syntax tree uses, and with ``strings``
+    each dotted part of its string constants (the tracer names what it
+    hooks as "module.function")."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
 
 
 def test_cli_runs_without_scipy(tmp_path):

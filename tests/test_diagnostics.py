@@ -5,18 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyclia.diagnostics import (CheckReport, _box_rule, annihilator_pairing,
+from cyclia.diagnostics import (CheckReport, annihilator_pairing,
                                 bloch_difference_bound, brown_shields_table,
                                 derivative_sup_ratio, fourier_decay_fit,
                                 fourier_lp_summability, korenblum_necessity,
                                 multiplier_log_onebox, pmean_ratio,
                                 poisson_martingale_gap)
-from cyclia.dyadic import DyadicInterval
 from cyclia.measures import (IntervalSet, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
 from cyclia.models import FunctionModel, Polynomial, SingularInnerPower
-from cyclia.norms import QuadratureGrid, default_grid
+from cyclia.norms import QuadratureGrid, _radial_rule, default_grid
 from cyclia.profiles import LogPower, PowerLaw
 
 ATOM = atomic([(0.0, 1.0)])
@@ -128,11 +127,11 @@ class TestPoissonMartingale:
         assert 0.5 < rep.fits["C"] < 2.0
 
 
-def carleson_box_measure(f: FunctionModel, p: float, I: DyadicInterval,
+def carleson_box_measure(f: FunctionModel, p: float, n: int, j: int,
                          grid: QuadratureGrid | None = None) -> float:
-    """int over the box S(I) of |f'(z)|^p (1-|z|)^{p-1} dA, one box at a
-    time: the oracle of multiplier_log_onebox, which folds every box of
-    each ring at once.
+    """int over the box S(I) of |f'(z)|^p (1-|z|)^{p-1} dA for the dyadic
+    I = [j 2^-n, (j+1) 2^-n), one box at a time: the oracle of
+    multiplier_log_onebox, which folds every box of each ring at once.
 
     The box is {z : z/|z| in I, 1 - |z| <= |I|}.  The radial rule starts
     exactly at 1 - |I| (the dyadic cut is a panel edge); angular samples
@@ -140,16 +139,14 @@ def carleson_box_measure(f: FunctionModel, p: float, I: DyadicInterval,
     """
     if grid is None:
         grid = default_grid()
-    u_lo = float(I.n)
-    us, ws = _box_rule(u_lo, u_lo + grid.u_max, grid.nodes_per_panel)
+    edges = n + np.append(np.arange(math.ceil(grid.u_max)), grid.u_max)
+    _, rs, ws, ms = _radial_rule(edges, grid.nodes_per_panel, grid.m_min,
+                                 grid.m_max)
     total = 0.0
-    for u, w in zip(us, ws):
-        r = 1.0 - float(np.exp2(-u))
-        m = min(grid.m_max, max(grid.m_min * 2**I.n,
-                                1 << max(int(math.ceil(u + math.log2(grid.m_min))), 1)))
-        per_cell = m // 2**I.n
+    for r, w, m in zip(rs.tolist(), ws, ms.tolist()):
+        per_cell = m // 2**n
         vals = f.dring(r, m, offset=0.5)
-        arc = vals[I.j * per_cell:(I.j + 1) * per_cell]
+        arc = vals[j * per_cell:(j + 1) * per_cell]
         total += (w * (1.0 - r) ** (p - 1.0) * r * (2.0 * math.pi / m)
                   * float((np.abs(arc) ** p).sum()))
     return total
@@ -158,18 +155,16 @@ def carleson_box_measure(f: FunctionModel, p: float, I: DyadicInterval,
 class TestCarlesonBox:
     def test_root_box_identity(self):
         p = 3.0
-        val = carleson_box_measure(Polynomial([0, 1.0]), p, DyadicInterval(0, 0))
+        val = carleson_box_measure(Polynomial([0, 1.0]), p, 0, 0)
         assert val == pytest.approx(2 * math.pi / (p * (p + 1)), rel=1e-9)
 
     def test_constant_zero(self):
-        assert carleson_box_measure(Polynomial([2.0]), 3.0,
-                                    DyadicInterval(4, 7)) == 0.0
+        assert carleson_box_measure(Polynomial([2.0]), 3.0, 4, 7) == 0.0
 
     def test_children_sum_below_parent(self):
         f = Polynomial([0, 0, 1.0])
-        I = DyadicInterval(2, 1)
-        full = carleson_box_measure(f, 3.0, I)
-        kids = sum(carleson_box_measure(f, 3.0, c) for c in I.children())
+        full = carleson_box_measure(f, 3.0, 2, 1)
+        kids = sum(carleson_box_measure(f, 3.0, 3, j) for j in (2, 3))
         assert kids <= full + 1e-12
         # the difference is the top-half ring contribution, strictly positive
         assert full - kids > 0
@@ -178,7 +173,7 @@ class TestCarlesonBox:
         from cyclia.norms import besov_seminorm
         f = Polynomial([0, 1.0, 0.5])
         p = 3.0
-        box = carleson_box_measure(f, p, DyadicInterval(0, 0))
+        box = carleson_box_measure(f, p, 0, 0)
         semi, err = besov_seminorm(f, p)
         assert box == pytest.approx(semi**p, rel=1e-6)
 
@@ -196,7 +191,7 @@ class TestMultiplier:
         for row in rep.table:
             n = row["generation"]
             g = replace(grid, u_max=7.0 - n)
-            boxes = [carleson_box_measure(S, 3.0, DyadicInterval(n, j), g)
+            boxes = [carleson_box_measure(S, 3.0, n, j, g)
                      for j in range(2**n)]
             assert row["sup_box"] == pytest.approx(max(boxes), rel=1e-12)
 

@@ -5,52 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclia.dyadic import (DyadicInterval, DyadicMartingale, SmoothnessSequence,
-                           common_ancestor, exp_moment, logsumexp,
+from cyclia.dyadic import (DyadicMartingale, exp_moment, logsumexp,
                            martingale_from_measure, max_square, smoothness_check,
-                           square_function, tail_distribution)
+                           tail_distribution)
 from cyclia.measures import atomic, kahane_smooth, lebesgue
 from cyclia.profiles import LogPower
-
-
-class TestDyadicInterval:
-    def test_geometry(self):
-        I = DyadicInterval(3, 5)
-        assert I.left == 5 / 8 and I.right == 6 / 8 and I.length == 1 / 8
-
-    def test_children_partition_parent(self):
-        I = DyadicInterval(4, 11)
-        a, b = I.children()
-        assert a.left == I.left and b.right == I.right and a.right == b.left
-        assert a.parent() == I and b.parent() == I
-
-    def test_root_has_no_parent(self):
-        with pytest.raises(ValueError):
-            DyadicInterval(0, 0).parent()
-
-    def test_index_range_validated(self):
-        with pytest.raises(ValueError):
-            DyadicInterval(2, 4)
-        with pytest.raises(ValueError):
-            DyadicInterval(-1, 0)
-
-    def test_contains_wraps_mod_one(self):
-        I = DyadicInterval(2, 0)
-        assert I.contains(0.1) and I.contains(1.1) and not I.contains(0.3)
-
-    @given(st.integers(0, 10), st.data())
-    def test_common_ancestor_contains_both(self, n, data):
-        j1 = data.draw(st.integers(0, 2**n - 1))
-        j2 = data.draw(st.integers(0, 2**n - 1))
-        a, b = DyadicInterval(n, j1), DyadicInterval(n, j2)
-        anc = common_ancestor(a, b)
-        assert anc.contains(a.left) and anc.contains(b.left)
-        assert anc.n <= n
-
-    def test_seam_adjacent_cells_share_only_root(self):
-        a = DyadicInterval(3, 7)
-        b = DyadicInterval(3, 0)
-        assert common_ancestor(a, b) == DyadicInterval(0, 0)
 
 
 class TestMartingale:
@@ -63,14 +22,13 @@ class TestMartingale:
         m = DyadicMartingale.from_leaves(leaves)
         assert m.depth == 4
         assert m.root_value == leaves.mean()
-        assert m.value(DyadicInterval(4, 3)) == 3.0
-        assert m.value_at(2, 0.95) == leaves[12:16].mean()
+        assert m.levels[4][3] == 3.0
+        assert m.levels[2][3] == leaves[12:16].mean()
 
     def test_measure_martingale_values_are_averaged_density(self):
         mu = atomic([(0.3, 2.0)])
         m = martingale_from_measure(mu, 6)
-        I = DyadicInterval(6, int(0.3 * 64))
-        assert m.value(I) == pytest.approx(2.0 * 64)
+        assert m.levels[6][int(0.3 * 64)] == pytest.approx(2.0 * 64)
         assert m.root_value == pytest.approx(2.0)
 
     def test_lebesgue_martingale_constant(self):
@@ -83,18 +41,18 @@ class TestMartingale:
         # one +-h increment at generation 1, constants afterwards
         h = 0.25
         m = DyadicMartingale([np.array([1.0]), np.array([1 - h, 1 + h])])
-        assert square_function(m, 1, 0.1) == pytest.approx(h)
+        assert m.square_function_cells(1).tolist() == pytest.approx([h, h])
         assert max_square(m, 1) == pytest.approx(h)
 
     def test_square_function_accumulates_in_quadrature(self):
         rng = np.random.default_rng(5)
         leaves = 1.0 + 0.01 * rng.standard_normal(2**8)
         m = DyadicMartingale.from_leaves(leaves)
-        x = 0.37
+        j = int(0.37 * 2**8)    # the generation-8 cell holding x = 0.37
         manual = 0.0
         for n in range(1, 9):
-            manual += (m.value_at(n, x) - m.value_at(n - 1, x)) ** 2
-        assert square_function(m, 8, x) == pytest.approx(math.sqrt(manual))
+            manual += (m.levels[n][j >> (8 - n)] - m.levels[n - 1][j >> (9 - n)]) ** 2
+        assert m.square_function_cells(8)[j] == pytest.approx(math.sqrt(manual))
 
     def test_tail_distribution_counts_cells(self):
         m = DyadicMartingale([np.array([0.0]), np.array([-1.0, 1.0]),
@@ -105,14 +63,18 @@ class TestMartingale:
 
 
 class TestSmoothness:
-    def test_sequence_from_profile(self):
-        phi = LogPower(1.0, 0.5)
-        beta = SmoothnessSequence.from_profile(phi)
-        assert beta(3) == pytest.approx(float(phi.phi(2.0**-3)))
-
     def test_positive_required(self):
-        with pytest.raises(ValueError):
-            SmoothnessSequence([1.0, -0.5, 1.0])
+        m = DyadicMartingale.from_leaves(np.ones(8))
+        for beta in ([1.0, -0.5, 1.0], [1.0, 0.0, 1.0], [1.0, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="positive"):
+                smoothness_check(m, beta)
+
+    def test_one_beta_per_generation(self):
+        m = DyadicMartingale.from_leaves(np.ones(8))
+        for beta in ([1.0, 1.0], [1.0] * 4, 1.0):
+            with pytest.raises(ValueError, match="beta_1..beta_3"):
+                smoothness_check(m, beta)
+        assert smoothness_check(m, [1.0, 1.0, 1.0]).passed
 
     def test_increment_bound_detected(self):
         m = DyadicMartingale([np.array([1.0]), np.array([0.0, 2.0])])
@@ -121,6 +83,9 @@ class TestSmoothness:
         bad = smoothness_check(m, [1.0])
         assert not bad.passed
         assert any(kind == "increment" for kind, *_ in bad.violations)
+        # the cells 0 and 2 are adjacent, also across the seam
+        assert bad.worst_adjacent_ratio == 2.0
+        assert ("adjacent", 1, 1, 2.0) in bad.violations
 
     def test_kahane_increments_within_half_beta(self):
         phi = LogPower(1.0, 0.5)

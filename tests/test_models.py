@@ -65,6 +65,25 @@ class TestHerglotz:
         _assert_close(np.array([herglotz_derivative(mu, z) for z in pts]), want1,
                       1e-13 * mass * 2.0 / (1.0 - r) ** 2)
 
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_near_boundary_matches_mpmath(self, k):
+        # at z = r e^{2 pi i x} with r = 1 - 10^-k, x at the piece's
+        # endpoint, inside it and at the atom.  The scalar path rounds the
+        # phases 2 pi x, which moves w - z by about eps against |w - z| of
+        # about 1 - r: so H and H' are accurate to about eps/(1 - r)
+        # relatively (1.2 eps/(1 - r) at k = 9), and no better
+        mu = CircleMeasure(atoms=[(0.7, 0.5)], pieces=[(0.2, 0.3, 2.0)])
+        r = 1.0 - 10.0**-k
+        zs = [complex(r * np.exp(2j * np.pi * x)) for x in (0.2, 0.25, 0.7)]
+        # the oracle takes each point as its exact double value
+        want, want1 = _mp_herglotz_at(
+            mu, [mpmath.mpc(z.real, z.imag) for z in zs])
+        tol = 16 * np.finfo(float).eps / (1.0 - r)
+        got = np.array([herglotz(mu, z) for z in zs])
+        got1 = np.array([herglotz_derivative(mu, z) for z in zs])
+        assert (np.abs(got - want) / np.abs(want)).max() <= tol
+        assert (np.abs(got1 - want1) / np.abs(want1)).max() <= tol
+
     def test_additivity_in_measure(self):
         mu2 = atomic([(0.25, 0.5), (0.75, 0.5)])
         z = 0.3 - 0.2j
@@ -128,6 +147,19 @@ def _assert_close(got, want, atol=None):
 def _mp_herglotz_jet(mu, r, m, offset):
     """(H, H') to 40 digits at the exact ring points r e^{2 pi i (k + offset)/M}.
 
+    The scalar float oracle is not used: the roundings of its ring points
+    and of e^{2 pi i x} are amplified by |H''| ~ mu(T)/(1-r)^3 past the
+    tolerance near r = 0.999.
+    """
+    with mpmath.workdps(40):
+        return _mp_herglotz_at(mu, [
+            mpmath.mpf(r) * mpmath.expjpi(2 * (k + mpmath.mpf(offset)) / m)
+            for k in range(m)])
+
+
+def _mp_herglotz_at(mu, points):
+    """(H, H') to 40 digits at each of the given mpmath points.
+
     An atom of mass c at w gives c (w + z)/(w - z) and 2 c w/(w - z)^2.  An
     arc [a, b] of density d, cut in halves when longer than 1/2, gives
     d (Log(1 + s)/(pi i) - (b - a)) and d s / (pi i (w_b - z)), where
@@ -136,9 +168,6 @@ def _mp_herglotz_jet(mu, r, m, offset):
     arg(w - z) grows (its x-derivative is 2 pi Re(w/(w - z)) > 0) by the
     angle the arc subtends at z, which lies in [0, 2 pi) for b - a <= 1/2;
     so the argument of 1 + s is its principal value taken in [0, 2 pi).
-    The scalar float oracle is not used: the roundings of its ring points
-    and of e^{2 pi i x} are amplified by |H''| ~ mu(T)/(1-r)^3 past the
-    tolerance near r = 0.999.
     """
     mp = mpmath
     with mp.workdps(40):
@@ -153,8 +182,7 @@ def _mp_herglotz_jet(mu, r, m, offset):
                 arcs.append((mp.expjpi(2 * lo), chord, hi - lo, d))
         pi_i = mp.mpc(0, mp.pi)
         h, h1 = [], []
-        for k in range(m):
-            z = mp.mpf(r) * mp.expjpi(2 * (k + mp.mpf(offset)) / m)
+        for z in points:
             val = mp.fsum(c * (w + z) / (w - z) for w, c in atoms)
             der = mp.fsum(2 * c * w / (w - z) ** 2 for w, c in atoms)
             for wa, chord, length, d in arcs:
