@@ -417,7 +417,7 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
 # -- annihilating functional -----------------------------------------------
 
 
-def annihilator_pairing(mu, m: int, K: int, r: float,
+def annihilator_pairing(mu: CircleMeasure, m: int, K: int, r: float,
                         M: int | None = None) -> complex:
     """Truncated pairing of z^m S against the shifted coefficients of S.
 
@@ -427,8 +427,7 @@ def annihilator_pairing(mu, m: int, K: int, r: float,
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    S = SingularInnerPower(mu, 1.0) if isinstance(mu, CircleMeasure) else mu
-    c = maclaurin(S, K + 1, m=M).coeffs
+    c = maclaurin(SingularInnerPower(mu, 1.0), K + 1, m=M).coeffs
     ks = np.arange(m, K + 1)
     terms = c[ks - m] * np.conj(c[ks + 1]) * r ** (2 * ks + 1)
     return complex(2.0 * math.pi * terms.sum())

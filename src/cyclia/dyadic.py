@@ -189,10 +189,7 @@ def logsumexp(a) -> float:
 class ExpMomentReport:
     value: float            # may be inf when the sum overflows
     log_value: float        # always finite
-    alpha: float
-    max_square: float
-    bound: float            # A_n * exp(alpha^2 A_n^2 / 2), inf when it overflows
-    ratio: float            # value / bound in log space, for constant fitting
+    ratio: float            # value / (A_n exp(alpha^2 A_n^2 / 2)) in log space
 
 
 def exp_moment(m: DyadicMartingale, n: int, alpha: float) -> ExpMomentReport:
@@ -214,7 +211,6 @@ def exp_moment(m: DyadicMartingale, n: int, alpha: float) -> ExpMomentReport:
         log_value = math.log(value)
     an = max_square(m, n)
     log_bound = math.log(an) + alpha**2 * an**2 / 2.0 if an > 0 else -math.inf
-    bound = math.inf if log_bound > 700.0 else math.exp(log_bound)
     log_ratio = log_value - log_bound
     ratio = math.exp(log_ratio) if abs(log_ratio) < 700.0 else math.inf
-    return ExpMomentReport(value, log_value, alpha, an, bound, ratio)
+    return ExpMomentReport(value, log_value, ratio)

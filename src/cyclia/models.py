@@ -1,21 +1,20 @@
 """Closed-form evaluation of singular inner functions and friends on the disc.
 
-Two evaluation paths, cross-checked in the tests:
-
-* scalar points: the Herglotz integral of an atoms-plus-pieces measure has
-  an exact antiderivative per arc; the logarithm's branch is kept honest by
-  bisecting any arc whose endpoint ratio leaves the right half plane.
-* full rings: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n and H'(z) come
-  together from one jet kernel on M equispaced points of a radius-r circle.
-  The truncated coefficients, read from the measure's own cache
+* The ring kernel: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n and H'(z)
+  come together from one jet kernel on M equispaced points of a radius-r
+  circle.  The truncated coefficients, read from the measure's own cache
   (CircleMeasure.coefficients), viewed as rows of length M, are folded by
   a rank-one damping (a row factor times a column factor) in one matrix
   product, and one inverse FFT finishes both.
+* The scalar reference: the Herglotz integral of an atoms-plus-pieces
+  measure has an exact antiderivative per arc; the logarithm's branch is
+  kept honest by bisecting any arc whose endpoint ratio leaves the right
+  half plane.  The tests check the ring kernel against it, and it gives
+  the kernel's value at r = 0.
 
-Function models are immutable evaluation trees (inner powers,
-polynomials, dilations, quotients), each exposing value and derivative at
-interior points and the jet (f, f') on rings; composite models compose the
-jets of their parts.
+Function models are immutable trees (inner powers, polynomials,
+dilations, quotients) evaluated only as the jet (f, f') on rings;
+composite models compose the jets of their parts.
 """
 
 from __future__ import annotations
@@ -225,20 +224,12 @@ def _ring_points(r, m, offset):
 
 
 class FunctionModel:
-    """Evaluatable analytic function on the disc: value and derivative at
-    interior points, plus the jet (f, f') on full equispaced rings."""
-
-    def val(self, z):
-        raise NotImplementedError
-
-    def dval(self, z):
-        raise NotImplementedError
+    """Analytic function on the disc, evaluated as the jet (f, f') on full
+    equispaced rings."""
 
     def jet(self, r: float, m: int, offset: float = 0.0):
         """(f, f') at the M points r e^{2 pi i (k + offset)/M}."""
-        z = _ring_points(r, m, offset)
-        return (np.asarray(self.val(z), dtype=complex),
-                np.asarray(self.dval(z), dtype=complex))
+        raise NotImplementedError
 
     def ring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
         return self.jet(r, m, offset)[0]
@@ -262,23 +253,6 @@ class SingularInnerPower(FunctionModel):
         if self.alpha <= 0:
             raise ValueError("power must be positive")
 
-    def log_val(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return -self.alpha * herglotz(self.mu, complex(z))
-        return np.array([-self.alpha * herglotz(self.mu, zz) for zz in z.ravel()]
-                        ).reshape(z.shape)
-
-    def val(self, z):
-        return np.exp(self.log_val(z))
-
-    def dval(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return -self.alpha * herglotz_derivative(self.mu, complex(z)) \
-                * np.exp(self.log_val(z))
-        return np.array([complex(self.dval(zz)) for zz in z.ravel()]).reshape(z.shape)
-
     def jet(self, r, m, offset=0.0):
         h, h1 = herglotz_jet(self.mu, r, m, offset)
         f = np.exp(-self.alpha * h)
@@ -297,16 +271,11 @@ class Polynomial(FunctionModel):
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
-    def val(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
-
-    def dval(self, z):
-        z = np.asarray(z, dtype=complex)
+    def jet(self, r, m, offset=0.0):
+        z = _ring_points(r, m, offset)
         dc = self.coeffs[1:] * np.arange(1, self.coeffs.size)
-        if dc.size == 0:
-            return np.zeros_like(z)
-        return np.polynomial.polynomial.polyval(z, dc)
+        df = np.polynomial.polynomial.polyval(z, dc) if dc.size else np.zeros_like(z)
+        return np.polynomial.polynomial.polyval(z, self.coeffs), df
 
 
 @dataclass(frozen=True)
@@ -320,12 +289,6 @@ class Dilate(FunctionModel):
         if not 0.0 < self.t < 1.0:
             raise ValueError("dilation parameter must be in (0, 1)")
 
-    def val(self, z):
-        return self.inner.val(self.t * np.asarray(z, dtype=complex))
-
-    def dval(self, z):
-        return self.t * self.inner.dval(self.t * np.asarray(z, dtype=complex))
-
     def jet(self, r, m, offset=0.0):
         f, df = self.inner.jet(self.t * r, m, offset)
         return f, self.t * df
@@ -333,31 +296,18 @@ class Dilate(FunctionModel):
 
 @dataclass(frozen=True)
 class Quotient(FunctionModel):
-    """num/den; raises EvaluationError when the denominator vanishes, or,
-    for the derivative, when its square underflows (|den| < 2e-162)."""
+    """num/den; raises EvaluationError when the denominator's square
+    vanishes on the ring (den = 0, or the underflow |den| < 2e-162)."""
 
     num: FunctionModel
     den: FunctionModel
 
-    @staticmethod
-    def _check(d):
-        if np.any(d == 0):
-            raise EvaluationError("quotient denominator (or its square) "
-                                  "vanished at an evaluation point")
-        return d
-
-    def val(self, z):
-        d = self._check(self.den.val(z))
-        return self.num.val(z) / d
-
-    def dval(self, z):
-        d = self.den.val(z)
-        d2 = self._check(d**2)
-        return (self.num.dval(z) * d - self.num.val(z) * self.den.dval(z)) / d2
-
     def jet(self, r, m, offset=0.0):
         d, dd = self.den.jet(r, m, offset)
-        d2 = self._check(d**2)
+        d2 = d**2
+        if np.any(d2 == 0):
+            raise EvaluationError("quotient denominator (or its square) "
+                                  "vanished at an evaluation point")
         n, dn = self.num.jet(r, m, offset)
         return n / d, (dn * d - n * dd) / d2
 

@@ -164,7 +164,7 @@ def bloch_seminorm(f: FunctionModel, grid: QuadratureGrid | None = None) -> floa
     """
     if grid is None:
         grid = default_grid()
-    best = abs(complex(np.asarray(f.dval(0.0)).item()))
+    best = float(abs(f.dring(0.0, 1)[0]))
     for r, m in zip(grid.r, grid.m):
         ring_max = float(np.abs(f.dring(float(r), int(m))).max())
         best = max(best, ring_max * (1.0 - float(r)))

@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = [
     "SmoothnessProfile", "LogPower", "PowerLaw", "IntegrabilityReport",
-    "integrability_tests", "phi_bracket",
+    "integrability_tests",
 ]
 
 # the grid on which a gauge's regularity is witnessed
@@ -179,8 +179,3 @@ def integrability_tests(phi: SmoothnessProfile, p: float,
         verdict1="convergent" if slope1 < cut else "divergent",
         verdict2="convergent" if slope2 < cut else "divergent",
     )
-
-
-def phi_bracket(phi: SmoothnessProfile, s: float) -> float:
-    """Accumulated gauge (int_s^1 phi^2/t dt)^(1/2); closed form when available."""
-    return phi.bracket(s)

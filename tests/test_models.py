@@ -274,21 +274,55 @@ class TestJetKernel:
         assert np.array_equal(herglotz_ring(ATOM, 0.9, 32, 0.25, deriv=True), h1)
 
 
-class TestJetComposition:
-    MU = atomic([(0.0, 0.6), (0.35, 0.4)])
+def _atomic_herglotz(atoms, z):
+    """H = sum m (w + z)/(w - z) and H' = sum 2 m w/(w - z)^2 of an atomic
+    measure, w = e^{2 pi i x}: the closed form, in numpy alone."""
+    z = np.asarray(z, dtype=complex)
+    h, h1 = np.zeros_like(z), np.zeros_like(z)
+    for x, mass in atoms:
+        w = np.exp(2j * np.pi * x)
+        h += mass * (w + z) / (w - z)
+        h1 += 2.0 * mass * w / (w - z) ** 2
+    return h, h1
 
-    @pytest.mark.parametrize("make", [
-        lambda mu: Dilate(SingularInnerPower(mu, 0.7), 0.8),
-        lambda mu: Quotient(SingularInnerPower(mu), Dilate(SingularInnerPower(mu), 0.6)),
-        lambda mu: SingularInnerPower(mu, 1.3),
+
+def _inner_power(atoms, alpha, z):
+    """(S, S') of exp(-alpha H) by hand from the closed form of H."""
+    h, h1 = _atomic_herglotz(atoms, z)
+    s = np.exp(-alpha * h)
+    return s, -alpha * h1 * s
+
+
+def _dilate_oracle(atoms, z):
+    s, s1 = _inner_power(atoms, 0.7, 0.8 * z)
+    return s, 0.8 * s1
+
+
+def _quotient_oracle(atoms, z):
+    n, n1 = _inner_power(atoms, 1.0, z)
+    d, d1 = _inner_power(atoms, 1.0, 0.6 * z)
+    d1 = 0.6 * d1
+    return n / d, (n1 * d - n * d1) / d**2
+
+
+class TestJetComposition:
+    ATOMS = [(0.0, 0.6), (0.35, 0.4)]
+    MU = atomic(ATOMS)
+
+    @pytest.mark.parametrize("make, oracle", [
+        (lambda mu: Dilate(SingularInnerPower(mu, 0.7), 0.8), _dilate_oracle),
+        (lambda mu: Quotient(SingularInnerPower(mu), Dilate(SingularInnerPower(mu), 0.6)),
+         _quotient_oracle),
+        (lambda mu: SingularInnerPower(mu, 1.3),
+         lambda atoms, z: _inner_power(atoms, 1.3, z)),
     ], ids=["dilate", "quotient", "inner"])
-    def test_jet_matches_pointwise(self, make):
+    def test_jet_matches_pointwise(self, make, oracle):
         f = make(self.MU)
         r, m, offset = 0.85, 32, 0.5
         val, dval = f.jet(r, m, offset)
-        pts = _ring(r, m, offset)
-        _assert_close(val, np.array([complex(f.val(z)) for z in pts]))
-        _assert_close(dval, np.array([complex(f.dval(z)) for z in pts]))
+        want, want1 = oracle(self.ATOMS, _ring(r, m, offset))
+        _assert_close(val, want)
+        _assert_close(dval, want1)
 
     def test_dilate_quotient_two_kernel_calls_per_ring(self, monkeypatch):
         calls = []
@@ -311,13 +345,14 @@ class TestJetComposition:
 class TestModels:
     def test_singular_inner_at_zero(self):
         S = SingularInnerPower(ATOM, 1.0)
-        assert S.val(0.0) == pytest.approx(math.exp(-1), abs=1e-12)
+        assert S.ring(0.0, 1)[0] == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_power_is_power(self):
         S1 = SingularInnerPower(ATOM, 1.0)
         S2 = SingularInnerPower(ATOM, 0.3)
-        z = 0.4 + 0.1j
-        assert S2.val(z) == pytest.approx(S1.val(z) ** 0.3, abs=1e-12)
+        r, m, offset = 0.4, 16, 0.3
+        want = S1.ring(r, m, offset) ** 0.3
+        assert np.abs(S2.ring(r, m, offset) - want).max() < 1e-12
 
     def test_modulus_below_one(self):
         S = SingularInnerPower(ATOM, 1.0)
@@ -325,46 +360,53 @@ class TestModels:
         assert np.abs(vals).max() < 1.0
 
     def test_dval_matches_finite_difference(self):
+        # along the ray through z = r e^{i theta}: d/dr f = e^{i theta} f'(z)
         S = SingularInnerPower(ATOM, 0.7)
-        z, h = 0.3 + 0.2j, 1e-6
-        fd = (S.val(z + h) - S.val(z - h)) / (2 * h)
-        assert S.dval(z) == pytest.approx(fd, rel=1e-8)
+        r, m, offset, h = 0.36, 8, 0.3, 1e-6
+        fd = (S.ring(r + h, m, offset) - S.ring(r - h, m, offset)) / (2 * h)
+        ray = _ring(1.0, m, offset)
+        assert ray * S.dring(r, m, offset) == pytest.approx(fd, rel=1e-8)
 
     def test_polynomial_and_dilate(self):
         f = Polynomial([1.0, 0.0, 2.0])
-        assert f.val(0.5j) == pytest.approx(1 + 2 * (0.5j) ** 2)
+        z = _ring(0.5, 8, 0.25)
+        assert f.ring(0.5, 8, 0.25) == pytest.approx(1 + 2 * z**2)
+        assert f.dring(0.5, 8, 0.25) == pytest.approx(4 * z)
         g = Dilate(f, 0.5)
-        assert g.val(0.8) == pytest.approx(f.val(0.4))
-        assert g.dval(0.8) == pytest.approx(0.5 * f.dval(0.4))
+        tz = 0.5 * _ring(0.8, 8)
+        assert g.ring(0.8, 8) == pytest.approx(1 + 2 * tz**2)
+        assert g.dring(0.8, 8) == pytest.approx(0.5 * 4 * tz)
 
     def test_quotient(self):
         f = Polynomial([0.0, 1.0])
         g = Polynomial([1.0, 1.0])
-        z = 0.3 + 0.3j
+        z = _ring(0.3, 8, 0.125)
         q = Quotient(g, f)
-        assert q.val(z) == pytest.approx((1 + z) / z)
+        assert q.ring(0.3, 8, 0.125) == pytest.approx((1 + z) / z)
+        assert q.dring(0.3, 8, 0.125) == pytest.approx(-1 / z**2)
         with pytest.raises(EvaluationError):
-            q.val(0.0)
+            q.jet(0.0, 1)
 
     def test_quotient_derivative_rejects_underflowing_square(self):
         # den**2 underflows to 0 below |den| ~ 2e-162: an EvaluationError,
         # not an inf with a divide-by-zero warning
         q = Quotient(Polynomial([1.0]), Polynomial([1e-170]))
-        assert q.val(0.5) == pytest.approx(1e170)
         with np.errstate(divide="raise", invalid="raise"):
-            with pytest.raises(EvaluationError):
-                q.dval(0.5)
             with pytest.raises(EvaluationError):
                 q.jet(0.5, 8)
         tiny = Quotient(Polynomial([1.0]), Polynomial([1e-150]))
         assert tiny.jet(0.5, 8)[1] == pytest.approx(np.zeros(8))
 
-    def test_ring_fallback_consistent(self):
-        f = Polynomial([1.0, -0.5, 0.25])
+    def test_polynomial_jet_matches_power_sums(self):
+        c = [1.0, -0.5, 0.25]
         r, m = 0.6, 16
-        pts = r * np.exp(2j * np.pi * np.arange(m) / m)
-        assert np.allclose(f.ring(r, m), [f.val(z) for z in pts])
-        assert np.allclose(f.dring(r, m), [f.dval(z) for z in pts])
+        z = _ring(r, m)
+        f = Polynomial(c)
+        _assert_close(f.ring(r, m), sum(ck * z**k for k, ck in enumerate(c)))
+        _assert_close(f.dring(r, m), sum(k * ck * z ** (k - 1)
+                                         for k, ck in enumerate(c) if k))
+        # a constant has no derivative coefficients
+        assert np.array_equal(Polynomial([3.0]).dring(r, m), np.zeros(m))
 
 
 class TestMaclaurin:

@@ -77,7 +77,7 @@ class TestBloch:
             0.5, abs=1e-3)
 
     def test_singular_inner_is_bloch(self):
-        assert 0.0 < bloch_seminorm(ATOM_S) < 10.0
+        assert bloch_seminorm(ATOM_S) == pytest.approx(2 / math.e, rel=1e-14)
 
 
 def hp_mean(f, p, r, m=4096):

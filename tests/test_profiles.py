@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclia.profiles import (IntegrabilityReport, LogPower, PowerLaw,
-                             integrability_tests, phi_bracket)
+                             integrability_tests)
 
 
 class TestLogPower:
@@ -77,8 +77,3 @@ class TestIntegrability:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             integrability_tests(LogPower(1.0, 0.5), p=0.0, epsilon=0.1)
-
-
-def test_phi_bracket_delegates():
-    phi = LogPower(1.0, 0.5)
-    assert phi_bracket(phi, 1e-3) == phi.bracket(1e-3)
