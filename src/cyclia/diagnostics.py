@@ -24,7 +24,7 @@ from .models import (Dilate, EvaluationError, FunctionModel, Quotient,
                      SingularInnerPower, maclaurin, poisson_ring)
 from .norms import (QuadratureGrid, _radial_rule, besov_seminorm,
                     bloch_seminorm, default_grid)
-from .profiles import SmoothnessProfile, integrability_tests
+from .profiles import SmoothnessProfile
 
 __all__ = [
     "CheckReport", "TREND_SLOPE_MAX", "csv_table", "json_text",
@@ -43,6 +43,11 @@ _ZERO = 1e-300          # floor before taking logs of possibly-zero values
 _ENVELOPE_TIE = 1e-12   # relative gap below an octave's max that counts as a tie
 _LP_TAIL_FRACTION_MAX = 0.1  # share of the l^p sum its last two octaves may add
 _ANNIHILATOR_K = 400    # last coefficient index of the annihilator pairing
+_OCTAVES = 45           # octaves 2^-k, k = 1..45, of the integrability truncations
+# a gauge integral's tail counts as convergent when its per-octave
+# increments decay faster than 1/k (fitted log-log slope below this);
+# the 1/k borderline itself diverges
+_INTEGRABLE_SLOPE = -1.15
 
 
 @dataclass
@@ -83,8 +88,6 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, complex):
-        return {"re": _jsonable(x.real), "im": _jsonable(x.imag)}
     if isinstance(x, (np.floating, float)):
         v = float(x)
         if math.isnan(v):
@@ -104,8 +107,6 @@ def json_text(x) -> str:
 
 
 def _csv_cell(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.17g}+{x.imag:.17g}j"
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
     return str(x)
@@ -130,16 +131,40 @@ def _fit_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _ring_count(r: float, floor: int = 1024, cap: int = 1 << 16) -> int:
+def _bounded_trend(name: str, params: dict, table: list, slope: float,
+                   fits: dict) -> CheckReport:
+    """The verdict of every trend check: pass when the slope is at most
+    TREND_SLOPE_MAX, which is also the report's threshold."""
+    return CheckReport(name=name, params=params, table=table, fits=fits,
+                       worst_ratio=slope, threshold=TREND_SLOPE_MAX,
+                       verdict="pass" if slope <= TREND_SLOPE_MAX else "fail")
+
+
+def _trend_report(name: str, params: dict, table: list, x, vals, tiny: float,
+                  fits: dict, keep=slice(None)) -> CheckReport:
+    """The bounded-trend rule for samples ``vals`` on the log-scale ``x``.
+
+    The slope is 0 when every sample is finite and at most ``tiny``, and
+    otherwise the least-squares slope of log(vals[keep]) against x[keep]
+    (+inf when a kept sample is inf or NaN).  ``fits`` holds the check's
+    own entries; the report adds the slope to them.
+    """
+    if np.isfinite(vals).all() and vals.max() <= tiny:
+        slope = 0.0
+    else:
+        slope = _fit_slope(x[keep], np.log(np.maximum(vals[keep], _ZERO)))
+    return _bounded_trend(name, params, table, slope, {"slope": slope, **fits})
+
+
+def _ring_count(r: float, floor: int = 1024) -> int:
     need = max(floor, int(64.0 / max(1.0 - r, 2.0**-18)))
-    return min(cap, 1 << max(need - 1, 1).bit_length())
+    return min(1 << 16, 1 << max(need - 1, 1).bit_length())
 
 
 # -- dilate criterion ------------------------------------------------------
 
 
-def brown_shields_table(f: FunctionModel, p: float, t_grid,
-                        grid: QuadratureGrid | None = None) -> CheckReport:
+def brown_shields_table(f: FunctionModel, p: float, t_grid) -> CheckReport:
     """Boundedness of t -> seminorm of f / f(t.) over a dilation grid.
 
     A bounded table (no blow-up trend of the log-values against
@@ -154,7 +179,7 @@ def brown_shields_table(f: FunctionModel, p: float, t_grid,
         g = Quotient(f, Dilate(f, t))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                value, err = besov_seminorm(g, p, grid)
+                value, err = besov_seminorm(g, p)
             if math.isnan(value):
                 value, err = math.inf, math.inf
         except EvaluationError:
@@ -162,17 +187,10 @@ def brown_shields_table(f: FunctionModel, p: float, t_grid,
         rows.append({"t": t, "value": value, "error": err})
     vals = np.array([r["value"] for r in rows])
     ts = np.array([r["t"] for r in rows])
-    if np.isfinite(vals).all() and vals.max() <= 1e-12:
-        slope = 0.0
-    else:
-        slope = _fit_slope(np.log(1.0 / (1.0 - ts)),
-                           np.log(np.maximum(vals, _ZERO)))
-    verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
     sup = float(vals.max()) if np.isfinite(vals).all() else math.inf
-    return CheckReport(
-        name="brown-shields", params={"p": p, "t_grid": [float(t) for t in ts]},
-        table=rows, fits={"slope": slope, "sup_value": sup},
-        worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
+    return _trend_report(
+        "brown-shields", {"p": p, "t_grid": [float(t) for t in ts]}, rows,
+        np.log(1.0 / (1.0 - ts)), vals, 1e-12, {"sup_value": sup})
 
 
 # -- reciprocal p-means ----------------------------------------------------
@@ -248,11 +266,9 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
     keep = ns >= min(4, depth)
     scale = 1.0 + float(np.median(np.abs(gaps)))
     slope = _fit_slope(ns[keep], gaps[keep]) / scale
-    verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    return CheckReport(
-        name="poisson-martingale", params={"depth": depth}, table=rows,
-        fits={"C": c, "gap_trend_slope": slope, "sup_gap": float(gaps.max())},
-        worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
+    return _bounded_trend(
+        "poisson-martingale", {"depth": depth}, rows, slope,
+        {"C": c, "gap_trend_slope": slope, "sup_gap": float(gaps.max())})
 
 
 # -- Carleson boxes and the multiplier test --------------------------------
@@ -299,16 +315,10 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
                      "sup_ratio": float(box[n].max()) / denom})
     ratios = np.array([r["sup_ratio"] for r in rows])
     ns = np.array([r["generation"] for r in rows], dtype=float)
-    if ratios.max() <= 1e-30:
-        slope = 0.0
-    else:
-        keep = ns >= min(4, max_generation)
-        slope = _fit_slope(ns[keep], np.log(np.maximum(ratios[keep], _ZERO)))
-    verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    return CheckReport(
-        name="multiplier", params={"p": p, "max_generation": max_generation},
-        table=rows, fits={"slope": slope, "sup_ratio": float(ratios.max())},
-        worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
+    return _trend_report(
+        "multiplier", {"p": p, "max_generation": max_generation}, rows,
+        ns, ratios, 1e-30, {"sup_ratio": float(ratios.max())},
+        keep=ns >= min(4, max_generation))
 
 
 # -- derivative growth -----------------------------------------------------
@@ -327,20 +337,13 @@ def derivative_sup_ratio(mu: CircleMeasure, phi, r_grid) -> CheckReport:
         rows.append({"r": r, "sup_deriv": sup, "ratio": ratio})
     ratios = np.array([r["ratio"] for r in rows])
     rs = np.array([r["r"] for r in rows])
-    if np.isfinite(ratios).all() and ratios.max() <= 1e-12:
-        slope = 0.0
-    else:
-        # fit on the tail half of the grid: the transient before the
-        # ratio saturates is not evidence of unboundedness
-        j0 = len(rows) // 2 if len(rows) >= 8 else 0
-        slope = _fit_slope(np.log(1.0 / (1.0 - rs[j0:])),
-                           np.log(np.maximum(ratios[j0:], _ZERO)))
-    verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    return CheckReport(
-        name="derivative-sup", params={"r_grid": [float(r) for r in rs]},
-        table=rows, fits={"slope": slope,
-                          "sup_ratio": float(ratios.max())},
-        worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
+    # fit on the tail half of the grid: the transient before the
+    # ratio saturates is not evidence of unboundedness
+    j0 = len(rows) // 2 if len(rows) >= 8 else 0
+    return _trend_report(
+        "derivative-sup", {"r_grid": [float(r) for r in rs]}, rows,
+        np.log(1.0 / (1.0 - rs)), ratios, 1e-12,
+        {"sup_ratio": float(ratios.max())}, keep=slice(j0, None))
 
 
 # -- the moduli and the gauge ----------------------------------------------
@@ -370,21 +373,60 @@ def anderson_report(mu: CircleMeasure, t_grid) -> CheckReport:
         verdict="pass" if max(wd, wo) <= 1.0 + 1e-12 else "fail")
 
 
+def _block_slope(blocks):
+    """Fitted power-law slope of the positive octave increments from
+    octave 8 on."""
+    ks = np.arange(1, len(blocks) + 1)
+    vals = np.asarray(blocks)
+    mask = (ks >= 8) & (vals > 0)
+    if mask.sum() < 4:
+        return -math.inf  # everything underflowed: decays faster than any power
+    return float(np.polyfit(np.log(ks[mask]), np.log(vals[mask]), 1)[0])
+
+
 def integrability_report(phi: SmoothnessProfile, p: float,
                          epsilon: float) -> CheckReport:
     """Convergence of int phi^p/t dt and of its bracket-weighted variant,
-    tabulated by truncation; pass when both are convergent."""
-    rep = integrability_tests(phi, p, epsilon)
-    rows = [{"k": k, "first": v1, "weighted": v2}
-            for k, v1, v2 in rep.truncations]
-    ok = rep.verdict1 == "convergent" and rep.verdict2 == "convergent"
+    tabulated by truncation; pass when both are convergent.
+
+    Both integrals are accumulated octave by octave, delta = 2^-k for the
+    first 45 octaves, in the variable v = log(e/t) where the integrands
+    are smooth.  Each is convergent when the fitted power-law slope of its
+    octave increments is below -1.15.
+    """
+    if p <= 0:
+        raise ValueError(f"p must be positive, got {p}")
+    from scipy.integrate import quad
+
+    def g1(v):
+        return float(phi.phi(math.exp(1.0 - v))) ** p
+
+    def g2(v):
+        br = phi.bracket(math.exp(1.0 - v))
+        return g1(v) * (br * math.exp(epsilon * br**2))
+
+    blocks1, blocks2, rows = [], [], []
+    total1 = total2 = 0.0
+    for k in range(1, _OCTAVES + 1):
+        v_lo = 1.0 + (k - 1) * math.log(2.0)
+        v_hi = 1.0 + k * math.log(2.0)
+        b1, _ = quad(g1, v_lo, v_hi, epsrel=1e-10, limit=100)
+        b2, _ = quad(g2, v_lo, v_hi, epsrel=1e-10, limit=100)
+        total1 += b1
+        total2 += b2
+        blocks1.append(b1)
+        blocks2.append(b2)
+        rows.append({"k": k, "first": total1, "weighted": total2})
+    slope1, slope2 = _block_slope(blocks1), _block_slope(blocks2)
+    verdict1 = "convergent" if slope1 < _INTEGRABLE_SLOPE else "divergent"
+    verdict2 = "convergent" if slope2 < _INTEGRABLE_SLOPE else "divergent"
+    ok = verdict1 == verdict2 == "convergent"
     return CheckReport(
         name="integrability", params={"p": p, "epsilon": epsilon},
         table=rows,
-        fits={"slope_first": rep.slope1, "slope_weighted": rep.slope2,
-              "verdict_first": rep.verdict1,
-              "verdict_weighted": rep.verdict2},
-        worst_ratio=max(rep.slope1, rep.slope2), threshold=rep.SLOPE_CUTOFF,
+        fits={"slope_first": slope1, "slope_weighted": slope2,
+              "verdict_first": verdict1, "verdict_weighted": verdict2},
+        worst_ratio=max(slope1, slope2), threshold=_INTEGRABLE_SLOPE,
         verdict="pass" if ok else "fail")
 
 
@@ -417,18 +459,17 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
 # -- annihilating functional -----------------------------------------------
 
 
-def annihilator_pairing(mu: CircleMeasure, m: int, K: int, r: float,
-                        M: int | None = None) -> complex:
+def annihilator_pairing(c: np.ndarray, m: int, r: float) -> complex:
     """Truncated pairing of z^m S against the shifted coefficients of S.
 
-    Computes 2 pi sum_{k} hat(z^m S)(k) conj(hat S(k+1)) r^{2k+1} over
-    k <= K, the radius-r regularization of int z^m |S|^2 e^{i theta}
-    d theta, which tends to 0 as r -> 1 and K -> infinity.
+    ``c`` holds hat S(0..K+1).  Computes 2 pi sum_{k} hat(z^m S)(k)
+    conj(hat S(k+1)) r^{2k+1} over k <= K, the radius-r regularization of
+    int z^m |S|^2 e^{i theta} d theta, which tends to 0 as r -> 1 and
+    K -> infinity.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    c = maclaurin(SingularInnerPower(mu, 1.0), K + 1, m=M).coeffs
-    ks = np.arange(m, K + 1)
+    ks = np.arange(m, len(c) - 1)
     terms = c[ks - m] * np.conj(c[ks + 1]) * r ** (2 * ks + 1)
     return complex(2.0 * math.pi * terms.sum())
 
@@ -437,10 +478,11 @@ def annihilator_report(mu: CircleMeasure) -> CheckReport:
     """The pairing for m = 0, 1, 2 at r = 0.9 and 0.99, truncated at
     K = 400; pass when the sup of its modulus does not grow from r = 0.9
     to r = 0.99."""
+    c = maclaurin(SingularInnerPower(mu, 1.0), _ANNIHILATOR_K + 1).coeffs
     rows = []
     for m in (0, 1, 2):
         for r in (0.9, 0.99):
-            v = annihilator_pairing(mu, m, _ANNIHILATOR_K, r)
+            v = annihilator_pairing(c, m, r)
             rows.append({"m": m, "r": r, "abs_value": abs(v),
                          "re": v.real, "im": v.imag})
     worst = max(row["abs_value"] for row in rows if row["r"] == 0.99)
@@ -457,7 +499,7 @@ def annihilator_report(mu: CircleMeasure) -> CheckReport:
 
 
 def bloch_difference_bound(fB: FunctionModel, phiF: FunctionModel, p: float,
-                           t_grid, grid: QuadratureGrid | None = None) -> CheckReport:
+                           t_grid) -> CheckReport:
     """sup_t int |(f(z) - f(tz)) g'(tz)|^p (1-|z|)^{p-1} dA for Bloch f.
 
     Compared against seminorm(g)^p * bloch(f)^p with a fitted constant;
@@ -465,8 +507,7 @@ def bloch_difference_bound(fB: FunctionModel, phiF: FunctionModel, p: float,
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if grid is None:
-        grid = default_grid()
+    grid = default_grid()
     rhs = besov_seminorm(phiF, p, grid)[0] ** p * bloch_seminorm(fB, grid) ** p
     rows = []
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
@@ -482,18 +523,11 @@ def bloch_difference_bound(fB: FunctionModel, phiF: FunctionModel, p: float,
                      "ratio": total / rhs if rhs > 0 else 0.0})
     vals = np.array([r["value"] for r in rows])
     ts = np.array([r["t"] for r in rows])
-    if vals.max() <= 1e-12:
-        slope = 0.0
-    else:
-        slope = _fit_slope(np.log(1.0 / (1.0 - ts)),
-                           np.log(np.maximum(vals, _ZERO)))
-    verdict = "pass" if slope <= TREND_SLOPE_MAX else "fail"
-    return CheckReport(
-        name="bloch-diff", params={"p": p, "t_grid": [float(t) for t in ts]},
-        table=rows,
-        fits={"slope": slope, "rhs": rhs,
-              "fitted_constant": float(vals.max() / rhs) if rhs > 0 else 0.0},
-        worst_ratio=slope, threshold=TREND_SLOPE_MAX, verdict=verdict)
+    return _trend_report(
+        "bloch-diff", {"p": p, "t_grid": [float(t) for t in ts]}, rows,
+        np.log(1.0 / (1.0 - ts)), vals, 1e-12,
+        {"rhs": rhs,
+         "fitted_constant": float(vals.max() / rhs) if rhs > 0 else 0.0})
 
 
 # -- Fourier decay and summability -----------------------------------------

@@ -13,8 +13,8 @@ import pytest
 
 from cyclia.diagnostics import (brown_shields_table, derivative_sup_ratio,
                                 fourier_decay_fit, fourier_lp_summability,
-                                korenblum_necessity, multiplier_log_onebox,
-                                pmean_ratio)
+                                integrability_report, korenblum_necessity,
+                                multiplier_log_onebox, pmean_ratio)
 from cyclia.dyadic import martingale_from_measure, max_square, tail_distribution
 from cyclia.measures import (SalemSpec, atomic, bc_entropy,
                              choose_salem_parameters, kahane_smooth, lebesgue,
@@ -22,7 +22,7 @@ from cyclia.measures import (SalemSpec, atomic, bc_entropy,
 from cyclia.models import (Polynomial, SingularInnerPower, herglotz,
                            herglotz_derivative, maclaurin, poisson)
 from cyclia.norms import QuadratureGrid, besov_seminorm
-from cyclia.profiles import LogPower, PowerLaw, integrability_tests
+from cyclia.profiles import LogPower, PowerLaw
 
 ATOM = atomic([(0.0, 1.0)])
 
@@ -206,11 +206,12 @@ def test_criterion_7_phi_transforms():
     errs = [abs(phi.bracket(10.0**-k)
                 - math.sqrt(math.log(math.log(math.e * 10.0**k))))
             for k in range(1, 9)]
-    rep3 = integrability_tests(phi, p=3.0, epsilon=0.01)
-    rep2 = integrability_tests(phi, p=2.0, epsilon=0.01)
+    rep3 = integrability_report(phi, p=3.0, epsilon=0.01).fits
+    rep2 = integrability_report(phi, p=2.0, epsilon=0.01).fits
     ok = (max(errs) < 1e-9
-          and rep3.verdict1 == "convergent" and rep3.verdict2 == "convergent"
-          and rep2.verdict1 == "divergent")
+          and rep3["verdict_first"] == "convergent"
+          and rep3["verdict_weighted"] == "convergent"
+          and rep2["verdict_first"] == "divergent")
     _report(7, f"gauge bracket closed form (max err {max(errs):.1e}) and "
                f"integrability verdicts", ok)
 

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyclia.diagnostics import (CheckReport, annihilator_pairing,
+from cyclia import diagnostics
+from cyclia.diagnostics import (TREND_SLOPE_MAX, CheckReport, _trend_report,
+                                annihilator_pairing, annihilator_report,
                                 bloch_difference_bound, brown_shields_table,
                                 derivative_sup_ratio, fourier_decay_fit,
                                 fourier_lp_summability, korenblum_necessity,
@@ -14,7 +16,8 @@ from cyclia.diagnostics import (CheckReport, annihilator_pairing,
 from cyclia.measures import (IntervalSet, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import FunctionModel, Polynomial, SingularInnerPower
+from cyclia.models import (FunctionModel, Polynomial, SingularInnerPower,
+                           maclaurin)
 from cyclia.norms import QuadratureGrid, _radial_rule, default_grid
 from cyclia.profiles import LogPower, PowerLaw
 
@@ -57,6 +60,52 @@ class TestReport:
         lines = rep.to_csv().strip().split("\n")
         assert lines[0] == "a,b"
         assert lines[1].startswith("1,")
+
+
+class TestTrendRule:
+    """The bounded-trend rule shared by brown-shields, derivative-sup,
+    multiplier and bloch-diff."""
+
+    X = np.log(1.0 / (1.0 - np.array([0.5, 0.9, 0.99, 0.999])))
+
+    def test_tiny_finite_samples_are_flat(self):
+        vals = np.array([0.0, 1e-13, 1e-12, 0.0])
+        rep = _trend_report("x", {}, [], self.X, vals, 1e-12, {"own": 1.0})
+        assert rep.fits == {"slope": 0.0, "own": 1.0}
+        assert rep.worst_ratio == 0.0 and rep.threshold == TREND_SLOPE_MAX
+        assert rep.passed
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_kept_sample_fails(self, bad):
+        # the other samples are tiny, but a blown-up one is never flat
+        vals = np.array([0.0, 0.0, bad, 0.0])
+        rep = _trend_report("x", {}, [], self.X, vals, 1e-12, {})
+        assert rep.fits["slope"] == math.inf and rep.worst_ratio == math.inf
+        assert rep.verdict == "fail"
+
+    def test_derivative_sup_fits_the_tail_half(self):
+        # phi divided by 1e3 on the first half of 8 radii multiplies
+        # those ratios by 1e3 but leaves the slope
+        rs = 1.0 - 10.0 ** -np.linspace(0.6, 2.4, 8)
+
+        class Scaled:
+            def phi(self, t):
+                return PHI.phi(t) * (1e-3 if t > 1.0 - rs[4] else 1.0)
+
+        base = derivative_sup_ratio(ATOM, PHI, rs)
+        moved = derivative_sup_ratio(ATOM, Scaled(), rs)
+        assert [row["ratio"] for row in moved.table[:4]] == pytest.approx(
+            [1e3 * row["ratio"] for row in base.table[:4]], rel=1e-12)
+        assert moved.table[4:] == base.table[4:]
+        assert moved.fits["slope"] == base.fits["slope"]
+
+    def test_multiplier_fits_generations_from_four(self):
+        rep = multiplier_log_onebox(ATOM, 3.0, 8)
+        ns = np.array([row["generation"] for row in rep.table], dtype=float)
+        y = np.log([row["sup_ratio"] for row in rep.table])
+        tail = np.polyfit(ns[3:], y[3:], 1)[0]
+        assert rep.fits["slope"] == pytest.approx(tail, rel=1e-12)
+        assert abs(np.polyfit(ns, y, 1)[0] - tail) > 1e-3
 
 
 class TestBrownShields:
@@ -247,19 +296,36 @@ class TestKorenblum:
 
 
 class TestAnnihilator:
+    @pytest.fixture(scope="class")
+    def atom_coeffs(self):
+        # hat S(0..801) of the unit atom, K = 800
+        return maclaurin(SingularInnerPower(ATOM, 1.0), 801, m=4096).coeffs
+
     def test_lebesgue_exact_zero(self):
-        v = annihilator_pairing(LEB, 0, 100, 0.9)
+        c = maclaurin(SingularInnerPower(LEB, 1.0), 101).coeffs
+        v = annihilator_pairing(c, 0, 0.9)
         assert abs(v) < 1e-14
 
-    def test_atom_decreasing_in_r(self):
-        vals = [abs(annihilator_pairing(ATOM, 0, 800, r, M=4096))
+    def test_atom_decreasing_in_r(self, atom_coeffs):
+        vals = [abs(annihilator_pairing(atom_coeffs, 0, r))
                 for r in (0.9, 0.99, 0.999)]
         assert vals[1] < vals[0] and vals[2] < vals[1]
 
-    def test_converged_in_k(self):
-        a = abs(annihilator_pairing(ATOM, 1, 400, 0.99, M=4096))
-        b = abs(annihilator_pairing(ATOM, 1, 800, 0.99, M=4096))
+    def test_converged_in_k(self, atom_coeffs):
+        a = abs(annihilator_pairing(atom_coeffs[:402], 1, 0.99))
+        b = abs(annihilator_pairing(atom_coeffs, 1, 0.99))
         assert a == pytest.approx(b, abs=1e-5)
+
+    def test_report_extracts_coefficients_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return maclaurin(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "maclaurin", counted)
+        rep = annihilator_report(ATOM)
+        assert len(calls) == 1 and len(rep.table) == 6
 
 
 class TestBlochDiff:

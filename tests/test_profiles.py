@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cyclia.profiles import (IntegrabilityReport, LogPower, PowerLaw,
-                             integrability_tests)
+from cyclia.diagnostics import integrability_report
+from cyclia.profiles import LogPower, PowerLaw
 
 
 class TestLogPower:
@@ -56,24 +56,24 @@ class TestPowerLaw:
 
 class TestIntegrability:
     def test_log_power_p3_converges(self):
-        rep = integrability_tests(LogPower(1.0, 0.5), p=3.0, epsilon=0.01)
-        assert rep.verdict1 == "convergent"
-        assert rep.verdict2 == "convergent"
+        rep = integrability_report(LogPower(1.0, 0.5), p=3.0, epsilon=0.01)
+        assert rep.fits["verdict_first"] == "convergent"
+        assert rep.fits["verdict_weighted"] == "convergent"
 
     def test_log_power_p2_diverges(self):
         # phi^2/t = 1/(t log(e/t)) integrates to log log: the borderline
-        rep = integrability_tests(LogPower(1.0, 0.5), p=2.0, epsilon=0.01)
-        assert rep.verdict1 == "divergent"
+        rep = integrability_report(LogPower(1.0, 0.5), p=2.0, epsilon=0.01)
+        assert rep.fits["verdict_first"] == "divergent"
 
     def test_power_law_converges_fast(self):
-        rep = integrability_tests(PowerLaw(1.0, 0.5), p=2.0, epsilon=0.1)
-        assert rep.verdict1 == "convergent"
+        rep = integrability_report(PowerLaw(1.0, 0.5), p=2.0, epsilon=0.1)
+        assert rep.fits["verdict_first"] == "convergent"
 
     def test_truncations_monotone(self):
-        rep = integrability_tests(LogPower(1.0, 0.5), p=3.0, epsilon=0.05)
-        totals = [t1 for _, t1, _ in rep.truncations]
+        rep = integrability_report(LogPower(1.0, 0.5), p=3.0, epsilon=0.05)
+        totals = [row["first"] for row in rep.table]
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            integrability_tests(LogPower(1.0, 0.5), p=0.0, epsilon=0.1)
+            integrability_report(LogPower(1.0, 0.5), p=0.0, epsilon=0.1)
