@@ -149,8 +149,14 @@ def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
         raise UsageError("grid count must be positive")
     if scale == "linear":
         return np.linspace(start, stop, count)
-    if scale == "log1m":
-        return 1.0 - 10.0 ** -np.linspace(start, stop, count)
+    if scale == "log1m":  # radii or dilations: every point in (0, 1)
+        grid = 1.0 - 10.0 ** -np.linspace(start, stop, count)
+        bad = ~((grid > 0.0) & (grid < 1.0))
+        if bad.any():
+            flag, value = ("--grid-start", start) if bad[0] else ("--grid-stop", stop)
+            raise UsageError(f"{flag} {value:g} puts a log1m grid point at "
+                             f"{float(grid[bad][0])!r}, outside (0, 1)")
+        return grid
     if scale == "dyadic":
         return 2.0 ** -np.linspace(start, stop, count)
     raise UsageError(f"unknown grid scale {scale!r}")

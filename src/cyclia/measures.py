@@ -19,11 +19,12 @@ row (q) and a column (j) factor matrix, with every phase reduced modulo 1
 exactly.  It takes a range of n, fills the rows that cover it in place,
 and returns the slice of them that holds it.  Each measure also owns one
 lazily grown cache of hat mu(1..N) (``coefficients``), which every reader
-of the coefficients shares; a request beyond it sends the missing n as one
-range to the strategy fixed at construction from the pieces: a measure
+of the coefficients shares; a request beyond it fills the missing n into
+the cache by the strategy fixed at construction from the pieces: a measure
 without atoms whose pieces are exactly 2^N uniform leaves takes one FFT of
-the leaf densities, and reads its table cyclically from the range's start
-mod 2^N; any other measure fills the cache from the blocked kernel.
+the leaf densities, and copies its table cyclically into the cache from
+the start of the missing n mod 2^N; any other measure sends the missing n
+to the blocked kernel in ranges of a fixed size, and copies each result in.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ MASS_TOL = 1e-12
 _BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
 _TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
 _WORKSPACE = 4_000_000    # elements per row chunk of the Fourier kernel
+_FILL = 1 << 20           # coefficients per block of a fill (16 MiB)
+_BUDGET = 1 << 26         # coefficients the cache may hold (1 GiB)
 
 
 def _split(x):
@@ -218,17 +221,22 @@ class CircleMeasure:
         is a (rows q) @ (columns j) matrix product (_fourier_rows), with
         phases reduced exactly for |n| < 2^32.  The rows from start // B to
         (stop - 1) // B are filled in place, in chunks, and the result is
-        the slice of them that holds the range.
+        the slice of them that holds the range.  No product has a single
+        row: BLAS would take its matrix-vector path, whose rounding differs,
+        so a row has the same bits whichever range it was computed for.
         """
         if ns.step != 1:
             raise ValueError("Fourier frequencies must be a range of step 1")
-        chunk = max(1, _WORKSPACE // (2 * min(self.piece_a.size, _TERM_CHUNK)
+        chunk = max(2, _WORKSPACE // (2 * min(self.piece_a.size, _TERM_CHUNK)
                                       + min(self.atom_x.size, _TERM_CHUNK) + _BLOCK))
         q0 = ns.start // _BLOCK
-        rows = np.arange(q0, (ns.stop - 1) // _BLOCK + 1)
+        rows = np.arange(q0, max((ns.stop - 1) // _BLOCK + 1, q0 + 2))
         span = np.empty((rows.size, _BLOCK), dtype=complex)
-        for s in range(0, rows.size, chunk):
-            self._fourier_rows(rows[s:s + chunk], span[s:s + chunk])
+        s = 0
+        while s < rows.size:
+            e = s + chunk + (rows.size - s - chunk == 1)  # no lone last row
+            self._fourier_rows(rows[s:e], span[s:e])
+            s = e
         out = span.ravel()[ns.start - q0 * _BLOCK:ns.stop - q0 * _BLOCK]
         if ns.start <= 0 < ns.stop:
             out[-ns.start] = self.total_mass
@@ -270,39 +278,61 @@ class CircleMeasure:
     def coefficients(self, count: int) -> np.ndarray:
         """hat mu(1..count) as a read-only view of the measure's one cache.
 
-        The cache grows lazily: a request beyond it sends the missing n as
-        one range to the strategy fixed at construction
-        (_leaf_coefficients, or fourier_many).  A full buffer is
-        reallocated at 3/2 of its capacity (or the request, if larger), so
-        the copies cost O(1) per coefficient; a factor of 2 raised the peak
-        memory of the longest ring sequences through allocator retention.
+        The cache grows lazily: a request beyond it fills the missing n by
+        the strategy fixed at construction, so no array the size of the
+        request is made beside the cache.  A leaf measure writes them in
+        place (_fill_leaves); any other sends them to fourier_many in ranges
+        of at most _FILL coefficients and copies each result into the cache.
+        A full buffer is reallocated at 3/2 of its capacity (or the request,
+        if larger), so the copies cost O(1) per coefficient; a ring sweep
+        that asks for its largest count first sizes it once.  A count above
+        _BUDGET raises ValueError before anything is allocated.
         """
+        if count > _BUDGET:
+            raise ValueError(f"{count} Fourier coefficients exceed the cache "
+                             f"budget of {_BUDGET} ({16 * _BUDGET >> 30} GiB)")
         if count > self._ncoef:
             if count > self._coef.size:
                 # np.empty: capacity that is never written stays unmapped
-                buf = np.empty(max(count, 3 * self._coef.size // 2), dtype=complex)
+                buf = np.empty(min(max(count, 3 * self._coef.size // 2), _BUDGET),
+                               dtype=complex)
                 buf[:self._ncoef] = self._coef[:self._ncoef]
                 self._coef = buf
-            ns = range(self._ncoef + 1, count + 1)
-            self._coef[self._ncoef:count] = (self._leaf_coefficients(ns) if self._leaves
-                                             else self.fourier_many(ns))
+            if self._leaves:
+                self._fill_leaves(self._ncoef + 1, self._coef[self._ncoef:count])
+            else:
+                for n in range(self._ncoef + 1, count + 1, _FILL):
+                    stop = min(n + _FILL, count + 1)
+                    self._coef[n - 1:stop - 1] = self.fourier_many(range(n, stop))
             self._ncoef = count
         view = self._coef[:count]
         view.flags.writeable = False
         return view
 
-    def _leaf_coefficients(self, ns: range) -> np.ndarray:
-        """hat mu(n) for the n >= 1 of a range, p uniform leaves of densities
-        d_k: (1 - e^{-2 pi i n/p}) D[n mod p]/(2 pi i n), D the FFT of d.  The
-        table T[k] = D[k] (1 - e^{-2 pi i k/p}), k < p, is built once and read
-        cyclically from start mod p, so every phase is exact, however large n."""
+    def _fill_leaves(self, start: int, out: np.ndarray) -> None:
+        """out[k] = hat mu(n), n = start + k >= 1, for p uniform leaves of
+        densities d_k: (1 - e^{-2 pi i n/p}) D[n mod p]/(2 pi i n), D the FFT
+        of d.  The table T[k] = D[k] (1 - e^{-2 pi i k/p}), k < p, is built
+        once and copied cyclically from start mod p, so every phase is
+        exact, however large n; the division goes in blocks of _FILL."""
         if self._leaf_table is None:
             k = np.arange(self.piece_d.size)
             self._leaf_table = np.fft.fft(self.piece_d) * (
                 1.0 - np.exp(-2j * np.pi * k / k.size))
-        out = np.resize(np.roll(self._leaf_table, -ns.start), len(ns))
-        out /= 2j * np.pi * np.arange(ns.start, ns.stop)
-        return out
+        table = self._leaf_table
+        p, k0 = table.size, start % table.size
+        head = min(out.size, p - k0)
+        out[:head] = table[k0:k0 + head]
+        rest = min(out.size, p) - head
+        out[head:head + rest] = table[:rest]
+        head += rest
+        while head < out.size:  # out[:head] has period p: double it
+            more = min(head, out.size - head)
+            out[head:head + more] = out[:more]
+            head += more
+        for s in range(0, out.size, _FILL):
+            block = out[s:s + _FILL]
+            block /= 2j * np.pi * np.arange(start + s, start + s + block.size)
 
     def __repr__(self):
         return (f"CircleMeasure(atoms={len(self.atom_x)}, "

@@ -127,10 +127,16 @@ def weighted_l2alpha(c, alpha: float) -> float:
 
 def _besov_integral(f: FunctionModel, p: float,
                     grid: QuadratureGrid) -> tuple[float, float]:
-    """The radial rule's sum, and the mean of |f'|^p on the last ring."""
+    """The radial rule's sum, and the mean of |f'|^p on the last ring.
+
+    The rings are evaluated from the outside in, so the first one asks for
+    the most coefficients and the rest read the cache it sized; the means
+    are summed from the inside out."""
+    means = [0.0] * len(grid)
+    for i in reversed(range(len(grid))):
+        means[i] = float(np.mean(np.abs(f.dring(float(grid.r[i]), int(grid.m[i]))) ** p))
     total = 0.0
-    for r, w, m in zip(grid.r, grid.w, grid.m):
-        mean = float(np.mean(np.abs(f.dring(float(r), int(m))) ** p))
+    for r, w, mean in zip(grid.r, grid.w, means):
         total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
     return total, mean
 
@@ -148,8 +154,8 @@ def besov_seminorm(f: FunctionModel, p: float,
     if grid is None:
         grid = default_grid()
     fine = grid.refine()
+    fine_i, last_mean = _besov_integral(f, p, fine)   # the outermost ring first
     coarse_i, _ = _besov_integral(f, p, grid)
-    fine_i, last_mean = _besov_integral(f, p, fine)
     r_last = float(fine.r[-1])
     tail = last_mean * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last)
     value = fine_i ** (1.0 / p)

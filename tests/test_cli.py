@@ -184,6 +184,26 @@ class TestCheckCommand:
         assert len(rows) == 1 + 3
 
 
+    @pytest.mark.parametrize("flag, value, point", [
+        ("--grid-stop", "17", "1.0"), ("--grid-start", "0", "0.0"),
+        ("--grid-start", "-1", "-9.0")])
+    def test_log1m_point_outside_the_disc_is_a_usage_error(
+            self, tmp_path, capsys, flag, value, point):
+        # 1 - 10^-17 rounds to 1: a radius or a dilation on the circle
+        assert run("check", "--spec", ATOM_SPEC, "--check", "bloch-diff",
+                   flag, value, "--out", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value} puts a log1m grid point at {point}," in err
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_cache_budget_is_a_configuration_error(self, tmp_path, capsys):
+        # the ring at 1 - 10^-16 needs more coefficients than the cache may
+        # hold: refused before anything is allocated, as a bad configuration
+        assert run("check", "--spec", ATOM_SPEC, "--check", "derivative-sup",
+                   "--grid-stop", "16", "--grid-count", "2",
+                   "--out", str(tmp_path / "c")) == 2
+        assert "exceed the cache budget of 67108864" in capsys.readouterr().err
+
     def test_default_config_keeps_check_scale(self):
         cfg = RunConfig(command="check", spec={})
         assert list(make_grid(cfg, 2, 12, 11, "dyadic")[:2]) == [0.25, 0.125]

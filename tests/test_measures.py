@@ -552,7 +552,8 @@ class TestCoefficientCache:
         # a leaf measure never reaches the blocked kernel
         if kind == "leaves":
             mu = kahane_smooth(LogPower(1.0, 0.5), 6, seed=1)
-            want = mu._leaf_coefficients(range(1, 1001))
+            want = np.empty(1000, dtype=complex)
+            mu._fill_leaves(1, want)
         else:
             mu = CircleMeasure(atoms=[(0.3, 0.5)], pieces=[(0.1, 0.2, 2.0)])
             want = mu.fourier_many(range(1, 1001))
@@ -585,22 +586,77 @@ class TestCoefficientCache:
         # float n would drift by n ulps (2.3e-17 here).  The block function
         # is called directly: filling the cache to 10^7 would hold 160 MB.
         ns = range(10**7, 10**7 + 4096)
-        got = self.KAHANE._leaf_coefficients(ns)
+        got = np.empty(len(ns), dtype=complex)
+        self.KAHANE._fill_leaves(ns.start, got)
         assert np.abs(got - self.KAHANE.fourier_many(ns)).max() <= 1e-18
 
-    @pytest.mark.parametrize("pieces, limit", [([], 4.5), ([(0.1, 0.2, 2.0)], 6.0)],
-                             ids=["atom", "atom-and-piece"])
-    def test_growth_peak_per_coefficient(self, pieces, limit):
-        # growing the cache from 2^20 to 2^21 holds the new buffer (2 units
-        # of 16 B per new coefficient), the kernel's rows (1) and one matrix
-        # product (1), and for pieces their sum (1): no array of n, no
-        # offsets and no gathered copy
-        mu = CircleMeasure(atoms=[(0.0, 1.0)], pieces=pieces)
-        mu.coefficients(2**20)
+    @pytest.mark.parametrize("start, size", [(1, 3), (5, 11), (13, 16),
+                                             (16, 17), (17, 100)])
+    def test_leaf_fill_is_the_table_read_cyclically(self, start, size):
+        # 16 leaves: ranges inside one period, across its end and over
+        # several periods, written into a strided view of a larger array
+        mu = kahane_smooth(LogPower(1.0, 0.5), 4, seed=3)
+        got = np.zeros(2 * size, dtype=complex)
+        mu._fill_leaves(start, got[::2])
+        n = np.arange(start, start + size)
+        assert np.array_equal(got[::2], mu._leaf_table[n % 16] / (2j * np.pi * n))
+        assert not got[1::2].any()
+
+    @pytest.mark.parametrize("kind", ["atom-and-piece", "atoms-and-pieces",
+                                      "leaves"])
+    def test_block_edges_keep_the_bits(self, kind, monkeypatch):
+        # growths ending at n = 1000 (not a multiple of 64), 2100, 4100,
+        # 5000 and 5010 (inside one row), in ranges of at most 640
+        # coefficients and products of at most 2 rows (a range of 11 rows
+        # would leave a lone last row), give the bits of one product
+        if kind == "leaves":
+            mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+            want = np.empty(5010, dtype=complex)
+            mu._fill_leaves(1, want)
+        else:
+            k = 1 if kind == "atom-and-piece" else 7
+            mu = CircleMeasure(
+                atoms=[(0.05 * i, 0.1) for i in range(k)],
+                pieces=[(0.5 + 0.04 * i, 0.52 + 0.04 * i, 1.0 + i)
+                        for i in range(k)])
+            want = mu.fourier_many(range(1, 5011))
+            monkeypatch.setattr(measures, "_WORKSPACE", 2 * (3 * k + 64))
+        monkeypatch.setattr(measures, "_FILL", 640)
+        for count in (1000, 2100, 4100, 5000, 5010):
+            got = mu.coefficients(count)
+        assert np.array_equal(got, want)
+
+    def test_budget_raises_before_allocating(self):
+        from cyclia.models import herglotz_jet
         tracemalloc.start()
         try:
-            mu.coefficients(2**21)
+            with pytest.raises(ValueError, match=r"^\d+ Fourier coefficients "
+                               r"exceed the cache budget of 67108864"):
+                herglotz_jet(atomic([(0.0, 1.0)]), 1 - 1e-12, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (16 * 2**20) <= limit
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("pieces, limits", [([], (2.5, 4.5)),
+                                                ([(0.1, 0.2, 2.0)], (3.0, 5.5))],
+                             ids=["atom", "atom-and-piece"])
+    def test_growth_peak_per_coefficient(self, pieces, limits):
+        # a cold request of 2^21 holds the cache (1 unit of 16 B per
+        # coefficient) and one block of 2^20 from the kernel: its rows (1/2)
+        # and one matrix product (1/2), and for pieces their sum (1/2);
+        # growing from 2^20 to 2^21 holds the new buffer (2 units per new
+        # coefficient) and the same block (2, and 1 for the sum): no array
+        # the size of the range beside the cache
+        peaks = []
+        for before, count in ((0, 2**21), (2**20, 2**21)):
+            mu = CircleMeasure(atoms=[(0.0, 1.0)], pieces=pieces)
+            mu.coefficients(before)
+            tracemalloc.start()
+            try:
+                mu.coefficients(count)
+                peaks.append(tracemalloc.get_traced_memory()[1]
+                             / (16 * (count - before)))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= limits[0] and peaks[1] <= limits[1]

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cyclia.measures import atomic
-from cyclia.models import Polynomial, SingularInnerPower, maclaurin
+from cyclia.measures import CircleMeasure, atomic, kahane_smooth
+from cyclia.models import (Polynomial, SingularInnerPower, _truncation_order,
+                           maclaurin)
+from cyclia.profiles import LogPower
 from cyclia.norms import (QuadratureGrid, besov_seminorm, bloch_seminorm,
                           lp_a_norm, weighted_l2alpha)
 
@@ -65,6 +67,42 @@ class TestBesov:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             besov_seminorm(Z, 0.5)
+
+    def test_outermost_ring_sizes_the_cache(self):
+        # the fine grid's last ring is evaluated first, so the cache is
+        # allocated once, at its truncation order, and never grown
+        mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+        grid = QuadratureGrid.build(u_max=10.0, panels=4)
+        besov_seminorm(SingularInnerPower(mu, 1.0), 2.0, grid)
+        r_last = float(grid.refine().r[-1])
+        assert mu._coef.size == _truncation_order(r_last, mu.total_mass)
+
+    @pytest.mark.parametrize("measure", [
+        lambda: kahane_smooth(LogPower(1.0, 0.5), 8, seed=7),
+        lambda: CircleMeasure(atoms=[(0.05 * k, 0.1) for k in range(7)],
+                              pieces=[(0.5 + 0.04 * k, 0.52 + 0.04 * k, 1.0)
+                                      for k in range(7)])],
+        ids=["kahane", "atoms-and-pieces"])
+    def test_matches_an_ascending_reference_sum(self, measure):
+        # the rings in ascending order on a measure of its own, whose cache
+        # grows ring by ring: the same bits
+        p, grid = 2.0, QuadratureGrid.build(u_max=10.0, panels=4)
+        f = SingularInnerPower(measure(), 1.0)
+
+        def integral(g):
+            total = 0.0
+            for r, w, m in zip(g.r, g.w, g.m):
+                mean = float(np.mean(np.abs(f.dring(float(r), int(m))) ** p))
+                total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
+            return total, mean
+
+        coarse, _ = integral(grid)
+        fine, last = integral(grid.refine())
+        r = float(grid.refine().r[-1])
+        tail = last * (1.0 - r) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r)
+        value = fine ** (1.0 / p)
+        want = (value, abs(value - coarse ** (1.0 / p)) + tail ** (1.0 / p))
+        assert besov_seminorm(SingularInnerPower(measure(), 1.0), p, grid) == want
 
 
 class TestBloch:
