@@ -20,8 +20,8 @@ from .dyadic import logsumexp, martingale_from_measure
 from .measures import (CircleMeasure, IntervalSet, bc_entropy,
                        modulus_continuity, modulus_smoothness,
                        smoothness_constant)
-from .models import (Dilate, EvaluationError, FunctionModel, Quotient,
-                     SingularInnerPower, maclaurin, poisson_ring)
+from .models import (DilationQuotient, FunctionModel, SingularInnerPower,
+                     maclaurin, poisson_ring)
 from .norms import (QuadratureGrid, _radial_rule, besov_seminorm,
                     bloch_seminorm, default_grid)
 from .profiles import SmoothnessProfile
@@ -164,25 +164,22 @@ def _ring_count(r: float, floor: int = 1024) -> int:
 # -- dilate criterion ------------------------------------------------------
 
 
-def brown_shields_table(f: FunctionModel, p: float, t_grid) -> CheckReport:
+def brown_shields_table(f: SingularInnerPower, p: float, t_grid) -> CheckReport:
     """Boundedness of t -> seminorm of f / f(t.) over a dilation grid.
 
     A bounded table (no blow-up trend of the log-values against
     log(1/(1-t))) is the numerical surrogate for the dilate criterion of
-    cyclicity; a monotone blow-up is a fail.
+    cyclicity; a monotone blow-up is a fail.  A row whose seminorm or
+    error overflows reads inf for both.
     """
     if p <= 2:
         raise ValueError("p must exceed 2")
     rows = []
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
         t = float(t)
-        g = Quotient(f, Dilate(f, t))
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                value, err = besov_seminorm(g, p)
-            if math.isnan(value):
-                value, err = math.inf, math.inf
-        except EvaluationError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, err = besov_seminorm(DilationQuotient(f, t), p)
+        if not (math.isfinite(value) and math.isfinite(err)):
             value, err = math.inf, math.inf
         rows.append({"t": t, "value": value, "error": err})
     vals = np.array([r["value"] for r in rows])

@@ -1,20 +1,19 @@
 """Closed-form evaluation of singular inner functions and friends on the disc.
 
 * The ring kernel: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n and H'(z)
-  come together from one jet kernel on M equispaced points of a radius-r
-  circle.  The truncated coefficients, read from the measure's own cache
-  (CircleMeasure.coefficients), viewed as rows of length M, are folded by
-  a rank-one damping (a row factor times a column factor) in one matrix
-  product, and one inverse FFT finishes both.
+  come together on M equispaced points of a radius-r circle.  The
+  truncated coefficients, read from the measure's own cache, viewed as
+  rows of length M, are folded by a rank-one damping (a row factor times a
+  column factor) in one matrix product; one inverse FFT finishes both.
 * The scalar reference: the Herglotz integral of an atoms-plus-pieces
   measure has an exact antiderivative per arc; the logarithm's branch is
   kept honest by bisecting any arc whose endpoint ratio leaves the right
   half plane.  The tests check the ring kernel against it, and it gives
   the kernel's value at r = 0.
 
-Function models are immutable trees (inner powers, polynomials,
-dilations, quotients) evaluated only as the jet (f, f') on rings;
-composite models compose the jets of their parts.
+Function models (inner powers, polynomials, and the dilation quotient
+S/S_t, taken in log space) are immutable and evaluated only as the jet
+(f, f') on rings.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ __all__ = [
     "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
     "herglotz_ring",
     "FunctionModel", "SingularInnerPower",
-    "Polynomial", "Dilate", "Quotient",
+    "Polynomial", "DilationQuotient",
     "CoefficientVector", "maclaurin",
     "EvaluationError", "AliasBoundError",
 ]
@@ -39,7 +38,7 @@ _TWO_PI_I = 2j * np.pi
 
 
 class EvaluationError(ValueError):
-    """Evaluation hit a singular point (quotient denominator zero)."""
+    """A scalar Herglotz integral's arc bisection did not converge."""
 
 
 class AliasBoundError(ValueError):
@@ -171,23 +170,18 @@ def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
     return n
 
 
-def herglotz_jet(mu: CircleMeasure, r: float, m: int,
-                 offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1.
+def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
+    """The (2, M) bins whose inverse FFT (norm "forward") is (H - mu(T), H')
+    at the points of herglotz_jet, 0 < r < 1.
 
-    The Taylor tail of H is truncated below 1e-14.  With n = q + 1 + jM the
-    damping r^n e^{2 pi i n offset/M} splits into a column factor (q) and a
-    row factor w_j = r^{jM} e^{2 pi i j offset}, so the coefficients viewed as
-    rows of length M fold by one (2, rows) @ (rows, M) product: the value
-    fold weights row j by w_j, the derivative fold by n w_j.  One inverse
-    FFT of the two folds gives H and H' (summed as n c_n z^(n-1), so no
-    division by z, which underflows for tiny r).
+    With n = q + 1 + jM the damping r^n e^{2 pi i n offset/M} splits into a
+    column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}, so
+    the coefficients viewed as rows of length M fold by one (2, rows) @
+    (rows, M) product: the value fold weights row j by w_j, the derivative
+    fold by n w_j.  Only the first min(N, M) bins hold coefficients, and
+    only they take the column factor; H' is summed as n c_n z^(n-1), so
+    nothing divides by z, which underflows for tiny r.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("ring radius must be in [0, 1)")
-    if r == 0.0:
-        return (np.full(m, herglotz(mu, 0.0), dtype=complex),
-                np.full(m, herglotz_derivative(mu, 0.0), dtype=complex))
     n_max = _truncation_order(r, mu.total_mass)
     c = mu.coefficients(n_max)
     rows, rem = divmod(n_max, m)
@@ -197,12 +191,28 @@ def herglotz_jet(mu: CircleMeasure, r: float, m: int,
     weights = np.stack([w, (j * m) * w])
     folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
     folds[:, :rem] += weights[:, rows:] * c[rows * m:]
-    q = np.arange(m + 1)
+    k = min(n_max, m)
+    q = np.arange(k + 1)
     col = np.exp(q * log_r + _TWO_PI_I * q * offset / m)
-    folds[1] += q[1:] * folds[0]
-    folds[0] = np.roll(folds[0] * col[1:], 1)   # z^n, n = q + 1: bin (q + 1) mod M
-    folds[1] *= col[:-1]                        # n z^(n-1): bin q
-    h, h1 = m * np.fft.ifft(folds, axis=1)
+    value, deriv = folds[:, :k]
+    deriv += q[1:] * value
+    deriv *= col[:-1]                                 # n z^(n-1): bin q
+    value[:] = value * col[1:]    # not *=: numpy rounds a 1-bin *= differently
+    folds[0, :k + 1] = np.roll(folds[0, :k + 1], 1)   # z^n: bin (q + 1) mod M
+    return folds
+
+
+def herglotz_jet(mu: CircleMeasure, r: float, m: int,
+                 offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1,
+    from one inverse FFT of _spectrum; at r = 0, from the scalar integrals.
+    """
+    if not 0.0 <= r < 1.0:
+        raise ValueError("ring radius must be in [0, 1)")
+    if r == 0.0:
+        return (np.full(m, herglotz(mu, 0.0), dtype=complex),
+                np.full(m, herglotz_derivative(mu, 0.0), dtype=complex))
+    h, h1 = np.fft.ifft(_spectrum(mu, r, m, offset), axis=1, norm="forward")
     return h + mu.total_mass, h1
 
 
@@ -279,10 +289,12 @@ class Polynomial(FunctionModel):
 
 
 @dataclass(frozen=True)
-class Dilate(FunctionModel):
-    """f_t(z) = f(t z), 0 < t < 1; analytic across the closed disc."""
+class DilationQuotient(FunctionModel):
+    """S/S_t = exp(-alpha D), S = inner, S_t(z) = S(t z), 0 < t < 1, with
+    D = H(z) - H(t z) and D' = H'(z) - t H'(t z) from the difference of two
+    spectra and one inverse FFT: nothing divides.  Rings have 0 < r < 1."""
 
-    inner: FunctionModel
+    inner: SingularInnerPower
     t: float
 
     def __post_init__(self):
@@ -290,26 +302,15 @@ class Dilate(FunctionModel):
             raise ValueError("dilation parameter must be in (0, 1)")
 
     def jet(self, r, m, offset=0.0):
-        f, df = self.inner.jet(self.t * r, m, offset)
-        return f, self.t * df
-
-
-@dataclass(frozen=True)
-class Quotient(FunctionModel):
-    """num/den; raises EvaluationError when the denominator's square
-    vanishes on the ring (den = 0, or the underflow |den| < 2e-162)."""
-
-    num: FunctionModel
-    den: FunctionModel
-
-    def jet(self, r, m, offset=0.0):
-        d, dd = self.den.jet(r, m, offset)
-        d2 = d**2
-        if np.any(d2 == 0):
-            raise EvaluationError("quotient denominator (or its square) "
-                                  "vanished at an evaluation point")
-        n, dn = self.num.jet(r, m, offset)
-        return n / d, (dn * d - n * dd) / d2
+        if not 0.0 < r < 1.0:
+            raise ValueError("ring radius must be in (0, 1)")
+        mu, alpha = self.inner.mu, self.inner.alpha
+        spec = _spectrum(mu, r, m, offset)
+        dilated = _spectrum(mu, self.t * r, m, offset)
+        dilated[1] *= self.t
+        d, d1 = np.fft.ifft(spec - dilated, axis=1, norm="forward")
+        f = np.exp(-alpha * d)
+        return f, -alpha * d1 * f
 
 
 # -- Maclaurin coefficients ------------------------------------------------

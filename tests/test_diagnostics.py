@@ -110,7 +110,8 @@ class TestTrendRule:
 
 class TestBrownShields:
     def test_constant_model_zero(self):
-        rep = brown_shields_table(Polynomial([4.0]), 3.0, [0.5, 0.9])
+        # S of Lebesgue measure is the constant 1/e: hat mu(n) = 0 exactly
+        rep = brown_shields_table(SingularInnerPower(LEB), 3.0, [0.5, 0.9])
         assert rep.passed
         assert all(row["value"] == 0.0 for row in rep.table)
 
@@ -122,16 +123,24 @@ class TestBrownShields:
         assert vals[-1] > 10 * vals[0]
 
     def test_underflowing_denominator_is_an_evaluation_error(self):
-        # near the two atoms |S(0.999 z)|^2 underflows on some rings: the
-        # row is inf through EvaluationError, without a divide-by-zero
+        # near the two atoms |S(0.999 z)| underflows on some rings: the
+        # quotient, taken in log space, overflows there and the row is
+        # inf, without a divide-by-zero
         f = SingularInnerPower(atomic([(0.1, 0.6), (0.55, 0.4)]))
         with np.errstate(divide="raise"):
             rep = brown_shields_table(f, 3.0, [0.999])
         assert rep.table == [{"t": 0.999, "value": math.inf, "error": math.inf}]
 
+    def test_overflowing_value_has_infinite_error(self):
+        # the unit atom at t = 0.99206: the seminorm overflows to inf, and
+        # its error reads inf too, not inf - inf = nan
+        rep = brown_shields_table(SingularInnerPower(ATOM), 3.0, [0.99206])
+        assert rep.table == [{"t": 0.99206, "value": math.inf,
+                              "error": math.inf}]
+
     def test_p_validated(self):
         with pytest.raises(ValueError):
-            brown_shields_table(Polynomial([1.0]), 2.0, [0.5])
+            brown_shields_table(SingularInnerPower(LEB), 2.0, [0.5])
 
 
 class TestPMeans:

@@ -10,10 +10,10 @@ from cyclia import models
 from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import (AliasBoundError, Dilate, EvaluationError,
-                           Polynomial, Quotient, SingularInnerPower,
-                           herglotz, herglotz_derivative, herglotz_jet,
-                           herglotz_ring, maclaurin, poisson, poisson_ring)
+from cyclia.models import (AliasBoundError, DilationQuotient, Polynomial,
+                           SingularInnerPower, herglotz, herglotz_derivative,
+                           herglotz_jet, herglotz_ring, maclaurin, poisson,
+                           poisson_ring)
 from cyclia.norms import QuadratureGrid, besov_seminorm
 from cyclia.profiles import LogPower
 
@@ -273,6 +273,45 @@ class TestJetKernel:
         assert np.array_equal(herglotz_ring(ATOM, 0.9, 32, 0.25), h)
         assert np.array_equal(herglotz_ring(ATOM, 0.9, 32, 0.25, deriv=True), h1)
 
+    @pytest.mark.parametrize("mu", [
+        CircleMeasure(atoms=[(0.4, 0.5)], pieces=[(0.1, 0.3, 2.0)]),
+        kahane_smooth(LogPower(1.0, 0.5), 8, seed=7),
+    ], ids=["atom-piece", "kahane-leaves"])
+    @pytest.mark.parametrize("r, m, fewer", [(0.3, 1024, True),
+                                             (0.97, 64, False),
+                                             (0.5, 1, False)],
+                             ids=["N<M", "N>=M", "M=1"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_bits_of_full_width_kernel(self, mu, r, m, fewer, offset):
+        # the kernel works only on the bins that hold coefficients, with
+        # the same bits as the fold over all M bins
+        assert (models._truncation_order(r, mu.total_mass) < m) == fewer
+        h, h1 = herglotz_jet(mu, r, m, offset)
+        want, want1 = _full_width_jet(mu, r, m, offset)
+        assert np.array_equal(h, want)
+        assert np.array_equal(h1, want1)
+
+
+def _full_width_jet(mu, r, m, offset):
+    """The ring kernel as it was before it skipped the zero bins: column
+    factor, combine and shift over all M bins, and m * ifft."""
+    n_max = models._truncation_order(r, mu.total_mass)
+    c = mu.coefficients(n_max)
+    rows, rem = divmod(n_max, m)
+    log_r = math.log(r)
+    j = np.arange(rows + 1)
+    w = 2.0 * np.exp(j * (m * log_r) + 2j * np.pi * j * offset)
+    weights = np.stack([w, (j * m) * w])
+    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
+    folds[:, :rem] += weights[:, rows:] * c[rows * m:]
+    q = np.arange(m + 1)
+    col = np.exp(q * log_r + 2j * np.pi * q * offset / m)
+    folds[1] += q[1:] * folds[0]
+    folds[0] = np.roll(folds[0] * col[1:], 1)
+    folds[1] *= col[:-1]
+    h, h1 = m * np.fft.ifft(folds, axis=1)
+    return h + mu.total_mass, h1
+
 
 def _atomic_herglotz(atoms, z):
     """H = sum m (w + z)/(w - z) and H' = sum 2 m w/(w - z)^2 of an atomic
@@ -293,11 +332,6 @@ def _inner_power(atoms, alpha, z):
     return s, -alpha * h1 * s
 
 
-def _dilate_oracle(atoms, z):
-    s, s1 = _inner_power(atoms, 0.7, 0.8 * z)
-    return s, 0.8 * s1
-
-
 def _quotient_oracle(atoms, z):
     n, n1 = _inner_power(atoms, 1.0, z)
     d, d1 = _inner_power(atoms, 1.0, 0.6 * z)
@@ -310,12 +344,11 @@ class TestJetComposition:
     MU = atomic(ATOMS)
 
     @pytest.mark.parametrize("make, oracle", [
-        (lambda mu: Dilate(SingularInnerPower(mu, 0.7), 0.8), _dilate_oracle),
-        (lambda mu: Quotient(SingularInnerPower(mu), Dilate(SingularInnerPower(mu), 0.6)),
+        (lambda mu: DilationQuotient(SingularInnerPower(mu), 0.6),
          _quotient_oracle),
         (lambda mu: SingularInnerPower(mu, 1.3),
          lambda atoms, z: _inner_power(atoms, 1.3, z)),
-    ], ids=["dilate", "quotient", "inner"])
+    ], ids=["quotient", "inner"])
     def test_jet_matches_pointwise(self, make, oracle):
         f = make(self.MU)
         r, m, offset = 0.85, 32, 0.5
@@ -324,22 +357,30 @@ class TestJetComposition:
         _assert_close(val, want)
         _assert_close(dval, want1)
 
-    def test_dilate_quotient_two_kernel_calls_per_ring(self, monkeypatch):
+    def test_dilation_quotient_one_fft_per_ring(self, monkeypatch):
         calls = []
-        kernel = models.herglotz_jet
+        ifft = np.fft.ifft
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return kernel(*args, **kwargs)
+            return ifft(*args, **kwargs)
 
-        monkeypatch.setattr(models, "herglotz_jet", counting)
-        S = SingularInnerPower(self.MU)
+        monkeypatch.setattr(np.fft, "ifft", counting)
         grid = QuadratureGrid.build(u_max=4.0, panels=2, nodes_per_panel=4,
                                     m_min=16, m_max=256)
-        besov_seminorm(Quotient(S, Dilate(S, 0.5)), 2.0, grid)
+        besov_seminorm(DilationQuotient(SingularInnerPower(self.MU), 0.5),
+                       2.0, grid)
         # the tail term reuses the fine rule's last ring
         rings = len(grid) + len(grid.refine())
-        assert len(calls) == 2 * rings
+        assert len(calls) == rings
+
+    def test_dilation_quotient_validates(self):
+        S = SingularInnerPower(self.MU)
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="dilation"):
+                DilationQuotient(S, t)
+        with pytest.raises(ValueError, match="radius"):
+            DilationQuotient(S, 0.5).jet(0.0, 8)
 
 
 class TestModels:
@@ -366,36 +407,6 @@ class TestModels:
         fd = (S.ring(r + h, m, offset) - S.ring(r - h, m, offset)) / (2 * h)
         ray = _ring(1.0, m, offset)
         assert ray * S.dring(r, m, offset) == pytest.approx(fd, rel=1e-8)
-
-    def test_polynomial_and_dilate(self):
-        f = Polynomial([1.0, 0.0, 2.0])
-        z = _ring(0.5, 8, 0.25)
-        assert f.ring(0.5, 8, 0.25) == pytest.approx(1 + 2 * z**2)
-        assert f.dring(0.5, 8, 0.25) == pytest.approx(4 * z)
-        g = Dilate(f, 0.5)
-        tz = 0.5 * _ring(0.8, 8)
-        assert g.ring(0.8, 8) == pytest.approx(1 + 2 * tz**2)
-        assert g.dring(0.8, 8) == pytest.approx(0.5 * 4 * tz)
-
-    def test_quotient(self):
-        f = Polynomial([0.0, 1.0])
-        g = Polynomial([1.0, 1.0])
-        z = _ring(0.3, 8, 0.125)
-        q = Quotient(g, f)
-        assert q.ring(0.3, 8, 0.125) == pytest.approx((1 + z) / z)
-        assert q.dring(0.3, 8, 0.125) == pytest.approx(-1 / z**2)
-        with pytest.raises(EvaluationError):
-            q.jet(0.0, 1)
-
-    def test_quotient_derivative_rejects_underflowing_square(self):
-        # den**2 underflows to 0 below |den| ~ 2e-162: an EvaluationError,
-        # not an inf with a divide-by-zero warning
-        q = Quotient(Polynomial([1.0]), Polynomial([1e-170]))
-        with np.errstate(divide="raise", invalid="raise"):
-            with pytest.raises(EvaluationError):
-                q.jet(0.5, 8)
-        tiny = Quotient(Polynomial([1.0]), Polynomial([1e-150]))
-        assert tiny.jet(0.5, 8)[1] == pytest.approx(np.zeros(8))
 
     def test_polynomial_jet_matches_power_sums(self):
         c = [1.0, -0.5, 0.25]
