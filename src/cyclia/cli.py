@@ -25,7 +25,7 @@ from .measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
                        bc_entropy, choose_salem_parameters, kahane_smooth,
                        lebesgue, modulus_continuity, modulus_smoothness,
                        salem_measure)
-from .models import Polynomial, SingularInnerPower
+from .models import SingularInnerPower
 from .profiles import LogPower, PowerLaw
 
 
@@ -44,7 +44,6 @@ class RunConfig:
     grid_start: float | None = None
     grid_stop: float | None = None
     grid_count: int | None = None
-    grid_scale: str | None = None
     tolerance: float | None = None
 
 
@@ -137,29 +136,27 @@ def _write_atomic(path: str, text: str) -> None:
 
 def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
               scale: str) -> np.ndarray:
+    """linspace(start, stop, count), each replaced by its ``--grid-*`` flag
+    when given, mapped by the check's own scale: ``dyadic`` takes 2^-x and
+    ``log1m`` takes 1 - 10^-x (radii or dilations: every point in (0, 1))."""
     if cfg.grid_start is not None:
         start = cfg.grid_start
     if cfg.grid_stop is not None:
         stop = cfg.grid_stop
     if cfg.grid_count is not None:
         count = cfg.grid_count
-    if cfg.grid_scale:
-        scale = cfg.grid_scale
     if count < 1:
         raise UsageError("grid count must be positive")
-    if scale == "linear":
-        return np.linspace(start, stop, count)
-    if scale == "log1m":  # radii or dilations: every point in (0, 1)
-        grid = 1.0 - 10.0 ** -np.linspace(start, stop, count)
-        bad = ~((grid > 0.0) & (grid < 1.0))
-        if bad.any():
-            flag, value = ("--grid-start", start) if bad[0] else ("--grid-stop", stop)
-            raise UsageError(f"{flag} {value:g} puts a log1m grid point at "
-                             f"{float(grid[bad][0])!r}, outside (0, 1)")
-        return grid
+    x = np.linspace(start, stop, count)
     if scale == "dyadic":
-        return 2.0 ** -np.linspace(start, stop, count)
-    raise UsageError(f"unknown grid scale {scale!r}")
+        return 2.0 ** -x
+    grid = 1.0 - 10.0 ** -x
+    bad = ~((grid > 0.0) & (grid < 1.0))
+    if bad.any():
+        flag, value = ("--grid-start", start) if bad[0] else ("--grid-stop", stop)
+        raise UsageError(f"{flag} {value:g} puts a log1m grid point at "
+                         f"{float(grid[bad][0])!r}, outside (0, 1)")
+    return grid
 
 
 # -- the check registry ----------------------------------------------------
@@ -249,13 +246,6 @@ CHECKS = {
         lambda ctx, cfg, _: diag.annihilator_report(ctx.mu),
         "The truncated pairing of z^m S against the shifted coefficients of "
         "S tends to zero, exhibiting an annihilating functional."),
-    "bloch-diff": Check(
-        lambda ctx, cfg, ts: diag.bloch_difference_bound(
-            SingularInnerPower(ctx.mu, 1.0), Polynomial([0.0] * 5 + [1.0]),
-            cfg.p, ts),
-        "The dilation-difference integrals against a Bloch factor are "
-        "bounded by the product of the Besov and Bloch norms.",
-        grid=(0.3, 2.0, 4, "log1m"), defaults={"p": 2.0}),
 }
 
 PRESETS = {preset: tuple(n for n, c in CHECKS.items() if preset in c.presets)
@@ -401,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-start", type=float)
         sp.add_argument("--grid-stop", type=float)
         sp.add_argument("--grid-count", type=int)
-        sp.add_argument("--grid-scale",
-                        choices=("linear", "log1m", "dyadic"), default=None)
         sp.add_argument("--tolerance", type=float)
     return ap
 

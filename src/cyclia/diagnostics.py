@@ -20,10 +20,9 @@ from .dyadic import logsumexp, martingale_from_measure
 from .measures import (CircleMeasure, IntervalSet, bc_entropy,
                        modulus_continuity, modulus_smoothness,
                        smoothness_constant)
-from .models import (DilationQuotient, FunctionModel, SingularInnerPower,
-                     maclaurin, poisson_ring)
-from .norms import (QuadratureGrid, _radial_rule, besov_seminorm,
-                    bloch_seminorm, default_grid)
+from .models import (DilationQuotient, SingularInnerPower, maclaurin,
+                     poisson_ring)
+from .norms import QuadratureGrid, _radial_rule, besov_seminorm, default_grid
 from .profiles import SmoothnessProfile
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
     "brown_shields_table", "pmean_ratio", "poisson_martingale_gap",
     "multiplier_log_onebox", "derivative_sup_ratio",
     "anderson_report", "korenblum_necessity", "annihilator_pairing",
-    "annihilator_report", "bloch_difference_bound", "fourier_decay_fit",
+    "annihilator_report", "fourier_decay_fit",
     "fourier_lp_summability", "integrability_report",
 ]
 
@@ -490,41 +489,6 @@ def annihilator_report(mu: CircleMeasure) -> CheckReport:
         table=rows,
         fits={"sup_abs": worst}, worst_ratio=0.0 if decreasing else 1.0,
         threshold=0.5, verdict="pass" if decreasing else "fail")
-
-
-# -- Bloch difference bound ------------------------------------------------
-
-
-def bloch_difference_bound(fB: FunctionModel, phiF: FunctionModel, p: float,
-                           t_grid) -> CheckReport:
-    """sup_t int |(f(z) - f(tz)) g'(tz)|^p (1-|z|)^{p-1} dA for Bloch f.
-
-    Compared against seminorm(g)^p * bloch(f)^p with a fitted constant;
-    pass when the per-t values show no blow-up trend as t -> 1.
-    """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    grid = default_grid()
-    rhs = besov_seminorm(phiF, p, grid)[0] ** p * bloch_seminorm(fB, grid) ** p
-    rows = []
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        t = float(t)
-        total = 0.0
-        for r, w, m in zip(grid.r, grid.w, grid.m):
-            r, m = float(r), int(m)
-            diff = fB.ring(r, m) - fB.ring(t * r, m)
-            dg = phiF.dring(t * r, m)
-            total += (w * (1.0 - r) ** (p - 1.0) * r * (2.0 * math.pi / m)
-                      * float((np.abs(diff * dg) ** p).sum()))
-        rows.append({"t": t, "value": total,
-                     "ratio": total / rhs if rhs > 0 else 0.0})
-    vals = np.array([r["value"] for r in rows])
-    ts = np.array([r["t"] for r in rows])
-    return _trend_report(
-        "bloch-diff", {"p": p, "t_grid": [float(t) for t in ts]}, rows,
-        np.log(1.0 / (1.0 - ts)), vals, 1e-12,
-        {"rhs": rhs,
-         "fitted_constant": float(vals.max() / rhs) if rhs > 0 else 0.0})
 
 
 # -- Fourier decay and summability -----------------------------------------

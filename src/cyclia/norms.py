@@ -21,7 +21,7 @@ from .models import CoefficientVector, FunctionModel
 
 __all__ = [
     "QuadratureGrid", "lp_a_norm", "weighted_l2alpha",
-    "besov_seminorm", "bloch_seminorm",
+    "besov_seminorm",
 ]
 
 
@@ -131,10 +131,13 @@ def _besov_integral(f: FunctionModel, p: float,
 
     The rings are evaluated from the outside in, so the first one asks for
     the most coefficients and the rest read the cache it sized; the means
-    are summed from the inside out."""
+    are summed from the inside out.  The first ring whose mean is not
+    finite ends the pass with (inf, inf)."""
     means = [0.0] * len(grid)
     for i in reversed(range(len(grid))):
         means[i] = float(np.mean(np.abs(f.dring(float(grid.r[i]), int(grid.m[i]))) ** p))
+        if not math.isfinite(means[i]):
+            return math.inf, math.inf
     total = 0.0
     for r, w, mean in zip(grid.r, grid.w, means):
         total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
@@ -147,7 +150,8 @@ def besov_seminorm(f: FunctionModel, p: float,
 
     The estimate is the Richardson difference against one grid doubling
     plus a heuristic bound on the omitted annulus (last-ring integrand
-    times the remaining radial weight).
+    times the remaining radial weight).  When the fine grid's integral is
+    not finite, both read inf and the coarse grid is not evaluated.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -155,24 +159,12 @@ def besov_seminorm(f: FunctionModel, p: float,
         grid = default_grid()
     fine = grid.refine()
     fine_i, last_mean = _besov_integral(f, p, fine)   # the outermost ring first
+    if not math.isfinite(fine_i):
+        return math.inf, math.inf
     coarse_i, _ = _besov_integral(f, p, grid)
     r_last = float(fine.r[-1])
     tail = last_mean * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last)
     value = fine_i ** (1.0 / p)
     err = abs(value - coarse_i ** (1.0 / p)) + tail ** (1.0 / p)
     return value, err
-
-
-def bloch_seminorm(f: FunctionModel, grid: QuadratureGrid | None = None) -> float:
-    """max over grid points (including z = 0) of |f'(z)| (1 - |z|).
-
-    A lower bound of the true supremum; grid-dependent by construction.
-    """
-    if grid is None:
-        grid = default_grid()
-    best = float(abs(f.dring(0.0, 1)[0]))
-    for r, m in zip(grid.r, grid.m):
-        ring_max = float(np.abs(f.dring(float(r), int(m))).max())
-        best = max(best, ring_max * (1.0 - float(r)))
-    return best
 

@@ -177,7 +177,7 @@ class TestCheckCommand:
         out = str(tmp_path / "c")
         code = run("check", "--spec", LEB_SPEC, "--check", "derivative-sup",
                    "--grid-start", "0.5", "--grid-stop", "2.0",
-                   "--grid-count", "3", "--grid-scale", "log1m", "--out", out)
+                   "--grid-count", "3", "--out", out)
         assert code == 0
         rows = open(os.path.join(out, "lebesgue_derivative-sup.csv")
                     ).read().splitlines()
@@ -190,7 +190,7 @@ class TestCheckCommand:
     def test_log1m_point_outside_the_disc_is_a_usage_error(
             self, tmp_path, capsys, flag, value, point):
         # 1 - 10^-17 rounds to 1: a radius or a dilation on the circle
-        assert run("check", "--spec", ATOM_SPEC, "--check", "bloch-diff",
+        assert run("check", "--spec", ATOM_SPEC, "--check", "derivative-sup",
                    flag, value, "--out", str(tmp_path / "c")) == 2
         err = capsys.readouterr().err
         assert f"{flag} {value} puts a log1m grid point at {point}," in err
@@ -337,7 +337,7 @@ class TestRegistry:
         }
 
     def test_every_check_has_a_statement(self):
-        assert len(CHECKS) == 12
+        assert len(CHECKS) == 11
         assert all(c.statement.strip() for c in CHECKS.values())
 
     def test_check_choices_are_the_registry(self):
@@ -345,6 +345,30 @@ class TestRegistry:
         check = next(a for a in sub.choices["check"]._actions
                      if a.dest == "check")
         assert tuple(check.choices) == tuple(CHECKS)
+
+    def test_readme_check_table_is_the_registry(self):
+        # the README's check table names the checks in table order, with
+        # each one's default grid and presets
+        with open(os.path.join(REPO, "README.md")) as fh:
+            lines = fh.read().splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith("| Check | Default grid"))
+        rows = []
+        for line in lines[head + 2:]:
+            if not line.startswith("|"):
+                break
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        assert [row[0].strip("`") for row in rows] == list(CHECKS)
+        for name, grid, _, _, presets in rows:
+            check = CHECKS[name.strip("`")]
+            if grid == "none":
+                assert check.grid is None, name
+            else:
+                start, stop, count, scale = grid.strip("()").split(", ")
+                assert check.grid == (float(start), float(stop), int(count),
+                                      scale), name
+            assert tuple(p.strip("`") for p in presets.split(", ")
+                         if p != "—") == check.presets, name
 
     def test_run_check_fills_runtime_not_serialized(self):
         spec = json.loads(LEB_SPEC)

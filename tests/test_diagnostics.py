@@ -8,7 +8,7 @@ import pytest
 from cyclia import diagnostics
 from cyclia.diagnostics import (TREND_SLOPE_MAX, CheckReport, _trend_report,
                                 annihilator_pairing, annihilator_report,
-                                bloch_difference_bound, brown_shields_table,
+                                brown_shields_table,
                                 derivative_sup_ratio, fourier_decay_fit,
                                 fourier_lp_summability, korenblum_necessity,
                                 multiplier_log_onebox, pmean_ratio,
@@ -16,8 +16,8 @@ from cyclia.diagnostics import (TREND_SLOPE_MAX, CheckReport, _trend_report,
 from cyclia.measures import (IntervalSet, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import (FunctionModel, Polynomial, SingularInnerPower,
-                           maclaurin)
+from cyclia.models import (DilationQuotient, FunctionModel, Polynomial,
+                           SingularInnerPower, maclaurin)
 from cyclia.norms import QuadratureGrid, _radial_rule, default_grid
 from cyclia.profiles import LogPower, PowerLaw
 
@@ -63,8 +63,8 @@ class TestReport:
 
 
 class TestTrendRule:
-    """The bounded-trend rule shared by brown-shields, derivative-sup,
-    multiplier and bloch-diff."""
+    """The bounded-trend rule shared by brown-shields, derivative-sup and
+    multiplier."""
 
     X = np.log(1.0 / (1.0 - np.array([0.5, 0.9, 0.99, 0.999])))
 
@@ -122,21 +122,36 @@ class TestBrownShields:
         vals = [row["value"] for row in rep.table]
         assert vals[-1] > 10 * vals[0]
 
-    def test_underflowing_denominator_is_an_evaluation_error(self):
+    @pytest.fixture
+    def jet_calls(self, monkeypatch):
+        calls = []
+        jet = DilationQuotient.jet
+
+        def counted(self, r, m, offset=0.0):
+            calls.append(r)
+            return jet(self, r, m, offset)
+
+        monkeypatch.setattr(DilationQuotient, "jet", counted)
+        return calls
+
+    def test_underflowing_denominator_is_an_evaluation_error(self, jet_calls):
         # near the two atoms |S(0.999 z)| underflows on some rings: the
         # quotient, taken in log space, overflows there and the row is
-        # inf, without a divide-by-zero
+        # inf, without a divide-by-zero, after the outermost ring alone
         f = SingularInnerPower(atomic([(0.1, 0.6), (0.55, 0.4)]))
         with np.errstate(divide="raise"):
             rep = brown_shields_table(f, 3.0, [0.999])
         assert rep.table == [{"t": 0.999, "value": math.inf, "error": math.inf}]
+        assert len(jet_calls) == 1
 
-    def test_overflowing_value_has_infinite_error(self):
+    def test_overflowing_value_has_infinite_error(self, jet_calls):
         # the unit atom at t = 0.99206: the seminorm overflows to inf, and
-        # its error reads inf too, not inf - inf = nan
+        # its error reads inf too, not inf - inf = nan; the outermost ring
+        # decides it
         rep = brown_shields_table(SingularInnerPower(ATOM), 3.0, [0.99206])
         assert rep.table == [{"t": 0.99206, "value": math.inf,
                               "error": math.inf}]
+        assert len(jet_calls) == 1
 
     def test_p_validated(self):
         with pytest.raises(ValueError):
@@ -335,25 +350,6 @@ class TestAnnihilator:
         monkeypatch.setattr(diagnostics, "maclaurin", counted)
         rep = annihilator_report(ATOM)
         assert len(calls) == 1 and len(rep.table) == 6
-
-
-class TestBlochDiff:
-    def test_constant_zero(self):
-        rep = bloch_difference_bound(Polynomial([2.0]), Polynomial([0, 1.0]),
-                                     2.0, [0.5, 0.9])
-        assert rep.passed
-        assert all(row["value"] == 0.0 for row in rep.table)
-
-    def test_identity_pair_bounded(self):
-        rep = bloch_difference_bound(Polynomial([0, 1.0]), Polynomial([0, 1.0]),
-                                     2.0, [0.3, 0.6, 0.9, 0.99])
-        assert rep.passed
-
-    def test_inner_against_monomial(self):
-        f = SingularInnerPower(ATOM, 1.0)
-        g = Polynomial([0.0] * 5 + [1.0])
-        rep = bloch_difference_bound(f, g, 2.0, [0.5, 0.9, 0.99])
-        assert rep.passed
 
 
 class TestFourier:

@@ -7,8 +7,8 @@ from cyclia.measures import CircleMeasure, atomic, kahane_smooth
 from cyclia.models import (FunctionModel, Polynomial, SingularInnerPower,
                            _truncation_order, maclaurin)
 from cyclia.profiles import LogPower
-from cyclia.norms import (QuadratureGrid, besov_seminorm, bloch_seminorm,
-                          lp_a_norm, weighted_l2alpha)
+from cyclia.norms import (QuadratureGrid, besov_seminorm, lp_a_norm,
+                          weighted_l2alpha)
 
 Z = Polynomial([0.0, 1.0])
 ATOM_S = SingularInnerPower(atomic([(0.0, 1.0)]), 1.0)
@@ -103,19 +103,6 @@ class TestBesov:
         value = fine ** (1.0 / p)
         want = (value, abs(value - coarse ** (1.0 / p)) + tail ** (1.0 / p))
         assert besov_seminorm(SingularInnerPower(measure(), 1.0), p, grid) == want
-
-
-class TestBloch:
-    def test_identity(self):
-        assert bloch_seminorm(Z) == pytest.approx(1.0)
-
-    def test_square(self):
-        # sup (1-r) 2r = 1/2 at r = 1/2
-        assert bloch_seminorm(Polynomial([0, 0, 1.0])) == pytest.approx(
-            0.5, abs=1e-3)
-
-    def test_singular_inner_is_bloch(self):
-        assert bloch_seminorm(ATOM_S) == pytest.approx(2 / math.e, rel=1e-14)
 
 
 class Reciprocal(FunctionModel):
