@@ -44,7 +44,6 @@ class RunConfig:
     grid_start: float | None = None
     grid_stop: float | None = None
     grid_count: int | None = None
-    tolerance: float | None = None
 
 
 class UsageError(Exception):
@@ -97,10 +96,8 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
         mu = kahane_smooth(phi, depth, seed=seed)
         return MeasureContext(spec, mu, phi, label="kahane")
     if kind == "salem":
-        alpha = float(params.get("alpha",
-                                 0.8 if cfg.alpha is None else cfg.alpha))
-        epsilon = float(params.get(
-            "epsilon", 0.05 if cfg.epsilon is None else cfg.epsilon))
+        alpha = float(params.get("alpha", 0.8))
+        epsilon = float(params.get("epsilon", 0.05))
         if "d" in params and "xi" in params:
             d, xi = int(params["d"]), float(params["xi"])
         else:
@@ -223,11 +220,9 @@ CHECKS = {
         grid=(0.3, 3.0, 4, "log1m"), defaults={"p": 3.0, "alpha": 1.0},
         presets=("theorem-main", "theorem-power")),
     "fourier-decay": Check(
-        # 0.0 - tolerance, so that a tolerance of 0 gives the threshold +0.0
-        lambda ctx, cfg, _: diag.fourier_decay_fit(
-            ctx.mu, 4096, slope_threshold=0.0 - cfg.tolerance),
+        lambda ctx, cfg, _: diag.fourier_decay_fit(ctx.mu, 4096),
         "The Fourier coefficients of the measure decay polynomially.",
-        defaults={"tolerance": 0.25}, presets=("salem",)),
+        presets=("salem",)),
     "fourier-lp": Check(
         lambda ctx, cfg, _: diag.fourier_lp_summability(ctx.mu, cfg.p, 4096),
         "The p-th powers of the Fourier coefficients are summable.",
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-start", type=float)
         sp.add_argument("--grid-stop", type=float)
         sp.add_argument("--grid-count", type=int)
-        sp.add_argument("--tolerance", type=float)
     return ap
 
 

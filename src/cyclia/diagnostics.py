@@ -1,7 +1,8 @@
 """Theorem-level checks for singular inner functions.
 
 Every check returns a CheckReport: a parameter record, a per-sample table,
-fitted constants, and a verdict.  Because the underlying statements are
+fitted constants, and the number that decides it (``worst_ratio``) with the
+check's own constant (``threshold``).  Because the underlying statements are
 existential in their constants, "bounded" verdicts are trend tests (fitted
 slope of the log-values below a small cutoff) rather than comparisons
 against a hard constant.  All exponentials of Poisson integrals are taken
@@ -20,8 +21,8 @@ from .dyadic import logsumexp, martingale_from_measure
 from .measures import (CircleMeasure, IntervalSet, bc_entropy,
                        modulus_continuity, modulus_smoothness,
                        smoothness_constant)
-from .models import (DilationQuotient, SingularInnerPower, maclaurin,
-                     poisson_ring)
+from .models import (DilationQuotient, SingularInnerPower, herglotz_ring,
+                     maclaurin)
 from .norms import QuadratureGrid, _radial_rule, besov_seminorm, default_grid
 from .profiles import SmoothnessProfile
 
@@ -42,9 +43,10 @@ _ZERO = 1e-300          # floor before taking logs of possibly-zero values
 _ENVELOPE_TIE = 1e-12   # relative gap below an octave's max that counts as a tie
 _LP_TAIL_FRACTION_MAX = 0.1  # share of the l^p sum its last two octaves may add
 _ANNIHILATOR_K = 400    # last coefficient index of the annihilator pairing
+_DECAY_SLOPE_MAX = -0.25  # largest Fourier envelope slope that counts as decay
 _OCTAVES = 45           # octaves 2^-k, k = 1..45, of the integrability truncations
 # a gauge integral's tail counts as convergent when its per-octave
-# increments decay faster than 1/k (fitted log-log slope below this);
+# increments decay faster than 1/k (fitted log-log slope at most this);
 # the 1/k borderline itself diverges
 _INTEGRABLE_SLOPE = -1.15
 
@@ -53,8 +55,9 @@ _INTEGRABLE_SLOPE = -1.15
 class CheckReport:
     """Outcome of one check: samples, fits, and a thresholded verdict.
 
-    ``verdict`` is "pass" exactly when ``worst_ratio <= threshold``
-    (or "inconclusive" when the check could not decide).  ``runtime`` is
+    The verdict is computed, never written: "inconclusive" when
+    ``worst_ratio`` is NaN (the numerics could not decide), "pass" when
+    ``worst_ratio <= threshold``, and "fail" otherwise.  ``runtime`` is
     informational and excluded from serialization so that repeated runs
     produce identical artifacts.
     """
@@ -65,8 +68,13 @@ class CheckReport:
     fits: dict = field(default_factory=dict)
     worst_ratio: float = 0.0
     threshold: float = 0.0
-    verdict: str = "inconclusive"
     runtime: float = 0.0
+
+    @property
+    def verdict(self) -> str:
+        if math.isnan(self.worst_ratio):
+            return "inconclusive"
+        return "pass" if self.worst_ratio <= self.threshold else "fail"
 
     @property
     def passed(self) -> bool:
@@ -130,15 +138,6 @@ def _fit_slope(x, y) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _bounded_trend(name: str, params: dict, table: list, slope: float,
-                   fits: dict) -> CheckReport:
-    """The verdict of every trend check: pass when the slope is at most
-    TREND_SLOPE_MAX, which is also the report's threshold."""
-    return CheckReport(name=name, params=params, table=table, fits=fits,
-                       worst_ratio=slope, threshold=TREND_SLOPE_MAX,
-                       verdict="pass" if slope <= TREND_SLOPE_MAX else "fail")
-
-
 def _trend_report(name: str, params: dict, table: list, x, vals, tiny: float,
                   fits: dict, keep=slice(None)) -> CheckReport:
     """The bounded-trend rule for samples ``vals`` on the log-scale ``x``.
@@ -152,7 +151,9 @@ def _trend_report(name: str, params: dict, table: list, x, vals, tiny: float,
         slope = 0.0
     else:
         slope = _fit_slope(x[keep], np.log(np.maximum(vals[keep], _ZERO)))
-    return _bounded_trend(name, params, table, slope, {"slope": slope, **fits})
+    return CheckReport(name=name, params=params, table=table,
+                       fits={"slope": slope, **fits}, worst_ratio=slope,
+                       threshold=TREND_SLOPE_MAX)
 
 
 def _ring_count(r: float, floor: int = 1024) -> int:
@@ -206,7 +207,7 @@ def pmean_ratio(mu: CircleMeasure, phi, p: float, r_grid) -> CheckReport:
     for r in np.atleast_1d(np.asarray(r_grid, dtype=float)):
         r = float(r)
         m = _ring_count(r)
-        pois = poisson_ring(mu, r, m)
+        pois = herglotz_ring(mu, r, m).real
         log_lhs = float(math.log(2.0 * math.pi) + logsumexp(p * pois) - math.log(m))
         br = float(phi.bracket(1.0 - r))
         rows.append({"r": r, "log_lhs": log_lhs, "bracket": br})
@@ -221,14 +222,13 @@ def pmean_ratio(mu: CircleMeasure, phi, p: float, r_grid) -> CheckReport:
         row["fit"] = row["log_lhs"] - rr
         row["residual"] = float(rr)
     spread = float(np.ptp(resid)) / math.log(10.0)
-    verdict = "pass" if spread <= 1.0 else "fail"
     return CheckReport(
         name="pmeans",
         params={"p": p, "r_grid": [float(r["r"]) for r in rows]},
         table=rows,
         fits={"C_p": float(cp), "log_C": float(logc),
               "residual_spread_decades": spread, "smoothness_constant": cs},
-        worst_ratio=spread, threshold=1.0, verdict=verdict)
+        worst_ratio=spread, threshold=1.0)
 
 
 # -- Poisson integral vs dyadic martingale ---------------------------------
@@ -246,7 +246,7 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
     samples = []
     for n in range(1, depth + 1):
         r = 1.0 - 0.75 * 2.0**-n
-        pois = poisson_ring(mu, r, 2**n, offset=0.5)
+        pois = herglotz_ring(mu, r, 2**n, offset=0.5).real
         samples.append((n, pois, mart.levels[n]))
     num = sum(float((p * m).sum()) for _, p, m in samples)
     den = sum(float((m * m).sum()) for _, p, m in samples)
@@ -262,9 +262,10 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
     keep = ns >= min(4, depth)
     scale = 1.0 + float(np.median(np.abs(gaps)))
     slope = _fit_slope(ns[keep], gaps[keep]) / scale
-    return _bounded_trend(
-        "poisson-martingale", {"depth": depth}, rows, slope,
-        {"C": c, "gap_trend_slope": slope, "sup_gap": float(gaps.max())})
+    return CheckReport(
+        name="poisson-martingale", params={"depth": depth}, table=rows,
+        fits={"C": c, "gap_trend_slope": slope, "sup_gap": float(gaps.max())},
+        worst_ratio=slope, threshold=TREND_SLOPE_MAX)
 
 
 # -- Carleson boxes and the multiplier test --------------------------------
@@ -349,8 +350,8 @@ def anderson_report(mu: CircleMeasure, t_grid) -> CheckReport:
     """Both moduli of mu against Anderson's absolute bounds over t_grid,
     delta_mu(t) <= 8t(2 + log log(e/t)/96) and
     omega_mu(t) <= 36t/sqrt(log(e/t)).  Each margin is the worst ratio of
-    a modulus to its bound; the check passes when both are at most 1
-    (within 1e-12), and the worst ratio is the larger of the two."""
+    a modulus to its bound; the worst ratio is the larger of the two, and
+    the check passes when it is at most 1."""
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float)).tolist()
     rows = []
     wd = wo = 0.0
@@ -365,8 +366,7 @@ def anderson_report(mu: CircleMeasure, t_grid) -> CheckReport:
     return CheckReport(
         name="anderson", params={"t_grid": ts}, table=rows,
         fits={"worst_delta_margin": wd, "worst_omega_margin": wo},
-        worst_ratio=max(wd, wo), threshold=1.0,
-        verdict="pass" if max(wd, wo) <= 1.0 + 1e-12 else "fail")
+        worst_ratio=max(wd, wo), threshold=1.0)
 
 
 def _block_slope(blocks):
@@ -388,7 +388,7 @@ def integrability_report(phi: SmoothnessProfile, p: float,
     Both integrals are accumulated octave by octave, delta = 2^-k for the
     first 45 octaves, in the variable v = log(e/t) where the integrands
     are smooth.  Each is convergent when the fitted power-law slope of its
-    octave increments is below -1.15.
+    octave increments is at most -1.15.
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
@@ -414,16 +414,14 @@ def integrability_report(phi: SmoothnessProfile, p: float,
         blocks2.append(b2)
         rows.append({"k": k, "first": total1, "weighted": total2})
     slope1, slope2 = _block_slope(blocks1), _block_slope(blocks2)
-    verdict1 = "convergent" if slope1 < _INTEGRABLE_SLOPE else "divergent"
-    verdict2 = "convergent" if slope2 < _INTEGRABLE_SLOPE else "divergent"
-    ok = verdict1 == verdict2 == "convergent"
+    verdict1 = "convergent" if slope1 <= _INTEGRABLE_SLOPE else "divergent"
+    verdict2 = "convergent" if slope2 <= _INTEGRABLE_SLOPE else "divergent"
     return CheckReport(
         name="integrability", params={"p": p, "epsilon": epsilon},
         table=rows,
         fits={"slope_first": slope1, "slope_weighted": slope2,
               "verdict_first": verdict1, "verdict_weighted": verdict2},
-        worst_ratio=max(slope1, slope2), threshold=_INTEGRABLE_SLOPE,
-        verdict="pass" if ok else "fail")
+        worst_ratio=max(slope1, slope2), threshold=_INTEGRABLE_SLOPE)
 
 
 # -- necessity -------------------------------------------------------------
@@ -448,8 +446,7 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
         name="korenblum", params={"arcs": len(E.arcs)}, table=rows,
         fits={"entropy": ent.total, "entropy_verdict": ent.verdict,
               "mass": mass, "conclusion": conclusion},
-        worst_ratio=mass if ent.convergent else 0.0, threshold=1e-12,
-        verdict="fail" if obstruction else "pass")
+        worst_ratio=mass if ent.convergent else 0.0, threshold=1e-12)
 
 
 # -- annihilating functional -----------------------------------------------
@@ -488,20 +485,19 @@ def annihilator_report(mu: CircleMeasure) -> CheckReport:
         name="annihilator", params={"K": _ANNIHILATOR_K, "m": [0, 1, 2]},
         table=rows,
         fits={"sup_abs": worst}, worst_ratio=0.0 if decreasing else 1.0,
-        threshold=0.5, verdict="pass" if decreasing else "fail")
+        threshold=0.5)
 
 
 # -- Fourier decay and summability -----------------------------------------
 
 
-def fourier_decay_fit(mu: CircleMeasure, n_max: int,
-                      slope_threshold: float = -0.25) -> CheckReport:
+def fourier_decay_fit(mu: CircleMeasure, n_max: int) -> CheckReport:
     """Power-law fit of the Fourier coefficient envelope.
 
     The envelope is the per-octave max of |hat mu(n)|, taken at the first n
     within a relative 1e-12 of the max; the report's fit is
     the least-squares slope of its log against log n, and the check passes
-    when the slope is at most the threshold.  When every hat mu(n), n >= 1,
+    when the slope is at most -0.25.  When every hat mu(n), n >= 1,
     vanishes the decay is faster than any power: the slope is -inf, the
     table empty, and the check passes.
     """
@@ -525,12 +521,11 @@ def fourier_decay_fit(mu: CircleMeasure, n_max: int,
     slope = (_fit_slope(np.log([row["n"] for row in rows]),
                         np.log([row["envelope"] for row in rows]))
              if rows else -math.inf)
-    verdict = "pass" if slope <= slope_threshold else "fail"
     return CheckReport(
         name="fourier-decay", params={"n_max": n_max,
-                                      "slope_threshold": slope_threshold},
+                                      "slope_threshold": _DECAY_SLOPE_MAX},
         table=rows, fits={"slope": slope},
-        worst_ratio=slope, threshold=slope_threshold, verdict=verdict)
+        worst_ratio=slope, threshold=_DECAY_SLOPE_MAX)
 
 
 def fourier_lp_summability(mu: CircleMeasure, p: float,
@@ -570,10 +565,8 @@ def fourier_lp_summability(mu: CircleMeasure, p: float,
     total = float(rows[-1]["partial_sum"])
     head = float(rows[-3]["partial_sum"]) if len(rows) >= 3 else 0.0
     tail_fraction = (total - head) / total if total > 0 else 0.0
-    verdict = "pass" if tail_fraction <= _LP_TAIL_FRACTION_MAX else "fail"
     return CheckReport(
         name="fourier-lp", params={"p": p, "n_max": n_max}, table=rows,
         fits={"increment_slope": slope, "partial_sum": total,
               "tail_fraction": tail_fraction},
-        worst_ratio=tail_fraction, threshold=_LP_TAIL_FRACTION_MAX,
-        verdict=verdict)
+        worst_ratio=tail_fraction, threshold=_LP_TAIL_FRACTION_MAX)

@@ -5,11 +5,11 @@
   truncated coefficients, read from the measure's own cache, viewed as
   rows of length M, are folded by a rank-one damping (a row factor times a
   column factor) in one matrix product; one inverse FFT finishes both.
+  At r = 0 the series gives H = mu(T) and H' = 2 hat mu(1) exactly.
 * The scalar reference: the Herglotz integral of an atoms-plus-pieces
   measure has an exact antiderivative per arc; the logarithm's branch is
   kept honest by bisecting any arc whose endpoint ratio leaves the right
-  half plane.  The tests check the ring kernel against it, and it gives
-  the kernel's value at r = 0.
+  half plane.  The tests check the ring kernel against it.
 
 Function models (inner powers, polynomials, and the dilation quotient
 S/S_t, taken in log space) are immutable and evaluated only as the jet
@@ -159,9 +159,8 @@ def poisson(mu: CircleMeasure, z: complex) -> float:
 
 
 def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
-    """Smallest N with 2 mass (N + 1/(1-r)) r^N / (1-r) below tol."""
-    if r <= 0.0:
-        return 1
+    """Smallest N with 2 mass (N + 1/(1-r)) r^N / (1-r) below tol,
+    0 < r < 1."""
     scale = max(2.0 * abs(mass), 1.0)
     log_r = math.log(r)
     n = max(8, int(-36.0 / log_r))
@@ -205,13 +204,14 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
 def herglotz_jet(mu: CircleMeasure, r: float, m: int,
                  offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1,
-    from one inverse FFT of _spectrum; at r = 0, from the scalar integrals.
+    from one inverse FFT of _spectrum; at r = 0, H = mu(T) and
+    H' = 2 hat mu(1).
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("ring radius must be in [0, 1)")
     if r == 0.0:
-        return (np.full(m, herglotz(mu, 0.0), dtype=complex),
-                np.full(m, herglotz_derivative(mu, 0.0), dtype=complex))
+        return (np.full(m, mu.total_mass, dtype=complex),
+                np.full(m, 2.0 * mu.coefficients(1)[0], dtype=complex))
     h, h1 = np.fft.ifft(_spectrum(mu, r, m, offset), axis=1, norm="forward")
     return h + mu.total_mass, h1
 
@@ -220,10 +220,6 @@ def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
                   deriv: bool = False) -> np.ndarray:
     """H (or H') at the M ring points of herglotz_jet."""
     return herglotz_jet(mu, r, m, offset)[1 if deriv else 0]
-
-
-def poisson_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0) -> np.ndarray:
-    return herglotz_ring(mu, r, m, offset).real
 
 
 # -- function models -------------------------------------------------------

@@ -213,21 +213,32 @@ class TestCheckCommand:
                    "--p", "0", "--out", str(tmp_path / "c")) == 2
         assert "p must be positive" in capsys.readouterr().err
 
-    def test_zero_tolerance_gives_zero_threshold(self, tmp_path):
-        out = str(tmp_path / "c")
-        run("check", "--spec", SALEM_SPEC, "--check", "fourier-decay",
-            "--tolerance", "0", "--out", out)
-        text = open(os.path.join(out, "salem_fourier-decay.json")).read()
-        data = json.loads(text)
-        assert data["threshold"] == 0.0 and '"threshold": 0.0' in text
-        assert data["params"]["slope_threshold"] == 0.0
+    def test_tolerance_is_a_usage_error(self, tmp_path):
+        # fourier-decay's threshold is a constant of the check
+        assert run("check", "--spec", SALEM_SPEC, "--check", "fourier-decay",
+                   "--tolerance", "0", "--out", str(tmp_path / "c")) == 2
+        assert not os.path.exists(tmp_path / "c")
 
     def test_zero_epsilon_reaches_the_salem_construction(self, tmp_path,
                                                          capsys):
-        spec = '{"type": "salem", "depth": 6, "seed": 3}'
+        spec = ('{"type": "salem", "params": {"epsilon": 0}, "depth": 6,'
+                ' "seed": 3}')
         assert run("check", "--spec", spec, "--check", "korenblum",
-                   "--epsilon", "0", "--out", str(tmp_path / "c")) == 2
+                   "--out", str(tmp_path / "c")) == 2
         assert "epsilon must be positive" in capsys.readouterr().err
+
+    def test_check_flags_leave_the_salem_construction(self, tmp_path):
+        # --alpha and --epsilon are flags of the checks (the inner power of
+        # brown-shields, the weighted gauge integral); the spec alone
+        # builds the measure
+        spec = '{"type": "salem", "depth": 6, "seed": 3}'
+        texts = []
+        for flags in ([], ["--alpha", "0.05", "--epsilon", "0.5"]):
+            out = str(tmp_path / f"m{len(flags)}")
+            assert run("measure", "--spec", spec, *flags, "--out", out) == 0
+            with open(os.path.join(out, "salem_measure.csv")) as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1]
 
     def test_check_flag_is_required(self, tmp_path):
         assert run("check", "--spec", LEB_SPEC,
@@ -376,6 +387,17 @@ class TestRegistry:
         report = run_check("pmeans", build_measure(spec, cfg), cfg)
         assert report.runtime > 0
         assert "runtime" not in json.loads(report.to_json())
+
+    def test_benchmark_argv_parses(self, monkeypatch):
+        # every operation of every benchmark workload is a command line the
+        # parser accepts: its checks, presets and flags all still exist
+        monkeypatch.syspath_prepend(os.path.join(REPO, "bench"))
+        workloads = importlib.import_module("workloads")
+        ap = build_parser()
+        for name, build in workloads.WORKLOADS.items():
+            for op in build(0).ops:
+                ns = ap.parse_args(op.argv + ["--out", "unused"])
+                assert ns.command == op.argv[0], (name, op.label)
 
     def test_benchmark_entry_points(self):
         # the benchmark's runner and tracer call these by name

@@ -42,21 +42,38 @@ class TestReport:
     def test_json_round_trip_and_runtime_excluded(self):
         rep = CheckReport(name="x", params={"p": 3.0}, table=[{"a": 1.0}],
                           fits={"c": 2.0}, worst_ratio=0.1, threshold=1.0,
-                          verdict="pass", runtime=12.3)
+                          runtime=12.3)
         data = json.loads(rep.to_json())
         assert data["verdict"] == "pass"
         assert "runtime" not in data
 
+    @pytest.mark.parametrize("worst, threshold, verdict", [
+        (0.5, 1.0, "pass"),
+        (1.0, 1.0, "pass"),
+        (1.0 + 1e-13, 1.0, "fail"),
+        (math.inf, 0.05, "fail"),
+        (math.nan, 0.05, "inconclusive"),
+    ])
+    def test_verdict_is_worst_ratio_against_threshold(self, worst, threshold,
+                                                      verdict):
+        rep = CheckReport(name="x", params={}, table=[], worst_ratio=worst,
+                          threshold=threshold)
+        assert rep.verdict == verdict
+        assert rep.passed == (verdict == "pass")
+        data = json.loads(rep.to_json())
+        assert data["verdict"] == verdict
+        if math.isnan(worst):
+            assert data["worst_ratio"] is None
+
     def test_json_signed_infinities_and_nan(self):
         rep = CheckReport(name="x", params={}, table=[],
                           fits={"lo": -math.inf, "hi": np.float64(math.inf),
-                                "nan": math.nan}, verdict="pass")
+                                "nan": math.nan})
         assert json.loads(rep.to_json())["fits"] == {
             "lo": "-inf", "hi": "inf", "nan": None}
 
     def test_csv_layout(self):
-        rep = CheckReport(name="x", params={}, table=[{"a": 1.0, "b": 2}],
-                          verdict="pass")
+        rep = CheckReport(name="x", params={}, table=[{"a": 1.0, "b": 2}])
         lines = rep.to_csv().strip().split("\n")
         assert lines[0] == "a,b"
         assert lines[1].startswith("1,")

@@ -12,8 +12,7 @@ from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              salem_measure)
 from cyclia.models import (AliasBoundError, DilationQuotient, Polynomial,
                            SingularInnerPower, herglotz, herglotz_derivative,
-                           herglotz_jet, herglotz_ring, maclaurin, poisson,
-                           poisson_ring)
+                           herglotz_jet, herglotz_ring, maclaurin, poisson)
 from cyclia.norms import QuadratureGrid, besov_seminorm
 from cyclia.profiles import LogPower
 
@@ -130,7 +129,7 @@ class TestRings:
         # the mean of P over a circle is mu(T)
         from cyclia.profiles import LogPower
         mu = kahane_smooth(LogPower(1.0, 0.5), 10, seed=5)
-        vals = poisson_ring(mu, 0.99, 4096)
+        vals = herglotz_ring(mu, 0.99, 4096).real
         assert vals.mean() == pytest.approx(mu.total_mass, abs=1e-10)
 
 
@@ -263,10 +262,16 @@ class TestJetKernel:
         _assert_jet_matches_mpmath(mu, 0.97, 64, 0.3)
 
     def test_radius_zero(self):
+        # H(0) = mu(T) and H'(0) = 2 hat mu(1), exactly; the scalar
+        # integrals agree to rounding
         mu = atomic([(0.1, 0.7), (0.6, 0.3)])
         h, h1 = herglotz_jet(mu, 0.0, 8)
-        assert np.all(h == herglotz(mu, 0.0))
-        assert np.all(h1 == herglotz_derivative(mu, 0.0))
+        c1 = 0.7 * np.exp(-0.2j * np.pi) + 0.3 * np.exp(-1.2j * np.pi)
+        assert np.all(h == 1.0)
+        assert np.all(h1 == 2.0 * mu.coefficients(1)[0])
+        assert abs(h1[0] - 2.0 * c1) < 1e-15
+        assert abs(h[0] - herglotz(mu, 0.0)) < 1e-15
+        assert abs(h1[0] - herglotz_derivative(mu, 0.0)) < 1e-15
 
     def test_ring_selects_from_jet(self):
         h, h1 = herglotz_jet(ATOM, 0.9, 32, 0.25)
