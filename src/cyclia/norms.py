@@ -1,13 +1,13 @@
 """Norms on the disc and on coefficient sequences.
 
 Disc integrals int (1-|z|)^{p-1} |f'|^p dA are computed ring by ring: the
-radial direction uses composite Gauss-Legendre panels in the boundary
+radial direction uses composite Gauss-Kronrod panels in the boundary
 variable u = -log2(1 - r) (where the integrands of interest are smooth and
 decaying), the angular direction uniform sampling with per-ring counts
-growing like 1/(1-r).  Refinement doubles both panel count and angular
-resolution, and the seminorm reports the resulting Richardson difference
-as its error estimate together with a heuristic bound for the omitted
-boundary annulus.
+growing like 1/(1-r).  Each panel's 2n+1 Kronrod nodes contain its n Gauss
+nodes, so one pass gives both sums: the seminorm reports the Kronrod value,
+and as its error estimate the difference against the embedded Gauss value
+together with a heuristic bound for the omitted boundary annulus.
 """
 
 from __future__ import annotations
@@ -25,38 +25,94 @@ __all__ = [
 ]
 
 
+def _kronrod(n: int):
+    """The (2n+1)-point Gauss-Kronrod rule on [-1, 1] extending leggauss(n).
+
+    Returns the nodes in increasing order, the Kronrod weights, and the
+    Gauss weights on the same nodes (zero on the n+1 Kronrod-only ones).
+    The Kronrod extension is Laurie's algorithm (Math. Comp. 66, 1997) on
+    the Legendre recurrence: the Jacobi-Kronrod matrix, then its
+    eigenvalues and the squared first components of its eigenvectors.
+    The embedded nodes and weights are leggauss(n)'s own, so the Gauss sum
+    is exactly the Gauss rule.
+    """
+    a = np.zeros(2 * n + 1)
+    i = np.arange(1, 2 * n + 1)
+    b = np.concatenate([[2.0], i**2 / (4.0 * i**2 - 1.0)])
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((a[k + n + 1] - a[l]) * t[k + 1]
+                             + b[k + n + 1] * s[k] - b[l] * s[k + 1])
+        s, t = t, s
+    s[1:n // 2 + 2] = s[:n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - l - 1
+        s[j + 1] = np.cumsum(-(a[k + n + 1] - a[l]) * t[j + 1]
+                             - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    x, v = np.linalg.eigh(np.diag(a) + np.diag(np.sqrt(b[1:]), -1))
+    wk = b[0] * v[0] ** 2
+    x, wk = 0.5 * (x - x[::-1]), 0.5 * (wk + wk[::-1])   # the rule is even
+    wg = np.zeros_like(wk)
+    x[1::2], wg[1::2] = np.polynomial.legendre.leggauss(n)
+    return x, wk, wg
+
+
+def _on_panels(edges, x, weights):
+    """A rule on [-1, 1] copied onto each panel of u between consecutive
+    edges: the nodes u, the radii r = 1 - 2^-u, and each weight vector
+    turned into weights for int . dr."""
+    edges = np.asarray(edges, dtype=float)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    u = (lo + half * (x + 1.0)).ravel()
+    # dr = ln 2 * 2^-u du
+    return u, 1.0 - np.exp2(-u), [
+        (w * half).ravel() * math.log(2.0) * np.exp2(-u) for w in weights]
+
+
+def _angular_counts(u, m_min: int, m_max: int):
+    """Per ring the smallest power of two at or above m_min * 2^u, capped
+    at m_max."""
+    m = np.minimum(m_max, np.maximum(
+        m_min, np.exp2(np.ceil(u + math.log2(m_min))).astype(np.int64)))
+    return m.astype(int)
+
+
 def _radial_rule(edges, nodes_per_panel: int, m_min: int, m_max: int):
     """Gauss-Legendre panels in u = -log2(1-r) between consecutive edges.
 
     Returns the nodes u, the radii r = 1 - 2^-u, the weights of the rule
-    for int . dr, and per ring the smallest power of two at or above
-    m_min * 2^u, capped at m_max, as its angular count.
+    for int . dr, and the angular counts of ``_angular_counts``.
     """
     x, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
-    us, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        us.append(lo + half * (x + 1.0))
-        ws.append(gw * half)
-    u = np.concatenate(us)
-    r = 1.0 - np.exp2(-u)
-    # dr = ln 2 * 2^-u du
-    w = np.concatenate(ws) * math.log(2.0) * np.exp2(-u)
-    m = np.minimum(m_max, np.maximum(
-        m_min, np.exp2(np.ceil(u + math.log2(m_min))).astype(np.int64)))
-    return u, r, w, m.astype(int)
+    u, r, (w,) = _on_panels(edges, x, [gw])
+    return u, r, w, _angular_counts(u, m_min, m_max)
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Radial nodes/weights for int_0^1 . dr plus per-ring angular counts.
 
-    ``r`` is strictly increasing in [0, 1); ``w`` are the weights of the
-    radial rule; ``m`` are power-of-two angular sample counts.
+    ``r`` is strictly increasing in [0, 1); ``w`` and ``wg`` are the
+    weights of the composite Kronrod rule and of its embedded Gauss rule
+    (zero on the Kronrod-only nodes); ``m`` are power-of-two angular
+    sample counts.
     """
 
     r: np.ndarray
     w: np.ndarray
+    wg: np.ndarray
     m: np.ndarray
     u_max: float
     panels: int
@@ -68,21 +124,39 @@ class QuadratureGrid:
     def build(cls, u_max: float = 16.6, panels: int = 12,
               nodes_per_panel: int = 8, m_min: int = 64,
               m_max: int = 1 << 16) -> "QuadratureGrid":
-        """Composite Gauss-Legendre rule in u = -log2(1-r) on [0, u_max].
+        """Composite Gauss-Kronrod rule in u = -log2(1-r) on [0, u_max].
 
-        The last node sits at 1 - r = 2^-u_max; the angular count on each
-        ring is the smallest admissible power of two above 64 * 2^u.
+        Each of the ``panels`` equal panels holds the 2n+1 Kronrod nodes
+        of its n = ``nodes_per_panel`` Gauss nodes.  The outermost node
+        sits just inside 1 - r = 2^-u_max; the angular count on each ring
+        is the smallest power of two at or above 2 m_min * 2^u, capped at
+        m_max (the Gauss-Legendre rules of ``multiplier`` take m_min
+        itself).
         """
-        _, r, w, m = _radial_rule(np.linspace(0.0, u_max, panels + 1),
-                                  nodes_per_panel, m_min, m_max)
-        return cls(r=r, w=w, m=m, u_max=u_max, panels=panels,
+        if not 0.0 < u_max < math.inf:
+            raise ValueError(f"u_max must be > 0 and finite, got {u_max}")
+        for name, n in (("panels", panels), ("nodes_per_panel", nodes_per_panel)):
+            if not (isinstance(n, (int, np.integer)) and n >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {n}")
+        for name, m in (("m_min", m_min), ("m_max", m_max)):
+            if not (isinstance(m, (int, np.integer)) and m >= 1
+                    and m & (m - 1) == 0):
+                raise ValueError(f"{name} must be a power of two, got {m}")
+        if m_min > m_max:
+            raise ValueError(f"m_min must be <= m_max, got {m_min} > {m_max}")
+        x, wk, wg = _kronrod(nodes_per_panel)
+        u, r, (w, wg) = _on_panels(np.linspace(0.0, u_max, panels + 1),
+                                   x, [wk, wg])
+        return cls(r=r, w=w, wg=wg,
+                   m=_angular_counts(u, min(2 * m_min, m_max), m_max),
+                   u_max=u_max, panels=panels,
                    nodes_per_panel=nodes_per_panel, m_min=m_min, m_max=m_max)
 
     def refine(self) -> "QuadratureGrid":
-        g = QuadratureGrid.build(self.u_max, 2 * self.panels,
-                                 self.nodes_per_panel, min(2 * self.m_min, self.m_max),
-                                 self.m_max)
-        return g
+        """The grid with twice the panels and twice the angular counts."""
+        return QuadratureGrid.build(self.u_max, 2 * self.panels,
+                                    self.nodes_per_panel,
+                                    min(2 * self.m_min, self.m_max), self.m_max)
 
     def __len__(self):
         return len(self.r)
@@ -125,46 +199,34 @@ def weighted_l2alpha(c, alpha: float) -> float:
 # -- disc integrals --------------------------------------------------------
 
 
-def _besov_integral(f: FunctionModel, p: float,
-                    grid: QuadratureGrid) -> tuple[float, float]:
-    """The radial rule's sum, and the mean of |f'|^p on the last ring.
-
-    The rings are evaluated from the outside in, so the first one asks for
-    the most coefficients and the rest read the cache it sized; the means
-    are summed from the inside out.  The first ring whose mean is not
-    finite ends the pass with (inf, inf)."""
-    means = [0.0] * len(grid)
-    for i in reversed(range(len(grid))):
-        means[i] = float(np.mean(np.abs(f.dring(float(grid.r[i]), int(grid.m[i]))) ** p))
-        if not math.isfinite(means[i]):
-            return math.inf, math.inf
-    total = 0.0
-    for r, w, mean in zip(grid.r, grid.w, means):
-        total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
-    return total, mean
-
-
 def besov_seminorm(f: FunctionModel, p: float,
                    grid: QuadratureGrid | None = None) -> tuple[float, float]:
     """(int_D (1-|z|)^{p-1} |f'|^p dA)^(1/p) with an error estimate.
 
-    The estimate is the Richardson difference against one grid doubling
-    plus a heuristic bound on the omitted annulus (last-ring integrand
-    times the remaining radial weight).  When the fine grid's integral is
-    not finite, both read inf and the coarse grid is not evaluated.
+    One pass over the grid's rings gives the Kronrod sum K and its
+    embedded Gauss sum G.  The value is K^(1/p); the estimate is
+    |K^(1/p) - G^(1/p)| plus a heuristic bound on the omitted annulus (the
+    outermost ring's integrand times the remaining radial weight).  The
+    rings are evaluated from the outside in, so the first one asks for the
+    most coefficients and the rest read the cache it sized; the sums run
+    from the inside out.  The first ring whose mean of |f'|^p is not finite
+    ends the pass, and both numbers read inf.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if grid is None:
         grid = default_grid()
-    fine = grid.refine()
-    fine_i, last_mean = _besov_integral(f, p, fine)   # the outermost ring first
-    if not math.isfinite(fine_i):
-        return math.inf, math.inf
-    coarse_i, _ = _besov_integral(f, p, grid)
-    r_last = float(fine.r[-1])
-    tail = last_mean * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last)
-    value = fine_i ** (1.0 / p)
-    err = abs(value - coarse_i ** (1.0 / p)) + tail ** (1.0 / p)
-    return value, err
-
+    means = [0.0] * len(grid)
+    for i in reversed(range(len(grid))):
+        means[i] = float(np.mean(np.abs(f.dring(float(grid.r[i]), int(grid.m[i]))) ** p))
+        if not math.isfinite(means[i]):
+            return math.inf, math.inf
+    kronrod = gauss = 0.0
+    for r, wk, wg, mean in zip(grid.r, grid.w, grid.wg, means):
+        term = (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
+        kronrod += wk * term
+        gauss += wg * term
+    r_last = float(grid.r[-1])
+    tail = means[-1] * (1.0 - r_last) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r_last)
+    value = kronrod ** (1.0 / p)
+    return value, abs(value - gauss ** (1.0 / p)) + tail ** (1.0 / p)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cyclia.measures import CircleMeasure, atomic, kahane_smooth
-from cyclia.models import (FunctionModel, Polynomial, SingularInnerPower,
-                           _truncation_order, maclaurin)
+from cyclia.models import (DilationQuotient, FunctionModel, Polynomial,
+                           SingularInnerPower, _truncation_order, maclaurin)
 from cyclia.profiles import LogPower
-from cyclia.norms import (QuadratureGrid, besov_seminorm, lp_a_norm,
-                          weighted_l2alpha)
+from cyclia.norms import (QuadratureGrid, _kronrod, besov_seminorm,
+                          lp_a_norm, weighted_l2alpha)
 
 Z = Polynomial([0.0, 1.0])
 ATOM_S = SingularInnerPower(atomic([(0.0, 1.0)]), 1.0)
@@ -69,12 +69,12 @@ class TestBesov:
             besov_seminorm(Z, 0.5)
 
     def test_outermost_ring_sizes_the_cache(self):
-        # the fine grid's last ring is evaluated first, so the cache is
+        # the grid's last ring is evaluated first, so the cache is
         # allocated once, at its truncation order, and never grown
         mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
         grid = QuadratureGrid.build(u_max=10.0, panels=4)
         besov_seminorm(SingularInnerPower(mu, 1.0), 2.0, grid)
-        r_last = float(grid.refine().r[-1])
+        r_last = float(grid.r[-1])
         assert mu._coef.size == _truncation_order(r_last, mu.total_mass)
 
     @pytest.mark.parametrize("measure", [
@@ -85,24 +85,114 @@ class TestBesov:
         ids=["kahane", "atoms-and-pieces"])
     def test_matches_an_ascending_reference_sum(self, measure):
         # the rings in ascending order on a measure of its own, whose cache
-        # grows ring by ring: the same bits
+        # grows ring by ring, summed by the Kronrod rule and its embedded
+        # Gauss rule: the same bits
         p, grid = 2.0, QuadratureGrid.build(u_max=10.0, panels=4)
         f = SingularInnerPower(measure(), 1.0)
-
-        def integral(g):
-            total = 0.0
-            for r, w, m in zip(g.r, g.w, g.m):
-                mean = float(np.mean(np.abs(f.dring(float(r), int(m))) ** p))
-                total += w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
-            return total, mean
-
-        coarse, _ = integral(grid)
-        fine, last = integral(grid.refine())
-        r = float(grid.refine().r[-1])
-        tail = last * (1.0 - r) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r)
-        value = fine ** (1.0 / p)
-        want = (value, abs(value - coarse ** (1.0 / p)) + tail ** (1.0 / p))
+        kronrod = gauss = 0.0
+        for r, wk, wg, m in zip(grid.r, grid.w, grid.wg, grid.m):
+            mean = float(np.mean(np.abs(f.dring(float(r), int(m))) ** p))
+            term = (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
+            kronrod += wk * term
+            gauss += wg * term
+        r = float(grid.r[-1])
+        tail = mean * (1.0 - r) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r)
+        value = kronrod ** (1.0 / p)
+        want = (value, abs(value - gauss ** (1.0 / p)) + tail ** (1.0 / p))
         assert besov_seminorm(SingularInnerPower(measure(), 1.0), p, grid) == want
+
+    def test_default_grid_evaluates_204_rings(self):
+        radii = []
+
+        class Counting(FunctionModel):
+            def jet(self, r, m, offset=0.0):
+                radii.append(r)
+                return Z.jet(r, m, offset)
+
+        besov_seminorm(Counting(), 2.0)
+        assert len(radii) == 204 == 12 * (2 * 8 + 1)
+        assert radii == sorted(radii, reverse=True)   # the outermost first
+
+    def test_kahane_row_keeps_the_two_pass_value(self):
+        # the brown-shields row of the main benchmark (Kahane depth 12,
+        # seed 7, alpha 0.05, p 3, t = 1 - 10^-0.3); the value is the one
+        # of the earlier rule, 192 fine Gauss rings checked by 96 coarse
+        mu = kahane_smooth(LogPower(1.0, 0.5), 12, seed=7)
+        f = DilationQuotient(SingularInnerPower(mu, 0.05), 1 - 10**-0.3)
+        value, err = besov_seminorm(f, 3.0)
+        assert value == pytest.approx(0.03632651478174793, rel=1e-8)
+        assert 0 < err < math.inf
+
+
+QK15_XGK = [0.991455371120812639206854697526329,
+            0.949107912342758524526189684047851,
+            0.864864423359769072789712788640926,
+            0.741531185599394439863864773280788,
+            0.586087235467691130294144845693013,
+            0.405845151377397166906606412076961,
+            0.207784955007898467600689403773245,
+            0.000000000000000000000000000000000]
+QK15_WGK = [0.022935322010529224963732008058970,
+            0.063092092629978553290700663189204,
+            0.104790010322250183839876322541518,
+            0.140653259715525918745189590510238,
+            0.169004726639267902826583426598550,
+            0.190350578064785409913256402421014,
+            0.204432940075298892414161999234649,
+            0.209482141084727828012999174891714]
+QK15_WG = [0.129484966168869693270611432679082,
+           0.279705391489276667901467771423780,
+           0.381830050505118944950369775488975,
+           0.417959183673469387755102040816327]
+
+
+class TestKronrod:
+    def test_matches_quadpack_qk15(self):
+        # QUADPACK's 15-point rule lists the nodes x >= 0 from the right
+        x, wk, wg = _kronrod(7)
+        np.testing.assert_allclose(x[7:], QK15_XGK[::-1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x[:8], [-v for v in QK15_XGK], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(wk, QK15_WGK + QK15_WGK[-2::-1], rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(wg[1::2], QK15_WG + QK15_WG[-2::-1],
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_extends_the_gauss_rule(self, n):
+        x, wk, wg = _kronrod(n)
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        assert x.size == wk.size == wg.size == 2 * n + 1
+        assert np.all(wk > 0)
+        assert np.all(np.diff(x) > 0)            # Kronrod nodes interlace
+        assert np.array_equal(x[1::2], gx)       # Gauss nodes embedded
+        assert np.array_equal(wg[1::2], gw) and np.all(wg[::2] == 0)
+        for d in range(3 * n + 2):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert wk @ x**d == pytest.approx(exact, abs=1e-14)
+        # the embedded sum is leggauss(n)'s rule, bit for bit
+        assert math.fsum(wg * (np.cos(3 * x) + x**5)) == math.fsum(
+            gw * (np.cos(3 * gx) + gx**5))
+        # and the Kronrod rule is exact where the Gauss rule is not
+        assert wg @ x**(2 * n) != pytest.approx(2.0 / (2 * n + 1), abs=1e-14)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"u_max": 0.0}, "u_max"),
+        ({"u_max": -1.0}, "u_max"),
+        ({"panels": 0}, "panels"),
+        ({"nodes_per_panel": 0}, "nodes_per_panel"),
+        ({"m_min": 0}, "m_min"),
+        ({"m_min": 48}, "m_min"),
+        ({"m_max": 1000}, "m_max"),
+        ({"m_min": 512, "m_max": 256}, "m_min"),
+    ], ids=["u_max-zero", "u_max-negative", "panels-zero", "nodes-zero",
+            "m_min-zero", "m_min-not-power-of-two",
+            "m_max-not-power-of-two", "m_min-above-m_max"])
+    def test_names_the_parameter(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            QuadratureGrid.build(**kwargs)
 
 
 class Reciprocal(FunctionModel):
@@ -145,7 +235,7 @@ class TestHpMean:
 
 def test_grid_shapes():
     g = QuadratureGrid.build()
-    assert len(g.r) == g.panels * g.nodes_per_panel
+    assert len(g.r) == g.panels * (2 * g.nodes_per_panel + 1)
     assert np.all(np.diff(g.r) > 0)
     assert np.all((g.m & (g.m - 1)) == 0)     # powers of two
     fine = g.refine()
