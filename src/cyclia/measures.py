@@ -49,7 +49,8 @@ MASS_TOL = 1e-12
 _BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
 _TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
 _WORKSPACE = 4_000_000    # elements per row chunk of the Fourier kernel
-_FILL = 1 << 20           # coefficients per block of a fill (16 MiB)
+_FILL = 1 << 20           # coefficients per block of a leaf fill (16 MiB)
+_RANGE = 1 << 16          # coefficients per fourier_many call of a fill (1 MiB)
 _BUDGET = 1 << 26         # coefficients the cache may hold (1 GiB)
 
 
@@ -282,7 +283,12 @@ class CircleMeasure:
         the strategy fixed at construction, so no array the size of the
         request is made beside the cache.  A leaf measure writes them in
         place (_fill_leaves); any other sends them to fourier_many in ranges
-        of at most _FILL coefficients and copies each result into the cache.
+        of at most _RANGE = 2^16 coefficients and copies each result into the
+        cache, so an atom's fill holds about 2 MiB beside it (a row has the
+        same bits whichever range computed it).  The leaf fill keeps blocks
+        of _FILL: its freed 16 MiB temporaries raise glibc's mmap threshold,
+        so the ring temporaries that follow are not mapped afresh on every
+        ring.
         A full buffer is reallocated at 3/2 of its capacity (or the request,
         if larger), so the copies cost O(1) per coefficient; a ring sweep
         that asks for its largest count first sizes it once.  A count above
@@ -301,8 +307,8 @@ class CircleMeasure:
             if self._leaves:
                 self._fill_leaves(self._ncoef + 1, self._coef[self._ncoef:count])
             else:
-                for n in range(self._ncoef + 1, count + 1, _FILL):
-                    stop = min(n + _FILL, count + 1)
+                for n in range(self._ncoef + 1, count + 1, _RANGE):
+                    stop = min(n + _RANGE, count + 1)
                     self._coef[n - 1:stop - 1] = self.fourier_many(range(n, stop))
             self._ncoef = count
         view = self._coef[:count]

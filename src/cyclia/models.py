@@ -159,14 +159,25 @@ def poisson(mu: CircleMeasure, z: complex) -> float:
 
 
 def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
-    """Smallest N with 2 mass (N + 1/(1-r)) r^N / (1-r) below tol,
-    0 < r < 1."""
+    """Least N >= 8 with 2 mass (N + 1/(1-r)) r^N / (1-r) below tol,
+    0 < r < 1.
+
+    The bound falls in N, so a geometric bracket from -36/log r, then a
+    bisection between the last N that failed and the first that passed,
+    finds it exactly; N is nondecreasing in r."""
     scale = max(2.0 * abs(mass), 1.0)
     log_r = math.log(r)
-    n = max(8, int(-36.0 / log_r))
-    while scale * math.exp(n * log_r) * (n + 1.0 / (1 - r)) / (1 - r) > tol:
-        n = int(n * 1.3) + 8
-    return n
+
+    def fails(n):
+        return scale * math.exp(n * log_r) * (n + 1.0 / (1 - r)) / (1 - r) > tol
+
+    lo, hi = 7, max(8, int(-36.0 / log_r))
+    while fails(hi):
+        lo, hi = hi, int(hi * 1.3) + 8
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fails(mid) else (lo, mid)
+    return hi
 
 
 def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):

@@ -631,6 +631,7 @@ class TestCoefficientCache:
             want = mu.fourier_many(range(1, 5011))
             monkeypatch.setattr(measures, "_WORKSPACE", 2 * (3 * k + 64))
         monkeypatch.setattr(measures, "_FILL", 640)
+        monkeypatch.setattr(measures, "_RANGE", 640)
         for count in (1000, 2100, 4100, 5000, 5010):
             got = mu.coefficients(count)
         assert np.array_equal(got, want)
@@ -647,16 +648,15 @@ class TestCoefficientCache:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("pieces, limits", [([], (2.5, 4.5)),
-                                                ([(0.1, 0.2, 2.0)], (3.0, 5.5))],
+    @pytest.mark.parametrize("pieces", [[], [(0.1, 0.2, 2.0)]],
                              ids=["atom", "atom-and-piece"])
-    def test_growth_peak_per_coefficient(self, pieces, limits):
+    def test_growth_peak_per_coefficient(self, pieces):
         # a cold request of 2^21 holds the cache (1 unit of 16 B per
-        # coefficient) and one block of 2^20 from the kernel: its rows (1/2)
-        # and one matrix product (1/2), and for pieces their sum (1/2);
-        # growing from 2^20 to 2^21 holds the new buffer (2 units per new
-        # coefficient) and the same block (2, and 1 for the sum): no array
-        # the size of the range beside the cache
+        # coefficient) and one range of 2^16 from the kernel: its rows, one
+        # matrix product and for pieces their sum (1/32 each); growing from
+        # 2^20 to 2^21 holds the new buffer (2 units per new coefficient)
+        # and the same range: no array the size of the request beside the
+        # cache
         peaks = []
         for before, count in ((0, 2**21), (2**20, 2**21)):
             mu = CircleMeasure(atoms=[(0.0, 1.0)], pieces=pieces)
@@ -668,4 +668,16 @@ class TestCoefficientCache:
                              / (16 * (count - before)))
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= limits[0] and peaks[1] <= limits[1]
+        assert peaks[0] <= 1.25 and peaks[1] <= 2.5
+
+    def test_fill_transient_is_one_range(self):
+        # the unit atom's 2^22 coefficients (a 64 MiB cache) are filled in
+        # ranges of 2^16: about 2 MiB beside the cache
+        mu = atomic([(0.0, 1.0)])
+        tracemalloc.start()
+        try:
+            mu.coefficients(2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**22 + (4 << 20)

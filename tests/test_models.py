@@ -318,6 +318,47 @@ def _full_width_jet(mu, r, m, offset):
     return h + mu.total_mass, h1
 
 
+def _tail_fails(n, r, mass, tol=1e-14):
+    """The truncation bound 2 mass (N + 1/(1-r)) r^N/(1-r) > tol, in the
+    arithmetic of _truncation_order."""
+    scale = max(2.0 * abs(mass), 1.0)
+    return scale * math.exp(n * math.log(r)) * (n + 1.0 / (1 - r)) / (1 - r) > tol
+
+
+class TestTruncationOrder:
+    # dense enough to land in the narrow windows (a few hundred radii of
+    # these) where a stepped search overshoots and a larger r gets fewer
+    # terms
+    RADII = 1.0 - np.geomspace(0.5, 2.0**-22, 50_000)
+
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 3.0])
+    def test_least_order_that_meets_the_bound(self, mass):
+        for r in self.RADII:
+            n = models._truncation_order(float(r), mass)
+            assert n >= 8 and not _tail_fails(n, r, mass)
+            assert n == 8 or _tail_fails(n - 1, r, mass)
+
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 3.0])
+    def test_nondecreasing_in_r(self, mass):
+        # a larger ring never gets fewer terms, so the outermost ring of a
+        # sweep sizes the cache
+        orders = [models._truncation_order(float(r), mass) for r in self.RADII]
+        assert np.all(np.diff(orders) >= 0)
+
+    def test_pinned_at_the_outermost_derivative_sup_ring(self):
+        assert models._truncation_order(1 - 10**-5.4, 1.0) == 15_558_450
+
+    @pytest.mark.parametrize("x", [4.2, 5.4])
+    def test_atom_jet_against_closed_form(self, x):
+        # unit atom at 0: H = (1 + z)/(1 - z), H' = 2/(1 - z)^2, to 1e-12
+        # of their sup on the ring
+        r, m = 1 - 10**-x, 65536
+        h, h1 = herglotz_jet(atomic([(0.0, 1.0)]), r, m)
+        z = _ring(r, m)
+        assert np.abs(h - (1 + z) / (1 - z)).max() <= 1e-12 * 2 / (1 - r)
+        assert np.abs(h1 - 2 / (1 - z) ** 2).max() <= 1e-12 * 2 / (1 - r) ** 2
+
+
 def _atomic_herglotz(atoms, z):
     """H = sum m (w + z)/(w - z) and H' = sum 2 m w/(w - z)^2 of an atomic
     measure, w = e^{2 pi i x}: the closed form, in numpy alone."""
