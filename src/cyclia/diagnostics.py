@@ -298,7 +298,7 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
         if g < 1:
             continue
         with np.errstate(over="ignore"):
-            dens = np.abs(S.dring(r, m, offset=0.5)) ** p
+            dens = np.exp(p * S.log_abs_dring(r, m, offset=0.5))
         cells = dens.reshape(2**g, -1).sum(axis=1) * (
             w * (1.0 - r) ** (p - 1.0) * r * (2.0 * math.pi / m))
         for n in range(g, 0, -1):

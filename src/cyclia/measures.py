@@ -48,7 +48,7 @@ MASS_TOL = 1e-12
 
 _BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
 _TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
-_WORKSPACE = 4_000_000    # elements per row chunk of the Fourier kernel
+_WORKSPACE = 1 << 20      # elements per row chunk of the Fourier kernel
 _FILL = 1 << 20           # coefficients per block of a leaf fill (16 MiB)
 _RANGE = 1 << 16          # coefficients per fourier_many call of a fill (1 MiB)
 _BUDGET = 1 << 26         # coefficients the cache may hold (1 GiB)

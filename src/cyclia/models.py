@@ -4,16 +4,19 @@
   come together on M equispaced points of a radius-r circle.  The
   truncated coefficients, read from the measure's own cache, viewed as
   rows of length M, are folded by a rank-one damping (a row factor times a
-  column factor) in one matrix product; one inverse FFT finishes both.
-  At r = 0 the series gives H = mu(T) and H' = 2 hat mu(1) exactly.
+  real column factor, and a phase for an offset ring) in one matrix
+  product.  Only the min(N + 1, M) bins that hold coefficients are
+  formed; one zero-padded inverse FFT finishes both.  At r = 0 the
+  series gives H = mu(T) and H' = 2 hat mu(1) exactly.
 * The scalar reference: the Herglotz integral of an atoms-plus-pieces
   measure has an exact antiderivative per arc; the logarithm's branch is
   kept honest by bisecting any arc whose endpoint ratio leaves the right
   half plane.  The tests check the ring kernel against it.
 
 Function models (inner powers, polynomials, and the dilation quotient
-S/S_t, taken in log space) are immutable and evaluated only as the jet
-(f, f') on rings.
+S/S_t, taken in log space) are immutable and evaluated as the jet (f, f')
+on rings.  The norms read log |f'| on the same rings: an inner power and
+the dilation quotient take it from their exponent, without forming f.
 """
 
 from __future__ import annotations
@@ -181,16 +184,18 @@ def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
 
 
 def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
-    """The (2, M) bins whose inverse FFT (norm "forward") is (H - mu(T), H')
-    at the points of herglotz_jet, 0 < r < 1.
+    """The filled bins of the (2, M) spectrum whose inverse FFT (norm
+    "forward", zero-padded to M) is (H - mu(T), H') at the points of
+    herglotz_jet, 0 < r < 1: an array of min(N + 1, M) columns.
 
     With n = q + 1 + jM the damping r^n e^{2 pi i n offset/M} splits into a
     column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}, so
     the coefficients viewed as rows of length M fold by one (2, rows) @
     (rows, M) product: the value fold weights row j by w_j, the derivative
     fold by n w_j.  Only the first min(N, M) bins hold coefficients, and
-    only they take the column factor; H' is summed as n c_n z^(n-1), so
-    nothing divides by z, which underflows for tiny r.
+    only they take the column factor, a real exponential times a phase
+    when the offset is not zero; H' is summed as n c_n z^(n-1), so nothing
+    divides by z, which underflows for tiny r.
     """
     n_max = _truncation_order(r, mu.total_mass)
     c = mu.coefficients(n_max)
@@ -199,11 +204,16 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     j = np.arange(rows + 1)
     w = 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset)
     weights = np.stack([w, (j * m) * w])
-    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
+    if rows:
+        folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
+    else:
+        folds = np.zeros((2, n_max + 1), dtype=complex)
     folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     k = min(n_max, m)
     q = np.arange(k + 1)
-    col = np.exp(q * log_r + _TWO_PI_I * q * offset / m)
+    col = np.exp(q * log_r)
+    if offset:
+        col = col * np.exp(_TWO_PI_I * q * offset / m)
     value, deriv = folds[:, :k]
     deriv += q[1:] * value
     deriv *= col[:-1]                                 # n z^(n-1): bin q
@@ -223,7 +233,8 @@ def herglotz_jet(mu: CircleMeasure, r: float, m: int,
     if r == 0.0:
         return (np.full(m, mu.total_mass, dtype=complex),
                 np.full(m, 2.0 * mu.coefficients(1)[0], dtype=complex))
-    h, h1 = np.fft.ifft(_spectrum(mu, r, m, offset), axis=1, norm="forward")
+    h, h1 = np.fft.ifft(_spectrum(mu, r, m, offset), n=m, axis=1,
+                        norm="forward")
     return h + mu.total_mass, h1
 
 
@@ -242,7 +253,8 @@ def _ring_points(r, m, offset):
 
 class FunctionModel:
     """Analytic function on the disc, evaluated as the jet (f, f') on full
-    equispaced rings."""
+    equispaced rings; the norms read log |f'|, which a model may compute
+    without forming f."""
 
     def jet(self, r: float, m: int, offset: float = 0.0):
         """(f, f') at the M points r e^{2 pi i (k + offset)/M}."""
@@ -253,6 +265,18 @@ class FunctionModel:
 
     def dring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
         return self.jet(r, m, offset)[1]
+
+    def log_abs_dring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
+        """log |f'| at the ring points of jet; -inf where f' is 0."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.dring(r, m, offset)))
+
+
+def _log_abs_dexp(alpha, d, d1):
+    """log |f'| for f = exp(-alpha d): log alpha + log |d'| - alpha Re d,
+    with no overflow or underflow in exp(-alpha d); -inf where d' is 0."""
+    with np.errstate(divide="ignore"):
+        return math.log(alpha) + np.log(np.abs(d1)) - alpha * d.real
 
 
 @dataclass(frozen=True)
@@ -276,10 +300,7 @@ class SingularInnerPower(FunctionModel):
         return f, -self.alpha * h1 * f
 
     def log_abs_dring(self, r, m, offset=0.0):
-        """log |f'| on a ring without underflow in the inner factor."""
-        h, h1 = herglotz_jet(self.mu, r, m, offset)
-        with np.errstate(divide="ignore"):
-            return math.log(self.alpha) + np.log(np.abs(h1)) - self.alpha * h.real
+        return _log_abs_dexp(self.alpha, *herglotz_jet(self.mu, r, m, offset))
 
 
 class Polynomial(FunctionModel):
@@ -308,16 +329,26 @@ class DilationQuotient(FunctionModel):
         if not 0.0 < self.t < 1.0:
             raise ValueError("dilation parameter must be in (0, 1)")
 
-    def jet(self, r, m, offset=0.0):
+    def _exponent_jet(self, r, m, offset):
+        """(D, D') on the ring: one inverse FFT of the difference of the
+        spectra at r and t r, the narrower one subtracted in place."""
         if not 0.0 < r < 1.0:
             raise ValueError("ring radius must be in (0, 1)")
-        mu, alpha = self.inner.mu, self.inner.alpha
+        mu = self.inner.mu
         spec = _spectrum(mu, r, m, offset)
         dilated = _spectrum(mu, self.t * r, m, offset)
         dilated[1] *= self.t
-        d, d1 = np.fft.ifft(spec - dilated, axis=1, norm="forward")
+        spec[:, :dilated.shape[1]] -= dilated
+        return np.fft.ifft(spec, n=m, axis=1, norm="forward")
+
+    def jet(self, r, m, offset=0.0):
+        alpha = self.inner.alpha
+        d, d1 = self._exponent_jet(r, m, offset)
         f = np.exp(-alpha * d)
         return f, -alpha * d1 * f
+
+    def log_abs_dring(self, r, m, offset=0.0):
+        return _log_abs_dexp(self.inner.alpha, *self._exponent_jet(r, m, offset))
 
 
 # -- Maclaurin coefficients ------------------------------------------------

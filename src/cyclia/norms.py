@@ -209,8 +209,9 @@ def besov_seminorm(f: FunctionModel, p: float,
     outermost ring's integrand times the remaining radial weight).  The
     rings are evaluated from the outside in, so the first one asks for the
     most coefficients and the rest read the cache it sized; the sums run
-    from the inside out.  The first ring whose mean of |f'|^p is not finite
-    ends the pass, and both numbers read inf.
+    from the inside out.  |f'|^p is read as exp(p log |f'|) from the
+    model's log_abs_dring.  The first ring whose mean of |f'|^p is not
+    finite ends the pass, and both numbers read inf.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -218,7 +219,8 @@ def besov_seminorm(f: FunctionModel, p: float,
         grid = default_grid()
     means = [0.0] * len(grid)
     for i in reversed(range(len(grid))):
-        means[i] = float(np.mean(np.abs(f.dring(float(grid.r[i]), int(grid.m[i]))) ** p))
+        means[i] = float(np.mean(np.exp(
+            p * f.log_abs_dring(float(grid.r[i]), int(grid.m[i])))))
         if not math.isfinite(means[i]):
             return math.inf, math.inf
     kronrod = gauss = 0.0

@@ -141,14 +141,15 @@ class TestBrownShields:
 
     @pytest.fixture
     def jet_calls(self, monkeypatch):
+        # the seminorm reads log |f'|, the quotient's one ring evaluation
         calls = []
-        jet = DilationQuotient.jet
+        log_abs_dring = DilationQuotient.log_abs_dring
 
         def counted(self, r, m, offset=0.0):
             calls.append(r)
-            return jet(self, r, m, offset)
+            return log_abs_dring(self, r, m, offset)
 
-        monkeypatch.setattr(DilationQuotient, "jet", counted)
+        monkeypatch.setattr(DilationQuotient, "log_abs_dring", counted)
         return calls
 
     def test_underflowing_denominator_is_an_evaluation_error(self, jet_calls):
@@ -293,6 +294,26 @@ class TestMultiplier:
     def test_atom_fails(self):
         rep = multiplier_log_onebox(ATOM, 3.0, 12)
         assert not rep.passed
+
+    def test_atom_table_matches_the_modulus_power(self):
+        # the unit atom's table (p 3, 12 generations) read from
+        # exp(p log |S'|) and from |S'|^p on the jet of the same rings, its
+        # boxes summed per generation without the fold: 1e-12 relative
+        p, generations = 3.0, 12
+        rep = multiplier_log_onebox(ATOM, p, generations)
+        grid = default_grid()
+        u_hi = max(grid.u_max, generations + 4.0)
+        S = SingularInnerPower(ATOM)
+        box = {n: np.zeros(2**n) for n in range(1, generations + 1)}
+        for u, r, w, m in zip(*_radial_rule(
+                np.append(np.arange(math.ceil(u_hi)), u_hi),
+                grid.nodes_per_panel, grid.m_min, grid.m_max)):
+            dens = np.abs(S.jet(float(r), int(m), 0.5)[1]) ** p * (
+                w * (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi / m)
+            for n in range(1, min(int(u), generations) + 1):
+                box[n] += dens.reshape(2**n, -1).sum(axis=1)
+        assert [row["sup_box"] for row in rep.table] == pytest.approx(
+            [box[n].max() for n in range(1, generations + 1)], rel=1e-12)
 
     def test_kahane_stabilizes(self, kahane):
         rep = multiplier_log_onebox(kahane, 3.0, 10)

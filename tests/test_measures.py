@@ -543,6 +543,23 @@ class TestFourierKernel:
         for ns, want in zip(ranges, whole):
             assert np.allclose(mu.fourier_many(ns), want, rtol=0, atol=1e-14)
 
+    def test_piece_rows_hold_one_workspace(self):
+        # Salem depth 11 (2048 pieces): a range of 2^16 (1 MiB) is filled
+        # in row chunks of _WORKSPACE = 2^20 elements (252 rows); the
+        # chunk's factors and product, not the range, set the peak, and
+        # the rows keep the bits of a range of one chunk
+        d, xi = choose_salem_parameters(0.8, 0.05)
+        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
+                                        generations=11, seed=3))
+        tracemalloc.start()
+        try:
+            got = mu.fourier_many(range(1, 2**16 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert np.array_equal(got[:4096], mu.fourier_many(range(1, 4097)))
+
 
 class TestCoefficientCache:
     KAHANE = kahane_smooth(LogPower(1.0, 0.5), 12, seed=7)

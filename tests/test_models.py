@@ -289,17 +289,23 @@ class TestJetKernel:
     @pytest.mark.parametrize("offset", [0.0, 0.5])
     def test_bits_of_full_width_kernel(self, mu, r, m, fewer, offset):
         # the kernel works only on the bins that hold coefficients, with
-        # the same bits as the fold over all M bins
+        # the same bits as the fold over all M bins; its real column
+        # factor stays within an ulp-sized step of the complex exponential
         assert (models._truncation_order(r, mu.total_mass) < m) == fewer
         h, h1 = herglotz_jet(mu, r, m, offset)
         want, want1 = _full_width_jet(mu, r, m, offset)
         assert np.array_equal(h, want)
         assert np.array_equal(h1, want1)
+        old, old1 = _full_width_jet(mu, r, m, offset, complex_exp=True)
+        assert np.abs(h - old).max() <= 1e-15 * np.abs(old).max()
+        assert np.abs(h1 - old1).max() <= 1e-15 * np.abs(old1).max()
 
 
-def _full_width_jet(mu, r, m, offset):
+def _full_width_jet(mu, r, m, offset, complex_exp=False):
     """The ring kernel as it was before it skipped the zero bins: column
-    factor, combine and shift over all M bins, and m * ifft."""
+    factor, combine and shift over all M bins, and m * ifft.  The column
+    factor is r^q times the phase e^{2 pi i q offset/M}, or with
+    ``complex_exp`` one complex exponential of both."""
     n_max = models._truncation_order(r, mu.total_mass)
     c = mu.coefficients(n_max)
     rows, rem = divmod(n_max, m)
@@ -310,7 +316,12 @@ def _full_width_jet(mu, r, m, offset):
     folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
     folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     q = np.arange(m + 1)
-    col = np.exp(q * log_r + 2j * np.pi * q * offset / m)
+    if complex_exp:
+        col = np.exp(q * log_r + 2j * np.pi * q * offset / m)
+    else:
+        col = np.exp(q * log_r)
+        if offset:
+            col = col * np.exp(2j * np.pi * q * offset / m)
     folds[1] += q[1:] * folds[0]
     folds[0] = np.roll(folds[0] * col[1:], 1)
     folds[1] *= col[:-1]
@@ -427,6 +438,36 @@ class TestJetComposition:
                 DilationQuotient(S, t)
         with pytest.raises(ValueError, match="radius"):
             DilationQuotient(S, 0.5).jet(0.0, 8)
+
+
+class TestLogAbsDring:
+    # the norms read log |f'|: its exponential is |f'| from the jet to
+    # 1e-13 relative wherever it is finite, and it is -inf exactly where
+    # f' is 0 (no inner factor underflows on these rings)
+    KAHANE = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+    TWO_ATOMS = atomic([(0.1, 0.6), (0.55, 0.4)])
+
+    @pytest.mark.parametrize("f", [
+        SingularInnerPower(KAHANE, 0.7),
+        SingularInnerPower(TWO_ATOMS),
+        DilationQuotient(SingularInnerPower(KAHANE, 0.05), 0.5),
+        DilationQuotient(SingularInnerPower(TWO_ATOMS), 0.9),
+        SingularInnerPower(LEB),
+        Polynomial([1.0, -0.5, 0.25, 2.0]),
+        Polynomial([3.0]),
+        Polynomial([1.0, 0.0, 0.0]),
+    ], ids=["kahane", "two-atom", "kahane-quotient", "two-atom-quotient",
+            "lebesgue", "polynomial", "constant", "zero-derivative"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_exp_is_the_modulus_from_the_jet(self, f, offset):
+        for r in (0.3, 0.9, 0.99):
+            log_abs = f.log_abs_dring(r, 256, offset)
+            want = np.abs(f.jet(r, 256, offset)[1])
+            zero = want == 0.0
+            assert np.array_equal(np.isneginf(log_abs), zero)
+            assert np.isfinite(log_abs[~zero]).all()
+            got = np.exp(log_abs[~zero])
+            assert np.all(np.abs(got - want[~zero]) <= 1e-13 * want[~zero])
 
 
 class TestModels:

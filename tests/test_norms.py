@@ -123,6 +123,24 @@ class TestBesov:
         assert value == pytest.approx(0.03632651478174793, rel=1e-8)
         assert 0 < err < math.inf
 
+    def test_kahane_row_matches_the_modulus_power(self):
+        # the same row read from exp(p log |f'|) and from |f'|^p on the
+        # jet of each ring agree to 1e-12 relative, value and error
+        p, grid = 3.0, QuadratureGrid.build()
+        mu = kahane_smooth(LogPower(1.0, 0.5), 12, seed=7)
+        f = DilationQuotient(SingularInnerPower(mu, 0.05), 1 - 10**-0.3)
+        value, err = besov_seminorm(f, p, grid)
+        means = [float(np.mean(np.abs(f.jet(float(r), int(m))[1]) ** p))
+                 for r, m in zip(grid.r, grid.m)]
+        terms = (1.0 - grid.r) ** (p - 1.0) * grid.r * 2.0 * math.pi * means
+        want = float(grid.w @ terms) ** (1.0 / p)
+        r = float(grid.r[-1])
+        tail = means[-1] * (1.0 - r) ** p * 2.0 * math.pi
+        want_err = (abs(want - float(grid.wg @ terms) ** (1.0 / p))
+                    + tail ** (1.0 / p))
+        assert value == pytest.approx(want, rel=1e-12)
+        assert err == pytest.approx(want_err, rel=1e-12)
+
 
 QK15_XGK = [0.991455371120812639206854697526329,
             0.949107912342758524526189684047851,
