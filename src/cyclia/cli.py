@@ -86,8 +86,8 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
         atoms = params.get("atoms")
         if not atoms:
             raise UsageError("atomic spec needs params.atoms = [[x, mass], ...]")
-        mu = atomic([(float(x), float(m)) for x, m in atoms])
-        E = IntervalSet.from_arcs([(float(x), float(x)) for x, _ in atoms])
+        mu = atomic(atoms)
+        E = IntervalSet.from_arcs(np.asarray(atoms, dtype=float)[:, [0, 0]])
         return MeasureContext(spec, mu, PowerLaw(1.0, 0.5), support=E,
                               label="atomic")
     if kind == "kahane":
@@ -130,6 +130,8 @@ def _write_atomic(path: str, text: str) -> None:
 
 # -- grids -----------------------------------------------------------------
 
+_MAX_GRID = 1024  # points of a --grid-count grid; the largest default is 17
+
 
 def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
               scale: str) -> np.ndarray:
@@ -142,8 +144,8 @@ def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
         stop = cfg.grid_stop
     if cfg.grid_count is not None:
         count = cfg.grid_count
-    if count < 1:
-        raise UsageError("grid count must be positive")
+    if not 1 <= count <= _MAX_GRID:
+        raise UsageError(f"grid count must be in 1..{_MAX_GRID}, got {count}")
     x = np.linspace(start, stop, count)
     if scale == "dyadic":
         return 2.0 ** -x
@@ -272,13 +274,10 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
         files.append(os.path.join(cfg.out, ctx.label + suffix))
         _write_atomic(files[-1], text)
 
-    rows = []
-    for x, m in zip(mu.atom_x, mu.atom_m):
-        rows.append({"kind": "atom", "a": float(x), "b": float(x),
-                     "value": float(m)})
-    for a, b, d in zip(mu.piece_a, mu.piece_b, mu.piece_d):
-        rows.append({"kind": "piece", "a": float(a), "b": float(b),
-                     "value": float(d)})
+    rows = [{"kind": "atom", "a": x, "b": x, "value": m}
+            for x, m in zip(mu.atom_x.tolist(), mu.atom_m.tolist())]
+    rows += [{"kind": "piece", "a": a, "b": b, "value": d} for a, b, d in
+             zip(mu.piece_a.tolist(), mu.piece_b.tolist(), mu.piece_d.tolist())]
     write("_measure.csv", csv_table(rows, ["kind", "a", "b", "value"]))
 
     trows = []
@@ -349,6 +348,13 @@ def cmd_suite(cfg: RunConfig) -> int:
 # -- entry point -----------------------------------------------------------
 
 
+def _finite(token: str) -> float:
+    x = float(token)
+    if not np.isfinite(x):
+        raise UsageError(f"non-finite number {token} in spec")
+    return x
+
+
 def _parse_spec(text: str) -> dict:
     if text.lstrip().startswith("{"):
         raw = text
@@ -359,7 +365,7 @@ def _parse_spec(text: str) -> dict:
         except OSError as e:
             raise UsageError(f"cannot read spec file {text!r}: {e}")
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed spec JSON: {e}")
 

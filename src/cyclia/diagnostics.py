@@ -435,10 +435,10 @@ def korenblum_necessity(mu: CircleMeasure, E: IntervalSet) -> CheckReport:
     obstruction from this set.
     """
     ent = bc_entropy(E)
-    arc_mass = (mu.closed_arc_mass(*np.array(E.arcs).T).tolist()
-                if E.arcs else [])
+    arc_mass = mu.closed_arc_mass(*E.arcs.T).tolist()
     mass = float(sum(arc_mass))
-    rows = [{"a": a, "b": b, "mass": m} for (a, b), m in zip(E.arcs, arc_mass)]
+    rows = [{"a": a, "b": b, "mass": m}
+            for (a, b), m in zip(E.arcs.tolist(), arc_mass)]
     obstruction = ent.convergent and mass > 1e-12
     conclusion = ("not cyclic in any coefficient space with p > 2"
                   if obstruction else "no obstruction from this set")

@@ -4,14 +4,17 @@ Constructions (smooth martingale-driven measures, Salem-type Cantor
 measures), moduli of continuity/smoothness, closed-form Fourier
 coefficients, and Beurling-Carleson entropy of candidate supports.
 
-The representation is exact: pieces keep their real endpoints (Salem's
-d-adic geometry is never snapped to a dyadic grid).  Every mass query reads
-one periodic CDF table built at construction: the cumulative mass at the
-interleaved piece edges, linear in between, plus the atoms' cumulative
-masses.  An interval mass is a difference of two CDF values, the modulus
-of continuity scans window masses and the modulus of smoothness second
-differences of the CDF.  Both take a scalar t or a grid, and the modulus
-of smoothness scans each distinct half-width of a grid once.
+Construction takes arrays: atoms as (k, 2) rows (x, mass), pieces as (k, 3)
+rows (a, b, density), or sequences of such tuples, and sorts, merges and
+splits them with array operations; a support's arcs and gaps are (k, 2)
+arrays too.  The representation is exact: pieces keep their real endpoints
+(Salem's d-adic geometry is never snapped to a dyadic grid).  Every mass
+query reads one periodic CDF table built at construction: the cumulative
+mass at the interleaved piece edges, linear in between, plus the atoms'
+cumulative masses.  An interval mass is a difference of two CDF values, the
+modulus of continuity scans window masses and the modulus of smoothness
+second differences of the CDF.  Both take a scalar t or a grid, and the
+modulus of smoothness scans each distinct half-width of a grid once.
 
 Fourier coefficients come from one blocked kernel (``fourier_many``):
 writing n = qB + j turns the sum over atoms and pieces into a product of a
@@ -43,8 +46,6 @@ __all__ = [
     "choose_salem_parameters", "modulus_continuity", "modulus_smoothness",
     "smoothness_constant", "bc_entropy",
 ]
-
-MASS_TOL = 1e-12
 
 _BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
 _TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
@@ -100,51 +101,51 @@ def _sin_cos_pi(t):
     return np.sin(np.pi * t), np.cos(np.pi * t)
 
 
+def _rows(values, width: int, name: str) -> np.ndarray:
+    """Width-tuples or a (k, width) array as a (k, width) float array;
+    ValueError on any other shape or on a non-finite entry."""
+    rows = np.asarray(values, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{name}s must be {width}-tuples or a (k, {width}) "
+                         f"array, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise ValueError(f"non-finite {name} value")
+    return rows
+
+
 class CircleMeasure:
     """Positive atoms plus disjoint constant-density pieces on the circle
     [0, 1)."""
 
     def __init__(self, atoms=(), pieces=()):
-        ax, am = [], []
-        for x, mss in atoms:
-            ax.append(x % 1.0)
-            am.append(float(mss))
-        order = np.argsort(ax, kind="stable")
-        self.atom_x = np.asarray(ax, dtype=float)[order]
-        self.atom_m = np.asarray(am, dtype=float)[order]
-        # merge duplicate positions
-        if self.atom_x.size:
-            keep_x, keep_m = [], []
-            for x, mss in zip(self.atom_x, self.atom_m):
-                if keep_x and x == keep_x[-1]:
-                    keep_m[-1] += mss
-                else:
-                    keep_x.append(x)
-                    keep_m.append(mss)
-            self.atom_x = np.array(keep_x)
-            self.atom_m = np.array(keep_m)
+        atoms, pieces = _rows(atoms, 2, "atom"), _rows(pieces, 3, "piece")
+        # sorted positions; duplicates merge, their masses summed left to
+        # right in input order
+        self.atom_x, group = np.unique(atoms[:, 0] % 1.0, return_inverse=True)
+        self.atom_m = np.zeros(self.atom_x.size)
+        np.add.at(self.atom_m, group, atoms[:, 1])
 
-        pa, pb, pd = [], [], []
-        for a, b, d in pieces:
-            if not b > a:
-                raise ValueError(f"piece [{a}, {b}) is empty or reversed")
-            if b - a > 1.0 + 1e-15:
-                raise ValueError(f"piece [{a}, {b}) longer than the circle")
-            length = min(b - a, 1.0)  # before a is reduced modulo 1
-            a %= 1.0
-            if a + length <= 1.0 + 1e-15:
-                pa.append(a)
-                pb.append(min(a + length, 1.0))
-                pd.append(float(d))
-            else:  # split a wrap-around piece at the seam
-                pa.extend([a, 0.0])
-                pb.extend([1.0, a + length - 1.0])
-                pd.extend([float(d), float(d)])
+        a, b, d = pieces.T
+        bad = ~(b > a)
+        if bad.any():
+            raise ValueError(f"piece [{a[bad][0]}, {b[bad][0]}) is empty or reversed")
+        bad = b - a > 1.0 + 1e-15
+        if bad.any():
+            raise ValueError(f"piece [{a[bad][0]}, {b[bad][0]}) longer than the circle")
+        length = np.minimum(b - a, 1.0)  # before a is reduced modulo 1
+        a = a % 1.0
+        # a wrap-around piece splits at the seam: its copy right after it
+        # takes the part [0, a + length - 1)
+        k = np.repeat(np.arange(a.size), 1 + (a + length > 1.0 + 1e-15))
+        pa, pb, pd = a[k], np.minimum(a + length, 1.0)[k], d[k]
+        tail = np.flatnonzero(k[1:] == k[:-1]) + 1
+        pa[tail] = 0.0
+        pb[tail] = (a + length - 1.0)[k[tail]]
         order = np.argsort(pa, kind="stable")
-        self.piece_a = np.asarray(pa, dtype=float)[order]
-        self.piece_b = np.asarray(pb, dtype=float)[order]
-        self.piece_d = np.asarray(pd, dtype=float)[order]
-        if self.piece_a.size > 1 and (self.piece_a[1:] < self.piece_b[:-1] - 1e-15).any():
+        self.piece_a, self.piece_b, self.piece_d = pa[order], pb[order], pd[order]
+        if (self.piece_a[1:] < self.piece_b[:-1] - 1e-15).any():
             raise ValueError("pieces overlap")
         if (self.atom_m < 0).any():
             raise ValueError("negative atom mass in positive measure")
@@ -357,8 +358,8 @@ def lebesgue(total_mass: float = 1.0) -> CircleMeasure:
 
 def atomic(points) -> CircleMeasure:
     """Purely atomic measure; duplicate positions merge with summed mass."""
-    pts = list(points)
-    if any(mss <= 0 for _, mss in pts):
+    pts = _rows(points, 2, "atom")
+    if (pts[:, 1] <= 0).any():
         raise ValueError("atom masses must be positive")
     return CircleMeasure(atoms=pts)
 
@@ -385,10 +386,10 @@ def kahane_smooth(phi: SmoothnessProfile, depth: int, seed: int = 0) -> CircleMe
         child[1::2] = level - signs * delta
         level = child
     edges = np.arange(level.size + 1) / level.size
-    return CircleMeasure(pieces=list(zip(edges[:-1], edges[1:], level)))
+    return CircleMeasure(pieces=np.column_stack([edges[:-1], edges[1:], level]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalSet:
     """Disjoint closed arcs (support candidate) plus complementary open gaps.
 
@@ -396,28 +397,21 @@ class IntervalSet:
     when the set comes from a Cantor-type recursion; otherwise it is 0.
     """
 
-    arcs: tuple          # ((a, b), ...) closed, sorted, disjoint
-    gaps: tuple          # ((a, b), ...) open, the complement
-    gap_generation: tuple = ()
+    arcs: np.ndarray     # (k, 2) rows (a, b): closed, sorted, disjoint
+    gaps: np.ndarray     # (k, 2) rows (a, b): open, the complement
+    gap_generation: np.ndarray
 
     @staticmethod
     def from_arcs(arcs) -> "IntervalSet":
-        arcs = tuple(sorted((float(a), float(b)) for a, b in arcs))
-        for (a1, b1), (a2, b2) in zip(arcs, arcs[1:]):
-            if a2 < b1:
-                raise ValueError("arcs overlap")
-        gaps = []
-        for (_, b1), (a2, _) in zip(arcs, arcs[1:]):
-            if a2 > b1:
-                gaps.append((b1, a2))
-        if arcs:
-            wrap = (arcs[-1][1], arcs[0][0] + 1.0)
-            if wrap[1] > wrap[0]:
-                gaps.append(wrap)
-        else:
-            gaps.append((0.0, 1.0))
-        return IntervalSet(arcs=arcs, gaps=tuple(gaps),
-                           gap_generation=tuple(0 for _ in gaps))
+        arcs = _rows(arcs, 2, "arc")
+        arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+        if (arcs[1:, 0] < arcs[:-1, 1]).any():
+            raise ValueError("arcs overlap")
+        # each arc's end to the next arc's start, the last wrapping around
+        gaps = (np.column_stack([arcs[:, 1], np.append(arcs[1:, 0], arcs[:1, 0] + 1.0)])
+                if arcs.size else np.array([[0.0, 1.0]]))
+        gaps = gaps[gaps[:, 1] > gaps[:, 0]]
+        return IntervalSet(arcs=arcs, gaps=gaps, gap_generation=np.zeros(len(gaps), int))
 
 
 @dataclass(frozen=True)
@@ -448,6 +442,11 @@ class SalemSpec:
             raise ValueError("need 0 < xi < 1/d")
         if self.generations < 1:
             raise ValueError("need at least one generation")
+        # generations > MAX_DEPTH alone exceeds the bound (d >= 2); testing
+        # it first keeps the power small
+        if self.generations > MAX_DEPTH or self.d ** self.generations > 2 ** MAX_DEPTH:
+            raise ValueError(f"d^generations = {self.d}^{self.generations} leaves "
+                             f"exceed 2^{MAX_DEPTH}")
 
     @property
     def nu(self) -> float:
@@ -506,31 +505,22 @@ def salem_measure(spec: SalemSpec) -> tuple[CircleMeasure, IntervalSet]:
     length = 1.0
     gaps, gap_gen = [], []
     for j in range(1, J + 1):
-        xi_j = xis[j - 1]
-        child_len = xi_j * length
-        offsets = np.arange(d) * (nu * length)
-        new_starts = (starts[:, None] + offsets[None, :]).ravel()
-        # gaps inside each parent: between consecutive children, then trailing
-        for k in range(d - 1):
-            lo = starts + offsets[k] + child_len
-            hi = starts + offsets[k + 1]
-            gaps.extend(zip(lo, hi))
-            gap_gen.extend([j] * len(starts))
-        lo = starts + offsets[d - 1] + child_len
-        hi = starts + length
-        gaps.extend(zip(lo, hi))
-        gap_gen.extend([j] * len(starts))
-        starts = new_starts
+        child_len = xis[j - 1] * length
+        kids = starts[:, None] + np.arange(d) * (nu * length)
+        # each parent's gaps: between consecutive children, then trailing
+        ends = np.column_stack([kids[:, 1:], starts + length])
+        gaps.append(np.stack([kids + child_len, ends], axis=-1).reshape(-1, 2))
+        gap_gen.append(np.full(kids.size, j))
+        starts = kids.ravel()  # sorted: each parent's children in order
         length = child_len
     mass = float(d) ** -J
     density = mass / length
-    starts = np.sort(starts)
-    measure = CircleMeasure(pieces=[(a, a + length, density) for a in starts])
-    arcs = tuple((float(a), float(a + length)) for a in starts)
-    order = np.argsort([g[0] for g in gaps])
-    gaps_sorted = tuple((float(gaps[i][0]), float(gaps[i][1])) for i in order)
-    gens_sorted = tuple(int(gap_gen[i]) for i in order)
-    support = IntervalSet(arcs=arcs, gaps=gaps_sorted, gap_generation=gens_sorted)
+    arcs = np.column_stack([starts, starts + length])
+    measure = CircleMeasure(pieces=np.column_stack([arcs, np.full(starts.size, density)]))
+    gaps = np.concatenate(gaps)
+    order = np.argsort(gaps[:, 0], kind="stable")
+    support = IntervalSet(arcs=arcs, gaps=gaps[order],
+                          gap_generation=np.concatenate(gap_gen)[order])
     return measure, support
 
 
@@ -655,15 +645,12 @@ def bc_entropy(E: IntervalSet) -> BCEntropyReport:
     verdict is convergent when the subtotal sequence decays geometrically
     (its mean rate over the later half of the generations is below 0.98).
     """
-    lengths = np.array([b - a for a, b in E.gaps])
-    gens = np.array(E.gap_generation) if E.gap_generation else np.zeros(len(E.gaps), int)
+    lengths = E.gaps[:, 1] - E.gaps[:, 0]
     keep = lengths > 0
-    lengths, gens = lengths[keep], gens[keep]
+    lengths, gens = lengths[keep], E.gap_generation[keep]
     terms = lengths * np.log(1.0 / lengths)
     total = float(terms.sum())
-    subtotals = []
-    for g in np.unique(gens):
-        subtotals.append((int(g), float(terms[gens == g].sum())))
+    subtotals = [(int(g), float(terms[gens == g].sum())) for g in np.unique(gens)]
     if len(subtotals) <= 1:
         verdict = "trivial"
     else:

@@ -228,9 +228,13 @@ def test_criterion_8_determinism(tmp_path):
           "--out", a])
     main(["suite", "--spec", spec, "--preset", "salem", "--seed", "11",
           "--out", b])
+
+    def read(path):
+        with open(path, "rb") as fh:
+            return fh.read()
+
     names = sorted(os.listdir(a))
     identical = names == sorted(os.listdir(b)) and all(
-        open(os.path.join(a, n), "rb").read()
-        == open(os.path.join(b, n), "rb").read() for n in names)
+        read(os.path.join(a, n)) == read(os.path.join(b, n)) for n in names)
     _report(8, f"suite rerun byte-identical across {len(names)} artifacts",
             identical)

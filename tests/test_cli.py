@@ -58,7 +58,8 @@ class TestMeasureCommand:
     def test_moduli_constant_rows_for_atom(self, tmp_path):
         out = str(tmp_path / "m")
         run("measure", "--spec", ATOM_SPEC, "--out", out)
-        lines = open(os.path.join(out, "atomic_moduli.csv")).read().splitlines()
+        with open(os.path.join(out, "atomic_moduli.csv")) as fh:
+            lines = fh.read().splitlines()
         deltas = {line.split(",")[1] for line in lines[1:]}
         assert deltas == {"1"}
 
@@ -143,7 +144,8 @@ class TestCheckCommand:
         assert code == 1
         assert sorted(os.listdir(out)) == ["atomic_korenblum.csv",
                                            "atomic_korenblum.json"]
-        data = json.load(open(os.path.join(out, "atomic_korenblum.json")))
+        with open(os.path.join(out, "atomic_korenblum.json")) as fh:
+            data = json.load(fh)
         assert data["verdict"] == "fail"
         assert "runtime" not in data
 
@@ -165,7 +167,8 @@ class TestCheckCommand:
         out = str(tmp_path / "c")
         assert run("check", "--spec", LEB_SPEC, "--check", "fourier-decay",
                    "--out", out) == 0
-        data = json.load(open(os.path.join(out, "lebesgue_fourier-decay.json")))
+        with open(os.path.join(out, "lebesgue_fourier-decay.json")) as fh:
+            data = json.load(fh)
         assert data["verdict"] == "pass"
         assert data["fits"]["slope"] == "-inf" and data["table"] == []
 
@@ -179,8 +182,8 @@ class TestCheckCommand:
                    "--grid-start", "0.5", "--grid-stop", "2.0",
                    "--grid-count", "3", "--out", out)
         assert code == 0
-        rows = open(os.path.join(out, "lebesgue_derivative-sup.csv")
-                    ).read().splitlines()
+        with open(os.path.join(out, "lebesgue_derivative-sup.csv")) as fh:
+            rows = fh.read().splitlines()
         assert len(rows) == 1 + 3
 
 
@@ -240,6 +243,25 @@ class TestCheckCommand:
                 texts.append(fh.read())
         assert texts[0] == texts[1]
 
+    def test_grid_count_is_capped(self, tmp_path, capsys):
+        assert run("check", "--spec", LEB_SPEC, "--check", "anderson",
+                   "--grid-count", "1025", "--out", str(tmp_path / "c")) == 2
+        assert "grid count must be in 1..1024" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("spec", [
+        '{"type": "atomic", "params": {"atoms": [[NaN, 1]]}}',
+        '{"type": "atomic", "params": {"atoms": [[0.5, Infinity]]}}',
+        '{"type": "atomic", "params": {"atoms": [[0.5, -Infinity]]}}',
+        '{"type": "lebesgue", "params": {"mass": 1e400}}',
+        '{"type": "kahane", "depth": Infinity}'])
+    def test_non_finite_spec_number_is_a_usage_error(self, tmp_path, capsys,
+                                                     spec):
+        assert run("check", "--spec", spec, "--check", "anderson",
+                   "--out", str(tmp_path / "c")) == 2
+        assert "non-finite number" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
+
     def test_check_flag_is_required(self, tmp_path):
         assert run("check", "--spec", LEB_SPEC,
                    "--out", str(tmp_path / "c")) == 2
@@ -264,7 +286,8 @@ class TestSuiteCommand:
                    "--out", out)
         # the necessity verdict counts as a failed check by design
         assert code == 1
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
         assert summary["preset"] == "salem"
         checks = {r["check"]: r["verdict"] for r in summary["reports"]}
         assert checks["korenblum"] == "fail"
@@ -283,7 +306,8 @@ class TestSuiteCommand:
             out = str(tmp_path / preset)
             assert run("suite", "--spec", SALEM_SPEC, "--preset", preset,
                        "--depth", "4", "--grid-count", "1", "--out", out) in (0, 1)
-            summary = json.load(open(os.path.join(out, "summary.json")))
+            with open(os.path.join(out, "summary.json")) as fh:
+                summary = json.load(fh)
             assert summary["preset"] == preset
             assert len(summary["reports"]) == len(PRESETS[preset])
             jsonschema.validate(summary, schema)
@@ -294,7 +318,8 @@ class TestSuiteCommand:
         spec["seed"] = 11
         run("suite", "--spec", json.dumps(spec), "--preset",
             "theorem-necessity", "--seed", "0", "--out", out)
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
         assert summary["seed"] == 11
 
     def test_salem_preset_builds_the_measure_once(self, tmp_path, monkeypatch):
@@ -331,8 +356,10 @@ class TestSuiteCommand:
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem", "--out", a)
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem", "--out", b)
         for name in sorted(os.listdir(a)):
-            fa = open(os.path.join(a, name), "rb").read()
-            fb = open(os.path.join(b, name), "rb").read()
+            with open(os.path.join(a, name), "rb") as fh:
+                fa = fh.read()
+            with open(os.path.join(b, name), "rb") as fh:
+                fb = fh.read()
             assert fa == fb, name
 
 

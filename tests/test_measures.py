@@ -127,6 +127,92 @@ class TestConstructors:
         assert np.array_equal(a.piece_d, b.piece_d)
 
 
+class TestConstruction:
+    """Array construction keeps the semantics of the element-by-element
+    code it replaced."""
+
+    def test_twelve_atoms_at_one_position_sum_left_to_right(self):
+        # 1 + 1e-16 rounds to 1 at every step; any other order of the sum
+        # (pairwise, reversed, exact) keeps the small masses
+        masses = [1.0] + [1e-16] * 11
+        assert math.fsum(masses) != 1.0 and float(np.sum(masses)) != 1.0
+        assert sum(reversed(masses)) != 1.0
+        # interleaved with a second position, each position sums in input
+        # order
+        mu = CircleMeasure(atoms=np.array([(x, m) for m in masses
+                                           for x in (0.9, 0.4)]))
+        assert mu.atom_x.tolist() == [0.4, 0.9]
+        assert mu.atom_m.tolist() == [1.0, 1.0]
+        mu = CircleMeasure(atoms=[(0.4, m) for m in reversed(masses)])
+        assert mu.atom_m.tolist() == [sum(reversed(masses))]
+
+    def test_wraparound_piece_splits_at_the_seam(self):
+        mu = CircleMeasure(pieces=[(0.9, 1.2, 2.0), (0.3, 0.5, 1.0)])
+        assert mu.piece_a.tolist() == [0.0, 0.3, 0.9]
+        assert mu.piece_b.tolist() == [0.9 + (1.2 - 0.9) - 1.0, 0.5, 1.0]
+        assert mu.piece_d.tolist() == [2.0, 1.0, 2.0]
+        assert mu.total_mass == pytest.approx(0.8)
+        neg = CircleMeasure(pieces=np.array([[-0.1, 0.2, 1.0]]))
+        assert neg.piece_a.tolist() == [0.0, -0.1 % 1.0]
+        assert neg.piece_b.tolist() == [-0.1 % 1.0 + 0.30000000000000004 - 1.0, 1.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"atoms": [0.5, 1.0]}, {"pieces": [0.0, 0.5, 1.0]},
+        {"pieces": np.zeros((2, 4))}, {"atoms": np.zeros((2, 3))}])
+    def test_wrong_shape_raises(self, kwargs):
+        with pytest.raises(ValueError, match="got shape"):
+            CircleMeasure(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"atoms": [(math.nan, 1.0)]}, {"atoms": [(0.5, math.inf)]},
+        {"pieces": [(0.0, math.inf, 1.0)]}, {"pieces": [(0.0, 0.5, math.nan)]}])
+    def test_non_finite_value_raises(self, kwargs):
+        with pytest.raises(ValueError, match="non-finite"):
+            CircleMeasure(**kwargs)
+
+    def test_salem_support_matches_a_tuple_built_reference(self):
+        spec = SalemSpec(alpha=0.8, epsilon=0.05, d=2, xi=2 ** -1.25,
+                         generations=8, seed=3)
+        mu, E = salem_measure(spec)
+        # the construction written with tuples, one gap at a time
+        d, nu, xis = spec.d, spec.nu, spec.xi_sequence()
+        starts, length, gaps, gens = np.array([0.0]), 1.0, [], []
+        for j in range(1, spec.generations + 1):
+            child_len = xis[j - 1] * length
+            offsets = np.arange(d) * (nu * length)
+            for k in range(d):
+                hi = starts + offsets[k + 1] if k < d - 1 else starts + length
+                gaps.extend(zip(starts + offsets[k] + child_len, hi))
+                gens.extend([j] * len(starts))
+            starts = (starts[:, None] + offsets[None, :]).ravel()
+            length = child_len
+        order = np.argsort([g[0] for g in gaps])
+        arcs = [(float(a), float(a + length)) for a in np.sort(starts)]
+        assert E.arcs.tolist() == [list(a) for a in arcs]
+        assert E.gaps.tolist() == [[float(a), float(b)] for a, b in
+                                   (gaps[i] for i in order)]
+        assert E.gap_generation.tolist() == [gens[i] for i in order]
+        assert mu.piece_a.tolist() == [a for a, _ in arcs]
+        assert mu.piece_b.tolist() == [b for _, b in arcs]
+        # the entropy of the reference, summed as before
+        lengths = np.array([b - a for a, b in (gaps[i] for i in order)])
+        terms = lengths * np.log(1.0 / lengths)
+        g = np.array([gens[i] for i in order])
+        rep = bc_entropy(E)
+        assert rep.total == float(terms.sum())
+        assert rep.generation_subtotals == [
+            (j, float(terms[g == j].sum())) for j in range(1, 9)]
+
+    def test_interval_set_holds_arrays(self):
+        E = IntervalSet.from_arcs([(0.5, 0.6), (0.1, 0.2), (0.1, 0.1)])
+        assert E.arcs.tolist() == [[0.1, 0.1], [0.1, 0.2], [0.5, 0.6]]
+        assert E.gaps.tolist() == [[0.2, 0.5], [0.6, 1.1]]
+        assert E.gap_generation.tolist() == [0, 0]
+        assert IntervalSet.from_arcs([]).gaps.tolist() == [[0.0, 1.0]]
+        with pytest.raises(ValueError, match="arcs overlap"):
+            IntervalSet.from_arcs([(0.1, 0.3), (0.2, 0.4)])
+
+
 class TestSalem:
     def spec(self, J=8, seed=3):
         d, xi = choose_salem_parameters(0.8, 0.05)
@@ -161,6 +247,13 @@ class TestSalem:
         gam = spec.gamma_sequence()
         for j in range(1, 11):
             assert gam[j - 1] <= spec.gamma_bound(j) * (1 + 1e-12)
+
+    def test_leaf_count_is_bounded(self):
+        # d^J leaves (and as many gaps) are refused before any is built
+        for d, xi, J in ((2, 0.3, 64), (2, 0.3, 23), (3, 0.2, 14)):
+            with pytest.raises(ValueError, match="leaves exceed 2\\^22"):
+                SalemSpec(alpha=0.5, epsilon=0.05, d=d, xi=xi, generations=J)
+        SalemSpec(alpha=0.5, epsilon=0.05, d=3, xi=0.2, generations=13)
 
     def test_ratio_above_reciprocal_branching_rejected(self):
         with pytest.raises(ValueError):
