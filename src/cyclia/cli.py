@@ -46,8 +46,9 @@ class RunConfig:
     grid_count: int | None = None
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """A usage error: exit code 2 and no artifact.  It is an
+    ArgumentTypeError, so an option's type may raise it."""
 
 
 # -- measure construction --------------------------------------------------
@@ -87,7 +88,9 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
         if not atoms:
             raise UsageError("atomic spec needs params.atoms = [[x, mass], ...]")
         mu = atomic(atoms)
-        E = IntervalSet.from_arcs(np.asarray(atoms, dtype=float)[:, [0, 0]])
+        # one degenerate arc per merged atom: a position given twice is
+        # one atom, and its mass is counted once
+        E = IntervalSet.from_arcs(np.column_stack([mu.atom_x, mu.atom_x]))
         return MeasureContext(spec, mu, PowerLaw(1.0, 0.5), support=E,
                               label="atomic")
     if kind == "kahane":
@@ -349,10 +352,25 @@ def cmd_suite(cfg: RunConfig) -> int:
 
 
 def _finite(token: str) -> float:
-    x = float(token)
+    """float(token), refusing nan and +-inf: the float parser of specs and
+    the type of the numeric flags (argparse reports a UsageError raised
+    here with its message, and exits 2)."""
+    try:
+        x = float(token)
+    except ValueError:
+        raise UsageError(f"not a number: {token!r}")
     if not np.isfinite(x):
-        raise UsageError(f"non-finite number {token} in spec")
+        raise UsageError(f"non-finite number {token}")
     return x
+
+
+def _integer(token: str) -> int:
+    """int(token), refusing an integer beyond the float range: specs
+    convert their numbers with float()."""
+    if not np.isfinite(float(token)):
+        raise UsageError(f"integer of {len(token)} digits in spec is too "
+                         "large for a float")
+    return int(token)
 
 
 def _parse_spec(text: str) -> dict:
@@ -365,7 +383,8 @@ def _parse_spec(text: str) -> dict:
         except OSError as e:
             raise UsageError(f"cannot read spec file {text!r}: {e}")
     try:
-        return json.loads(raw, parse_float=_finite, parse_constant=_finite)
+        return json.loads(raw, parse_float=_finite, parse_int=_integer,
+                          parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise UsageError(f"malformed spec JSON: {e}")
 
@@ -383,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--check", choices=tuple(CHECKS), required=True)
         if name == "suite":
             sp.add_argument("--preset", choices=sorted(PRESETS), required=True)
-        sp.add_argument("--p", type=float)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--epsilon", type=float)
+        sp.add_argument("--p", type=_finite)
+        sp.add_argument("--alpha", type=_finite)
+        sp.add_argument("--epsilon", type=_finite)
         sp.add_argument("--depth", type=int)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="cyclia-out")
-        sp.add_argument("--grid-start", type=float)
-        sp.add_argument("--grid-stop", type=float)
+        sp.add_argument("--grid-start", type=_finite)
+        sp.add_argument("--grid-stop", type=_finite)
         sp.add_argument("--grid-count", type=int)
     return ap
 

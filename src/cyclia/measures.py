@@ -28,6 +28,9 @@ without atoms whose pieces are exactly 2^N uniform leaves takes one FFT of
 the leaf densities, and copies its table cyclically into the cache from
 the start of the missing n mod 2^N; any other measure sends the missing n
 to the blocked kernel in ranges of a fixed size, and copies each result in.
+The ring kernel of ``models`` folds the coefficients of the pieces only:
+a measure with atoms keeps its pieces as a second measure, built once
+(``_piece_measure``), whose cache that kernel reads.
 """
 
 from __future__ import annotations
@@ -174,6 +177,7 @@ class CircleMeasure:
         self._leaf_table = None
         self._coef = np.empty(0, dtype=complex)
         self._ncoef = 0
+        self._pieces = None
 
     # -- mass queries ------------------------------------------------------
 
@@ -212,6 +216,18 @@ class CircleMeasure:
         """Positions where the window-mass derivative can change."""
         return np.unique(np.concatenate([
             self.atom_x, self.piece_a, self.piece_b % 1.0, [0.0]]))
+
+    def _piece_measure(self) -> "CircleMeasure":
+        """The pieces alone, as a measure of their own built once: the ring
+        kernel sums the atoms directly and folds the coefficients of this
+        measure, so its cache never holds the atoms' terms, which do not
+        decay.  A measure without atoms is its own pieces."""
+        if not self.atom_x.size:
+            return self
+        if self._pieces is None:
+            self._pieces = CircleMeasure(pieces=np.column_stack(
+                [self.piece_a, self.piece_b, self.piece_d]))
+        return self._pieces
 
     # -- Fourier ----------------------------------------------------------
 
@@ -285,11 +301,13 @@ class CircleMeasure:
         request is made beside the cache.  A leaf measure writes them in
         place (_fill_leaves); any other sends them to fourier_many in ranges
         of at most _RANGE = 2^16 coefficients and copies each result into the
-        cache, so an atom's fill holds about 2 MiB beside it (a row has the
-        same bits whichever range computed it).  The leaf fill keeps blocks
-        of _FILL: its freed 16 MiB temporaries raise glibc's mmap threshold,
-        so the ring temporaries that follow are not mapped afresh on every
-        ring.
+        cache, so a fill holds about 2 MiB beside it (a row has the same bits
+        whichever range computed it).  The ring kernel reads the cache of
+        the pieces alone (_piece_measure): an atom's coefficients, which do
+        not decay, are filled only when a caller asks for hat mu itself.
+        The leaf fill keeps blocks of _FILL: its freed 16 MiB temporaries
+        raise glibc's mmap threshold, so the ring temporaries that follow
+        are not mapped afresh on every ring.
         A full buffer is reallocated at 3/2 of its capacity (or the request,
         if larger), so the copies cost O(1) per coefficient; a ring sweep
         that asks for its largest count first sizes it once.  A count above

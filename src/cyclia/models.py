@@ -1,22 +1,32 @@
 """Closed-form evaluation of singular inner functions and friends on the disc.
 
-* The ring kernel: H(z) = mu(T) + 2 sum_{n>=1} hat mu(n) z^n and H'(z)
-  come together on M equispaced points of a radius-r circle.  The
-  truncated coefficients, read from the measure's own cache, viewed as
-  rows of length M, are folded by a rank-one damping (a row factor times a
-  real column factor, and a phase for an offset ring) in one matrix
-  product.  Only the min(N + 1, M) bins that hold coefficients are
-  formed; one zero-padded inverse FFT finishes both.  At r = 0 the
-  series gives H = mu(T) and H' = 2 hat mu(1) exactly.
+* The ring kernel: H(z) = int (w + z)/(w - z) dmu and H'(z) come together
+  on M equispaced points of a radius-r circle, with mu split into its
+  atoms and its pieces, each taken in its exact form.
+  - The atoms are summed directly: an atom of mass c at x gives
+    c (1 + zeta)/(1 - zeta) and 2 c e^{-2 pi i x}/(1 - zeta)^2, with
+    zeta = r e^{2 pi i phi}, phi the exact offset of the ring point from
+    x and 1 - zeta formed from sines, free of cancellation.  The sums run
+    in blocks of at most _ATOM_BLOCK (atom, point) pairs, and an atomic
+    measure fills no coefficient cache.
+  - The pieces give H = mu(T) + 2 sum_{n>=1} hat mu(n) z^n: their
+    truncated coefficients, read from the cache of the pieces alone (a
+    measure without atoms is its own pieces), viewed as rows of length M,
+    are folded by a rank-one damping (a row factor times a real column
+    factor, and a phase for an offset ring) in one matrix product.  Only
+    the min(N + 1, M) bins that hold coefficients are formed; one
+    zero-padded inverse FFT finishes both.
+  At r = 0 the series gives H = mu(T) and H' = 2 hat mu(1) exactly.
 * The scalar reference: the Herglotz integral of an atoms-plus-pieces
   measure has an exact antiderivative per arc; the logarithm's branch is
   kept honest by bisecting any arc whose endpoint ratio leaves the right
   half plane.  The tests check the ring kernel against it.
 
 Function models (inner powers, polynomials, and the dilation quotient
-S/S_t, taken in log space) are immutable and evaluated as the jet (f, f')
-on rings.  The norms read log |f'| on the same rings: an inner power and
-the dilation quotient take it from their exponent, without forming f.
+S/S_t, taken in log space with the same split of mu) are immutable and
+evaluated as the jet (f, f') on rings.  The norms read log |f'| on the
+same rings: an inner power and the dilation quotient take it from their
+exponent, without forming f.
 """
 
 from __future__ import annotations
@@ -38,6 +48,9 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * np.pi
+# (atom, point) pairs per block of the direct atom sums: their real
+# temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold
+_ATOM_BLOCK = 1 << 13
 
 
 class EvaluationError(ValueError):
@@ -186,7 +199,8 @@ def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
 def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     """The filled bins of the (2, M) spectrum whose inverse FFT (norm
     "forward", zero-padded to M) is (H - mu(T), H') at the points of
-    herglotz_jet, 0 < r < 1: an array of min(N + 1, M) columns.
+    herglotz_jet, 0 < r < 1: an array of min(N + 1, M) columns.  The
+    kernel calls it on the pieces of a measure only (_piece_measure).
 
     With n = q + 1 + jM the damping r^n e^{2 pi i n offset/M} splits into a
     column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}, so
@@ -222,20 +236,132 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     return folds
 
 
+def _atom_blocks(mu: CircleMeasure, m: int, offset: float):
+    """The atoms against the M ring points in blocks of at most _ATOM_BLOCK
+    (atom, point) pairs: (points, s, c, masses, e^{-2 pi i x}), the points
+    a slice of k, s = sin(pi phi) and c = cos(pi phi) (atoms, points)
+    arrays, phi = (k + offset)/M - x reduced to [-1/2, 1/2].
+
+    phi is exact near the atom (the subtraction is exact within a factor 2,
+    and k + offset over a power-of-two M is exact for the offsets 0 and
+    1/2), so a ring point close to an atom keeps its distance to it.  c is
+    taken as sin(pi (1/2 - |phi|)), whose argument is exact where c is
+    small, so s and c are both accurate to an ulp relatively."""
+    x, mass = mu.atom_x, mu.atom_m
+    per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
+    span = min(m, max(1, _ATOM_BLOCK // per))        # points per block
+    turns = (np.arange(m) + offset) / m
+    for i in range(0, x.size, per):
+        xs = x[i:i + per, None]
+        conj_w = np.exp(-_TWO_PI_I * xs[:, 0])
+        for k in range(0, m, span):
+            phi = turns[k:k + span] - xs
+            phi -= np.round(phi)
+            s = np.sin(np.pi * phi)
+            phi = np.abs(phi, out=phi)
+            c = np.sin(np.pi * (0.5 - phi))
+            yield slice(k, k + span), s, c, mass[i:i + per], conj_w
+
+
+def _cplx(re, im):
+    """re + i im without complex temporaries."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _atom_sum(w, terms):
+    """w @ terms, the sum over the atoms (rows); one atom is a scaling (a
+    one-row product takes BLAS's slow path)."""
+    return w[0] * terms[0] if w.size == 1 else w @ terms
+
+
+def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float):
+    """The atoms' (H, H') on the ring, summed directly.  With zeta =
+    r e^{2 pi i phi}, 1 - zeta = a - i b, a = (1 - r) + 2 r s^2 and
+    b = 2 r s c, free of cancellation near the atom; an atom of mass c_x
+    gives c_x (1 + zeta)/(1 - zeta) = c_x ((1 - r^2) + 2 i b)/(a^2 + b^2)
+    and 2 c_x e^{-2 pi i x}/(1 - zeta)^2 = 2 c_x e^{-2 pi i x} v^2,
+    v = (a + i b)/(a^2 + b^2), each to a few ulps at every point."""
+    h = np.zeros(m, dtype=complex)
+    h1 = np.zeros(m, dtype=complex)
+    one_minus_r2 = (1.0 - r) * (1.0 + r)
+    for k, s, c, mass, conj_w in _atom_blocks(mu, m, offset):
+        a = (1.0 - r) + (2.0 * r) * (s * s)
+        b = (2.0 * r) * (s * c)
+        q = 1.0 / (a * a + b * b)
+        h[k] += _atom_sum(mass, _cplx(one_minus_r2 * q, 2.0 * b * q))
+        v = _cplx(a * q, b * q)
+        h1[k] += _atom_sum(2.0 * mass * conj_w, v * v)
+    return h, h1
+
+
+def _atom_dilation_jet(mu: CircleMeasure, r: float, t: float, m: int,
+                       offset: float):
+    """The atoms' (D, D') = (A(z) - A(t z), A'(z) - t A'(t z)), A their
+    Herglotz integral, summed directly: an atom of mass c_x gives
+    2 c_x (1 - t) zeta/((1 - zeta)(1 - t zeta)) and 2 c_x e^{-2 pi i x}
+    (1 - t)(1 - t zeta^2)/((1 - zeta)(1 - t zeta))^2, which do not cancel
+    as t -> 1.  As in _atom_jet, 1 - zeta, 1 - t zeta and 1 - t zeta^2
+    are formed from sines and positive sums."""
+    d = np.zeros(m, dtype=complex)
+    d1 = np.zeros(m, dtype=complex)
+    tr, tr2 = t * r, t * r * r
+    one_minus_tr = (1.0 - t) + t * (1.0 - r)
+    one_minus_tr2 = (1.0 - t) + t * ((1.0 - r) * (1.0 + r))
+    for k, s, c, mass, conj_w in _atom_blocks(mu, m, offset):
+        ss = s * s
+        sin2 = 2.0 * (s * c)                          # of 2 pi phi
+        cos2 = 1.0 - 2.0 * ss
+        v = 1.0 / (_cplx((1.0 - r) + (2.0 * r) * ss, -r * sin2)
+                   * _cplx(one_minus_tr + (2.0 * tr) * ss, -tr * sin2))
+        w = 2.0 * (1.0 - t) * mass
+        d[k] += _atom_sum(w, _cplx(r * cos2, r * sin2) * v)
+        v *= v
+        v *= _cplx(one_minus_tr2 + (2.0 * tr2) * (sin2 * sin2),
+                   (-2.0 * tr2) * (sin2 * cos2))
+        d1[k] += _atom_sum(w * conj_w, v)
+    return d, d1
+
+
+def _piece_jet(pieces: CircleMeasure, r: float, m: int, offset: float):
+    """The pieces' (H, H') from one inverse FFT of their spectrum."""
+    h, h1 = np.fft.ifft(_spectrum(pieces, r, m, offset), n=m, axis=1,
+                        norm="forward")
+    return h + pieces.total_mass, h1
+
+
+def _atoms_plus_pieces(mu: CircleMeasure, atom_jet, piece_jet):
+    """atom_jet() + piece_jet(pieces of mu): a measure without atoms is its
+    own pieces (piece_jet(mu) alone, its own cache), one without pieces
+    needs no spectrum, and a measure with both folds the cache of its
+    pieces alone (CircleMeasure._piece_measure)."""
+    if not mu.atom_x.size:
+        return piece_jet(mu)
+    h, h1 = atom_jet()
+    if mu.piece_a.size:
+        hp, hp1 = piece_jet(mu._piece_measure())
+        h, h1 = hp + h, hp1 + h1
+    return h, h1
+
+
 def herglotz_jet(mu: CircleMeasure, r: float, m: int,
                  offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1,
-    from one inverse FFT of _spectrum; at r = 0, H = mu(T) and
-    H' = 2 hat mu(1).
+    """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1.
+
+    mu splits into its atoms and its pieces, each taken in its exact form:
+    the atoms summed directly on the ring (_atom_jet), so an atomic measure
+    fills no coefficient cache, and the pieces from one inverse FFT of
+    _spectrum over their coefficients (_atoms_plus_pieces).  At r = 0,
+    H = mu(T) and H' = 2 hat mu(1).
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("ring radius must be in [0, 1)")
     if r == 0.0:
         return (np.full(m, mu.total_mass, dtype=complex),
                 np.full(m, 2.0 * mu.coefficients(1)[0], dtype=complex))
-    h, h1 = np.fft.ifft(_spectrum(mu, r, m, offset), n=m, axis=1,
-                        norm="forward")
-    return h + mu.total_mass, h1
+    return _atoms_plus_pieces(mu, lambda: _atom_jet(mu, r, m, offset),
+                              lambda pieces: _piece_jet(pieces, r, m, offset))
 
 
 def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
@@ -319,8 +445,9 @@ class Polynomial(FunctionModel):
 @dataclass(frozen=True)
 class DilationQuotient(FunctionModel):
     """S/S_t = exp(-alpha D), S = inner, S_t(z) = S(t z), 0 < t < 1, with
-    D = H(z) - H(t z) and D' = H'(z) - t H'(t z) from the difference of two
-    spectra and one inverse FFT: nothing divides.  Rings have 0 < r < 1."""
+    D = H(z) - H(t z) and D' = H'(z) - t H'(t z): the atoms' part in closed
+    form, the pieces' part from the difference of two spectra and one
+    inverse FFT; no quotient is formed.  Rings have 0 < r < 1."""
 
     inner: SingularInnerPower
     t: float
@@ -330,16 +457,23 @@ class DilationQuotient(FunctionModel):
             raise ValueError("dilation parameter must be in (0, 1)")
 
     def _exponent_jet(self, r, m, offset):
-        """(D, D') on the ring: one inverse FFT of the difference of the
-        spectra at r and t r, the narrower one subtracted in place."""
+        """(D, D') on the ring: the atoms' part in closed form
+        (_atom_dilation_jet), the pieces' part from one inverse FFT of the
+        difference of their spectra at r and t r, the narrower one
+        subtracted in place."""
         if not 0.0 < r < 1.0:
             raise ValueError("ring radius must be in (0, 1)")
-        mu = self.inner.mu
-        spec = _spectrum(mu, r, m, offset)
-        dilated = _spectrum(mu, self.t * r, m, offset)
-        dilated[1] *= self.t
-        spec[:, :dilated.shape[1]] -= dilated
-        return np.fft.ifft(spec, n=m, axis=1, norm="forward")
+        t, mu = self.t, self.inner.mu
+
+        def piece_jet(pieces):
+            spec = _spectrum(pieces, r, m, offset)
+            dilated = _spectrum(pieces, t * r, m, offset)
+            dilated[1] *= t
+            spec[:, :dilated.shape[1]] -= dilated
+            return np.fft.ifft(spec, n=m, axis=1, norm="forward")
+
+        return _atoms_plus_pieces(
+            mu, lambda: _atom_dilation_jet(mu, r, t, m, offset), piece_jet)
 
     def jet(self, r, m, offset=0.0):
         alpha = self.inner.alpha

@@ -201,8 +201,9 @@ class TestCheckCommand:
 
     def test_cache_budget_is_a_configuration_error(self, tmp_path, capsys):
         # the ring at 1 - 10^-16 needs more coefficients than the cache may
-        # hold: refused before anything is allocated, as a bad configuration
-        assert run("check", "--spec", ATOM_SPEC, "--check", "derivative-sup",
+        # hold: refused before anything is allocated, as a bad configuration.
+        # Lebesgue measure folds its cache; an atom fills none
+        assert run("check", "--spec", LEB_SPEC, "--check", "derivative-sup",
                    "--grid-stop", "16", "--grid-count", "2",
                    "--out", str(tmp_path / "c")) == 2
         assert "exceed the cache budget of 67108864" in capsys.readouterr().err
@@ -261,6 +262,40 @@ class TestCheckCommand:
                    "--out", str(tmp_path / "c")) == 2
         assert "non-finite number" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("command", ["measure", "check"])
+    def test_spec_integer_beyond_floats_is_a_usage_error(self, tmp_path,
+                                                         capsys, command):
+        spec = '{"type": "lebesgue", "params": {"mass": 1%s}}' % ("0" * 400)
+        check = ["--check", "anderson"] if command == "check" else []
+        assert run(command, "--spec", spec, *check,
+                   "--out", str(tmp_path / "c")) == 2
+        assert "too large for a float" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("flag", ["--p", "--alpha", "--epsilon",
+                                      "--grid-start", "--grid-stop"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, flag,
+                                              value):
+        assert run("check", "--spec", LEB_SPEC, "--check", "pmeans",
+                   flag, value, "--out", str(tmp_path / "c")) == 2
+        assert f"argument {flag}: non-finite number {value}" in \
+            capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_korenblum_counts_a_repeated_atom_once(self, tmp_path):
+        # two atoms at 0.3 are one atom of mass 0.625: one arc, and the
+        # carrier's mass is the measure's, 0.875
+        spec = ('{"type": "atomic", "params": {"atoms": '
+                '[[0.3, 0.5], [0.7, 0.25], [0.3, 0.125]]}}')
+        assert run("check", "--spec", spec, "--check", "korenblum",
+                   "--out", str(tmp_path / "c")) == 1
+        with open(tmp_path / "c" / "atomic_korenblum.json") as fh:
+            report = json.load(fh)
+        assert report["fits"]["mass"] == 0.875
+        assert [(row["a"], row["mass"]) for row in report["table"]] == [
+            (0.3, 0.625), (0.7, 0.25)]
 
     def test_check_flag_is_required(self, tmp_path):
         assert run("check", "--spec", LEB_SPEC,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclia import models
+from cyclia import measures, models
 from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
@@ -290,13 +291,23 @@ class TestJetKernel:
     def test_bits_of_full_width_kernel(self, mu, r, m, fewer, offset):
         # the kernel works only on the bins that hold coefficients, with
         # the same bits as the fold over all M bins; its real column
-        # factor stays within an ulp-sized step of the complex exponential
-        assert (models._truncation_order(r, mu.total_mass) < m) == fewer
-        h, h1 = herglotz_jet(mu, r, m, offset)
-        want, want1 = _full_width_jet(mu, r, m, offset)
+        # factor stays within an ulp-sized step of the complex exponential.
+        # With atoms, the jet is the pieces' jet (folded from the cache of
+        # the pieces alone) plus the atoms' direct sum, bit for bit
+        pieces = mu._piece_measure()
+        assert (models._truncation_order(r, pieces.total_mass) < m) == fewer
+        h, h1 = herglotz_jet(pieces, r, m, offset)
+        if mu.atom_x.size:
+            ha, ha1 = models._atom_jet(mu, r, m, offset)
+            got, got1 = herglotz_jet(mu, r, m, offset)
+            assert np.array_equal(got, h + ha)
+            assert np.array_equal(got1, h1 + ha1)
+        else:
+            assert pieces is mu
+        want, want1 = _full_width_jet(pieces, r, m, offset)
         assert np.array_equal(h, want)
         assert np.array_equal(h1, want1)
-        old, old1 = _full_width_jet(mu, r, m, offset, complex_exp=True)
+        old, old1 = _full_width_jet(pieces, r, m, offset, complex_exp=True)
         assert np.abs(h - old).max() <= 1e-15 * np.abs(old).max()
         assert np.abs(h1 - old1).max() <= 1e-15 * np.abs(old1).max()
 
@@ -370,6 +381,98 @@ class TestTruncationOrder:
         assert np.abs(h1 - 2 / (1 - z) ** 2).max() <= 1e-12 * 2 / (1 - r) ** 2
 
 
+def _mp_atom_jets(atoms, r, m, offset, t):
+    """(H, H', D, D') of an atomic measure to 40 digits at the exact ring
+    points z: H = sum c (w + z)/(w - z), H' = sum 2 c w/(w - z)^2,
+    D = H(z) - H(t z) and D' = H'(z) - t H'(t z), each taken in mpmath
+    before it is rounded."""
+    mp = mpmath
+    with mp.workdps(40):
+        ws = [(mp.expjpi(2 * mp.mpf(x)), mp.mpf(c)) for x, c in atoms]
+        t = mp.mpf(t)
+
+        def jet(z):
+            return (mp.fsum(c * (w + z) / (w - z) for w, c in ws),
+                    mp.fsum(2 * c * w / (w - z) ** 2 for w, c in ws))
+
+        rows = []
+        for k in range(m):
+            z = mp.mpf(r) * mp.expjpi(2 * (k + mp.mpf(offset)) / m)
+            (h, h1), (ht, ht1) = jet(z), jet(t * z)
+            rows.append([complex(v) for v in (h, h1, h - ht, h1 - t * ht1)])
+    return np.array(rows).T
+
+
+class TestAtomKernel:
+    # the atoms' part of the ring kernel is summed on the ring, with no
+    # coefficient cache
+    @pytest.mark.parametrize("atoms", [[(0.0, 1.0)], [(0.3, 0.5), (0.71, 0.25)]],
+                             ids=["unit", "two"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_pointwise_against_mpmath(self, atoms, offset, k):
+        # relative error at every ring point of H', D and D' (t = 0.999,
+        # the largest dilation of brown-shields), and of H against the sum
+        # of its terms' moduli, which the atoms' imaginary parts may cancel
+        # down from.  The fold of the atoms' Taylor coefficients was off by
+        # up to 4.9e-8 (unit atom) and 5.9e-7 (two atoms) on H' away from
+        # the atoms
+        r, m, t = 1.0 - 10.0**-k, 64, 0.999
+        mu = atomic(atoms)
+        h, h1 = herglotz_jet(mu, r, m, offset)
+        d, d1 = DilationQuotient(SingularInnerPower(mu), t)._exponent_jet(
+            r, m, offset)
+        want, want1, want_d, want_d1 = _mp_atom_jets(atoms, r, m, offset, t)
+        z = _ring(r, m, offset)
+        moduli = sum(c * np.abs((w + z) / (w - z))
+                     for w, c in ((np.exp(2j * np.pi * x), c) for x, c in atoms))
+        assert (np.abs(h - want) / moduli).max() <= 1e-14
+        assert (np.abs(h1 - want1) / np.abs(want1)).max() <= 1e-14
+        assert (np.abs(d - want_d) / np.abs(want_d)).max() <= 1e-13
+        assert (np.abs(d1 - want_d1) / np.abs(want_d1)).max() <= 1e-13
+
+    def test_many_atoms_in_bounded_blocks(self):
+        # 2^14 atoms of mass 2^-14 at x_j = (j + delta)/2^14 on a 2^10-point
+        # ring: 2^24 (atom, point) pairs, which one (points, atoms) array
+        # would hold as 256 MiB of complex temporaries.  In blocks of
+        # _ATOM_BLOCK pairs the peak is a few blocks plus the two outputs,
+        # and no coefficient cache is filled.  The closed form of N
+        # equispaced atoms: H = (1 + U)/(1 - U), U = z^N e^{-2 pi i delta},
+        # which is z^N = r^N on this ring, and H' = 2 N U/(z (1 - U)^2).
+        # The float positions are off by up to 1.1e-16, which moves H by
+        # up to about 2 pi |H'| 1.1e-16 = 5e-12
+        n, m, r, delta = 2**14, 2**10, 0.9999, 1.0 / 3.0
+        mu = atomic(np.column_stack([(np.arange(n) + delta) / n,
+                                     np.full(n, 1.0 / n)]))
+        tracemalloc.start()
+        try:
+            h, h1 = herglotz_jet(mu, r, m, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert models._ATOM_BLOCK <= measures._WORKSPACE
+        assert peak < 32 * 16 * models._ATOM_BLOCK + 4 * 16 * m
+        assert mu._coef.size == 0
+        z = _ring(r, m, 0.5)
+        u = r**n * np.exp(-2j * np.pi * delta)
+        assert np.abs(h - (1 + u) / (1 - u)).max() <= 1e-11
+        want1 = 2 * n * u / (z * (1 - u) ** 2)
+        assert (np.abs(h1 - want1) / np.abs(want1)).max() <= 1e-10
+
+    def test_mixed_measure_folds_the_cache_of_its_pieces(self):
+        # the pieces alone are a measure built once and kept; the measure's
+        # own cache, which coefficients() reads, still holds hat mu
+        mu = CircleMeasure(atoms=[(0.7, 0.5)], pieces=[(0.2, 0.3, 2.0)])
+        herglotz_jet(mu, 0.99, 64)
+        pieces = mu._piece_measure()
+        assert pieces is mu._piece_measure()
+        assert pieces.atom_x.size == 0 and pieces.total_mass == pytest.approx(0.2)
+        assert mu._ncoef == 0
+        assert pieces._ncoef == models._truncation_order(0.99, pieces.total_mass)
+        assert np.array_equal(mu.coefficients(100),
+                              mu.fourier_many(range(1, 101)))
+
+
 def _atomic_herglotz(atoms, z):
     """H = sum m (w + z)/(w - z) and H' = sum 2 m w/(w - z)^2 of an atomic
     measure, w = e^{2 pi i x}: the closed form, in numpy alone."""
@@ -414,7 +517,7 @@ class TestJetComposition:
         _assert_close(val, want)
         _assert_close(dval, want1)
 
-    def test_dilation_quotient_one_fft_per_ring(self, monkeypatch):
+    def _iffts_per_ring(self, mu, monkeypatch):
         calls = []
         ifft = np.fft.ifft
 
@@ -425,11 +528,19 @@ class TestJetComposition:
         monkeypatch.setattr(np.fft, "ifft", counting)
         grid = QuadratureGrid.build(u_max=4.0, panels=2, nodes_per_panel=4,
                                     m_min=16, m_max=256)
-        besov_seminorm(DilationQuotient(SingularInnerPower(self.MU), 0.5),
+        besov_seminorm(DilationQuotient(SingularInnerPower(mu), 0.5),
                        2.0, grid)
         # one Gauss-Kronrod pass; the tail term reuses its outermost ring
-        rings = grid.panels * (2 * grid.nodes_per_panel + 1)
-        assert len(calls) == rings
+        return len(calls) / (grid.panels * (2 * grid.nodes_per_panel + 1))
+
+    def test_dilation_quotient_one_fft_per_ring(self, monkeypatch):
+        # the pieces' part: one inverse FFT of the difference of spectra
+        mu = CircleMeasure(atoms=self.ATOMS, pieces=[(0.5, 0.7, 1.5)])
+        assert self._iffts_per_ring(mu, monkeypatch) == 1
+
+    def test_atomic_dilation_quotient_takes_no_fft(self, monkeypatch):
+        # the atoms' part is summed directly on the ring
+        assert self._iffts_per_ring(self.MU, monkeypatch) == 0
 
     def test_dilation_quotient_validates(self):
         S = SingularInnerPower(self.MU)
