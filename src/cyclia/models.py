@@ -242,21 +242,32 @@ def _atom_blocks(mu: CircleMeasure, m: int, offset: float):
     a slice of k, s = sin(pi phi) and c = cos(pi phi) (atoms, points)
     arrays, phi = (k + offset)/M - x reduced to [-1/2, 1/2].
 
-    phi is exact near the atom (the subtraction is exact within a factor 2,
-    and k + offset over a power-of-two M is exact for the offsets 0 and
-    1/2), so a ring point close to an atom keeps its distance to it.  c is
-    taken as sin(pi (1/2 - |phi|)), whose argument is exact where c is
-    small, so s and c are both accurate to an ulp relatively."""
+    phi is accurate to a few ulps relatively, so a ring point close to an
+    atom keeps its distance to it: (k + offset)/M is carried as hi + lo
+    (k + offset is split exactly, and M is a power of two), both turns and
+    atoms are taken in [-1/2, 1/2), so hi - x is exact where they are
+    close with one sign and adds magnitudes across 0, and lo joins after
+    the reduction.  c is taken as sin(pi (1/2 - |phi|)), whose argument is
+    exact where c is small, so s and c are both accurate to an ulp
+    relatively."""
     x, mass = mu.atom_x, mu.atom_m
+    x = x - (x >= 0.5)
     per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
     span = min(m, max(1, _ATOM_BLOCK // per))        # points per block
-    turns = (np.arange(m) + offset) / m
+    k_all = np.arange(m, dtype=float)
+    hi = k_all + offset
+    lo = (offset - (hi - k_all)) / m                  # k + offset - hi
+    hi /= m
+    hi -= hi >= 0.5
+    lo = lo if lo.any() else None
     for i in range(0, x.size, per):
         xs = x[i:i + per, None]
         conj_w = np.exp(-_TWO_PI_I * xs[:, 0])
         for k in range(0, m, span):
-            phi = turns[k:k + span] - xs
+            phi = hi[k:k + span] - xs
             phi -= np.round(phi)
+            if lo is not None:
+                phi += lo[k:k + span]
             s = np.sin(np.pi * phi)
             phi = np.abs(phi, out=phi)
             c = np.sin(np.pi * (0.5 - phi))

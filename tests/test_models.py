@@ -240,6 +240,10 @@ class TestJetKernel:
     # 2 pi n x must be reduced exactly, or H' drifts by n ulps
     @example(CircleMeasure(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 0.25)]),
              0.998046875, 3, 0.0)
+    # a ring point just below 1 turn near an atom at 0, on an offset that
+    # k + offset does not hold: the distance wraps and needs the low part
+    @example(CircleMeasure(atoms=[(0.0, 1.0)]), 0.998046875, 3,
+             0.9989999999999999)
     def test_matches_scalar_oracle(self, mu, r, log2_m, offset):
         _assert_jet_matches_mpmath(mu, r, 1 << log2_m, offset)
 
