@@ -23,7 +23,8 @@ from .measures import (CircleMeasure, IntervalSet, bc_entropy,
                        smoothness_constant)
 from .models import (DilationQuotient, SingularInnerPower, herglotz_ring,
                      maclaurin)
-from .norms import QuadratureGrid, _radial_rule, besov_seminorm, default_grid
+from .norms import (QuadratureGrid, _angular_counts, _radial_rule,
+                    besov_seminorm, default_grid)
 from .profiles import SmoothnessProfile
 
 __all__ = [
@@ -157,8 +158,8 @@ def _trend_report(name: str, params: dict, table: list, x, vals, tiny: float,
 
 
 def _ring_count(r: float, floor: int = 1024) -> int:
-    need = max(floor, int(64.0 / max(1.0 - r, 2.0**-18)))
-    return min(1 << 16, 1 << max(need - 1, 1).bit_length())
+    """The angular count of a norm ring at r, and at least floor."""
+    return max(floor, int(_angular_counts(-math.log2(1.0 - r), 64, 1 << 16)))
 
 
 # -- dilate criterion ------------------------------------------------------

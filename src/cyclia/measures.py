@@ -13,8 +13,8 @@ query reads one periodic CDF table built at construction: the cumulative
 mass at the interleaved piece edges, linear in between, plus the atoms'
 cumulative masses.  An interval mass is a difference of two CDF values, the
 modulus of continuity scans window masses and the modulus of smoothness
-second differences of the CDF.  Both take a scalar t or a grid, and the
-modulus of smoothness scans each distinct half-width of a grid once.
+second differences of the CDF.  The modulus of smoothness scans each
+distinct half-width of its grid of t once.
 
 Fourier coefficients come from one blocked kernel (``fourier_many``):
 writing n = qB + j turns the sum over atoms and pieces into a product of a
@@ -476,11 +476,9 @@ class SalemSpec:
         lo = (1.0 - 1.0 / (js + 1) ** 2) * self.xi
         return lo + rng.random(self.generations) * (self.xi - lo)
 
-    def gamma_sequence(self, xis=None) -> np.ndarray:
+    def gamma_sequence(self) -> np.ndarray:
         """Gamma_j = prod_{i<=j} (nu - xi_i), the discarded-length bookkeeping."""
-        if xis is None:
-            xis = self.xi_sequence()
-        return np.cumprod(self.nu - np.asarray(xis))
+        return np.cumprod(self.nu - self.xi_sequence())
 
     def gamma_bound(self, j: int) -> float:
         """((1/d - xi)/2)^j * exp((pi^2/6 - 1) * 2 xi / (1/d - xi))."""
@@ -547,16 +545,15 @@ def salem_measure(spec: SalemSpec) -> tuple[CircleMeasure, IntervalSet]:
 _NUDGE = 1e-12
 
 
-def _t_grid(t) -> tuple[np.ndarray, bool]:
-    """t as a 1-D grid in (0, 1], and whether t was a scalar."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError("t must be a scalar or a 1-D grid")
-    grid = np.atleast_1d(ts)
+def _t_grid(t) -> np.ndarray:
+    """t as a 1-D grid in (0, 1]."""
+    grid = np.asarray(t, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("t must be a 1-D grid")
     bad = ~((grid > 0.0) & (grid <= 1.0))
     if bad.any():
         raise ValueError(f"t must be in (0, 1], got {float(grid[bad][0])}")
-    return grid, ts.ndim == 0
+    return grid
 
 
 def _off_atoms(mu: CircleMeasure, xs: np.ndarray) -> np.ndarray:
@@ -567,21 +564,21 @@ def _off_atoms(mu: CircleMeasure, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def modulus_continuity(mu: CircleMeasure, t) -> float | np.ndarray:
-    """delta_mu(t) = sup over intervals |I| <= t of mu(I), for a scalar t (a
-    float is returned) or a 1-D grid (an array, one delta per t).
+def modulus_continuity(mu: CircleMeasure, t) -> np.ndarray:
+    """delta_mu(t) = sup over intervals |I| <= t of mu(I), one per t of the
+    1-D grid t.
 
     For positive measures the sup over lengths <= t is attained at length t,
     so only the window position is scanned; candidates are the points where
     the window mass is non-smooth (breakpoints and their t-translates).
     """
-    grid, scalar = _t_grid(t)
+    grid = _t_grid(t)
     b = mu.breakpoints
     delta = np.empty(grid.size)
     for i, s in enumerate(grid):
         xs = np.unique(_off_atoms(mu, np.concatenate([b, (b - s) % 1.0])))
         delta[i] = mu.interval_mass_many(xs, xs + s).max()
-    return float(delta[0]) if scalar else delta
+    return delta
 
 
 def _smoothness_h_candidates(b: np.ndarray, ts: np.ndarray) -> list:
@@ -609,37 +606,29 @@ def _second_difference_sup(mu: CircleMeasure, b: np.ndarray, h: float) -> float:
     return float(np.abs(second).max())
 
 
-def modulus_smoothness(mu: CircleMeasure, t) -> float | np.ndarray:
+def modulus_smoothness(mu: CircleMeasure, t) -> np.ndarray:
     """omega_mu(t): sup over adjacent equal-length windows |I| = |J| <= t
-    of |mu(I) - mu(J)| = |F(x + h) - 2 F(x) + F(x - h)|, F = mu.cdf.
+    of |mu(I) - mu(J)| = |F(x + h) - 2 F(x) + F(x - h)|, F = mu.cdf, one
+    per t of the 1-D grid t.
 
-    t is a scalar (a float is returned) or a 1-D grid (an array, one omega
-    per t).  omega(t) is the max of g(h) = sup_x |F(x + h) - 2 F(x) + F(x - h)|
+    omega(t) is the max of g(h) = sup_x |F(x + h) - 2 F(x) + F(x - h)|
     over the window lengths where the two-parameter supremum can live for
     the stored measure class (_smoothness_h_candidates).  The candidate sets
     of a grid overlap almost completely, so g is evaluated once per distinct
     h of their union, and each t takes the max over its own candidates.
     """
-    grid, scalar = _t_grid(t)
+    grid = _t_grid(t)
     b = mu.breakpoints
     cands = _smoothness_h_candidates(b, grid)
     hs = np.unique(np.concatenate(cands)) if cands else np.empty(0)
     g = np.array([_second_difference_sup(mu, b, h) for h in hs])
-    omega = np.array([g[np.searchsorted(hs, c)].max() for c in cands])
-    return float(omega[0]) if scalar else omega
+    return np.array([g[np.searchsorted(hs, c)].max() for c in cands])
 
 
 def smoothness_constant(mu: CircleMeasure, phi: SmoothnessProfile, t_grid) -> float:
     """Least admissible C on the grid for omega_mu(t) <= C t phi(t)."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    omegas = modulus_smoothness(mu, t_grid)
-    best = 0.0
-    for t, omega in zip(t_grid, omegas):
-        denom = t * float(phi.phi(t))
-        if denom == 0.0:
-            raise ZeroDivisionError(f"phi({t}) vanished")
-        best = max(best, float(omega) / denom)
-    return best
+    ts = _t_grid(t_grid)
+    return float((modulus_smoothness(mu, ts) / (ts * phi.phi(ts))).max())
 
 
 # -- Beurling-Carleson entropy --------------------------------------------

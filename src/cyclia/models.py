@@ -44,7 +44,7 @@ __all__ = [
     "FunctionModel", "SingularInnerPower",
     "Polynomial", "DilationQuotient",
     "CoefficientVector", "maclaurin",
-    "EvaluationError", "AliasBoundError",
+    "EvaluationError",
 ]
 
 _TWO_PI_I = 2j * np.pi
@@ -55,15 +55,6 @@ _ATOM_BLOCK = 1 << 13
 
 class EvaluationError(ValueError):
     """A scalar Herglotz integral's arc bisection did not converge."""
-
-
-class AliasBoundError(ValueError):
-    """Requested coefficients are not resolvable at the given (r, M)."""
-
-    def __init__(self, bound, tolerance):
-        super().__init__(f"alias bound {bound:.3e} exceeds tolerance {tolerance:.3e}")
-        self.bound = bound
-        self.tolerance = tolerance
 
 
 # -- scalar Herglotz integrals --------------------------------------------
@@ -174,8 +165,8 @@ def poisson(mu: CircleMeasure, z: complex) -> float:
 # -- spectral ring evaluation ---------------------------------------------
 
 
-def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
-    """Least N >= 8 with 2 mass (N + 1/(1-r)) r^N / (1-r) below tol,
+def _truncation_order(r: float, mass: float) -> int:
+    """Least N >= 8 with 2 mass (N + 1/(1-r)) r^N / (1-r) below 1e-14,
     0 < r < 1.
 
     The bound falls in N, so a geometric bracket from -36/log r, then a
@@ -185,7 +176,7 @@ def _truncation_order(r: float, mass: float, tol: float = 1e-14) -> int:
     log_r = math.log(r)
 
     def fails(n):
-        return scale * math.exp(n * log_r) * (n + 1.0 / (1 - r)) / (1 - r) > tol
+        return scale * math.exp(n * log_r) * (n + 1.0 / (1 - r)) / (1 - r) > 1e-14
 
     lo, hi = 7, max(8, int(-36.0 / log_r))
     while fails(hi):
@@ -519,34 +510,19 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length()
 
 
-def maclaurin(f: FunctionModel, k_max: int, r: float | None = None,
-              m: int | None = None, tolerance: float | None = None) -> CoefficientVector:
+def maclaurin(f: FunctionModel, k_max: int) -> CoefficientVector:
     """hat f(0..k_max) by the Cauchy integral on a radius-r circle with M
-    equispaced samples (one FFT).
-
-    Defaults: M = 4 * next power of two above k_max, and r chosen so the
-    alias factor r^(M - k_max) is 1e-14.  The recorded per-coefficient
-    alias bound is sup|f| r^(M-k) / (1 - r^M) with sup|f| estimated from
-    the samples; if a tolerance is given and the worst bound exceeds it,
-    AliasBoundError is raised.
+    equispaced samples (one FFT): M = 4 * next power of two above k_max,
+    and r chosen so the alias factor r^(M - k_max) is 1e-14.  The recorded
+    per-coefficient alias bound is sup|f| r^(M-k) / (1 - r^M), with sup|f|
+    estimated from the samples.
     """
-    if m is None:
-        m = 4 * _next_pow2(k_max + 1)
-    if k_max >= m:
-        raise ValueError("need k_max < M")
-    if m & (m - 1):
-        raise ValueError("M must be a power of two")
-    if r is None:
-        r = math.exp(math.log(1e-14) / (m - k_max))
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must be in (0, 1)")
+    m = 4 * _next_pow2(k_max + 1)
+    r = math.exp(math.log(1e-14) / (m - k_max))
     samples = f.ring(r, m)
     fft = np.fft.fft(samples)
     ks = np.arange(k_max + 1)
     coeffs = fft[: k_max + 1] * np.exp(-ks * math.log(r)) / m
     sup = float(np.abs(samples).max())
     alias = sup * np.exp((m - ks) * math.log(r)) / (1.0 - r**m)
-    if tolerance is not None and alias.max() > tolerance:
-        raise AliasBoundError(float(alias.max()), tolerance)
     return CoefficientVector(coeffs, r, m, alias)
-

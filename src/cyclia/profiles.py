@@ -10,7 +10,7 @@ of the two families, log-power and power-law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +52,16 @@ class LogPower(SmoothnessProfile):
 
     C: float
     gamma: float
-    beta0: float = field(default=0.0)
 
     def __post_init__(self):
         if self.C <= 0 or self.gamma <= 0:
             raise ValueError("C and gamma must be positive")
-        if self.beta0 == 0.0:
-            # phi(t)/t^b is decreasing iff b > gamma/log(e/t); b > gamma
-            # works for all t, clamped into (0, 1).
-            object.__setattr__(self, "beta0", min(0.95, self.gamma + 0.25))
+
+    @property
+    def beta0(self) -> float:
+        # phi(t)/t^b is decreasing iff b > gamma/log(e/t); b > gamma
+        # works for all t, clamped into (0, 1).
+        return min(0.95, self.gamma + 0.25)
 
     def phi(self, t):
         t = np.asarray(t, dtype=float)

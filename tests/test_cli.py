@@ -186,6 +186,16 @@ class TestCheckCommand:
             rows = fh.read().splitlines()
         assert len(rows) == 1 + 3
 
+    @pytest.mark.xfail(strict=True, reason="a ring of at most 2^16 points "
+                       "misses the peak of |S'|, about 1 - r wide, once "
+                       "1 - r is far below 2^-16")
+    def test_derivative_sup_atom_does_not_pass_past_the_ring_cap(self, tmp_path):
+        out = str(tmp_path / "c")
+        run("check", "--spec", ATOM_SPEC, "--check", "derivative-sup",
+            "--grid-stop", "12", "--out", out)
+        with open(os.path.join(out, "atomic_derivative-sup.json")) as fh:
+            assert json.load(fh)["verdict"] != "pass"
+
 
     @pytest.mark.parametrize("flag, value, point", [
         ("--grid-stop", "17", "1.0"), ("--grid-start", "0", "0.0"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyclia import diagnostics
+from cyclia.cli import CHECKS, RunConfig, make_grid
 from cyclia.diagnostics import (TREND_SLOPE_MAX, CheckReport, _trend_report,
                                 annihilator_pairing, annihilator_report,
                                 brown_shields_table,
@@ -337,6 +338,38 @@ class TestDerivativeSup:
         assert rep.passed
 
 
+class TestRingCount:
+    @pytest.mark.parametrize("k", range(10, 16))
+    def test_reaches_64_over_one_minus_r(self, k):
+        # 64/(1 - r) = 2^k + 1/2: truncated to 2^k, it undersampled the ring
+        r = 1.0 - 64.0 / (2**k + 0.5)
+        assert diagnostics._ring_count(r, 1024) >= min(64.0 / (1.0 - r), 2**16)
+
+    @pytest.mark.parametrize("check, ms", [
+        ("pmeans", [1024] * 3 + [2048, 4096, 8192, 16384, 32768] + [65536] * 3),
+        ("derivative-sup", [4096] * 5 + [8192, 16384, 32768] + [65536] * 9)])
+    def test_default_grid_rings(self, check, ms, monkeypatch):
+        # the angular count of every ring the check evaluates on its default
+        # grid: a change of the ring-size rule that moves bytes shows here
+        seen = []
+        ring, dring = diagnostics.herglotz_ring, SingularInnerPower.log_abs_dring
+
+        def counted(fn):
+            def wrapper(obj, r, m, *args):
+                seen.append(m)
+                return fn(obj, r, m, *args)
+            return wrapper
+
+        monkeypatch.setattr(diagnostics, "herglotz_ring", counted(ring))
+        monkeypatch.setattr(SingularInnerPower, "log_abs_dring", counted(dring))
+        rs = make_grid(RunConfig(command="check", spec={}), *CHECKS[check].grid)
+        if check == "pmeans":
+            pmean_ratio(ATOM, PowerLaw(1.0, 0.5), 3.0, rs)
+        else:
+            derivative_sup_ratio(ATOM, PowerLaw(1.0, 0.5), rs)
+        assert seen == ms
+
+
 class TestKorenblum:
     def test_atom_obstruction(self):
         E = IntervalSet.from_arcs([(0.0, 0.0)])
@@ -361,7 +394,7 @@ class TestAnnihilator:
     @pytest.fixture(scope="class")
     def atom_coeffs(self):
         # hat S(0..801) of the unit atom, K = 800
-        return maclaurin(SingularInnerPower(ATOM, 1.0), 801, m=4096).coeffs
+        return maclaurin(SingularInnerPower(ATOM, 1.0), 801).coeffs
 
     def test_lebesgue_exact_zero(self):
         c = maclaurin(SingularInnerPower(LEB, 1.0), 101).coeffs

@@ -267,19 +267,19 @@ class TestSalem:
 class TestModuli:
     def test_lebesgue_moduli(self):
         mu = lebesgue()
-        assert modulus_continuity(mu, 0.1) == pytest.approx(0.1)
-        assert modulus_smoothness(mu, 0.1) == pytest.approx(0.0, abs=1e-14)
+        assert modulus_continuity(mu, [0.1]) == pytest.approx([0.1])
+        assert modulus_smoothness(mu, [0.1]) == pytest.approx([0.0], abs=1e-14)
 
     def test_atom_moduli(self):
         mu = atomic([(0.3, 1.0)])
-        assert modulus_continuity(mu, 0.01) == pytest.approx(1.0)
+        assert modulus_continuity(mu, [0.01]) == pytest.approx([1.0])
         # adjacent windows: one holds the atom, the other nothing
-        assert modulus_smoothness(mu, 0.01) == pytest.approx(1.0)
+        assert modulus_smoothness(mu, [0.01]) == pytest.approx([1.0])
 
     def test_single_piece_modulus(self):
         mu = CircleMeasure(pieces=[(0.0, 0.5, 2.0)])
         # window fully inside the dense half vs fully outside
-        assert modulus_smoothness(mu, 0.1) == pytest.approx(0.2)
+        assert modulus_smoothness(mu, [0.1]) == pytest.approx([0.2])
 
     def test_smoothness_constant_scales(self):
         phi = LogPower(1.0, 0.5)
@@ -425,8 +425,8 @@ class TestSmoothnessOracle:
         # at most 63 cuts plus the point 0: at most 64 breakpoints
         assert mu.breakpoints.size <= 64
         want = _omega_vertex_oracle(mu, t)
-        assert modulus_smoothness(mu, t) == pytest.approx(
-            want, abs=1e-12 * max(1.0, mu.total_mass))
+        assert modulus_smoothness(mu, [t]) == pytest.approx(
+            [want], abs=1e-12 * max(1.0, mu.total_mass))
 
     @pytest.mark.parametrize("kind", ["kahane", "salem"])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -453,7 +453,7 @@ class TestSmoothnessOracle:
         # modulus_smoothness gives 0.3637286 here, the vertex enumeration
         # 0.3708708
         mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=0)
-        got = modulus_smoothness(mu, 0.3)
+        (got,) = modulus_smoothness(mu, [0.3])
         assert abs(got - _omega_vertex_oracle(mu, 0.3)) <= 1e-12
 
 
@@ -493,9 +493,12 @@ class TestSmoothnessGrid:
             got = modulus(mu, ts)
             assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
             for t, value in zip(ts, got):
-                single = modulus(mu, t)
-                assert isinstance(single, float)
-                assert value == single
+                assert value == modulus(mu, [t])[0]
+
+    def test_scalar_t_raises(self):
+        for modulus in (modulus_smoothness, modulus_continuity):
+            with pytest.raises(ValueError, match="1-D grid"):
+                modulus(lebesgue(), 0.5)
 
     @pytest.mark.parametrize("ts", [[0.5, 0.0], [0.25, 1.5, 0.5], [-0.1],
                                     [1.0, math.nan], [math.inf]])

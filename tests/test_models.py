@@ -11,9 +11,9 @@ from cyclia import measures, models
 from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import (AliasBoundError, DilationQuotient, Polynomial,
-                           SingularInnerPower, herglotz, herglotz_derivative,
-                           herglotz_jet, herglotz_ring, maclaurin, poisson)
+from cyclia.models import (DilationQuotient, Polynomial, SingularInnerPower,
+                           herglotz, herglotz_derivative, herglotz_jet,
+                           herglotz_ring, maclaurin, poisson)
 from cyclia.norms import QuadratureGrid, besov_seminorm
 from cyclia.profiles import LogPower
 
@@ -653,9 +653,14 @@ class TestMaclaurin:
         c = maclaurin(f, 6)
         assert np.allclose(c.coeffs, [1, 2, 0, -3, 0, 0, 0], atol=1e-13)
 
-    def test_alias_tolerance_raises(self):
-        with pytest.raises(AliasBoundError):
-            maclaurin(Polynomial([1.0] * 5), 3, r=0.99, m=8, tolerance=1e-30)
+    def test_default_circle_and_alias_bounds(self):
+        # M = 4 * next power of two above k_max, r^(M - k_max) = 1e-14
+        c = maclaurin(Polynomial([1.0] * 5), 3)
+        assert c.samples == 16
+        assert c.radius ** 13 == pytest.approx(1e-14)
+        assert c.alias_bounds.shape == (4,)
+        # sup|f| = |1 + r + ... + r^4| < 1.1 on the circle r = 0.0835
+        assert c.alias_bounds.max() < 1.1e-14
 
     def test_log_coefficients(self):
         # log S = -H has the Maclaurin coefficients -mu(T), -2 hat mu(n)

@@ -33,6 +33,10 @@ class TestLogPower:
         with pytest.raises(ValueError):
             LogPower(1.0, 0.0)
 
+    def test_beta0_is_gamma_plus_quarter_clamped(self):
+        assert LogPower(1.0, 0.5).beta0 == 0.75
+        assert LogPower(1.0, 0.8).beta0 == 0.95
+
     def test_regularity_report(self):
         rep = LogPower(1.0, 0.5).regularity_report()
         assert rep["positive"] and rep["nondecreasing"]
