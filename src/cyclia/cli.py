@@ -119,8 +119,11 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
 
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    except OSError as e:
+        raise UsageError(f"cannot write to output directory {d!r}: {e}")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -69,16 +69,20 @@ def _kronrod(n: int):
     return x, wk, wg
 
 
-def _on_panels(edges, x, weights):
-    """A rule on [-1, 1] copied onto each panel of u between consecutive
-    edges: the nodes u, the radii r = 1 - 2^-u, and each weight vector
-    turned into weights for int . dr."""
+def _panel_map(edges, x, weights):
+    """A rule on [-1, 1] copied onto each panel between consecutive edges:
+    the nodes, and each weight vector turned into weights for int . du."""
     edges = np.asarray(edges, dtype=float)
     lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
-    u = (lo + half * (x + 1.0)).ravel()
-    # dr = ln 2 * 2^-u du
+    return (lo + half * (x + 1.0)).ravel(), [(w * half).ravel() for w in weights]
+
+
+def _on_panels(edges, x, weights):
+    """``_panel_map`` in u = -log2(1 - r): the nodes u, the radii
+    r = 1 - 2^-u, and the weights for int . dr = ln 2 * 2^-u du."""
+    u, weights = _panel_map(edges, x, weights)
     return u, 1.0 - np.exp2(-u), [
-        (w * half).ravel() * math.log(2.0) * np.exp2(-u) for w in weights]
+        w * math.log(2.0) * np.exp2(-u) for w in weights]
 
 
 def _angular_counts(u, m_min: int, m_max: int):

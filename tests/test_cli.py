@@ -186,6 +186,38 @@ class TestCheckCommand:
             rows = fh.read().splitlines()
         assert len(rows) == 1 + 3
 
+    def test_overflowing_gauge_integral_is_inconclusive(self, tmp_path,
+                                                        capsys):
+        # exp(epsilon bracket^2) overflows: no proof of divergence, since a
+        # bracket may be bounded, so a report and not a traceback
+        spec = ('{"type": "kahane", "params": {"C": 1.0, "gamma": 0.5},'
+                ' "depth": 6, "seed": 7}')
+        out = str(tmp_path / "c")
+        assert run("check", "--spec", spec, "--check", "integrability",
+                   "--epsilon", "1e6", "--out", out) == 1
+        assert sorted(os.listdir(out)) == ["kahane_integrability.csv",
+                                           "kahane_integrability.json"]
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "integrability: inconclusive"
+        with open(os.path.join(out, "kahane_integrability.json")) as fh:
+            data = json.load(fh)
+        assert data["fits"]["verdict_first"] == "convergent"
+        assert data["fits"]["verdict_weighted"] == "inconclusive"
+        assert data["worst_ratio"] is None
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, below):
+        # an existing file, or a path through one, cannot be the directory
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = os.path.join(str(blocker), below) if below else str(blocker)
+        assert run("check", "--spec", LEB_SPEC, "--check", "anderson",
+                   "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert repr(out) in err[0]
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.xfail(strict=True, reason="a ring of at most 2^16 points "
                        "misses the peak of |S'|, about 1 - r wide, once "
                        "1 - r is far below 2^-16")
@@ -555,21 +587,32 @@ def _identifiers(tree, strings=False):
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    """cyclia starts on numpy alone: scipy is loaded only by the
-    integrability check."""
+    """cyclia runs on numpy alone: with scipy's import blocked, every
+    registered check and every preset runs to a verdict."""
     code = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from cyclia import cli\n"
-        "spec = '{\"type\": \"kahane\", \"params\": {\"C\": 1.0, \"gamma\": 0.5},"
-        " \"depth\": 6, \"seed\": 7}'\n"
-        "for check in ('anderson', 'pmeans'):\n"
-        "    assert cli.main(['check', '--spec', spec, '--check', check,"
-        " '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "kahane = '{\"type\": \"kahane\", \"params\": {\"C\": 1.0,"
+        " \"gamma\": 0.5}, \"depth\": 6, \"seed\": 7}'\n"
+        "salem = '{\"type\": \"salem\", \"params\": {\"alpha\": 0.8,"
+        " \"epsilon\": 0.05}, \"depth\": 6, \"seed\": 3}'\n"
+        "runs = [['check', '--check', c] for c in cli.CHECKS]\n"
+        "runs += [['suite', '--preset', p] for p in cli.PRESETS]\n"
+        "for i, argv in enumerate(runs):\n"
+        "    checks = cli.PRESETS.get(argv[2], [argv[2]])\n"
+        "    spec = salem if 'korenblum' in checks else kahane\n"
+        "    code = cli.main(argv + ['--spec', spec, '--grid-count', '2',"
+        " '--out', f'{sys.argv[1]}/{i}'])\n"
+        "    print('exit', argv[2], code)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert "ImportError" not in done.stderr
+    codes = dict(line.split()[1:] for line in done.stdout.splitlines()
+                 if line.startswith("exit "))
+    assert sorted(codes) == sorted([*CHECKS, *PRESETS])
+    assert set(codes.values()) <= {"0", "1"}, codes
