@@ -63,14 +63,23 @@ class MeasureContext:
     label: str = "measure"
 
 
+def _spec_int(fields: dict, key: str, default: int) -> int:
+    """fields[key], or default when absent; a UsageError unless it is a
+    JSON integer (a bool, float or string is not rounded into one)."""
+    value = fields.get(key, default)
+    if type(value) is not int:
+        raise UsageError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _effective_seed(spec: dict, cfg: RunConfig) -> int:
     """The construction seed: the spec's own ``seed`` wins over ``--seed``."""
-    return int(spec.get("seed", cfg.seed))
+    return _spec_int(spec, "seed", cfg.seed)
 
 
 def _effective_depth(spec: dict, cfg: RunConfig) -> int:
     """The construction depth: ``--depth`` wins over the spec's ``depth``."""
-    return cfg.depth if cfg.depth is not None else int(spec.get("depth", 12))
+    return cfg.depth if cfg.depth is not None else _spec_int(spec, "depth", 12)
 
 
 def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
@@ -78,6 +87,8 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
         raise UsageError("measure spec must be a JSON object")
     kind = spec.get("type")
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError("measure spec params must be a JSON object")
     depth = _effective_depth(spec, cfg)
     seed = _effective_seed(spec, cfg)
     if kind == "lebesgue":
@@ -102,7 +113,7 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
         alpha = float(params.get("alpha", 0.8))
         epsilon = float(params.get("epsilon", 0.05))
         if "d" in params and "xi" in params:
-            d, xi = int(params["d"]), float(params["xi"])
+            d, xi = _spec_int(params, "d", 2), float(params["xi"])
         else:
             d, xi = choose_salem_parameters(alpha, epsilon)
         sspec = SalemSpec(alpha=alpha, epsilon=epsilon, d=d, xi=xi,

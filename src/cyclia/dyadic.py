@@ -33,14 +33,13 @@ class DyadicMartingale:
     mean-value property is validated at construction to MEAN_VALUE_TOL.
     """
 
-    def __init__(self, levels: list[np.ndarray], validate: bool = True):
+    def __init__(self, levels: list[np.ndarray]):
         if not levels:
             raise ValueError("need at least the root level")
         if len(levels) - 1 > MAX_DEPTH:
             raise ValueError(f"depth {len(levels) - 1} exceeds MAX_DEPTH={MAX_DEPTH}")
         self.levels = [np.asarray(lv, dtype=float).reshape(2**n) for n, lv in enumerate(levels)]
-        if validate:
-            self._check_mean_value()
+        self._check_mean_value()
 
     def _check_mean_value(self):
         for n in range(self.depth):
@@ -73,7 +72,7 @@ class DyadicMartingale:
         levels = [leaves]
         while levels[0].size > 1:
             levels.insert(0, levels[0].reshape(-1, 2).mean(axis=1))
-        return cls(levels, validate=False)
+        return cls(levels)
 
     # -- derived per-cell tables ------------------------------------------
 

@@ -11,10 +11,10 @@ arrays too.  The representation is exact: pieces keep their real endpoints
 (Salem's d-adic geometry is never snapped to a dyadic grid).  Every mass
 query reads one periodic CDF table built at construction: the cumulative
 mass at the interleaved piece edges, linear in between, plus the atoms'
-cumulative masses.  An interval mass is a difference of two CDF values, the
-modulus of continuity scans window masses and the modulus of smoothness
-second differences of the CDF.  The modulus of smoothness scans each
-distinct half-width of its grid of t once.
+cumulative masses.  An interval mass is a difference of two CDF values, and
+both moduli scan finite differences of that one table with one routine: the
+modulus of continuity first differences (window masses), the modulus of
+smoothness second differences, each distinct half-width of its grid once.
 
 Fourier coefficients come from one blocked kernel (``fourier_many``):
 writing n = qB + j turns the sum over atoms and pieces into a product of a
@@ -566,19 +566,13 @@ def _off_atoms(mu: CircleMeasure, xs: np.ndarray) -> np.ndarray:
 
 def modulus_continuity(mu: CircleMeasure, t) -> np.ndarray:
     """delta_mu(t) = sup over intervals |I| <= t of mu(I), one per t of the
-    1-D grid t.
-
-    For positive measures the sup over lengths <= t is attained at length t,
-    so only the window position is scanned; candidates are the points where
-    the window mass is non-smooth (breakpoints and their t-translates).
-    """
+    1-D grid t.  For a positive measure it is attained at |I| = t: the
+    largest window mass F(x + t) - F(x), a first difference scanned by
+    _difference_sup, and mu(T) at t = 1."""
     grid = _t_grid(t)
     b = mu.breakpoints
-    delta = np.empty(grid.size)
-    for i, s in enumerate(grid):
-        xs = np.unique(_off_atoms(mu, np.concatenate([b, (b - s) % 1.0])))
-        delta[i] = mu.interval_mass_many(xs, xs + s).max()
-    return delta
+    return np.array([mu.total_mass if s == 1.0
+                     else _difference_sup(mu, b, s, (1.0, -1.0)) for s in grid])
 
 
 def _smoothness_h_candidates(b: np.ndarray, ts: np.ndarray) -> list:
@@ -592,18 +586,18 @@ def _smoothness_h_candidates(b: np.ndarray, ts: np.ndarray) -> list:
         diffs = diffs[diffs > 0]
         cands.extend([diffs, diffs / 2.0])
     h = np.unique(np.concatenate(cands))
-    h = h[h > 0]
     return [np.unique(np.append(h[h <= t], t)) for t in ts]
 
 
-def _second_difference_sup(mu: CircleMeasure, b: np.ndarray, h: float) -> float:
-    """g(h) = sup_x |F(x + h) - 2 F(x) + F(x - h)|, F = mu.cdf, b the
-    breakpoints.  The difference is piecewise linear in x between
-    breakpoint translates, so the scan over those (nudged off atoms) is
-    exact."""
-    xs = _off_atoms(mu, np.concatenate([b, (b - h) % 1.0, (b + h) % 1.0]))
-    second = mu.cdf(xs + h) - 2.0 * mu.cdf(xs) + mu.cdf(xs - h)
-    return float(np.abs(second).max())
+def _difference_sup(mu: CircleMeasure, b: np.ndarray, h: float, weights) -> float:
+    """sup_x |sum_k w_k F(x + (1 - k) h)|, F = mu.cdf, b the breakpoints:
+    weights (1, -1) give window masses, (1, -2, 1) second differences.  The
+    sum is piecewise linear in x between the translates b - (1 - k) h, so
+    the scan over those (nudged off atoms) is exact."""
+    xs = _off_atoms(mu, np.concatenate(
+        [(b - (1 - k) * h) % 1.0 for k in range(len(weights))]))
+    total = sum(w * mu.cdf(xs + (1 - k) * h) for k, w in enumerate(weights))
+    return float(np.abs(total).max())
 
 
 def modulus_smoothness(mu: CircleMeasure, t) -> np.ndarray:
@@ -621,7 +615,7 @@ def modulus_smoothness(mu: CircleMeasure, t) -> np.ndarray:
     b = mu.breakpoints
     cands = _smoothness_h_candidates(b, grid)
     hs = np.unique(np.concatenate(cands)) if cands else np.empty(0)
-    g = np.array([_second_difference_sup(mu, b, h) for h in hs])
+    g = np.array([_difference_sup(mu, b, h, (1.0, -2.0, 1.0)) for h in hs])
     return np.array([g[np.searchsorted(hs, c)].max() for c in cands])
 
 

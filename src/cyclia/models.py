@@ -188,10 +188,10 @@ def _truncation_order(r: float, mass: float) -> int:
 
 
 def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
-    """The filled bins of the (2, M) spectrum whose inverse FFT (norm
-    "forward", zero-padded to M) is (H - mu(T), H') at the points of
-    herglotz_jet, 0 < r < 1: an array of min(N + 1, M) columns.  The
-    kernel calls it on the pieces of a measure only (_piece_measure).
+    """The (2, M) spectrum whose inverse FFT (norm "forward") is
+    (H - mu(T), H') at the points of herglotz_jet, 0 < r < 1; its first
+    min(N + 1, M) bins are filled, the rest are zero.  The kernel calls it
+    on the pieces of a measure only (_piece_measure).
 
     With n = q + 1 + jM the damping r^n e^{2 pi i n offset/M} splits into a
     column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}, so
@@ -209,10 +209,7 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     j = np.arange(rows + 1)
     w = 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset)
     weights = np.stack([w, (j * m) * w])
-    if rows:
-        folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
-    else:
-        folds = np.zeros((2, n_max + 1), dtype=complex)
+    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
     folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     k = min(n_max, m)
     q = np.arange(k + 1)
@@ -328,8 +325,7 @@ def _atom_dilation_jet(mu: CircleMeasure, r: float, t: float, m: int,
 
 def _piece_jet(pieces: CircleMeasure, r: float, m: int, offset: float):
     """The pieces' (H, H') from one inverse FFT of their spectrum."""
-    h, h1 = np.fft.ifft(_spectrum(pieces, r, m, offset), n=m, axis=1,
-                        norm="forward")
+    h, h1 = np.fft.ifft(_spectrum(pieces, r, m, offset), axis=1, norm="forward")
     return h + pieces.total_mass, h1
 
 
@@ -461,8 +457,7 @@ class DilationQuotient(FunctionModel):
     def _exponent_jet(self, r, m, offset):
         """(D, D') on the ring: the atoms' part in closed form
         (_atom_dilation_jet), the pieces' part from one inverse FFT of the
-        difference of their spectra at r and t r, the narrower one
-        subtracted in place."""
+        difference of their spectra at r and t r."""
         if not 0.0 < r < 1.0:
             raise ValueError("ring radius must be in (0, 1)")
         t, mu = self.t, self.inner.mu
@@ -471,8 +466,8 @@ class DilationQuotient(FunctionModel):
             spec = _spectrum(pieces, r, m, offset)
             dilated = _spectrum(pieces, t * r, m, offset)
             dilated[1] *= t
-            spec[:, :dilated.shape[1]] -= dilated
-            return np.fft.ifft(spec, n=m, axis=1, norm="forward")
+            spec -= dilated
+            return np.fft.ifft(spec, axis=1, norm="forward")
 
         return _atoms_plus_pieces(
             mu, lambda: _atom_dilation_jet(mu, r, t, m, offset), piece_jet)

@@ -64,13 +64,14 @@ class TestMeasureCommand:
         assert deltas == {"1"}
 
     def test_moduli_grid_scans_each_h_once(self, tmp_path, monkeypatch):
-        seen, scan = [], measures._second_difference_sup
+        seen, scan = [], measures._difference_sup
 
-        def counting(mu, b, h):
-            seen.append(float(h))
-            return scan(mu, b, h)
+        def counting(mu, b, h, weights):
+            if len(weights) == 3:
+                seen.append(float(h))
+            return scan(mu, b, h, weights)
 
-        monkeypatch.setattr(measures, "_second_difference_sup", counting)
+        monkeypatch.setattr(measures, "_difference_sup", counting)
         assert run("measure", "--spec", KAHANE_SPEC,
                    "--out", str(tmp_path / "m")) == 0
         spec = json.loads(KAHANE_SPEC)
@@ -304,6 +305,22 @@ class TestCheckCommand:
                    "--out", str(tmp_path / "c")) == 2
         assert "non-finite number" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("spec", [
+        '{"type": "lebesgue", "params": []}',
+        '{"type": "lebesgue", "params": null}',
+        '{"type": "kahane", "depth": 6.9}',
+        '{"type": "kahane", "depth": true}',
+        '{"type": "kahane", "depth": "6"}',
+        '{"type": "kahane", "depth": 6, "seed": 7.5}',
+        '{"type": "kahane", "depth": 6, "seed": false}',
+        '{"type": "salem", "params": {"d": 2.9, "xi": 0.2}, "depth": 6}',
+        '{"type": "salem", "params": {"d": "2", "xi": 0.2}, "depth": 6}'])
+    def test_malformed_spec_field_is_a_usage_error(self, tmp_path, capsys,
+                                                   spec):
+        assert run("measure", "--spec", spec, "--out", str(tmp_path / "m")) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m")
 
     @pytest.mark.parametrize("command", ["measure", "check"])
     def test_spec_integer_beyond_floats_is_a_usage_error(self, tmp_path,

@@ -126,8 +126,7 @@ class TestConcentration:
         # centered exponential moment against A_n e^{alpha^2 A_n^2/2}; the
         # statement carries an unspecified constant, so require the ratio
         # to be a small number rather than at most one
-        centered = DyadicMartingale(
-            [lv - 1.0 for lv in m.levels], validate=False)
+        centered = DyadicMartingale([lv - 1.0 for lv in m.levels])
         rep_c = exp_moment(centered, 12, alpha=2.0)
         assert math.isfinite(rep_c.ratio) and rep_c.ratio < 20.0
         assert rep.value >= 1.0 and math.isfinite(rep.log_value)
@@ -186,4 +185,4 @@ def test_from_leaves_always_satisfies_mean_value(seed, depth):
     rng = np.random.default_rng(seed)
     m = DyadicMartingale.from_leaves(rng.random(2**depth))
     # re-validate explicitly
-    DyadicMartingale(m.levels, validate=True)
+    DyadicMartingale(m.levels)

@@ -276,6 +276,21 @@ class TestModuli:
         # adjacent windows: one holds the atom, the other nothing
         assert modulus_smoothness(mu, [0.01]) == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("kind", ["salem", "atoms-plus-pieces"])
+    def test_delta_at_one_is_total_mass(self, kind, monkeypatch):
+        # a window of length 1 scanned through the CDF rounds above mu(T)
+        # on these measures: by 3.8e-14 on the Salem one, 1 ulp on the other
+        if kind == "salem":
+            d, xi = choose_salem_parameters(0.8, 0.05)
+            mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d,
+                                            xi=xi, generations=11, seed=3))
+        else:
+            mu = CircleMeasure(atoms=[(0.1, 1.1), (0.25, 0.9)],
+                               pieces=[(0.45, 0.8, 1.3)])
+        _, first = _counting_scan(monkeypatch)
+        assert modulus_continuity(mu, [0.5, 1.0])[1] == mu.total_mass
+        assert first == [((1.0, -1.0), 0.5)]
+
     def test_single_piece_modulus(self):
         mu = CircleMeasure(pieces=[(0.0, 0.5, 2.0)])
         # window fully inside the dense half vs fully outside
@@ -407,6 +422,23 @@ def _omega_vertex_oracle(mu, t):
     return float(np.abs(right - left).max())
 
 
+class TestContinuityOracle:
+    @given(_measures(), st.one_of(GRID.filter(bool),
+                                  st.floats(0.0, 1.0, exclude_min=True,
+                                            exclude_max=True)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_window_vertices(self, mu, t):
+        # mu([x, x + t)) is piecewise linear in x, with vertices where an
+        # end meets a breakpoint; an atom at the right end is inside just
+        # after x = b - t.  Masses come from _direct_mass, not from the CDF.
+        b = np.unique(np.concatenate([mu.atom_x, mu.piece_a, mu.piece_b % 1.0,
+                                      [0.0]]))
+        xs = np.concatenate([b, b - t, b - t + 1e-12]) % 1.0
+        want = _direct_mass(mu, xs, xs + t).max()
+        (got,) = modulus_continuity(mu, [t])
+        assert abs(got - want) <= 1e-12 * max(1.0, mu.total_mass)
+
+
 # pieces between 0, 63 irregular cuts and 1: 64 breakpoints, the most for
 # which the candidate half-widths include every pairwise span and its half
 _CUTS64 = np.concatenate([[0.0], np.sort(np.random.default_rng(10).random(63)), [1.0]])
@@ -466,15 +498,19 @@ def _grids(draw):
 
 
 def _counting_scan(monkeypatch):
-    """Record every h at which modulus_smoothness evaluates g(h)."""
-    seen, scan = [], measures._second_difference_sup
+    """Record every h at which modulus_smoothness evaluates g(h) (the
+    three-weight scans), and the weights and h of every other scan."""
+    seen, first, scan = [], [], measures._difference_sup
 
-    def counting(mu, b, h):
-        seen.append(float(h))
-        return scan(mu, b, h)
+    def counting(mu, b, h, weights):
+        if len(weights) == 3:
+            seen.append(float(h))
+        else:
+            first.append((tuple(weights), float(h)))
+        return scan(mu, b, h, weights)
 
-    monkeypatch.setattr(measures, "_second_difference_sup", counting)
-    return seen
+    monkeypatch.setattr(measures, "_difference_sup", counting)
+    return seen, first
 
 
 def _distinct_h(mu, ts):
@@ -511,11 +547,13 @@ class TestSmoothnessGrid:
     def test_anderson_scans_each_h_once(self, monkeypatch):
         mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
         ts = [2.0**-k for k in range(2, 13)]
-        seen = _counting_scan(monkeypatch)
+        seen, first = _counting_scan(monkeypatch)
         anderson_report(mu, ts)
         distinct, per_t = _distinct_h(mu, ts)
         assert seen == distinct
         assert len(seen) < per_t  # the grid's candidate sets overlap
+        # delta scans each t < 1 once, by first differences
+        assert first == [((1.0, -1.0), t) for t in ts]
 
     def test_anderson_calls_each_modulus_once(self, monkeypatch):
         from cyclia import diagnostics
@@ -531,7 +569,7 @@ class TestSmoothnessGrid:
     def test_smoothness_constant_scans_each_h_once(self, monkeypatch):
         mu = CircleMeasure(atoms=[(0.25, 0.5)], pieces=[(0.1, 0.7, 1.0)])
         ts = [2.0**-k for k in range(3, 13)]
-        seen = _counting_scan(monkeypatch)
+        seen, _ = _counting_scan(monkeypatch)
         smoothness_constant(mu, LogPower(1.0, 0.5), ts)
         distinct, per_t = _distinct_h(mu, ts)
         assert seen == distinct
