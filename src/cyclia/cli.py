@@ -72,6 +72,22 @@ def _spec_int(fields: dict, key: str, default: int) -> int:
     return value
 
 
+def _spec_real(value, name: str) -> float:
+    """value as a float; a UsageError unless it is a JSON number (a bool
+    or a string is not converted)."""
+    if type(value) not in (int, float):
+        raise UsageError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _known_keys(fields: dict, known, where: str) -> None:
+    """A UsageError naming the first key of fields outside known."""
+    extra = [k for k in fields if k not in known]
+    if extra:
+        raise UsageError(f"unknown {where} key {json.dumps(extra[0])}; "
+                         f"expected {' | '.join(known)}")
+
+
 def _effective_seed(spec: dict, cfg: RunConfig) -> int:
     """The construction seed: the spec's own ``seed`` wins over ``--seed``."""
     return _spec_int(spec, "seed", cfg.seed)
@@ -82,47 +98,64 @@ def _effective_depth(spec: dict, cfg: RunConfig) -> int:
     return cfg.depth if cfg.depth is not None else _spec_int(spec, "depth", 12)
 
 
+# the keys of a spec, and the params each measure type reads
+_SPEC_KEYS = ("type", "params", "depth", "seed")
+_PARAMS = {"lebesgue": ("mass",), "atomic": ("atoms",),
+           "kahane": ("C", "gamma"), "salem": ("alpha", "epsilon", "d", "xi")}
+
+
 def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
+    """The measure of a spec.  An unknown key, in the spec or in its
+    params, is a UsageError, and so is a real field that is not a JSON
+    number."""
     if not isinstance(spec, dict):
         raise UsageError("measure spec must be a JSON object")
+    _known_keys(spec, _SPEC_KEYS, "spec")
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _PARAMS:
+        raise UsageError(f"unknown measure type {kind!r}; expected "
+                         f"{' | '.join(_PARAMS)}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise UsageError("measure spec params must be a JSON object")
+    _known_keys(params, _PARAMS[kind], f"{kind} params")
     depth = _effective_depth(spec, cfg)
     seed = _effective_seed(spec, cfg)
     if kind == "lebesgue":
-        mu = lebesgue(float(params.get("mass", 1.0)))
+        mu = lebesgue(_spec_real(params.get("mass", 1.0), "mass"))
         return MeasureContext(spec, mu, LogPower(1.0, 0.5), label="lebesgue")
     if kind == "atomic":
         atoms = params.get("atoms")
         if not atoms:
             raise UsageError("atomic spec needs params.atoms = [[x, mass], ...]")
-        mu = atomic(atoms)
+        if not (isinstance(atoms, list)
+                and all(isinstance(row, list) for row in atoms)):
+            raise UsageError("atoms must be a list of [x, mass] rows")
+        mu = atomic([[_spec_real(v, "atom position or mass")
+                      for v in row] for row in atoms])
         # one degenerate arc per merged atom: a position given twice is
         # one atom, and its mass is counted once
         E = IntervalSet.from_arcs(np.column_stack([mu.atom_x, mu.atom_x]))
         return MeasureContext(spec, mu, PowerLaw(1.0, 0.5), support=E,
                               label="atomic")
     if kind == "kahane":
-        phi = LogPower(float(params.get("C", 1.0)),
-                       float(params.get("gamma", 0.5)))
+        phi = LogPower(_spec_real(params.get("C", 1.0), "C"),
+                       _spec_real(params.get("gamma", 0.5), "gamma"))
         mu = kahane_smooth(phi, depth, seed=seed)
         return MeasureContext(spec, mu, phi, label="kahane")
-    if kind == "salem":
-        alpha = float(params.get("alpha", 0.8))
-        epsilon = float(params.get("epsilon", 0.05))
-        if "d" in params and "xi" in params:
-            d, xi = _spec_int(params, "d", 2), float(params["xi"])
-        else:
-            d, xi = choose_salem_parameters(alpha, epsilon)
-        sspec = SalemSpec(alpha=alpha, epsilon=epsilon, d=d, xi=xi,
-                          generations=depth, seed=seed)
-        mu, E = salem_measure(sspec)
-        return MeasureContext(spec, mu, PowerLaw(1.0, alpha / 2.0), support=E,
-                              label="salem")
-    raise UsageError(f"unknown measure type {kind!r}; expected "
-                     "lebesgue | atomic | kahane | salem")
+    alpha = _spec_real(params.get("alpha", 0.8), "alpha")
+    epsilon = _spec_real(params.get("epsilon", 0.05), "epsilon")
+    if ("d" in params) != ("xi" in params):
+        raise UsageError("salem params d and xi must be given together")
+    if "d" in params:
+        d, xi = _spec_int(params, "d", 2), _spec_real(params["xi"], "xi")
+    else:
+        d, xi = choose_salem_parameters(alpha, epsilon)
+    sspec = SalemSpec(alpha=alpha, epsilon=epsilon, d=d, xi=xi,
+                      generations=depth, seed=seed)
+    mu, E = salem_measure(sspec)
+    return MeasureContext(spec, mu, PowerLaw(1.0, alpha / 2.0), support=E,
+                          label="salem")
 
 
 # -- output plumbing -------------------------------------------------------

@@ -104,6 +104,13 @@ def _sin_cos_pi(t):
     return np.sin(np.pi * t), np.cos(np.pi * t)
 
 
+def _turn(x):
+    """x modulo 1 in [0, 1): x % 1.0 rounds a negative x within 2^-54 of
+    0 up to 1.0, which is the turn 0."""
+    x = x % 1.0
+    return np.where(x == 1.0, 0.0, x)
+
+
 def _rows(values, width: int, name: str) -> np.ndarray:
     """Width-tuples or a (k, width) array as a (k, width) float array;
     ValueError on any other shape or on a non-finite entry."""
@@ -126,7 +133,7 @@ class CircleMeasure:
         atoms, pieces = _rows(atoms, 2, "atom"), _rows(pieces, 3, "piece")
         # sorted positions; duplicates merge, their masses summed left to
         # right in input order
-        self.atom_x, group = np.unique(atoms[:, 0] % 1.0, return_inverse=True)
+        self.atom_x, group = np.unique(_turn(atoms[:, 0]), return_inverse=True)
         self.atom_m = np.zeros(self.atom_x.size)
         np.add.at(self.atom_m, group, atoms[:, 1])
 
@@ -138,7 +145,7 @@ class CircleMeasure:
         if bad.any():
             raise ValueError(f"piece [{a[bad][0]}, {b[bad][0]}) longer than the circle")
         length = np.minimum(b - a, 1.0)  # before a is reduced modulo 1
-        a = a % 1.0
+        a = _turn(a)
         # a wrap-around piece splits at the seam: its copy right after it
         # takes the part [0, a + length - 1)
         k = np.repeat(np.arange(a.size), 1 + (a + length > 1.0 + 1e-15))
@@ -306,8 +313,10 @@ class CircleMeasure:
         the pieces alone (_piece_measure): an atom's coefficients, which do
         not decay, are filled only when a caller asks for hat mu itself.
         The leaf fill keeps blocks of _FILL: its freed 16 MiB temporaries
-        raise glibc's mmap threshold, so the ring temporaries that follow
-        are not mapped afresh on every ring.
+        raise glibc's mmap threshold, so the spectral path's per-ring
+        arrays that follow (the spectrum and its inverse FFT, which a
+        sweep's RingBuffers do not hold) are not mapped afresh on every
+        ring.
         A full buffer is reallocated at 3/2 of its capacity (or the request,
         if larger), so the copies cost O(1) per coefficient; a ring sweep
         that asks for its largest count first sizes it once.  A count above

@@ -40,7 +40,7 @@ from .measures import CircleMeasure
 
 __all__ = [
     "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
-    "herglotz_ring",
+    "herglotz_ring", "RingBuffers",
     "FunctionModel", "SingularInnerPower",
     "Polynomial", "DilationQuotient",
     "CoefficientVector", "maclaurin",
@@ -49,7 +49,9 @@ __all__ = [
 
 _TWO_PI_I = 2j * np.pi
 # (atom, point) pairs per block of the direct atom sums: their real
-# temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold
+# temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold.  The
+# ring-length arrays (0.5-2 MiB at M = 2^16) are above it, and glibc maps
+# and returns such arrays on every ring, so a sweep owns them (RingBuffers)
 _ATOM_BLOCK = 1 << 13
 
 
@@ -188,10 +190,10 @@ def _truncation_order(r: float, mass: float) -> int:
 
 
 def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
-    """The (2, M) spectrum whose inverse FFT (norm "forward") is
-    (H - mu(T), H') at the points of herglotz_jet, 0 < r < 1; its first
-    min(N + 1, M) bins are filled, the rest are zero.  The kernel calls it
-    on the pieces of a measure only (_piece_measure).
+    """The spectrum whose inverse FFT (norm "forward", zero-padded to M
+    bins) is (H - mu(T), H') at the points of herglotz_jet, 0 < r < 1: a
+    (2, min(N + 1, M)) array of the bins that hold coefficients.  The
+    kernel calls it on the pieces of a measure only (_piece_measure).
 
     With n = q + 1 + jM the damping r^n e^{2 pi i n offset/M} splits into a
     column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}, so
@@ -209,9 +211,12 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     j = np.arange(rows + 1)
     w = 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset)
     weights = np.stack([w, (j * m) * w])
-    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
-    folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     k = min(n_max, m)
+    if rows:
+        folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
+    else:
+        folds = np.zeros((2, k + 1), dtype=complex)
+    folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     q = np.arange(k + 1)
     col = np.exp(q * log_r)
     if offset:
@@ -224,30 +229,78 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     return folds
 
 
-def _atom_blocks(mu: CircleMeasure, m: int, offset: float):
-    """The atoms against the M ring points in blocks of at most _ATOM_BLOCK
-    (atom, point) pairs: (points, s, c, masses, e^{-2 pi i x}), the points
-    a slice of k, s = sin(pi phi) and c = cos(pi phi) (atoms, points)
-    arrays, phi = (k + offset)/M - x reduced to [-1/2, 1/2].
+class RingBuffers:
+    """The ring-length arrays of one sweep over rings, which it passes to
+    each ring it evaluates (FunctionModel.log_abs_dring): a (2, M) complex
+    jet, an M-point real result and the atoms' turn tables, one per
+    offset.  It holds one set, for the M of its latest ring; a ring of
+    another M replaces it.  The sweeps visit M in monotone order, so each
+    allocates once per M instead of having glibc map and return the
+    arrays on every ring.  What a ring leaves in them lives until the next
+    ring."""
 
-    phi is accurate to a few ulps relatively, so a ring point close to an
-    atom keeps its distance to it: (k + offset)/M is carried as hi + lo
-    (k + offset is split exactly, and M is a power of two), both turns and
-    atoms are taken in [-1/2, 1/2), so hi - x is exact where they are
-    close with one sign and adds magnitudes across 0, and lo joins after
-    the reduction.  c is taken as sin(pi (1/2 - |phi|)), whose argument is
-    exact where c is small, so s and c are both accurate to an ulp
-    relatively."""
-    x, mass = mu.atom_x, mu.atom_m
-    x = x - (x >= 0.5)
-    per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
-    span = min(m, max(1, _ATOM_BLOCK // per))        # points per block
+    def __init__(self):
+        self.m = None
+
+    def _sized(self, m: int) -> "RingBuffers":
+        if m != self.m:
+            self.m, self._jet, self._real, self._turns = m, None, None, {}
+        return self
+
+    def zero_jet(self, m: int) -> np.ndarray:
+        """The (2, M) complex jet, zeroed."""
+        if self._sized(m)._jet is None:
+            self._jet = np.zeros((2, m), dtype=complex)
+        else:
+            self._jet.fill(0.0)
+        return self._jet
+
+    def real(self, m: int) -> np.ndarray:
+        """The M-point real array, holding what the last ring left."""
+        if self._sized(m)._real is None:
+            self._real = np.empty(m)
+        return self._real
+
+    def turns(self, m: int, offset: float):
+        """_turns(m, offset), computed once per (M, offset)."""
+        turns = self._sized(m)._turns
+        if offset not in turns:
+            turns[offset] = _turns(m, offset)
+        return turns[offset]
+
+
+def _turns(m: int, offset: float):
+    """The turns (k + offset)/M of the M ring points as hi + lo: hi in
+    [-1/2, 1/2), lo the rounding error of hi (None when every one is 0).
+    k + offset is split exactly, and M is a power of two."""
     k_all = np.arange(m, dtype=float)
     hi = k_all + offset
     lo = (offset - (hi - k_all)) / m                  # k + offset - hi
     hi /= m
     hi -= hi >= 0.5
-    lo = lo if lo.any() else None
+    return hi, (lo if lo.any() else None)
+
+
+def _atom_blocks(mu: CircleMeasure, turns):
+    """The atoms against the M ring points of ``turns`` (_turns) in blocks
+    of at most _ATOM_BLOCK (atom, point) pairs: (points, s, c, masses,
+    e^{-2 pi i x}), the points a slice of k, s = sin(pi phi) and
+    c = cos(pi phi) (atoms, points) arrays, phi = (k + offset)/M - x
+    reduced to [-1/2, 1/2].
+
+    phi is accurate to a few ulps relatively, so a ring point close to an
+    atom keeps its distance to it: (k + offset)/M is carried as hi + lo,
+    both turns and atoms are taken in [-1/2, 1/2), so hi - x is exact
+    where they are close with one sign and adds magnitudes across 0, and
+    lo joins after the reduction.  c is taken as sin(pi (1/2 - |phi|)),
+    whose argument is exact where c is small, so s and c are both
+    accurate to an ulp relatively."""
+    hi, lo = turns
+    m = hi.size
+    x, mass = mu.atom_x, mu.atom_m
+    x = x - (x >= 0.5)
+    per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
+    span = min(m, max(1, _ATOM_BLOCK // per))        # points per block
     for i in range(0, x.size, per):
         xs = x[i:i + per, None]
         conj_w = np.exp(-_TWO_PI_I * xs[:, 0])
@@ -275,40 +328,46 @@ def _atom_sum(w, terms):
     return w[0] * terms[0] if w.size == 1 else w @ terms
 
 
-def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float):
-    """The atoms' (H, H') on the ring, summed directly.  With zeta =
+def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float,
+              buffers: RingBuffers | None = None) -> np.ndarray:
+    """The atoms' (H, H') on the ring as a (2, M) array, summed directly
+    (into the jet of ``buffers`` when given).  With zeta =
     r e^{2 pi i phi}, 1 - zeta = a - i b, a = (1 - r) + 2 r s^2 and
     b = 2 r s c, free of cancellation near the atom; an atom of mass c_x
     gives c_x (1 + zeta)/(1 - zeta) = c_x ((1 - r^2) + 2 i b)/(a^2 + b^2)
     and 2 c_x e^{-2 pi i x}/(1 - zeta)^2 = 2 c_x e^{-2 pi i x} v^2,
     v = (a + i b)/(a^2 + b^2), each to a few ulps at every point."""
-    h = np.zeros(m, dtype=complex)
-    h1 = np.zeros(m, dtype=complex)
+    buffers = RingBuffers() if buffers is None else buffers
+    jet = buffers.zero_jet(m)
+    h, h1 = jet
     one_minus_r2 = (1.0 - r) * (1.0 + r)
-    for k, s, c, mass, conj_w in _atom_blocks(mu, m, offset):
+    for k, s, c, mass, conj_w in _atom_blocks(mu, buffers.turns(m, offset)):
         a = (1.0 - r) + (2.0 * r) * (s * s)
         b = (2.0 * r) * (s * c)
         q = 1.0 / (a * a + b * b)
         h[k] += _atom_sum(mass, _cplx(one_minus_r2 * q, 2.0 * b * q))
         v = _cplx(a * q, b * q)
         h1[k] += _atom_sum(2.0 * mass * conj_w, v * v)
-    return h, h1
+    return jet
 
 
 def _atom_dilation_jet(mu: CircleMeasure, r: float, t: float, m: int,
-                       offset: float):
+                       offset: float,
+                       buffers: RingBuffers | None = None) -> np.ndarray:
     """The atoms' (D, D') = (A(z) - A(t z), A'(z) - t A'(t z)), A their
-    Herglotz integral, summed directly: an atom of mass c_x gives
+    Herglotz integral, as a (2, M) array summed directly (into the jet of
+    ``buffers`` when given): an atom of mass c_x gives
     2 c_x (1 - t) zeta/((1 - zeta)(1 - t zeta)) and 2 c_x e^{-2 pi i x}
     (1 - t)(1 - t zeta^2)/((1 - zeta)(1 - t zeta))^2, which do not cancel
     as t -> 1.  As in _atom_jet, 1 - zeta, 1 - t zeta and 1 - t zeta^2
     are formed from sines and positive sums."""
-    d = np.zeros(m, dtype=complex)
-    d1 = np.zeros(m, dtype=complex)
+    buffers = RingBuffers() if buffers is None else buffers
+    jet = buffers.zero_jet(m)
+    d, d1 = jet
     tr, tr2 = t * r, t * r * r
     one_minus_tr = (1.0 - t) + t * (1.0 - r)
     one_minus_tr2 = (1.0 - t) + t * ((1.0 - r) * (1.0 + r))
-    for k, s, c, mass, conj_w in _atom_blocks(mu, m, offset):
+    for k, s, c, mass, conj_w in _atom_blocks(mu, buffers.turns(m, offset)):
         ss = s * s
         sin2 = 2.0 * (s * c)                          # of 2 pi phi
         cos2 = 1.0 - 2.0 * ss
@@ -320,46 +379,53 @@ def _atom_dilation_jet(mu: CircleMeasure, r: float, t: float, m: int,
         v *= _cplx(one_minus_tr2 + (2.0 * tr2) * (sin2 * sin2),
                    (-2.0 * tr2) * (sin2 * cos2))
         d1[k] += _atom_sum(w * conj_w, v)
-    return d, d1
+    return jet
 
 
 def _piece_jet(pieces: CircleMeasure, r: float, m: int, offset: float):
-    """The pieces' (H, H') from one inverse FFT of their spectrum."""
-    h, h1 = np.fft.ifft(_spectrum(pieces, r, m, offset), axis=1, norm="forward")
-    return h + pieces.total_mass, h1
+    """The pieces' (H, H') as a (2, M) array from one inverse FFT of their
+    spectrum."""
+    jet = np.fft.ifft(_spectrum(pieces, r, m, offset), n=m, axis=1,
+                      norm="forward")
+    jet[0] += pieces.total_mass
+    return jet
 
 
 def _atoms_plus_pieces(mu: CircleMeasure, atom_jet, piece_jet):
-    """atom_jet() + piece_jet(pieces of mu): a measure without atoms is its
-    own pieces (piece_jet(mu) alone, its own cache), one without pieces
-    needs no spectrum, and a measure with both folds the cache of its
-    pieces alone (CircleMeasure._piece_measure)."""
+    """atom_jet() + piece_jet(pieces of mu), (2, M) arrays, summed in place
+    in the atoms' one: a measure without atoms is its own pieces
+    (piece_jet(mu) alone, its own cache), one without pieces needs no
+    spectrum, and a measure with both folds the cache of its pieces alone
+    (CircleMeasure._piece_measure)."""
     if not mu.atom_x.size:
         return piece_jet(mu)
-    h, h1 = atom_jet()
+    jet = atom_jet()
     if mu.piece_a.size:
-        hp, hp1 = piece_jet(mu._piece_measure())
-        h, h1 = hp + h, hp1 + h1
-    return h, h1
+        jet += piece_jet(mu._piece_measure())
+    return jet
 
 
-def herglotz_jet(mu: CircleMeasure, r: float, m: int,
-                 offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
+                 buffers: RingBuffers | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1.
 
     mu splits into its atoms and its pieces, each taken in its exact form:
     the atoms summed directly on the ring (_atom_jet), so an atomic measure
     fills no coefficient cache, and the pieces from one inverse FFT of
     _spectrum over their coefficients (_atoms_plus_pieces).  At r = 0,
-    H = mu(T) and H' = 2 hat mu(1).
+    H = mu(T) and H' = 2 hat mu(1).  With ``buffers`` the atoms' sums go
+    into their jet, and (H, H') are its rows until the next ring.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError("ring radius must be in [0, 1)")
     if r == 0.0:
         return (np.full(m, mu.total_mass, dtype=complex),
                 np.full(m, 2.0 * mu.coefficients(1)[0], dtype=complex))
-    return _atoms_plus_pieces(mu, lambda: _atom_jet(mu, r, m, offset),
-                              lambda pieces: _piece_jet(pieces, r, m, offset))
+    h, h1 = _atoms_plus_pieces(
+        mu, lambda: _atom_jet(mu, r, m, offset, buffers),
+        lambda pieces: _piece_jet(pieces, r, m, offset))
+    return h, h1
 
 
 def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
@@ -378,7 +444,7 @@ def _ring_points(r, m, offset):
 class FunctionModel:
     """Analytic function on the disc, evaluated as the jet (f, f') on full
     equispaced rings; the norms read log |f'|, which a model may compute
-    without forming f."""
+    without forming f, in the RingBuffers that a sweep passes."""
 
     def jet(self, r: float, m: int, offset: float = 0.0):
         """(f, f') at the M points r e^{2 pi i (k + offset)/M}."""
@@ -390,17 +456,25 @@ class FunctionModel:
     def dring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
         return self.jet(r, m, offset)[1]
 
-    def log_abs_dring(self, r: float, m: int, offset: float = 0.0) -> np.ndarray:
-        """log |f'| at the ring points of jet; -inf where f' is 0."""
+    def log_abs_dring(self, r: float, m: int, offset: float = 0.0,
+                      buffers: RingBuffers | None = None) -> np.ndarray:
+        """log |f'| at the ring points of jet; -inf where f' is 0.  With
+        ``buffers`` the ring's arrays and the result are theirs: the
+        caller may overwrite the result, and the next ring does."""
+        out = (RingBuffers() if buffers is None else buffers).real(m)
         with np.errstate(divide="ignore"):
-            return np.log(np.abs(self.dring(r, m, offset)))
+            return np.log(np.abs(self.dring(r, m, offset), out=out), out=out)
 
 
-def _log_abs_dexp(alpha, d, d1):
-    """log |f'| for f = exp(-alpha d): log alpha + log |d'| - alpha Re d,
-    with no overflow or underflow in exp(-alpha d); -inf where d' is 0."""
+def _log_abs_dexp(alpha, d, d1, out):
+    """log |f'| for f = exp(-alpha d), written into out: log alpha +
+    log |d'| - alpha Re d, in that order, with no overflow or underflow in
+    exp(-alpha d); -inf where d' is 0.  Re d is scaled in place."""
     with np.errstate(divide="ignore"):
-        return math.log(alpha) + np.log(np.abs(d1)) - alpha * d.real
+        np.log(np.abs(d1, out=out), out=out)
+    out += math.log(alpha)
+    out -= np.multiply(d.real, alpha, out=d.real)
+    return out
 
 
 @dataclass(frozen=True)
@@ -423,8 +497,11 @@ class SingularInnerPower(FunctionModel):
         f = np.exp(-self.alpha * h)
         return f, -self.alpha * h1 * f
 
-    def log_abs_dring(self, r, m, offset=0.0):
-        return _log_abs_dexp(self.alpha, *herglotz_jet(self.mu, r, m, offset))
+    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
+        buffers = RingBuffers() if buffers is None else buffers
+        return _log_abs_dexp(self.alpha,
+                             *herglotz_jet(self.mu, r, m, offset, buffers),
+                             buffers.real(m))
 
 
 class Polynomial(FunctionModel):
@@ -454,10 +531,11 @@ class DilationQuotient(FunctionModel):
         if not 0.0 < self.t < 1.0:
             raise ValueError("dilation parameter must be in (0, 1)")
 
-    def _exponent_jet(self, r, m, offset):
-        """(D, D') on the ring: the atoms' part in closed form
-        (_atom_dilation_jet), the pieces' part from one inverse FFT of the
-        difference of their spectra at r and t r."""
+    def _exponent_jet(self, r, m, offset, buffers=None):
+        """(D, D') on the ring as a (2, M) array: the atoms' part in closed
+        form (_atom_dilation_jet, into the jet of ``buffers`` when given),
+        the pieces' part from one inverse FFT of the difference of their
+        spectra at r and t r, the dilated one no wider than the other."""
         if not 0.0 < r < 1.0:
             raise ValueError("ring radius must be in (0, 1)")
         t, mu = self.t, self.inner.mu
@@ -466,11 +544,12 @@ class DilationQuotient(FunctionModel):
             spec = _spectrum(pieces, r, m, offset)
             dilated = _spectrum(pieces, t * r, m, offset)
             dilated[1] *= t
-            spec -= dilated
-            return np.fft.ifft(spec, axis=1, norm="forward")
+            spec[:, :dilated.shape[1]] -= dilated
+            return np.fft.ifft(spec, n=m, axis=1, norm="forward")
 
         return _atoms_plus_pieces(
-            mu, lambda: _atom_dilation_jet(mu, r, t, m, offset), piece_jet)
+            mu, lambda: _atom_dilation_jet(mu, r, t, m, offset, buffers),
+            piece_jet)
 
     def jet(self, r, m, offset=0.0):
         alpha = self.inner.alpha
@@ -478,8 +557,11 @@ class DilationQuotient(FunctionModel):
         f = np.exp(-alpha * d)
         return f, -alpha * d1 * f
 
-    def log_abs_dring(self, r, m, offset=0.0):
-        return _log_abs_dexp(self.inner.alpha, *self._exponent_jet(r, m, offset))
+    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
+        buffers = RingBuffers() if buffers is None else buffers
+        return _log_abs_dexp(self.inner.alpha,
+                             *self._exponent_jet(r, m, offset, buffers),
+                             buffers.real(m))
 
 
 # -- Maclaurin coefficients ------------------------------------------------

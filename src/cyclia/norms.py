@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CoefficientVector, FunctionModel
+from .models import CoefficientVector, FunctionModel, RingBuffers
 
 __all__ = [
     "QuadratureGrid", "lp_a_norm", "weighted_l2alpha",
@@ -214,17 +214,21 @@ def besov_seminorm(f: FunctionModel, p: float,
     rings are evaluated from the outside in, so the first one asks for the
     most coefficients and the rest read the cache it sized; the sums run
     from the inside out.  |f'|^p is read as exp(p log |f'|) from the
-    model's log_abs_dring.  The first ring whose mean of |f'|^p is not
-    finite ends the pass, and both numbers read inf.
+    model's log_abs_dring, in place in the RingBuffers the pass owns.  The
+    first ring whose mean of |f'|^p is not finite ends the pass, and both
+    numbers read inf.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if grid is None:
         grid = default_grid()
     means = [0.0] * len(grid)
+    buffers = RingBuffers()
     for i in reversed(range(len(grid))):
-        means[i] = float(np.mean(np.exp(
-            p * f.log_abs_dring(float(grid.r[i]), int(grid.m[i])))))
+        dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]),
+                               buffers=buffers)
+        means[i] = float(np.mean(np.exp(np.multiply(dens, p, out=dens),
+                                        out=dens)))
         if not math.isfinite(means[i]):
             return math.inf, math.inf
     kronrod = gauss = 0.0

@@ -322,6 +322,92 @@ class TestCheckCommand:
         assert "must be" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "m")
 
+    @pytest.mark.parametrize("spec, key", [
+        ('{"type": "kahane", "depth": 6, "seeds": 9}', "spec key \"seeds\""),
+        ('{"type": "lebesgue", "mass": 2}', "spec key \"mass\""),
+        ('{"type": "kahane", "params": {"C": 1, "gama": 0.5}, "depth": 6}',
+         "kahane params key \"gama\""),
+        ('{"type": "atomic", "params": {"atoms": [[0.3, 1]], "mass": 2}}',
+         "atomic params key \"mass\""),
+        ('{"type": "salem", "params": {"dimension": 0.5}, "depth": 6}',
+         "salem params key \"dimension\"")],
+        ids=["top-level", "param-at-top-level", "kahane-params",
+             "atomic-params", "salem-params"])
+    def test_unknown_spec_key_is_a_usage_error(self, tmp_path, capsys, spec,
+                                               key):
+        # an unknown key was ignored: "seeds" ran seed 0 with exit 0
+        assert run("measure", "--spec", spec, "--out", str(tmp_path / "m")) == 2
+        assert f"unknown {key}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m")
+
+    @pytest.mark.parametrize("spec, name", [
+        ('{"type": "lebesgue", "params": {"mass": true}}', "mass"),
+        ('{"type": "lebesgue", "params": {"mass": "2"}}', "mass"),
+        ('{"type": "lebesgue", "params": {"mass": null}}', "mass"),
+        ('{"type": "kahane", "params": {"C": "1"}, "depth": 6}', "C"),
+        ('{"type": "kahane", "params": {"gamma": false}, "depth": 6}', "gamma"),
+        ('{"type": "salem", "params": {"alpha": true}, "depth": 6}', "alpha"),
+        ('{"type": "salem", "params": {"epsilon": "0.05"}, "depth": 6}',
+         "epsilon"),
+        ('{"type": "salem", "params": {"d": 2, "xi": "0.2"}, "depth": 6}', "xi"),
+        ('{"type": "salem", "params": {"d": 2, "xi": true}, "depth": 6}',
+         "xi"),
+        ('{"type": "atomic", "params": {"atoms": [["0.3", true]]}}',
+         "atom position or mass"),
+        ('{"type": "atomic", "params": {"atoms": [[0.3, true]]}}',
+         "atom position or mass"),
+        ('{"type": "atomic", "params": {"atoms": [[0.3, "1"]]}}',
+         "atom position or mass")],
+        ids=["mass-bool", "mass-string", "mass-null", "C-string", "gamma-bool",
+             "alpha-bool", "epsilon-string", "xi-string", "xi-bool",
+             "atom-string-and-bool", "atom-mass-bool", "atom-mass-string"])
+    def test_real_field_that_is_not_a_number_is_a_usage_error(
+            self, tmp_path, capsys, spec, name):
+        # a real field went through float(): "mass": true built mass 1,
+        # "mass": "2" built mass 2, and [["0.3", true]] built an atom
+        assert run("measure", "--spec", spec, "--out", str(tmp_path / "m")) == 2
+        assert f"{name} must be a number" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "m")
+
+    @pytest.mark.parametrize("params", ['{"d": 3}', '{"xi": 0.2}'])
+    def test_salem_d_or_xi_alone_is_a_usage_error(self, tmp_path, capsys,
+                                                  params):
+        # one of the two was ignored: the default construction ran
+        spec = '{"type": "salem", "params": %s, "depth": 6}' % params
+        assert run("measure", "--spec", spec, "--out", str(tmp_path / "m")) == 2
+        assert "d and xi must be given together" in capsys.readouterr().err
+
+    def test_atoms_that_are_not_rows_are_a_usage_error(self, tmp_path, capsys):
+        spec = '{"type": "atomic", "params": {"atoms": [0.3, 1.0]}}'
+        assert run("measure", "--spec", spec, "--out", str(tmp_path / "m")) == 2
+        assert "atoms must be a list of [x, mass] rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        '{"type": "lebesgue", "params": {"mass": 2}}',
+        '{"type": "kahane", "params": {"C": 1, "gamma": 1}, "depth": 4}',
+        '{"type": "salem", "params": {"alpha": 0.8, "epsilon": 1, "d": 2,'
+        ' "xi": 0.25}, "depth": 4}',
+        '{"type": "atomic", "params": {"atoms": [[0, 1], [0.5, 2]]}}'],
+        ids=["lebesgue", "kahane", "salem", "atomic"])
+    def test_integer_real_fields_read_as_floats(self, tmp_path, spec):
+        # a JSON integer is a number: the spec builds the measure its float
+        # twin builds, byte for byte
+        twin = spec.replace('"mass": 2', '"mass": 2.0').replace(
+            '"C": 1, "gamma": 1', '"C": 1.0, "gamma": 1.0').replace(
+            '"epsilon": 1,', '"epsilon": 1.0,').replace(
+            '[[0, 1], [0.5, 2]]', '[[0.0, 1.0], [0.5, 2.0]]')
+        assert twin != spec
+        texts = []
+        for k, s in enumerate((spec, twin)):
+            out = str(tmp_path / f"m{k}")
+            assert run("measure", "--spec", s, "--out", out) == 0
+            files = {}
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name)) as fh:
+                    files[name] = fh.read()
+            texts.append(files)
+        assert texts[0] == texts[1]
+
     @pytest.mark.parametrize("command", ["measure", "check"])
     def test_spec_integer_beyond_floats_is_a_usage_error(self, tmp_path,
                                                          capsys, command):

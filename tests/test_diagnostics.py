@@ -14,12 +14,13 @@ from cyclia.diagnostics import (TREND_SLOPE_MAX, CheckReport, _trend_report,
                                 fourier_lp_summability, korenblum_necessity,
                                 multiplier_log_onebox, pmean_ratio,
                                 poisson_martingale_gap)
-from cyclia.measures import (IntervalSet, SalemSpec, atomic,
+from cyclia.measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
 from cyclia.models import (DilationQuotient, FunctionModel, Polynomial,
                            SingularInnerPower, maclaurin)
-from cyclia.norms import QuadratureGrid, _radial_rule, default_grid
+from cyclia.norms import (QuadratureGrid, _radial_rule, besov_seminorm,
+                          default_grid)
 from cyclia.profiles import LogPower, PowerLaw
 
 ATOM = atomic([(0.0, 1.0)])
@@ -146,9 +147,9 @@ class TestBrownShields:
         calls = []
         log_abs_dring = DilationQuotient.log_abs_dring
 
-        def counted(self, r, m, offset=0.0):
+        def counted(self, r, m, offset=0.0, **kwargs):
             calls.append(r)
-            return log_abs_dring(self, r, m, offset)
+            return log_abs_dring(self, r, m, offset, **kwargs)
 
         monkeypatch.setattr(DilationQuotient, "log_abs_dring", counted)
         return calls
@@ -338,6 +339,82 @@ class TestDerivativeSup:
         assert rep.passed
 
 
+# atoms only, pieces only, both
+SWEEP_MEASURES = {
+    "atoms": lambda: atomic([(0.1, 0.6), (0.55, 0.4)]),
+    "pieces": lambda: kahane_smooth(PHI, 8, seed=7),
+    "both": lambda: CircleMeasure(atoms=[(0.4, 0.5), (0.9, 0.25)],
+                                  pieces=[(0.1, 0.3, 2.0), (0.6, 0.7, 1.0)]),
+}
+
+
+class TestSweepBuffers:
+    """Each sweep owns one RingBuffers and passes it to ring after ring;
+    its numbers are those of fresh per-ring calls, bit for bit, so no
+    ring reads what an earlier one left, and no value a sweep read from
+    a ring is overwritten by the next."""
+
+    @pytest.fixture
+    def fresh_rings(self, monkeypatch):
+        """Installs log_abs_dring without buffers: every ring is fresh."""
+        def install():
+            for cls in (SingularInnerPower, DilationQuotient):
+                def per_ring(self, r, m, offset=0.0, buffers=None,
+                             original=cls.log_abs_dring):
+                    return original(self, r, m, offset)
+
+                monkeypatch.setattr(cls, "log_abs_dring", per_ring)
+        return install
+
+    @staticmethod
+    def _shared(ms):
+        # several consecutive rings share one M
+        ms = list(ms)
+        return any(a == b for a, b in zip(ms, ms[1:]))
+
+    @pytest.mark.parametrize("kind", list(SWEEP_MEASURES))
+    def test_besov_seminorm(self, kind, fresh_rings):
+        grid = QuadratureGrid.build(u_max=8.0, panels=4)
+        assert self._shared(grid.m)
+
+        def seminorms():
+            mu = SWEEP_MEASURES[kind]()
+            return [besov_seminorm(SingularInnerPower(mu, 0.7), 3.0, grid),
+                    besov_seminorm(DilationQuotient(
+                        SingularInnerPower(mu, 0.3), 0.9), 3.0, grid)]
+
+        got = seminorms()
+        fresh_rings()
+        assert seminorms() == got
+
+    @pytest.mark.parametrize("kind", list(SWEEP_MEASURES))
+    def test_multiplier_offset_ring(self, kind, fresh_rings):
+        grid = QuadratureGrid.build(u_max=8.0, panels=4)
+        assert self._shared(_radial_rule(np.arange(9.0), grid.nodes_per_panel,
+                                         grid.m_min, grid.m_max)[3])
+
+        def report():
+            return multiplier_log_onebox(SWEEP_MEASURES[kind](), 3.0, 4, grid)
+
+        got = report()
+        fresh_rings()
+        want = report()
+        assert (got.table, got.fits) == (want.table, want.fits)
+
+    @pytest.mark.parametrize("kind", list(SWEEP_MEASURES))
+    def test_derivative_sup(self, kind, fresh_rings):
+        rs = [1 - 2.0**-k for k in range(2, 12)]
+        assert self._shared(diagnostics._ring_count(r, 4096) for r in rs)
+
+        def report():
+            return derivative_sup_ratio(SWEEP_MEASURES[kind](), PHI, rs)
+
+        got = report()
+        fresh_rings()
+        want = report()
+        assert (got.table, got.fits) == (want.table, want.fits)
+
+
 class TestRingCount:
     @pytest.mark.parametrize("k", range(10, 16))
     def test_reaches_64_over_one_minus_r(self, k):
@@ -355,9 +432,9 @@ class TestRingCount:
         ring, dring = diagnostics.herglotz_ring, SingularInnerPower.log_abs_dring
 
         def counted(fn):
-            def wrapper(obj, r, m, *args):
+            def wrapper(obj, r, m, *args, **kwargs):
                 seen.append(m)
-                return fn(obj, r, m, *args)
+                return fn(obj, r, m, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(diagnostics, "herglotz_ring", counted(ring))

@@ -156,6 +156,22 @@ class TestConstruction:
         assert neg.piece_a.tolist() == [0.0, -0.1 % 1.0]
         assert neg.piece_b.tolist() == [-0.1 % 1.0 + 0.30000000000000004 - 1.0, 1.0]
 
+    def test_position_just_below_zero_is_turn_zero(self):
+        # -1e-20 % 1.0 rounds up to 1.0, outside [0, 1): the atom and the
+        # piece start are stored at 0, so the CDF counts the atom on [0, x)
+        mu = CircleMeasure(atoms=[(-1e-20, 1.0)])
+        assert mu.atom_x.tolist() == [0.0]
+        assert mu.cdf(0.5) == 1.0
+        assert mu.cdf(0.0) == 0.0
+        assert mu.interval_mass_many([0.9], [1.1]).tolist() == [1.0]
+        both = CircleMeasure(atoms=[(0.0, 0.5), (-2.0**-60, 0.25)])
+        assert both.atom_x.tolist() == [0.0]
+        assert both.atom_m.tolist() == [0.75]
+        piece = CircleMeasure(pieces=[(-1e-20, 0.5, 2.0)])
+        assert piece.piece_a.tolist() == [0.0]
+        assert piece.piece_b.tolist() == [0.5]
+        assert piece.cdf(0.5) == 1.0
+
     @pytest.mark.parametrize("kwargs", [
         {"atoms": [0.5, 1.0]}, {"pieces": [0.0, 0.5, 1.0]},
         {"pieces": np.zeros((2, 4))}, {"atoms": np.zeros((2, 3))}])

@@ -11,9 +11,9 @@ from cyclia import measures, models
 from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import (DilationQuotient, Polynomial, SingularInnerPower,
-                           herglotz, herglotz_derivative, herglotz_jet,
-                           herglotz_ring, maclaurin, poisson)
+from cyclia.models import (DilationQuotient, Polynomial, RingBuffers,
+                           SingularInnerPower, herglotz, herglotz_derivative,
+                           herglotz_jet, herglotz_ring, maclaurin, poisson)
 from cyclia.norms import QuadratureGrid, besov_seminorm
 from cyclia.profiles import LogPower
 
@@ -553,6 +553,102 @@ class TestJetComposition:
                 DilationQuotient(S, t)
         with pytest.raises(ValueError, match="radius"):
             DilationQuotient(S, 0.5).jet(0.0, 8)
+
+
+def _padded(spectrum, m):
+    """A _spectrum's filled bins as the (2, M) array it returned before it
+    kept only them: the rest zero."""
+    full = np.zeros((2, m), dtype=complex)
+    full[:, :spectrum.shape[1]] = spectrum
+    return full
+
+
+# the measures of the ring-buffer tests: atoms only, pieces only, both
+BUFFER_MEASURES = {
+    "atoms": lambda: atomic([(0.1, 0.6), (0.55, 0.4)]),
+    "pieces": lambda: kahane_smooth(LogPower(1.0, 0.5), 8, seed=7),
+    "both": lambda: CircleMeasure(atoms=[(0.4, 0.5), (0.9, 0.25)],
+                                  pieces=[(0.1, 0.3, 2.0), (0.6, 0.7, 1.0)]),
+}
+
+
+class TestRingBuffers:
+    @pytest.mark.parametrize("kind", list(BUFFER_MEASURES))
+    @pytest.mark.parametrize("model", ["inner", "quotient", "polynomial"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_reused_buffers_equal_fresh_rings(self, kind, model, offset):
+        # one RingBuffers through several rings of one M, one of another M
+        # and back: each ring's log |f'| is the fresh call's, bit for bit
+        # (the atoms' sums start from zero, not from the last ring), and
+        # what a ring returned is the buffers' own, so a value read from it
+        # before the next ring is that ring's
+        mu = BUFFER_MEASURES[kind]()
+        f = {"inner": SingularInnerPower(mu, 0.7),
+             "quotient": DilationQuotient(SingularInnerPower(mu, 0.3), 0.9),
+             "polynomial": Polynomial([1.0, -0.5, 0.25, 2.0])}[model]
+        rings = [(0.3, 256), (0.9, 256), (0.99, 256), (0.999, 64),
+                 (0.5, 256), (0.95, 256)]
+        buffers = RingBuffers()
+        read, previous = [], None
+        for r, m in rings:
+            got = f.log_abs_dring(r, m, offset, buffers=buffers)
+            if previous is not None and previous.size == m:
+                assert np.shares_memory(got, previous)
+            read.append((float(got.max()), got.copy()))
+            previous = got
+        for (r, m), (top, values) in zip(rings, read):
+            want = f.log_abs_dring(r, m, offset)
+            np.testing.assert_array_equal(values, want)
+            assert top == float(want.max())
+
+    @pytest.mark.parametrize("kind", list(BUFFER_MEASURES))
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_jet_in_buffers_equals_fresh_jet(self, kind, offset):
+        mu, buffers = BUFFER_MEASURES[kind](), RingBuffers()
+        for r, m in [(0.3, 256), (0.99, 256), (0.9, 64), (0.5, 256)]:
+            h, h1 = herglotz_jet(mu, r, m, offset, buffers)
+            want, want1 = herglotz_jet(mu, r, m, offset)
+            np.testing.assert_array_equal(h, want)
+            np.testing.assert_array_equal(h1, want1)
+
+    def test_one_set_at_a_time(self):
+        # the jet, the real array and a turn table per offset are made
+        # once per M; a ring of another M replaces them
+        buffers = RingBuffers()
+        jet, real = buffers.zero_jet(64), buffers.real(64)
+        turns = buffers.turns(64, 0.5)
+        jet[:] = 1.0
+        assert buffers.zero_jet(64) is jet and not jet.any()
+        assert buffers.real(64) is real and buffers.turns(64, 0.5) is turns
+        assert buffers.turns(64, 0.0) is not turns
+        assert buffers.real(128).shape == (128,)
+        assert buffers.m == 128 and buffers.turns(128, 0.5)[0].shape == (128,)
+        assert buffers.real(64) is not real
+        hi, lo = buffers.turns(64, 0.5)
+        np.testing.assert_array_equal(hi, turns[0])
+        np.testing.assert_array_equal(lo, turns[1])
+
+    @pytest.mark.parametrize("r, t, m", [(0.3, 0.5, 1024), (0.97, 0.5, 64),
+                                         (0.97, 0.99, 64), (0.5, 0.9, 1)],
+                             ids=["both-N<M", "dilated-N<M", "both-N>=M",
+                                  "M=1"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_dilated_spectrum_keeps_its_filled_bins(self, r, t, m, offset):
+        # _spectrum returns its min(N + 1, M) filled bins; the quotient
+        # subtracts the dilated ones in place and zero-pads the inverse
+        # FFT: the bits of the (2, M) subtraction
+        mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+        for radius in (r, t * r):
+            n = models._truncation_order(radius, mu.total_mass)
+            assert models._spectrum(mu, radius, m, offset).shape == (
+                2, min(n + 1, m))
+        spec = _padded(models._spectrum(mu, r, m, offset), m)
+        dilated = _padded(models._spectrum(mu, t * r, m, offset), m)
+        dilated[1] *= t
+        want = np.fft.ifft(spec - dilated, axis=1, norm="forward")
+        got = DilationQuotient(SingularInnerPower(mu), t)._exponent_jet(
+            r, m, offset)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestLogAbsDring:
