@@ -243,6 +243,8 @@ def poisson_martingale_gap(mu: CircleMeasure, depth: int) -> CheckReport:
     origin; the check passes when the per-generation additive gap
     sup(P - C M) shows no upward trend.
     """
+    if depth < 1:
+        raise ValueError("need at least one generation")
     mart = martingale_from_measure(mu, depth)
     samples = []
     for n in range(1, depth + 1):

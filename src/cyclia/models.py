@@ -24,9 +24,9 @@
 
 Function models (inner powers, polynomials, and the dilation quotient
 S/S_t, taken in log space with the same split of mu) are immutable and
-evaluated as the jet (f, f') on rings.  The norms read log |f'| on the
-same rings: an inner power and the dilation quotient take it from their
-exponent, without forming f.
+evaluated as the jet (f, f') on rings.  The inner power and the quotient
+share one exp(-alpha E) body, E = H or H(z) - H(t z): the norms read
+log |f'| on the same rings from the exponent, without forming f.
 """
 
 from __future__ import annotations
@@ -212,10 +212,7 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     w = 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset)
     weights = np.stack([w, (j * m) * w])
     k = min(n_max, m)
-    if rows:
-        folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
-    else:
-        folds = np.zeros((2, k + 1), dtype=complex)
+    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)[:, :k + 1]
     folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     q = np.arange(k + 1)
     col = np.exp(q * log_r)
@@ -391,18 +388,15 @@ def _piece_jet(pieces: CircleMeasure, r: float, m: int, offset: float):
     return jet
 
 
-def _atoms_plus_pieces(mu: CircleMeasure, atom_jet, piece_jet):
-    """atom_jet() + piece_jet(pieces of mu), (2, M) arrays, summed in place
-    in the atoms' one: a measure without atoms is its own pieces
-    (piece_jet(mu) alone, its own cache), one without pieces needs no
-    spectrum, and a measure with both folds the cache of its pieces alone
-    (CircleMeasure._piece_measure)."""
-    if not mu.atom_x.size:
-        return piece_jet(mu)
-    jet = atom_jet()
-    if mu.piece_a.size:
-        jet += piece_jet(mu._piece_measure())
-    return jet
+def _piece_dilation_jet(pieces: CircleMeasure, r: float, t: float, m: int,
+                        offset: float):
+    """The pieces' (D, D'), a (2, M) array: one inverse FFT of their
+    spectrum at r minus the (no wider) one at t r."""
+    spec = _spectrum(pieces, r, m, offset)
+    dilated = _spectrum(pieces, t * r, m, offset)
+    dilated[1] *= t
+    spec[:, :dilated.shape[1]] -= dilated
+    return np.fft.ifft(spec, n=m, axis=1, norm="forward")
 
 
 def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
@@ -413,7 +407,7 @@ def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
     mu splits into its atoms and its pieces, each taken in its exact form:
     the atoms summed directly on the ring (_atom_jet), so an atomic measure
     fills no coefficient cache, and the pieces from one inverse FFT of
-    _spectrum over their coefficients (_atoms_plus_pieces).  At r = 0,
+    _spectrum over their own coefficients (_piece_measure).  At r = 0,
     H = mu(T) and H' = 2 hat mu(1).  With ``buffers`` the atoms' sums go
     into their jet, and (H, H') are its rows until the next ring.
     """
@@ -422,10 +416,12 @@ def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
     if r == 0.0:
         return (np.full(m, mu.total_mass, dtype=complex),
                 np.full(m, 2.0 * mu.coefficients(1)[0], dtype=complex))
-    h, h1 = _atoms_plus_pieces(
-        mu, lambda: _atom_jet(mu, r, m, offset, buffers),
-        lambda pieces: _piece_jet(pieces, r, m, offset))
-    return h, h1
+    if not mu.atom_x.size:
+        return tuple(_piece_jet(mu, r, m, offset))
+    jet = _atom_jet(mu, r, m, offset, buffers)
+    if mu.piece_a.size:
+        jet += _piece_jet(mu._piece_measure(), r, m, offset)
+    return tuple(jet)
 
 
 def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
@@ -435,10 +431,6 @@ def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
 
 
 # -- function models -------------------------------------------------------
-
-
-def _ring_points(r, m, offset):
-    return r * np.exp(_TWO_PI_I * (np.arange(m) + offset) / m)
 
 
 class FunctionModel:
@@ -466,19 +458,30 @@ class FunctionModel:
             return np.log(np.abs(self.dring(r, m, offset), out=out), out=out)
 
 
-def _log_abs_dexp(alpha, d, d1, out):
-    """log |f'| for f = exp(-alpha d), written into out: log alpha +
-    log |d'| - alpha Re d, in that order, with no overflow or underflow in
-    exp(-alpha d); -inf where d' is 0.  Re d is scaled in place."""
-    with np.errstate(divide="ignore"):
-        np.log(np.abs(d1, out=out), out=out)
-    out += math.log(alpha)
-    out -= np.multiply(d.real, alpha, out=d.real)
-    return out
+class _ExponentialModel(FunctionModel):
+    """exp(-alpha E), E's ring jet (E, E') from _exponent_jet: the one
+    body of the inner power and of the dilation quotient."""
+
+    def jet(self, r, m, offset=0.0):
+        e, e1 = self._exponent_jet(r, m, offset)
+        f = np.exp(-self.alpha * e)
+        return f, -self.alpha * e1 * f
+
+    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
+        """log |E'| + log alpha - alpha Re E, in that order, so exp(-alpha E)
+        never overflows or underflows; Re E is scaled in place."""
+        buffers = RingBuffers() if buffers is None else buffers
+        e, e1 = self._exponent_jet(r, m, offset, buffers)
+        out = buffers.real(m)
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(e1, out=out), out=out)
+        out += math.log(self.alpha)
+        out -= np.multiply(e.real, self.alpha, out=e.real)
+        return out
 
 
 @dataclass(frozen=True)
-class SingularInnerPower(FunctionModel):
+class SingularInnerPower(_ExponentialModel):
     """exp(-alpha H_mu(z)): the alpha-th power of the inner function of mu.
 
     Non-integer powers are single valued because the exponent itself, not a
@@ -492,16 +495,8 @@ class SingularInnerPower(FunctionModel):
         if self.alpha <= 0:
             raise ValueError("power must be positive")
 
-    def jet(self, r, m, offset=0.0):
-        h, h1 = herglotz_jet(self.mu, r, m, offset)
-        f = np.exp(-self.alpha * h)
-        return f, -self.alpha * h1 * f
-
-    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
-        buffers = RingBuffers() if buffers is None else buffers
-        return _log_abs_dexp(self.alpha,
-                             *herglotz_jet(self.mu, r, m, offset, buffers),
-                             buffers.real(m))
+    def _exponent_jet(self, r, m, offset, buffers=None):
+        return herglotz_jet(self.mu, r, m, offset, buffers)
 
 
 class Polynomial(FunctionModel):
@@ -511,14 +506,14 @@ class Polynomial(FunctionModel):
         self.coeffs = np.asarray(coeffs, dtype=complex)
 
     def jet(self, r, m, offset=0.0):
-        z = _ring_points(r, m, offset)
+        z = r * np.exp(_TWO_PI_I * (np.arange(m) + offset) / m)
         dc = self.coeffs[1:] * np.arange(1, self.coeffs.size)
         df = np.polynomial.polynomial.polyval(z, dc) if dc.size else np.zeros_like(z)
         return np.polynomial.polynomial.polyval(z, self.coeffs), df
 
 
 @dataclass(frozen=True)
-class DilationQuotient(FunctionModel):
+class DilationQuotient(_ExponentialModel):
     """S/S_t = exp(-alpha D), S = inner, S_t(z) = S(t z), 0 < t < 1, with
     D = H(z) - H(t z) and D' = H'(z) - t H'(t z): the atoms' part in closed
     form, the pieces' part from the difference of two spectra and one
@@ -531,37 +526,22 @@ class DilationQuotient(FunctionModel):
         if not 0.0 < self.t < 1.0:
             raise ValueError("dilation parameter must be in (0, 1)")
 
+    @property
+    def alpha(self):
+        return self.inner.alpha
+
     def _exponent_jet(self, r, m, offset, buffers=None):
-        """(D, D') on the ring as a (2, M) array: the atoms' part in closed
-        form (_atom_dilation_jet, into the jet of ``buffers`` when given),
-        the pieces' part from one inverse FFT of the difference of their
-        spectra at r and t r, the dilated one no wider than the other."""
+        """(D, D') on the ring as a (2, M) array, the atoms' part summed
+        into the jet of ``buffers`` when given."""
         if not 0.0 < r < 1.0:
             raise ValueError("ring radius must be in (0, 1)")
         t, mu = self.t, self.inner.mu
-
-        def piece_jet(pieces):
-            spec = _spectrum(pieces, r, m, offset)
-            dilated = _spectrum(pieces, t * r, m, offset)
-            dilated[1] *= t
-            spec[:, :dilated.shape[1]] -= dilated
-            return np.fft.ifft(spec, n=m, axis=1, norm="forward")
-
-        return _atoms_plus_pieces(
-            mu, lambda: _atom_dilation_jet(mu, r, t, m, offset, buffers),
-            piece_jet)
-
-    def jet(self, r, m, offset=0.0):
-        alpha = self.inner.alpha
-        d, d1 = self._exponent_jet(r, m, offset)
-        f = np.exp(-alpha * d)
-        return f, -alpha * d1 * f
-
-    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
-        buffers = RingBuffers() if buffers is None else buffers
-        return _log_abs_dexp(self.inner.alpha,
-                             *self._exponent_jet(r, m, offset, buffers),
-                             buffers.real(m))
+        if not mu.atom_x.size:
+            return _piece_dilation_jet(mu, r, t, m, offset)
+        jet = _atom_dilation_jet(mu, r, t, m, offset, buffers)
+        if mu.piece_a.size:
+            jet += _piece_dilation_jet(mu._piece_measure(), r, t, m, offset)
+        return jet
 
 
 # -- Maclaurin coefficients ------------------------------------------------

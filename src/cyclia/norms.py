@@ -166,14 +166,8 @@ class QuadratureGrid:
         return len(self.r)
 
 
-_DEFAULT_GRID = None
-
-
 def default_grid() -> QuadratureGrid:
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        _DEFAULT_GRID = QuadratureGrid.build()
-    return _DEFAULT_GRID
+    return QuadratureGrid.build()
 
 
 # -- coefficient norms -----------------------------------------------------

@@ -251,6 +251,16 @@ class TestCheckCommand:
                    "--out", str(tmp_path / "c")) == 2
         assert "exceed the cache budget of 67108864" in capsys.readouterr().err
 
+    def test_poisson_martingale_needs_a_generation(self, tmp_path, capsys):
+        # depth 0 leaves no generation: refused before a mean of an empty
+        # sample, which numpy would warn about
+        assert run("check", "--spec", LEB_SPEC, "--check",
+                   "poisson-martingale", "--depth", "0",
+                   "--out", str(tmp_path / "c")) == 2
+        assert ("error: invalid configuration: need at least one generation"
+                in capsys.readouterr().err)
+        assert not os.path.exists(tmp_path / "c")
+
     def test_default_config_keeps_check_scale(self):
         cfg = RunConfig(command="check", spec={})
         assert list(make_grid(cfg, 2, 12, 11, "dyadic")[:2]) == [0.25, 0.125]
@@ -689,9 +699,17 @@ def _identifiers(tree, strings=False):
     return found
 
 
+def _src_env():
+    """The environment with the package's source first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def test_cli_runs_without_scipy(tmp_path):
     """cyclia runs on numpy alone: with scipy's import blocked, every
-    registered check and every preset runs to a verdict."""
+    registered check and every preset runs to a verdict, and none of them
+    raises a warning (-W error makes one an exception)."""
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
@@ -708,14 +726,38 @@ def test_cli_runs_without_scipy(tmp_path):
         "    code = cli.main(argv + ['--spec', spec, '--grid-count', '2',"
         " '--out', f'{sys.argv[1]}/{i}'])\n"
         "    print('exit', argv[2], code)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert "ImportError" not in done.stderr
     codes = dict(line.split()[1:] for line in done.stdout.splitlines()
                  if line.startswith("exit "))
     assert sorted(codes) == sorted([*CHECKS, *PRESETS])
     assert set(codes.values()) <= {"0", "1"}, codes
+
+
+def test_benchmark_tracer_runs_the_package(tmp_path):
+    """bench/tracing.py wraps the package's functions by name and runs each
+    operation through cli.main in one process: two small checks exit as
+    they do untraced, and the spans hold the check, the Besov seminorm and
+    the ring kernel."""
+    kahane = ('{"type": "kahane", "params": {"C": 1.0, "gamma": 0.5},'
+              ' "depth": 6, "seed": 7}')
+    ops = [{"argv": ["check", "--spec", kahane, "--check", "brown-shields",
+                     "--alpha", "0.05", "--grid-count", "1"],
+            "out": str(tmp_path / "bs")},
+           {"argv": ["check", "--spec", ATOM_SPEC, "--check", "pmeans",
+                     "--grid-count", "2"],
+            "out": str(tmp_path / "pm")}]
+    ops_path, result_path = tmp_path / "ops.json", tmp_path / "result.json"
+    ops_path.write_text(json.dumps(ops))
+    done = subprocess.run(
+        [sys.executable, os.path.join(REPO, "bench", "tracing.py"),
+         str(ops_path), str(result_path)],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(result_path.read_text())
+    assert [(op["exit"], op["raised"]) for op in result["ops"]] == [(0, None)] * 2
+    assert {"cli.run_check", "norms.besov_seminorm",
+            "models.herglotz_ring"} <= {span[0] for span in result["spans"]}
