@@ -480,6 +480,11 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError) as e:
         print(f"error: invalid configuration: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a resource outcome, neither a failed check (1) nor a bad
+        # configuration (2); a suite writes no summary.json
+        print("error: out of memory", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -30,7 +30,10 @@ the start of the missing n mod 2^N; any other measure sends the missing n
 to the blocked kernel in ranges of a fixed size, and copies each result in.
 The ring kernel of ``models`` folds the coefficients of the pieces only:
 a measure with atoms keeps its pieces as a second measure, built once
-(``_piece_measure``), whose cache that kernel reads.
+(``_piece_measure``), whose folds that kernel reads (``ring_folds``).  The
+folds follow the same strategy: 2^N uniform leaves fold their table, for
+n hat mu(n) is p-periodic, against one real table of 1/n and fill no
+cache; any other measure folds its cache.
 """
 
 from __future__ import annotations
@@ -53,9 +56,29 @@ __all__ = [
 _BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
 _TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
 _WORKSPACE = 1 << 20      # elements per row chunk of the Fourier kernel
-_FILL = 1 << 20           # coefficients per block of a leaf fill (16 MiB)
+_FILL = 1 << 20           # entries per block of a leaf fill (16 MiB) or of
+                          # a 1/n table fill (8 MiB)
 _RANGE = 1 << 16          # coefficients per fourier_many call of a fill (1 MiB)
 _BUDGET = 1 << 26         # coefficients the cache may hold (1 GiB)
+
+
+def _check_budget(count: int) -> None:
+    """ValueError when a request for count coefficients passes _BUDGET."""
+    if count > _BUDGET:
+        raise ValueError(f"{count} Fourier coefficients exceed the cache "
+                         f"budget of {_BUDGET} ({16 * _BUDGET >> 30} GiB)")
+
+
+def _grown(buf: np.ndarray, filled: int, count: int) -> np.ndarray:
+    """buf when it holds count entries, else a new buffer of 3/2 of its
+    capacity (or count, if larger; at most _BUDGET) holding its first
+    ``filled`` entries.  np.empty: capacity that is never written stays
+    unmapped."""
+    if count <= buf.size:
+        return buf
+    out = np.empty(min(max(count, 3 * buf.size // 2), _BUDGET), dtype=buf.dtype)
+    out[:filled] = buf[:filled]
+    return out
 
 
 def _split(x):
@@ -184,6 +207,8 @@ class CircleMeasure:
         self._leaf_table = None
         self._coef = np.empty(0, dtype=complex)
         self._ncoef = 0
+        self._recip = np.empty(0)
+        self._nrecip = 0
         self._pieces = None
 
     # -- mass queries ------------------------------------------------------
@@ -310,28 +335,26 @@ class CircleMeasure:
         of at most _RANGE = 2^16 coefficients and copies each result into the
         cache, so a fill holds about 2 MiB beside it (a row has the same bits
         whichever range computed it).  The ring kernel reads the cache of
-        the pieces alone (_piece_measure): an atom's coefficients, which do
-        not decay, are filled only when a caller asks for hat mu itself.
-        The leaf fill keeps blocks of _FILL: its freed 16 MiB temporaries
-        raise glibc's mmap threshold, so the spectral path's per-ring
-        arrays that follow (the spectrum and its inverse FFT, which a
-        sweep's RingBuffers do not hold) are not mapped afresh on every
-        ring.
+        a non-leaf measure's pieces alone (_piece_measure, ring_folds): an
+        atom's coefficients, which do not decay, are filled only when a
+        caller asks for hat mu itself, and a leaf measure's ring folds read
+        its table and the 1/n table instead (_leaf_folds).
+        Ring-length arrays that no sweep's RingBuffers hold (the spectrum
+        and its inverse FFT) are allocated on every ring; they are not
+        mapped afresh each time only while a freed block of at least 8 MiB
+        keeps glibc's mmap and trim thresholds raised.  On a leaf measure
+        the 1/n table's fill frees such blocks (_FILL reciprocals, 8 MiB):
+        the Kahane depth 12 brown-shields check (one t, a fresh process)
+        takes 7.3-7.9k minor faults with them, 219k with blocks of 4 MiB
+        and 351k (1.5-2.2 s against 0.9-1.0 s) with blocks of 64 KiB.
         A full buffer is reallocated at 3/2 of its capacity (or the request,
         if larger), so the copies cost O(1) per coefficient; a ring sweep
         that asks for its largest count first sizes it once.  A count above
         _BUDGET raises ValueError before anything is allocated.
         """
-        if count > _BUDGET:
-            raise ValueError(f"{count} Fourier coefficients exceed the cache "
-                             f"budget of {_BUDGET} ({16 * _BUDGET >> 30} GiB)")
+        _check_budget(count)
         if count > self._ncoef:
-            if count > self._coef.size:
-                # np.empty: capacity that is never written stays unmapped
-                buf = np.empty(min(max(count, 3 * self._coef.size // 2), _BUDGET),
-                               dtype=complex)
-                buf[:self._ncoef] = self._coef[:self._ncoef]
-                self._coef = buf
+            self._coef = _grown(self._coef, self._ncoef, count)
             if self._leaves:
                 self._fill_leaves(self._ncoef + 1, self._coef[self._ncoef:count])
             else:
@@ -343,17 +366,22 @@ class CircleMeasure:
         view.flags.writeable = False
         return view
 
-    def _fill_leaves(self, start: int, out: np.ndarray) -> None:
-        """out[k] = hat mu(n), n = start + k >= 1, for p uniform leaves of
-        densities d_k: (1 - e^{-2 pi i n/p}) D[n mod p]/(2 pi i n), D the FFT
-        of d.  The table T[k] = D[k] (1 - e^{-2 pi i k/p}), k < p, is built
-        once and copied cyclically from start mod p, so every phase is
-        exact, however large n; the division goes in blocks of _FILL."""
+    def _table(self) -> np.ndarray:
+        """The leaf table T[k] = D[k] (1 - e^{-2 pi i k/p}), k < p, D the FFT
+        of the p leaf densities, built once: n hat mu(n) = T[n mod p]/(2 pi i)
+        for n >= 1."""
         if self._leaf_table is None:
             k = np.arange(self.piece_d.size)
             self._leaf_table = np.fft.fft(self.piece_d) * (
                 1.0 - np.exp(-2j * np.pi * k / k.size))
-        table = self._leaf_table
+        return self._leaf_table
+
+    def _fill_leaves(self, start: int, out: np.ndarray) -> None:
+        """out[k] = hat mu(n), n = start + k >= 1, for p uniform leaves:
+        T[n mod p]/(2 pi i n).  The table (_table) is copied cyclically from
+        start mod p, so every phase is exact, however large n; the division
+        goes in blocks of _FILL."""
+        table = self._table()
         p, k0 = table.size, start % table.size
         head = min(out.size, p - k0)
         out[:head] = table[k0:k0 + head]
@@ -367,6 +395,79 @@ class CircleMeasure:
         for s in range(0, out.size, _FILL):
             block = out[s:s + _FILL]
             block /= 2j * np.pi * np.arange(start + s, start + s + block.size)
+
+    def ring_folds(self, count: int, m: int, w: np.ndarray) -> np.ndarray:
+        """The folds of the ring kernel (models._spectrum): with
+        n = jM + q + 1 <= count and row factors w_j, j = 0..count // M, a
+        (2, min(count + 1, M)) array whose row 0 holds
+        sum_j w_j hat mu(n) and row 1 sum_j w_j n hat mu(n) at bin q, zero
+        from bin min(count, M) on.
+
+        The strategy is the coefficients': a leaf measure folds its table
+        against a real table of 1/n (_leaf_folds) and fills no cache; any
+        other measure folds its cached coefficients, viewed as rows of
+        length M, by one (2, rows) @ (rows, M) product, with the weights
+        w_j and jM w_j, and adds (q + 1) times the first fold to the second.
+        """
+        if self._leaves:
+            return self._leaf_folds(count, m, w)
+        c = self.coefficients(count)
+        rows, rem = divmod(count, m)
+        k = min(count, m)
+        weights = np.stack([w, (np.arange(rows + 1) * m) * w])
+        folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)[:, :k + 1]
+        folds[:, :rem] += weights[:, rows:] * c[rows * m:]
+        folds[1, :k] += np.arange(1, k + 1) * folds[0, :k]
+        return folds
+
+    def _leaf_folds(self, count: int, m: int, w: np.ndarray) -> np.ndarray:
+        """ring_folds of p uniform leaves, from n hat mu(n) = T[n mod p]/(2 pi i)
+        (_table), without the coefficients.
+
+        The rows j whose jM agree modulo p, j = c modulo p/gcd(M, p), form a
+        class that shares one table entry per bin, T_c[q] = T[(cM + q + 1)
+        mod p]: the class gives T_c/(2 pi i) times sum_j w_j in row 1, and
+        times sum_j w_j/n in row 0, one real product of the weights' real
+        and imaginary parts with the rows of the 1/n table (_reciprocals).
+        When p divides M there is one class."""
+        recip = self._reciprocals(count)
+        table = self._table()
+        p = table.size
+        rows, rem = divmod(count, m)
+        k = min(count, m)
+        classes = p // math.gcd(m, p)
+        parts = np.stack([w.real, w.imag])
+        recip_rows = recip[:rows * m].reshape(rows, m)[:, :k]
+        folds = np.zeros((2, min(count + 1, m)), dtype=complex)
+        value, deriv = folds[:, :k]
+        bins = np.arange(1, k + 1)
+        for c in range(min(classes, rows + 1)):
+            re, im = parts[:, c:rows:classes] @ recip_rows[c:rows:classes]
+            fold = np.empty(k, dtype=complex)
+            fold.real, fold.imag = re, im
+            t = table[(bins + c * m) % p] / (2j * np.pi)
+            deriv += t * w[c:rows:classes].sum()
+            if c == rows % classes:                   # the last row, j = rows
+                fold[:rem] += w[rows] * recip[rows * m:]
+                deriv[:rem] += t[:rem] * w[rows]
+            value += t * fold
+        return folds
+
+    def _reciprocals(self, count: int) -> np.ndarray:
+        """1/n, n = 1..count, as a view of the measure's one real table.
+
+        It grows as the coefficient cache does, with the same budget, and
+        fills the missing n in blocks of _FILL, each a freed 8 MiB
+        temporary (see coefficients)."""
+        _check_budget(count)
+        if count > self._nrecip:
+            self._recip = _grown(self._recip, self._nrecip, count)
+            for s in range(self._nrecip, count, _FILL):
+                stop = min(s + _FILL, count)
+                np.divide(1.0, np.arange(s + 1, stop + 1, dtype=float),
+                          out=self._recip[s:stop])
+            self._nrecip = count
+        return self._recip[:count]
 
     def __repr__(self):
         return (f"CircleMeasure(atoms={len(self.atom_x)}, "

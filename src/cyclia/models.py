@@ -10,12 +10,16 @@
     in blocks of at most _ATOM_BLOCK (atom, point) pairs, and an atomic
     measure fills no coefficient cache.
   - The pieces give H = mu(T) + 2 sum_{n>=1} hat mu(n) z^n: their
-    truncated coefficients, read from the cache of the pieces alone (a
-    measure without atoms is its own pieces), viewed as rows of length M,
-    are folded by a rank-one damping (a row factor times a real column
-    factor, and a phase for an offset ring) in one matrix product.  Only
-    the min(N + 1, M) bins that hold coefficients are formed; one
-    zero-padded inverse FFT finishes both.
+    truncated coefficients, viewed as rows of length M, are folded by a
+    rank-one damping (a row factor times a real column factor, and a
+    phase for an offset ring).  The measure of the pieces alone (a
+    measure without atoms is its own pieces) folds the rows
+    (CircleMeasure.ring_folds): 2^N uniform leaves fold their p-periodic
+    table n hat mu(n) = T[n mod p]/(2 pi i) against one real table of
+    1/n, and fill no coefficient cache; other pieces fold their cached
+    coefficients in one matrix product.  Only the min(N + 1, M) bins that
+    hold coefficients are formed; one zero-padded inverse FFT finishes
+    both.
   At r = 0 the series gives H = mu(T) and H' = 2 hat mu(1) exactly.
 * The scalar reference: the Herglotz integral of an atoms-plus-pieces
   measure has an exact antiderivative per arc; the logarithm's branch is
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import CircleMeasure
+from .measures import CircleMeasure, _check_budget
 
 __all__ = [
     "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
@@ -196,30 +200,26 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     kernel calls it on the pieces of a measure only (_piece_measure).
 
     With n = q + 1 + jM the damping r^n e^{2 pi i n offset/M} splits into a
-    column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}, so
-    the coefficients viewed as rows of length M fold by one (2, rows) @
-    (rows, M) product: the value fold weights row j by w_j, the derivative
-    fold by n w_j.  Only the first min(N, M) bins hold coefficients, and
-    only they take the column factor, a real exponential times a phase
-    when the offset is not zero; H' is summed as n c_n z^(n-1), so nothing
-    divides by z, which underflows for tiny r.
+    column factor (q) and a row factor w_j = r^{jM} e^{2 pi i j offset}:
+    the measure folds the rows (CircleMeasure.ring_folds) into the bins
+    sum_j w_j hat mu(n) of the value and sum_j w_j n hat mu(n) of the
+    derivative.  Only the first min(N, M) bins hold coefficients, and only
+    they take the column factor, a real exponential times a phase when the
+    offset is not zero; H' is summed as n c_n z^(n-1), so nothing divides
+    by z, which underflows for tiny r.
     """
     n_max = _truncation_order(r, mu.total_mass)
-    c = mu.coefficients(n_max)
-    rows, rem = divmod(n_max, m)
+    _check_budget(n_max)                  # before the weights are allocated
     log_r = math.log(r)
-    j = np.arange(rows + 1)
-    w = 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset)
-    weights = np.stack([w, (j * m) * w])
+    j = np.arange(n_max // m + 1)
+    folds = mu.ring_folds(
+        n_max, m, 2.0 * np.exp(j * (m * log_r) + _TWO_PI_I * j * offset))
     k = min(n_max, m)
-    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)[:, :k + 1]
-    folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     q = np.arange(k + 1)
     col = np.exp(q * log_r)
     if offset:
         col = col * np.exp(_TWO_PI_I * q * offset / m)
     value, deriv = folds[:, :k]
-    deriv += q[1:] * value
     deriv *= col[:-1]                                 # n z^(n-1): bin q
     value[:] = value * col[1:]    # not *=: numpy rounds a 1-bin *= differently
     folds[0, :k + 1] = np.roll(folds[0, :k + 1], 1)   # z^n: bin (q + 1) mod M

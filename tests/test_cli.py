@@ -94,8 +94,9 @@ class TestMeasureCommand:
 
     def test_kahane_readers_see_one_set_of_coefficients(self, tmp_path,
                                                         monkeypatch):
-        # _fourier.csv, fourier-decay and the ring kernel read the measure's
-        # one cache: the same hat mu(n), bit for bit
+        # _fourier.csv and fourier-decay read the measure's one cache: the
+        # same hat mu(n), bit for bit; the ring kernel folds the leaf table
+        # and reads none of it
         seen, cache = [], measures.CircleMeasure.coefficients
 
         def recording(mu, count):
@@ -111,7 +112,9 @@ class TestMeasureCommand:
         models.herglotz_jet(ctx.mu, 0.999, 64)
         c = max(seen, key=len)
         assert all(np.array_equal(s, c[:len(s)]) for s in seen)
-        assert len(c) == models._truncation_order(0.999, ctx.mu.total_mass)
+        assert len(c) == ctx.mu._ncoef == 4096
+        assert ctx.mu._nrecip == models._truncation_order(0.999,
+                                                          ctx.mu.total_mass)
         with open(tmp_path / "m" / "kahane_fourier.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["re"]) == ctx.mu.total_mass
@@ -245,11 +248,41 @@ class TestCheckCommand:
     def test_cache_budget_is_a_configuration_error(self, tmp_path, capsys):
         # the ring at 1 - 10^-16 needs more coefficients than the cache may
         # hold: refused before anything is allocated, as a bad configuration.
-        # Lebesgue measure folds its cache; an atom fills none
+        # Lebesgue measure is one leaf, folded against the 1/n table; an
+        # atom fills none
         assert run("check", "--spec", LEB_SPEC, "--check", "derivative-sup",
                    "--grid-stop", "16", "--grid-count", "2",
                    "--out", str(tmp_path / "c")) == 2
         assert "exceed the cache budget of 67108864" in capsys.readouterr().err
+
+    def test_leaf_budget_is_a_configuration_error(self, tmp_path, capsys):
+        # a Kahane ring past the budget (1 - r below about 9.66e-7) keeps the
+        # cache's exit code and message, though it folds no cache
+        assert run("check", "--spec", KAHANE_SPEC, "--check", "derivative-sup",
+                   "--grid-stop", "6.1", "--grid-count", "2",
+                   "--out", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert "Fourier coefficients exceed the cache budget of 67108864 (1 GiB)" in err
+        assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--check", "anderson"),
+        ("suite", "--preset", "theorem-main"),
+    ], ids=["check", "suite"])
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, monkeypatch,
+                                       argv):
+        # running out of memory is neither a failed check (1) nor a bad
+        # configuration (2): its own code, one line, no summary.json
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(diagnostics, "anderson_report", exhausted)
+        out = tmp_path / "c"
+        assert run(*argv[:1], "--spec", KAHANE_SPEC, *argv[1:],
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not os.path.exists(out / "summary.json")
 
     def test_poisson_martingale_needs_a_generation(self, tmp_path, capsys):
         # depth 0 leaves no generation: refused before a mean of an empty

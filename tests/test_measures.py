@@ -804,7 +804,8 @@ class TestCoefficientCache:
         assert np.array_equal(got, want)
 
     def test_budget_raises_before_allocating(self):
-        # Lebesgue measure folds its cache on the ring (an atom fills none)
+        # Lebesgue measure is one leaf: its ring folds the 1/n table, under
+        # the cache's budget (an atom fills none)
         from cyclia.models import herglotz_jet
         tracemalloc.start()
         try:

@@ -320,16 +320,14 @@ def _full_width_jet(mu, r, m, offset, complex_exp=False):
     """The ring kernel as it was before it skipped the zero bins: column
     factor, combine and shift over all M bins, and m * ifft.  The column
     factor is r^q times the phase e^{2 pi i q offset/M}, or with
-    ``complex_exp`` one complex exponential of both."""
+    ``complex_exp`` one complex exponential of both.  A leaf measure's
+    folds are its own (_leaf_folds, which TestLeafFolds compares with the
+    cache); any other measure's are the product over its cache."""
     n_max = models._truncation_order(r, mu.total_mass)
-    c = mu.coefficients(n_max)
     rows, rem = divmod(n_max, m)
     log_r = math.log(r)
     j = np.arange(rows + 1)
     w = 2.0 * np.exp(j * (m * log_r) + 2j * np.pi * j * offset)
-    weights = np.stack([w, (j * m) * w])
-    folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
-    folds[:, :rem] += weights[:, rows:] * c[rows * m:]
     q = np.arange(m + 1)
     if complex_exp:
         col = np.exp(q * log_r + 2j * np.pi * q * offset / m)
@@ -337,7 +335,14 @@ def _full_width_jet(mu, r, m, offset, complex_exp=False):
         col = np.exp(q * log_r)
         if offset:
             col = col * np.exp(2j * np.pi * q * offset / m)
-    folds[1] += q[1:] * folds[0]
+    if mu._leaves:
+        folds = _padded(mu.ring_folds(n_max, m, w), m)
+    else:
+        c = mu.coefficients(n_max)
+        weights = np.stack([w, (j * m) * w])
+        folds = weights[:, :rows] @ c[:rows * m].reshape(rows, m)
+        folds[:, :rem] += weights[:, rows:] * c[rows * m:]
+        folds[1] += q[1:] * folds[0]
     folds[0] = np.roll(folds[0] * col[1:], 1)
     folds[1] *= col[:-1]
     h, h1 = m * np.fft.ifft(folds, axis=1)
@@ -649,6 +654,187 @@ class TestRingBuffers:
         got = DilationQuotient(SingularInnerPower(mu), t)._exponent_jet(
             r, m, offset)
         np.testing.assert_array_equal(got, want)
+
+
+def _kahane(depth):
+    return kahane_smooth(LogPower(1.0, 0.5), depth, seed=7)
+
+
+def _row_factors(r, m, offset):
+    """The truncation order of _spectrum and its row factors w_j."""
+    n_max = models._truncation_order(r, 1.0)
+    j = np.arange(n_max // m + 1)
+    return n_max, 2.0 * np.exp(j * (m * math.log(r)) + 2j * np.pi * j * offset)
+
+
+def _cache_folds(mu, count, m, w):
+    """The dense reference of ring_folds: the product of the row factors
+    with the cached hat mu(n) = T[n mod p]/(2 pi i n) viewed as rows of
+    length M (the fold of every non-leaf measure)."""
+    c = mu.coefficients(count)
+    rows, rem = divmod(count, m)
+    k = min(count, m)
+    n = np.arange(1, count + 1)
+    folds = np.zeros((2, min(count + 1, m)), dtype=complex)
+    for row, terms in enumerate([c, n * c]):
+        folds[row, :k] = w[:rows] @ terms[:rows * m].reshape(rows, m)[:, :k]
+        folds[row, :rem] += w[rows] * terms[rows * m:]
+    return folds
+
+
+def _rel_max(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# (measure, r, M): no full row; p | M with full rows; M < p, 1 - r =
+# 2^-12 with 4 classes of rows; M not a power of two; M = 1
+LEAF_RINGS = {
+    "rows=0": (lambda: _kahane(8), 0.3, 1024),
+    "p|M": (lambda: _kahane(8), 0.99, 256),
+    "M<p": (lambda: _kahane(12), 1.0 - 2.0**-12, 1024),
+    "M=1000": (lambda: _kahane(8), 0.99, 1000),
+    "M=1": (lambda: _kahane(8), 0.5, 1),
+}
+
+
+class TestLeafFolds:
+    # a leaf measure folds its table T against one real table of 1/n and
+    # fills no coefficient cache; its folds and jets stay within 1e-13 of
+    # the cache product and of the scalar integrals (relative, max-norm)
+    @pytest.mark.parametrize("case", list(LEAF_RINGS))
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_folds_match_the_cache_product(self, case, offset):
+        make, r, m = LEAF_RINGS[case]
+        mu = make()
+        assert mu._leaves
+        count, w = _row_factors(r, m, offset)
+        got = mu.ring_folds(count, m, w)
+        assert mu._ncoef == 0 and mu._nrecip == count
+        want = _cache_folds(make(), count, m, w)
+        assert got.shape == want.shape == (2, min(count + 1, m))
+        assert _rel_max(got[0], want[0]) <= 1e-13
+        assert _rel_max(got[1], want[1]) <= 1e-13
+        assert not got[:, min(count, m):].any()
+
+    def test_classes_of_rows(self):
+        # 1 - r = 2^-12 at M = 1024 on 4096 leaves: rows j and j + 4 share
+        # their table entries, and every class holds full rows
+        mu = _kahane(12)
+        _, r, m = LEAF_RINGS["M<p"]
+        count, _ = _row_factors(r, m, 0.0)
+        assert mu.piece_a.size // math.gcd(m, mu.piece_a.size) == 4
+        assert count // m >= 4
+
+    @pytest.mark.parametrize("case", ["rows=0", "p|M", "M=1000"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_jet_matches_scalar_integrals(self, case, offset):
+        make, r, m = LEAF_RINGS[case]
+        self._assert_scalar(make(), r, m, offset)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_classes_match_scalar_integrals(self, offset):
+        # M < p with rows in 4 classes (N = 4576 at M = 1024, p = 4096), at
+        # a radius where the float integrals are accurate to 1e-14
+        self._assert_scalar(_kahane(12), 0.99, 1024, offset)
+
+    def test_deep_classes_match_mpmath(self):
+        # at 1 - r = 2^-12 the float integrals lose 1e-12 to the rounding
+        # of z (|H''| ~ 1/(1 - r)^2); 40 digits at the exact ring points
+        make, r, m = LEAF_RINGS["M<p"]
+        mu = make()
+        h, h1 = herglotz_jet(mu, r, m, 0.3)
+        ks = [0, 301, 555, 1000]
+        with mpmath.workdps(40):
+            want, want1 = _mp_herglotz_at(mu, [
+                mpmath.mpf(r) * mpmath.expjpi(2 * (k + mpmath.mpf(0.3)) / m)
+                for k in ks])
+        assert _rel_max(h[ks], want) <= 1e-13
+        assert _rel_max(h1[ks], want1) <= 1e-13
+
+    def _assert_scalar(self, mu, r, m, offset):
+        h, h1 = herglotz_jet(mu, r, m, offset)
+        ks = np.arange(0, m, max(1, m // 40))
+        z = _ring(r, m, offset)[ks]
+        assert _rel_max(h[ks], [herglotz(mu, x) for x in z]) <= 1e-13
+        assert _rel_max(h1[ks], [herglotz_derivative(mu, x) for x in z]) <= 1e-13
+        assert mu._ncoef == 0
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_lebesgue_folds_to_zero(self, offset):
+        # T = 0: H = mu(T) and H' = 0 exactly, on every ring
+        mu = lebesgue(1.7)
+        for r, m in [(0.3, 64), (0.99, 64), (0.99, 1000)]:
+            h, h1 = herglotz_jet(mu, r, m, offset)
+            assert np.all(h == 1.7) and not h1.any()
+        assert mu._ncoef == 0
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
+    def test_atoms_plus_leaf_pieces(self, offset):
+        # the pieces alone are 64 uniform leaves: a leaf measure of their
+        # own, folded without a cache, plus the atoms' direct sum
+        leaves = _kahane(6)
+        mu = CircleMeasure(atoms=[(0.3, 0.5), (0.71, 0.25)], pieces=np.column_stack(
+            [leaves.piece_a, leaves.piece_b, leaves.piece_d]))
+        pieces = mu._piece_measure()
+        assert pieces is not mu and pieces._leaves and not mu._leaves
+        r, m = 0.9, 256
+        h, h1 = herglotz_jet(mu, r, m, offset)
+        hp, hp1 = herglotz_jet(pieces, r, m, offset)
+        ha, ha1 = models._atom_jet(mu, r, m, offset)
+        np.testing.assert_array_equal(h, hp + ha)
+        np.testing.assert_array_equal(h1, hp1 + ha1)
+        count, w = _row_factors(r, m, offset)
+        want = _cache_folds(leaves, count, m, w)
+        got = pieces.ring_folds(count, m, w)
+        assert _rel_max(got[0], want[0]) <= 1e-13
+        assert _rel_max(got[1], want[1]) <= 1e-13
+        self._assert_scalar(mu, r, m, offset)
+        assert pieces._ncoef == 0
+
+    def test_besov_holds_one_real_table(self, monkeypatch):
+        # a Besov pass of the dilation quotient on 1024 leaves: the complex
+        # cache holds at most hat mu(1); the 1/n table is allocated once, at
+        # the outermost ring, which asks for the most terms; the peak stays
+        # below 12 bytes per term of that ring (the cache alone took 16)
+        mu = _kahane(10)
+        grid = QuadratureGrid.build(panels=1, nodes_per_panel=4)
+        n_max = models._truncation_order(float(grid.r[-1]), mu.total_mass)
+        tables, reciprocals = [], measures.CircleMeasure._reciprocals
+
+        def recording(self, count):
+            out = reciprocals(self, count)
+            tables.append((count, self._recip))
+            return out
+
+        monkeypatch.setattr(measures.CircleMeasure, "_reciprocals", recording)
+        f = DilationQuotient(SingularInnerPower(mu, 0.05), 0.5)
+        tracemalloc.start()
+        try:
+            value, _ = besov_seminorm(f, 3.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value)
+        assert mu._ncoef <= 1
+        assert tables[0][0] == n_max > 5_000_000
+        assert all(table is tables[0][1] for _, table in tables)
+        assert tables[0][1].size == n_max
+        assert peak < 12 * n_max, peak / n_max
+
+    def test_budget_raises_before_allocating(self):
+        # a leaf ring past the budget: the same ValueError as the cache's,
+        # before the weights or the 1/n table are allocated
+        mu = _kahane(6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^\d+ Fourier coefficients "
+                               r"exceed the cache budget of 67108864"):
+                herglotz_jet(mu, 1 - 1e-12, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert mu._recip.size == 0 and mu._coef.size == 0
 
 
 class TestLogAbsDring:

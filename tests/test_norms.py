@@ -69,13 +69,19 @@ class TestBesov:
             besov_seminorm(Z, 0.5)
 
     def test_outermost_ring_sizes_the_cache(self):
-        # the grid's last ring is evaluated first, so the cache is
-        # allocated once, at its truncation order, and never grown
-        mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+        # the grid's last ring is evaluated first, so the table the rings
+        # read is allocated once, at its truncation order, and never grown:
+        # the coefficient cache of pieces that are not uniform leaves, the
+        # 1/n table of leaves (whose cache stays empty)
         grid = QuadratureGrid.build(u_max=10.0, panels=4)
-        besov_seminorm(SingularInnerPower(mu, 1.0), 2.0, grid)
         r_last = float(grid.r[-1])
-        assert mu._coef.size == _truncation_order(r_last, mu.total_mass)
+        arc = CircleMeasure(pieces=[(0.1, 0.6, 2.0)])
+        leaves = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
+        for mu, table in [(arc, "_coef"), (leaves, "_recip")]:
+            besov_seminorm(SingularInnerPower(mu, 1.0), 2.0, grid)
+            assert getattr(mu, table).size == _truncation_order(
+                r_last, mu.total_mass)
+        assert leaves._coef.size == 0
 
     @pytest.mark.parametrize("measure", [
         lambda: kahane_smooth(LogPower(1.0, 0.5), 8, seed=7),
