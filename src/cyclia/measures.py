@@ -652,8 +652,6 @@ def salem_measure(spec: SalemSpec) -> tuple[CircleMeasure, IntervalSet]:
 
 # -- moduli ----------------------------------------------------------------
 
-_NUDGE = 1e-12
-
 
 def _t_grid(t) -> np.ndarray:
     """t as a 1-D grid in (0, 1]."""
@@ -664,14 +662,6 @@ def _t_grid(t) -> np.ndarray:
     if bad.any():
         raise ValueError(f"t must be in (0, 1], got {float(grid[bad][0])}")
     return grid
-
-
-def _off_atoms(mu: CircleMeasure, xs: np.ndarray) -> np.ndarray:
-    """xs, and, where mu has atoms (at whose translates window masses
-    jump), xs nudged by +/- 1e-12, modulo 1."""
-    if mu.atom_x.size:
-        xs = np.concatenate([xs, (xs + _NUDGE) % 1.0, (xs - _NUDGE) % 1.0])
-    return xs
 
 
 def modulus_continuity(mu: CircleMeasure, t) -> np.ndarray:
@@ -702,12 +692,17 @@ def _smoothness_h_candidates(b: np.ndarray, ts: np.ndarray) -> list:
 def _difference_sup(mu: CircleMeasure, b: np.ndarray, h: float, weights) -> float:
     """sup_x |sum_k w_k F(x + (1 - k) h)|, F = mu.cdf, b the breakpoints:
     weights (1, -1) give window masses, (1, -2, 1) second differences.  The
-    sum is piecewise linear in x between the translates b - (1 - k) h, so
-    the scan over those (nudged off atoms) is exact."""
-    xs = _off_atoms(mu, np.concatenate(
-        [(b - (1 - k) * h) % 1.0 for k in range(len(weights))]))
-    total = sum(w * mu.cdf(xs + (1 - k) * h) for k, w in enumerate(weights))
-    return float(np.abs(total).max())
+    sum is piecewise linear in x between the translates x = b - (1 - k') h
+    (also nudged by +/- 1e-12 where mu has atoms, at whose translates it
+    jumps), so the scan over those is exact.  There the sum is
+    sum_k w_k F(b + (k' - k) h): F is read once per breakpoint and shift."""
+    d, sup = len(weights), 0.0
+    for e in (0.0, 1e-12, -1e-12) if mu.atom_x.size else (0.0,):
+        f = [mu.cdf(b + (e + j * h)) for j in range(1 - d, d)]
+        for kp in range(d):
+            total = sum(w * f[kp - k + d - 1] for k, w in enumerate(weights))
+            sup = max(sup, float(np.abs(total).max()))
+    return sup
 
 
 def modulus_smoothness(mu: CircleMeasure, t) -> np.ndarray:
@@ -720,12 +715,15 @@ def modulus_smoothness(mu: CircleMeasure, t) -> np.ndarray:
     the stored measure class (_smoothness_h_candidates).  The candidate sets
     of a grid overlap almost completely, so g is evaluated once per distinct
     h of their union, and each t takes the max over its own candidates.
+    g(1) = 0, as F(x + 1) = F(x) + mu(T): scanned, it reads an atom's mass
+    where a breakpoint lies within rounding of the atom's translate.
     """
     grid = _t_grid(t)
     b = mu.breakpoints
     cands = _smoothness_h_candidates(b, grid)
     hs = np.unique(np.concatenate(cands)) if cands else np.empty(0)
-    g = np.array([_difference_sup(mu, b, h, (1.0, -2.0, 1.0)) for h in hs])
+    g = np.array([0.0 if h == 1.0 else _difference_sup(mu, b, h, (1.0, -2.0, 1.0))
+                  for h in hs])
     return np.array([g[np.searchsorted(hs, c)].max() for c in cands])
 
 

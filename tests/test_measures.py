@@ -592,6 +592,81 @@ class TestSmoothnessGrid:
         assert len(seen) < per_t
 
 
+def _translate_scan(mu, b, h, weights):
+    """The difference scan over the d translate sets b - (1 - k) h (modulo
+    1, and nudged by +/- 1e-12 where mu has atoms), reading F once per
+    weight and point: d^2 |b| reads, or 3 d^2 |b| with atoms, against the
+    (2d - 1) |b| reads per nudge of _difference_sup."""
+    xs = np.concatenate([(b - (1 - k) * h) % 1.0 for k in range(len(weights))])
+    if mu.atom_x.size:
+        xs = np.concatenate([xs, (xs + 1e-12) % 1.0, (xs - 1e-12) % 1.0])
+    total = sum(w * mu.cdf(xs + (1 - k) * h) for k, w in enumerate(weights))
+    return float(np.abs(total).max())
+
+
+_WEIGHTS = [(1.0, -1.0), (1.0, -2.0, 1.0)]
+# random and dyadic half-widths below 1: the moduli scan no h = 1, as
+# delta(1) = mu(T) and g(1) = 0
+_HALF_WIDTHS = st.one_of(st.floats(1e-6, 1.0, exclude_max=True),
+                         st.integers(1, 24).map(lambda k: 2.0**-k))
+_T_GRID = [2.0**-k for k in range(2, 13)]
+
+
+class TestDifferenceScan:
+    @given(_measures(atoms=False), _HALF_WIDTHS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_translate_scan_without_atoms(self, mu, h):
+        b = mu.breakpoints
+        for weights in _WEIGHTS:
+            got = measures._difference_sup(mu, b, h, weights)
+            want = _translate_scan(mu, b, h, weights)
+            assert abs(got - want) <= 1e-15 * max(1.0, mu.total_mass)
+
+    @given(_measures().filter(lambda mu: mu.atom_x.size), _HALF_WIDTHS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_translate_scan_beside_atoms(self, mu, h):
+        # one scan can read a vertex exactly where the other, its points
+        # rounded onto an atom's translate, reads it 1e-12 away: at most
+        # 1e-12 times the sum's slope, sum |w_k| times the largest density
+        # (half of it, and 2.9e-12 * max(1, mu(T)), over 8000 drawn pairs)
+        b = mu.breakpoints
+        for weights in _WEIGHTS:
+            got = measures._difference_sup(mu, b, h, weights)
+            want = _translate_scan(mu, b, h, weights)
+            slope = sum(map(abs, weights)) * mu.piece_d.max(initial=0.0)
+            assert abs(got - want) <= (1e-12 * slope
+                                       + 1e-15 * max(1.0, mu.total_mass))
+
+    @pytest.mark.parametrize("seed", [7, 1001])
+    def test_salem_moduli_keep_their_bits(self, seed, monkeypatch):
+        d, xi = choose_salem_parameters(0.8, 0.05)
+        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
+                                        generations=11, seed=seed))
+        got = [modulus_continuity(mu, _T_GRID), modulus_smoothness(mu, _T_GRID)]
+        monkeypatch.setattr(measures, "_difference_sup", _translate_scan)
+        want = [modulus_continuity(mu, _T_GRID), modulus_smoothness(mu, _T_GRID)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_smoothness_peak_per_breakpoint(self):
+        # F read at the 5 shifts of the breakpoints and one combination at a
+        # time: 88 B per breakpoint; the translate sets held 3 |b| points,
+        # their 3 reads and the sum, about 200 B
+        mu = kahane_smooth(LogPower(1.0, 0.5), 14, seed=7)
+        tracemalloc.start()
+        try:
+            modulus_smoothness(mu, _T_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * mu.breakpoints.size
+
+    def test_omega_at_one_is_not_scanned(self):
+        # the piece's end 1e-20 rounds onto the atom's translate at b - 1,
+        # and a scan at h = 1 read 2.0
+        mu = CircleMeasure(atoms=[(0.0, 1.0)], pieces=[(0.0, 1e-20, 1.0)])
+        assert modulus_smoothness(mu, [0.5, 1.0]).tolist() == [1.0, 1.0]
+
+
 def _direct_fourier(mu, ns):
     """The direct closed-form sum over atoms and piece endpoints."""
     n = np.asarray(ns, dtype=float)[:, None]
