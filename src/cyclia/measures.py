@@ -32,8 +32,8 @@ The ring kernel of ``models`` folds the coefficients of the pieces only:
 a measure with atoms keeps its pieces as a second measure, built once
 (``_piece_measure``), whose folds that kernel reads (``ring_folds``).  The
 folds follow the same strategy: 2^N uniform leaves fold their table, for
-n hat mu(n) is p-periodic, against one real table of 1/n and fill no
-cache; any other measure folds its cache.
+n hat mu(n) is p-periodic, against the reciprocals 1/n, which they form
+ring by ring, and fill no cache; any other measure folds its cache.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ __all__ = [
 _BLOCK = 64               # n = qB + j: columns per row of the Fourier kernel
 _TERM_CHUNK = 1 << 14     # atoms or pieces per product of the Fourier kernel
 _WORKSPACE = 1 << 20      # elements per row chunk of the Fourier kernel
-_FILL = 1 << 20           # entries per block of a leaf fill (16 MiB) or of
-                          # a 1/n table fill (8 MiB)
+_FILL = 1 << 20           # entries per block of a leaf fill (16 MiB)
+_FOLD_ROWS = 16           # rows of 1/n per block of a leaf fold (8 MiB at 2^16)
 _RANGE = 1 << 16          # coefficients per fourier_many call of a fill (1 MiB)
 _BUDGET = 1 << 26         # coefficients the cache may hold (1 GiB)
 
@@ -79,6 +79,18 @@ def _grown(buf: np.ndarray, filled: int, count: int) -> np.ndarray:
     out = np.empty(min(max(count, 3 * buf.size // 2), _BUDGET), dtype=buf.dtype)
     out[:filled] = buf[:filled]
     return out
+
+
+def _cyclic(table: np.ndarray, start: int, count: int) -> np.ndarray:
+    """table[(start + q) mod p], q < count, p = table.size, from slices: a
+    view while it does not wrap, else one copy (count > p repeats the
+    rotated table)."""
+    p = table.size
+    s = start % p
+    if s + count <= p:
+        return table[s:s + count]
+    turn = np.concatenate([table[s:], table[:min(s + count - p, s)]])
+    return turn if count <= p else np.resize(turn, count)
 
 
 def _split(x):
@@ -207,8 +219,6 @@ class CircleMeasure:
         self._leaf_table = None
         self._coef = np.empty(0, dtype=complex)
         self._ncoef = 0
-        self._recip = np.empty(0)
-        self._nrecip = 0
         self._pieces = None
 
     # -- mass queries ------------------------------------------------------
@@ -219,9 +229,11 @@ class CircleMeasure:
         x = np.asarray(x, dtype=float)
         k = np.floor(x)
         f = x - k
-        return (np.interp(f, self._knots, self._knot_cdf)
-                + self._atom_cum[np.searchsorted(self.atom_x, f, side="left")]
-                + k * self._period)
+        mass = np.interp(f, self._knots, self._knot_cdf)
+        if self.atom_x.size:
+            mass = mass + self._atom_cum[np.searchsorted(self.atom_x, f,
+                                                         side="left")]
+        return mass + k * self._period
 
     def interval_mass_many(self, a, b):
         """mu([a, b)) for arrays of endpoints; intervals wrap modulo 1."""
@@ -338,15 +350,18 @@ class CircleMeasure:
         a non-leaf measure's pieces alone (_piece_measure, ring_folds): an
         atom's coefficients, which do not decay, are filled only when a
         caller asks for hat mu itself, and a leaf measure's ring folds read
-        its table and the 1/n table instead (_leaf_folds).
+        its table and form the reciprocals 1/n instead (_leaf_folds).
         Ring-length arrays that no sweep's RingBuffers hold (the spectrum
         and its inverse FFT) are allocated on every ring; they are not
         mapped afresh each time only while a freed block of at least 8 MiB
         keeps glibc's mmap and trim thresholds raised.  On a leaf measure
-        the 1/n table's fill frees such blocks (_FILL reciprocals, 8 MiB):
-        the Kahane depth 12 brown-shields check (one t, a fresh process)
-        takes 7.3-7.9k minor faults with them, 219k with blocks of 4 MiB
-        and 351k (1.5-2.2 s against 0.9-1.0 s) with blocks of 64 KiB.
+        the fold's block of 1/n frees one on every ring (_FOLD_ROWS rows of
+        M, 8 MiB at M = 2^16), allocated for the ring and freed after it:
+        four Besov passes of the Kahane depth 12 brown-shields row in one
+        process take 8-9k minor faults in the first and at most 1k in each
+        of the others, against 100-190k in every pass (0.5-0.7 s against
+        0.35-0.5 s) with blocks of 4 MiB.  A block held across rings (in
+        RingBuffers) frees nothing, and the pass refaults the same way.
         A full buffer is reallocated at 3/2 of its capacity (or the request,
         if larger), so the copies cost O(1) per coefficient; a ring sweep
         that asks for its largest count first sizes it once.  A count above
@@ -404,7 +419,7 @@ class CircleMeasure:
         from bin min(count, M) on.
 
         The strategy is the coefficients': a leaf measure folds its table
-        against a real table of 1/n (_leaf_folds) and fills no cache; any
+        against the reciprocals 1/n (_leaf_folds) and fills no cache; any
         other measure folds its cached coefficients, viewed as rows of
         length M, by one (2, rows) @ (rows, M) product, with the weights
         w_j and jM w_j, and adds (q + 1) times the first fold to the second.
@@ -426,48 +441,44 @@ class CircleMeasure:
 
         The rows j whose jM agree modulo p, j = c modulo p/gcd(M, p), form a
         class that shares one table entry per bin, T_c[q] = T[(cM + q + 1)
-        mod p]: the class gives T_c/(2 pi i) times sum_j w_j in row 1, and
-        times sum_j w_j/n in row 0, one real product of the weights' real
-        and imaginary parts with the rows of the 1/n table (_reciprocals).
-        When p divides M there is one class."""
-        recip = self._reciprocals(count)
+        mod p] (_cyclic, a slice of the table): the class gives
+        T_c/(2 pi i) times sum_j w_j in row 1, and times sum_j w_j/n in
+        row 0.  The reciprocals 1/n = 1/(jM + q + 1) are formed _FOLD_ROWS
+        rows at a time in one scratch block that is freed with the ring
+        (see coefficients); n is an exact float, so each 1/n is correctly
+        rounded.  np.einsum contracts them with the real parts of the
+        weights, and with their imaginary parts only when the offset is not
+        0: it makes no BLAS call, so the fold runs on its own thread (see
+        norms.besov_seminorm).  When p divides M there is one class, and T_c
+        broadcasts over the bins viewed as M/p rows of p."""
         table = self._table()
         p = table.size
         rows, rem = divmod(count, m)
         k = min(count, m)
         classes = p // math.gcd(m, p)
-        parts = np.stack([w.real, w.imag])
-        recip_rows = recip[:rows * m].reshape(rows, m)[:, :k]
+        parts = np.stack([w.real, w.imag]) if w.imag.any() else w.real[None]
         folds = np.zeros((2, min(count + 1, m)), dtype=complex)
-        value, deriv = folds[:, :k]
-        bins = np.arange(1, k + 1)
+        period = p if k % p == 0 else k
+        value, deriv = (row.reshape(-1, period) for row in folds[:, :k])
+        bins = np.arange(1.0, k + 1.0)
+        scratch = np.empty((min(_FOLD_ROWS, rows + 1), k))
         for c in range(min(classes, rows + 1)):
-            re, im = parts[:, c:rows:classes] @ recip_rows[c:rows:classes]
-            fold = np.empty(k, dtype=complex)
-            fold.real, fold.imag = re, im
-            t = table[(bins + c * m) % p] / (2j * np.pi)
+            acc = np.zeros((len(parts), k))
+            for s in range(c, rows, classes * _FOLD_ROWS):
+                js = np.arange(s, min(rows, s + classes * _FOLD_ROWS), classes)
+                block = np.add.outer(js * float(m), bins, out=scratch[:js.size])
+                np.divide(1.0, block, out=block)
+                acc += np.einsum("ij,jk->ik", parts[:, js], block)
+            t = _cyclic(table, c * m + 1, period) / (2j * np.pi)
             deriv += t * w[c:rows:classes].sum()
             if c == rows % classes:                   # the last row, j = rows
-                fold[:rem] += w[rows] * recip[rows * m:]
-                deriv[:rem] += t[:rem] * w[rows]
-            value += t * fold
+                last = np.add(bins[:rem], rows * m, out=scratch[0, :rem])
+                np.divide(1.0, last, out=last)
+                acc[:, :rem] += parts[:, rows, None] * last
+                folds[1, :rem] += np.resize(t, rem) * w[rows]
+            fold = acc[0] if len(parts) == 1 else acc[0] + 1j * acc[1]
+            value += t * fold.reshape(-1, period)
         return folds
-
-    def _reciprocals(self, count: int) -> np.ndarray:
-        """1/n, n = 1..count, as a view of the measure's one real table.
-
-        It grows as the coefficient cache does, with the same budget, and
-        fills the missing n in blocks of _FILL, each a freed 8 MiB
-        temporary (see coefficients)."""
-        _check_budget(count)
-        if count > self._nrecip:
-            self._recip = _grown(self._recip, self._nrecip, count)
-            for s in range(self._nrecip, count, _FILL):
-                stop = min(s + _FILL, count)
-                np.divide(1.0, np.arange(s + 1, stop + 1, dtype=float),
-                          out=self._recip[s:stop])
-            self._nrecip = count
-        return self._recip[:count]
 
     def __repr__(self):
         return (f"CircleMeasure(atoms={len(self.atom_x)}, "

@@ -15,11 +15,11 @@
     phase for an offset ring).  The measure of the pieces alone (a
     measure without atoms is its own pieces) folds the rows
     (CircleMeasure.ring_folds): 2^N uniform leaves fold their p-periodic
-    table n hat mu(n) = T[n mod p]/(2 pi i) against one real table of
-    1/n, and fill no coefficient cache; other pieces fold their cached
-    coefficients in one matrix product.  Only the min(N + 1, M) bins that
-    hold coefficients are formed; one zero-padded inverse FFT finishes
-    both.
+    table n hat mu(n) = T[n mod p]/(2 pi i) against the reciprocals 1/n,
+    formed ring by ring and contracted without BLAS, and fill no
+    coefficient cache; other pieces fold their cached coefficients in one
+    matrix product.  Only the min(N + 1, M) bins that hold coefficients
+    are formed; one zero-padded inverse FFT finishes both.
   At r = 0 the series gives H = mu(T) and H' = 2 hat mu(1) exactly.
 * The scalar reference: the Herglotz integral of an atoms-plus-pieces
   measure has an exact antiderivative per arc; the logarithm's branch is
@@ -221,8 +221,10 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
         col = col * np.exp(_TWO_PI_I * q * offset / m)
     value, deriv = folds[:, :k]
     deriv *= col[:-1]                                 # n z^(n-1): bin q
-    value[:] = value * col[1:]    # not *=: numpy rounds a 1-bin *= differently
-    folds[0, :k + 1] = np.roll(folds[0, :k + 1], 1)   # z^n: bin (q + 1) mod M
+    value = value * col[1:]       # not *=: numpy rounds a 1-bin *= differently
+    width = folds.shape[1]                            # z^n: bin (q + 1) mod M
+    folds[0, 1:] = value[:width - 1]
+    folds[0, 0] = value[-1] if width == k else 0.0
     return folds
 
 

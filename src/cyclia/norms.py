@@ -13,6 +13,7 @@ together with a heuristic bound for the omitted boundary annulus.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,26 +206,69 @@ def besov_seminorm(f: FunctionModel, p: float,
     embedded Gauss sum G.  The value is K^(1/p); the estimate is
     |K^(1/p) - G^(1/p)| plus a heuristic bound on the omitted annulus (the
     outermost ring's integrand times the remaining radial weight).  The
-    rings are evaluated from the outside in, so the first one asks for the
-    most coefficients and the rest read the cache it sized; the sums run
-    from the inside out.  |f'|^p is read as exp(p log |f'|) from the
-    model's log_abs_dring, in place in the RingBuffers the pass owns.  The
-    first ring whose mean of |f'|^p is not finite ends the pass, and both
-    numbers read inf.
+    outermost ring is evaluated first and alone: it asks for the most
+    coefficients, and builds every cache the others read (the coefficient
+    cache, a leaf measure's table, the pieces of a measure with atoms).
+    Two workers, the calling thread and one more, then take the other
+    rings from the outside in, alternately, each in RingBuffers of its own
+    and under the caller's numpy error state (a thread does not inherit
+    np.errstate).  The ring kernel makes no BLAS call on a leaf measure
+    (CircleMeasure._leaf_folds), so the two run side by side.  The sums
+    run from the inside out, in a fixed order, so the result has the bits
+    of a sequential pass.  |f'|^p is read as exp(p log |f'|) from the
+    model's log_abs_dring, in place in the worker's RingBuffers.  The
+    outermost ring whose mean of |f'|^p is not finite, or which raises,
+    ends the pass as it would a sequential one: both numbers read inf, or
+    the exception propagates once both workers have stopped.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     if grid is None:
         grid = default_grid()
-    means = [0.0] * len(grid)
-    buffers = RingBuffers()
-    for i in reversed(range(len(grid))):
-        dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]),
-                               buffers=buffers)
-        means[i] = float(np.mean(np.exp(np.multiply(dens, p, out=dens),
-                                        out=dens)))
-        if not math.isfinite(means[i]):
-            return math.inf, math.inf
+    n = len(grid)
+    means = [0.0] * n
+    ended = {}          # ring index -> the exception it raised, or None
+    lock = threading.Lock()
+    state = dict(np.geterr(), call=np.geterrcall())
+
+    def sweep(rings):
+        buffers = RingBuffers()
+        with np.errstate(**state):
+            for i in rings:
+                with lock:
+                    if ended and i < max(ended):  # a ring outside ended it
+                        return
+                try:
+                    dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]),
+                                           buffers=buffers)
+                    means[i] = float(np.mean(np.exp(
+                        np.multiply(dens, p, out=dens), out=dens)))
+                    if math.isfinite(means[i]):
+                        continue
+                    exc = None
+                except Exception as err:
+                    exc = err
+                with lock:
+                    ended[i] = exc
+                return
+
+    sweep([n - 1])
+    if not ended:
+        worker = threading.Thread(target=sweep, args=(range(n - 3, -1, -2),))
+        worker.start()
+        try:
+            sweep(range(n - 2, -1, -2))
+        except BaseException:
+            with lock:
+                ended[n] = None               # the worker stops at its next ring
+            raise
+        finally:
+            worker.join()
+    if ended:
+        exc = ended[max(ended)]
+        if exc is not None:
+            raise exc
+        return math.inf, math.inf
     kronrod = gauss = 0.0
     for r, wk, wg, mean in zip(grid.r, grid.w, grid.wg, means):
         term = (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from importlib import resources
 
@@ -109,12 +110,18 @@ class TestMeasureCommand:
         ctx = build_measure(spec, cfg)
         assert cli.cmd_measure(cfg, ctx) == 0
         decay = diagnostics.fourier_decay_fit(ctx.mu, 4096)
-        models.herglotz_jet(ctx.mu, 0.999, 64)
+        tracemalloc.start()
+        try:
+            models.herglotz_jet(ctx.mu, 0.999, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         c = max(seen, key=len)
         assert all(np.array_equal(s, c[:len(s)]) for s in seen)
         assert len(c) == ctx.mu._ncoef == 4096
-        assert ctx.mu._nrecip == models._truncation_order(0.999,
-                                                          ctx.mu.total_mass)
+        # nor does it hold a table of 1/n (8 bytes per term): the ring
+        # peaks below a quarter of that
+        assert peak < 2 * models._truncation_order(0.999, ctx.mu.total_mass)
         with open(tmp_path / "m" / "kahane_fourier.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["re"]) == ctx.mu.total_mass
@@ -248,8 +255,8 @@ class TestCheckCommand:
     def test_cache_budget_is_a_configuration_error(self, tmp_path, capsys):
         # the ring at 1 - 10^-16 needs more coefficients than the cache may
         # hold: refused before anything is allocated, as a bad configuration.
-        # Lebesgue measure is one leaf, folded against the 1/n table; an
-        # atom fills none
+        # Lebesgue measure is one leaf, folded against reciprocals formed
+        # per ring under the same budget; an atom fills none
         assert run("check", "--spec", LEB_SPEC, "--check", "derivative-sup",
                    "--grid-stop", "16", "--grid-count", "2",
                    "--out", str(tmp_path / "c")) == 2

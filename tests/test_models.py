@@ -698,18 +698,31 @@ LEAF_RINGS = {
 
 
 class TestLeafFolds:
-    # a leaf measure folds its table T against one real table of 1/n and
-    # fills no coefficient cache; its folds and jets stay within 1e-13 of
-    # the cache product and of the scalar integrals (relative, max-norm)
+    # a leaf measure folds its table T against the reciprocals 1/n, formed
+    # ring by ring, and fills no coefficient cache; its folds and jets stay
+    # within 1e-13 of the cache product and of the scalar integrals
+    # (relative, max-norm)
     @pytest.mark.parametrize("case", list(LEAF_RINGS))
     @pytest.mark.parametrize("offset", [0.0, 0.5, 0.3])
     def test_folds_match_the_cache_product(self, case, offset):
+        # a warm fold peaks at a fixed number of bytes per bin, whatever
+        # the count: its block of _FOLD_ROWS rows of 1/n and a few rows of
+        # bins, plus einsum's buffers
         make, r, m = LEAF_RINGS[case]
         mu = make()
         assert mu._leaves
         count, w = _row_factors(r, m, offset)
         got = mu.ring_folds(count, m, w)
-        assert mu._ncoef == 0 and mu._nrecip == count
+        tracemalloc.start()
+        try:
+            again = mu.ring_folds(count, m, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = min(count, m)
+        assert peak < (16 * measures._FOLD_ROWS + 256) * k + (1 << 17), peak
+        assert np.array_equal(again, got)
+        assert mu._ncoef == 0
         want = _cache_folds(make(), count, m, w)
         assert got.shape == want.shape == (2, min(count + 1, m))
         assert _rel_max(got[0], want[0]) <= 1e-13
@@ -791,22 +804,17 @@ class TestLeafFolds:
         self._assert_scalar(mu, r, m, offset)
         assert pieces._ncoef == 0
 
-    def test_besov_holds_one_real_table(self, monkeypatch):
+    @pytest.mark.parametrize("u_max", [16.6, 19.0])
+    def test_besov_peak_is_bounded_by_the_ring(self, u_max):
         # a Besov pass of the dilation quotient on 1024 leaves: the complex
-        # cache holds at most hat mu(1); the 1/n table is allocated once, at
-        # the outermost ring, which asks for the most terms; the peak stays
-        # below 12 bytes per term of that ring (the cache alone took 16)
+        # cache holds at most hat mu(1), and the peak is below 600 bytes
+        # per point of the largest ring, whatever the terms of the outermost
+        # ring (5.2M and 28.4M), and below the 8 bytes per term a table of
+        # 1/n would take: two workers, each with two spectra, an inverse FFT
+        # and its block of _FOLD_ROWS rows of 1/n
         mu = _kahane(10)
-        grid = QuadratureGrid.build(panels=1, nodes_per_panel=4)
+        grid = QuadratureGrid.build(u_max=u_max, panels=1, nodes_per_panel=4)
         n_max = models._truncation_order(float(grid.r[-1]), mu.total_mass)
-        tables, reciprocals = [], measures.CircleMeasure._reciprocals
-
-        def recording(self, count):
-            out = reciprocals(self, count)
-            tables.append((count, self._recip))
-            return out
-
-        monkeypatch.setattr(measures.CircleMeasure, "_reciprocals", recording)
         f = DilationQuotient(SingularInnerPower(mu, 0.05), 0.5)
         tracemalloc.start()
         try:
@@ -816,14 +824,12 @@ class TestLeafFolds:
             tracemalloc.stop()
         assert math.isfinite(value)
         assert mu._ncoef <= 1
-        assert tables[0][0] == n_max > 5_000_000
-        assert all(table is tables[0][1] for _, table in tables)
-        assert tables[0][1].size == n_max
-        assert peak < 12 * n_max, peak / n_max
+        assert n_max > 5_000_000 and grid.m.max() == 1 << 16
+        assert peak < 600 * grid.m.max() < 8 * n_max, peak / grid.m.max()
 
     def test_budget_raises_before_allocating(self):
         # a leaf ring past the budget: the same ValueError as the cache's,
-        # before the weights or the 1/n table are allocated
+        # before the weights or the leaf table are allocated
         mu = _kahane(6)
         tracemalloc.start()
         try:
@@ -834,7 +840,7 @@ class TestLeafFolds:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert mu._recip.size == 0 and mu._coef.size == 0
+        assert mu._leaf_table is None and mu._coef.size == 0
 
 
 class TestLogAbsDring:

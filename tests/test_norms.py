@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +16,24 @@ from cyclia.norms import (QuadratureGrid, _kronrod, besov_seminorm,
 
 Z = Polynomial([0.0, 1.0])
 ATOM_S = SingularInnerPower(atomic([(0.0, 1.0)]), 1.0)
+
+
+def _ring_by_ring(f, p, grid, rings):
+    """besov_seminorm's value and estimate from its rings evaluated one at
+    a time in the order ``rings``, on one thread, each without buffers."""
+    means = [0.0] * len(grid)
+    for i in rings:
+        dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]))
+        means[i] = float(np.mean(np.exp(p * dens)))
+    kronrod = gauss = 0.0
+    for r, wk, wg, mean in zip(grid.r, grid.w, grid.wg, means):
+        term = (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
+        kronrod += wk * term
+        gauss += wg * term
+    r = float(grid.r[-1])
+    tail = means[-1] * (1.0 - r) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r)
+    value = kronrod ** (1.0 / p)
+    return value, abs(value - gauss ** (1.0 / p)) + tail ** (1.0 / p)
 
 
 class TestSequenceNorms:
@@ -69,19 +91,26 @@ class TestBesov:
             besov_seminorm(Z, 0.5)
 
     def test_outermost_ring_sizes_the_cache(self):
-        # the grid's last ring is evaluated first, so the table the rings
-        # read is allocated once, at its truncation order, and never grown:
-        # the coefficient cache of pieces that are not uniform leaves, the
-        # 1/n table of leaves (whose cache stays empty)
+        # the grid's last ring is evaluated first, so the coefficient cache
+        # of pieces that are not uniform leaves is allocated once, at its
+        # truncation order, and never grown.  Leaves fill no cache and hold
+        # nothing of that order: their pass peaks below 320 bytes per point
+        # of the largest ring
         grid = QuadratureGrid.build(u_max=10.0, panels=4)
         r_last = float(grid.r[-1])
         arc = CircleMeasure(pieces=[(0.1, 0.6, 2.0)])
+        besov_seminorm(SingularInnerPower(arc, 1.0), 2.0, grid)
+        assert arc._coef.size == _truncation_order(r_last, arc.total_mass)
         leaves = kahane_smooth(LogPower(1.0, 0.5), 8, seed=7)
-        for mu, table in [(arc, "_coef"), (leaves, "_recip")]:
-            besov_seminorm(SingularInnerPower(mu, 1.0), 2.0, grid)
-            assert getattr(mu, table).size == _truncation_order(
-                r_last, mu.total_mass)
+        tracemalloc.start()
+        try:
+            besov_seminorm(SingularInnerPower(leaves, 1.0), 2.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert leaves._coef.size == 0
+        assert leaves._leaf_table.size == leaves.piece_a.size
+        assert peak < 320 * grid.m.max(), peak / grid.m.max()
 
     @pytest.mark.parametrize("measure", [
         lambda: kahane_smooth(LogPower(1.0, 0.5), 8, seed=7),
@@ -95,30 +124,30 @@ class TestBesov:
         # Gauss rule: the same bits.  |f'|^p is read as exp(p log |f'|),
         # as besov_seminorm reads it (|dring|^p differs in the last bits)
         p, grid = 2.0, QuadratureGrid.build(u_max=10.0, panels=4)
-        f = SingularInnerPower(measure(), 1.0)
-        kronrod = gauss = 0.0
-        for r, wk, wg, m in zip(grid.r, grid.w, grid.wg, grid.m):
-            mean = float(np.mean(np.exp(p * f.log_abs_dring(float(r), int(m)))))
-            term = (1.0 - r) ** (p - 1.0) * r * 2.0 * math.pi * mean
-            kronrod += wk * term
-            gauss += wg * term
-        r = float(grid.r[-1])
-        tail = mean * (1.0 - r) ** (p - 1.0) * 2.0 * math.pi * (1.0 - r)
-        value = kronrod ** (1.0 / p)
-        want = (value, abs(value - gauss ** (1.0 / p)) + tail ** (1.0 / p))
+        want = _ring_by_ring(SingularInnerPower(measure(), 1.0), p, grid,
+                             range(len(grid)))
         assert besov_seminorm(SingularInnerPower(measure(), 1.0), p, grid) == want
 
     def test_default_grid_evaluates_204_rings(self):
-        radii = []
+        # the outermost ring first and alone, on the calling thread; then
+        # the calling thread and one more worker, each from the outside in
+        calls = []
 
         class Counting(FunctionModel):
             def jet(self, r, m, offset=0.0):
-                radii.append(r)
+                calls.append((threading.get_ident(), r))
                 return Z.jet(r, m, offset)
 
         besov_seminorm(Counting(), 2.0)
+        radii = [r for _, r in calls]
         assert len(radii) == 204 == 12 * (2 * 8 + 1)
-        assert radii == sorted(radii, reverse=True)   # the outermost first
+        assert sorted(radii) == QuadratureGrid.build().r.tolist()
+        assert calls[0] == (threading.get_ident(), max(radii))
+        workers = {thread for thread, _ in calls}
+        assert len(workers) == 2
+        for worker in workers:
+            mine = [r for thread, r in calls if thread == worker]
+            assert mine == sorted(mine, reverse=True)
 
     def test_kahane_row_keeps_the_two_pass_value(self):
         # the brown-shields row of the main benchmark (Kahane depth 12,
@@ -170,6 +199,126 @@ QK15_WG = [0.129484966168869693270611432679082,
            0.381830050505118944950369775488975,
            0.417959183673469387755102040816327]
 
+
+
+SWEEP_MEASURES = {
+    "kahane-leaves": lambda: kahane_smooth(LogPower(1.0, 0.5), 8, seed=7),
+    "atoms-and-pieces": lambda: CircleMeasure(
+        atoms=[(0.05 * k, 0.1) for k in range(7)],
+        pieces=[(0.5 + 0.04 * k, 0.52 + 0.04 * k, 1.0) for k in range(7)]),
+    "atoms": lambda: atomic([(0.1, 0.6), (0.55, 0.4)]),
+}
+SWEEP_MODELS = {
+    "inner": lambda mu: SingularInnerPower(mu, 0.7),
+    "quotient": lambda mu: DilationQuotient(SingularInnerPower(mu, 0.3), 0.9),
+}
+
+
+class _Spiked(FunctionModel):
+    """z, except that log |f'| reads ``spike`` at one point of the rings
+    with r <= r_spike (on a worker thread only, with ``worker_only``)."""
+
+    def __init__(self, r_spike, spike, worker_only=False):
+        self.r_spike, self.spike, self.worker_only = r_spike, spike, worker_only
+
+    def jet(self, r, m, offset=0.0):
+        return Z.jet(r, m, offset)
+
+    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
+        out = super().log_abs_dring(r, m, offset, buffers)
+        if r <= self.r_spike and not (
+                self.worker_only
+                and threading.current_thread() is threading.main_thread()):
+            out[0] = self.spike
+        return out
+
+
+class TestThreadedSweep:
+    # besov_seminorm takes the outermost ring alone, then the others on
+    # two threads: the result is the sequential pass's, bit for bit, and
+    # a ring that ends the pass ends it as in the sequential pass
+    GRID = QuadratureGrid.build(u_max=10.0, panels=4)
+
+    @pytest.mark.parametrize("model", list(SWEEP_MODELS))
+    @pytest.mark.parametrize("measure", list(SWEEP_MEASURES))
+    def test_matches_a_sequential_pass(self, model, measure):
+        make, grid = SWEEP_MODELS[model], self.GRID
+        want = _ring_by_ring(make(SWEEP_MEASURES[measure]()), 3.0, grid,
+                             reversed(range(len(grid))))
+        assert besov_seminorm(make(SWEEP_MEASURES[measure]()), 3.0, grid) == want
+
+    @pytest.mark.parametrize("outermost", [1, 2, 3],
+                             ids=["alone", "caller", "worker"])
+    def test_the_outermost_exception_propagates(self, outermost, monkeypatch):
+        # every ring from the outermost-th on raises, on both threads: the
+        # exception is the one of the outermost of them (the first ring of
+        # the calling thread's share, or of the worker's), and no thread
+        # outlives the pass
+        grid, original = self.GRID, SingularInnerPower.log_abs_dring
+        r_first = float(grid.r[-outermost])
+
+        class Raised(Exception):
+            pass
+
+        def failing(self, r, m, offset=0.0, buffers=None):
+            if r <= r_first:
+                raise Raised(r)
+            return original(self, r, m, offset, buffers)
+
+        monkeypatch.setattr(SingularInnerPower, "log_abs_dring", failing)
+        threads = threading.active_count()
+        with pytest.raises(Raised) as raised:
+            besov_seminorm(SingularInnerPower(atomic([(0.0, 1.0)])), 2.0, grid)
+        assert raised.value.args == (r_first,)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("spike", [math.inf, math.nan])
+    @pytest.mark.parametrize("ring", [-1, -2, -3, 0])
+    def test_a_non_finite_ring_reads_inf(self, spike, ring):
+        f = _Spiked(float(self.GRID.r[ring]), spike)
+        assert besov_seminorm(f, 2.0, self.GRID) == (math.inf, math.inf)
+
+    def test_concurrent_passes_under_fast_switching(self):
+        # four passes at once, so eight ring workers on the machine's
+        # cores, switching threads every microsecond: each pass keeps the
+        # sequential result, and the spiked one reads inf
+        grid = QuadratureGrid.build(u_max=6.0, panels=2)
+        models = [SingularInnerPower(
+            kahane_smooth(LogPower(1.0, 0.5), 6, seed=seed), 0.7)
+            for seed in range(3)] + [_Spiked(float(grid.r[-3]), math.inf)]
+        want = [_ring_by_ring(f, 3.0, grid, range(len(grid)))
+                for f in models[:3]] + [(math.inf, math.inf)]
+        got = [None] * len(models)
+
+        def run(k):
+            got[k] = besov_seminorm(models[k], 3.0, grid)
+
+        passes = [threading.Thread(target=run, args=(k,))
+                  for k in range(len(models))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in passes:
+                thread.start()
+            for thread in passes:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in passes)
+        assert got == want
+
+    def test_the_worker_keeps_the_callers_errstate(self):
+        # log |f'| = 800 overflows exp(3 log |f'|) on the worker's rings:
+        # inside brown_shields_table's errstate the worker warns of
+        # nothing and the pass reads inf; without it, its warning is an
+        # error that propagates
+        f = _Spiked(float(self.GRID.r[-2]), 800.0, worker_only=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert besov_seminorm(f, 3.0, self.GRID) == (math.inf, math.inf)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                besov_seminorm(f, 3.0, self.GRID)
 
 class TestKronrod:
     def test_matches_quadpack_qk15(self):
