@@ -704,11 +704,14 @@ def _difference_sup(mu: CircleMeasure, b: np.ndarray, h: float, weights) -> floa
     """sup_x |sum_k w_k F(x + (1 - k) h)|, F = mu.cdf, b the breakpoints:
     weights (1, -1) give window masses, (1, -2, 1) second differences.  The
     sum is piecewise linear in x between the translates x = b - (1 - k') h
-    (also nudged by +/- 1e-12 where mu has atoms, at whose translates it
-    jumps), so the scan over those is exact.  There the sum is
-    sum_k w_k F(b + (k' - k) h): F is read once per breakpoint and shift."""
+    (also nudged by +/- 1e-14 where mu has atoms, at whose translates it
+    jumps), so the scan over those is exact.  The nudge is well above the
+    rounding of b + jh (a few 1e-16) and small enough that the pieces' mass
+    it moves past, a density times 1e-14, stays far below 1e-12.  There the
+    sum is sum_k w_k F(b + (k' - k) h): F is read once per breakpoint and
+    shift."""
     d, sup = len(weights), 0.0
-    for e in (0.0, 1e-12, -1e-12) if mu.atom_x.size else (0.0,):
+    for e in (0.0, 1e-14, -1e-14) if mu.atom_x.size else (0.0,):
         f = [mu.cdf(b + (e + j * h)) for j in range(1 - d, d)]
         for kp in range(d):
             total = sum(w * f[kp - k + d - 1] for k, w in enumerate(weights))

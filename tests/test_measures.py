@@ -446,10 +446,12 @@ class TestContinuityOracle:
     def test_matches_window_vertices(self, mu, t):
         # mu([x, x + t)) is piecewise linear in x, with vertices where an
         # end meets a breakpoint; an atom at the right end is inside just
-        # after x = b - t.  Masses come from _direct_mass, not from the CDF.
+        # after x = b - t, read 1e-14 after it: beyond rounding, and the
+        # pieces' mass it loses, a density times 1e-14, is far below the
+        # tolerance.  Masses come from _direct_mass, not from the CDF.
         b = np.unique(np.concatenate([mu.atom_x, mu.piece_a, mu.piece_b % 1.0,
                                       [0.0]]))
-        xs = np.concatenate([b, b - t, b - t + 1e-12]) % 1.0
+        xs = np.concatenate([b, b - t, b - t + 1e-14]) % 1.0
         want = _direct_mass(mu, xs, xs + t).max()
         (got,) = modulus_continuity(mu, [t])
         assert abs(got - want) <= 1e-12 * max(1.0, mu.total_mass)
