@@ -569,17 +569,27 @@ class TestSuiteCommand:
     def test_salem_preset_sends_each_coefficient_once(self, tmp_path,
                                                       monkeypatch):
         # _fourier.csv (n <= 512), fourier-decay and fourier-lp (n <= 4096)
-        # share the measure's cache: 4096 coefficients, not 8705
-        sent, kernel = [], measures.CircleMeasure.fourier_many
+        # share the measure's cache: its Riesz product fill computes each
+        # of the 4096 coefficients once (not 8705), the kernel none
+        filled, sent = [], []
+        fill, kernel = (measures.CircleMeasure._fill_product,
+                        measures.CircleMeasure.fourier_many)
 
-        def counting(mu, ns):
+        def counting_fill(mu, start, out):
+            filled.extend(range(start, start + out.size))
+            fill(mu, start, out)
+
+        def counting_kernel(mu, ns):
             sent.append(np.size(ns))
             return kernel(mu, ns)
 
-        monkeypatch.setattr(measures.CircleMeasure, "fourier_many", counting)
+        monkeypatch.setattr(measures.CircleMeasure, "_fill_product",
+                            counting_fill)
+        monkeypatch.setattr(measures.CircleMeasure, "fourier_many",
+                            counting_kernel)
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem",
             "--out", str(tmp_path / "s"))
-        assert sum(sent) <= 4096
+        assert sorted(filled) == list(range(1, 4097)) and sent == []
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

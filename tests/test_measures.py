@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -292,6 +293,17 @@ class TestModuli:
         # adjacent windows: one holds the atom, the other nothing
         assert modulus_smoothness(mu, [0.01]) == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("pieces", [[], [(0.1, 0.2, 2.0)]],
+                             ids=["atom", "atom-and-piece"])
+    def test_atom_floor_below_float_resolution(self, pieces):
+        # at t = 1e-17 and 1e-320 the window [0.5, 0.5 + t) rounds to empty
+        # and the scan's nudge (1e-14) is wider than t: the scan reads 0
+        # (or a density times t), but both moduli are at least the atom
+        mu = CircleMeasure(atoms=[(0.5, 1.0)], pieces=pieces)
+        ts = [1e-320, 1e-17, 1e-13]
+        assert modulus_continuity(mu, ts).tolist() == [1.0, 1.0, 1.0]
+        assert modulus_smoothness(mu, ts).tolist() == [1.0, 1.0, 1.0]
+
     @pytest.mark.parametrize("kind", ["salem", "atoms-plus-pieces"])
     def test_delta_at_one_is_total_mass(self, kind, monkeypatch):
         # a window of length 1 scanned through the CDF rounds above mu(T)
@@ -442,17 +454,20 @@ class TestContinuityOracle:
     @given(_measures(), st.one_of(GRID.filter(bool),
                                   st.floats(0.0, 1.0, exclude_min=True,
                                             exclude_max=True)))
+    @example(CircleMeasure(atoms=[(0.5, 1.0)]), 1e-17)
     @settings(max_examples=60, deadline=None)
     def test_matches_window_vertices(self, mu, t):
         # mu([x, x + t)) is piecewise linear in x, with vertices where an
         # end meets a breakpoint; an atom at the right end is inside just
         # after x = b - t, read 1e-14 after it: beyond rounding, and the
         # pieces' mass it loses, a density times 1e-14, is far below the
-        # tolerance.  Masses come from _direct_mass, not from the CDF.
+        # tolerance.  Masses come from _direct_mass, not from the CDF.  A
+        # window of length t > 0 reaches at least the float after x, where
+        # x + t rounds to x (t below the float spacing at x).
         b = np.unique(np.concatenate([mu.atom_x, mu.piece_a, mu.piece_b % 1.0,
                                       [0.0]]))
         xs = np.concatenate([b, b - t, b - t + 1e-14]) % 1.0
-        want = _direct_mass(mu, xs, xs + t).max()
+        want = _direct_mass(mu, xs, np.maximum(xs + t, np.nextafter(xs, 2.0))).max()
         (got,) = modulus_continuity(mu, [t])
         assert abs(got - want) <= 1e-12 * max(1.0, mu.total_mass)
 
@@ -788,25 +803,94 @@ class TestFourierKernel:
         assert np.array_equal(got[:4096], mu.fourier_many(range(1, 4097)))
 
 
+def _salem_spec(J, seed, d=None, xi=None):
+    if d is None:
+        d, xi = choose_salem_parameters(0.8, 0.05)
+    return SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi, generations=J,
+                     seed=seed)
+
+
+def _mp_riesz(spec, n):
+    """hat mu(n) of the Salem Riesz product in 40-digit arithmetic, over the
+    float steps nu L_{j-1} and leaf length L_J of the construction."""
+    lengths = [1.0]
+    for xi in spec.xi_sequence():
+        lengths.append(lengths[-1] * xi)
+    with mpmath.workdps(40):
+        total = mpmath.mpc(1)
+        for length in lengths[:-1]:
+            s = mpmath.mpf(spec.nu * length)
+            total *= sum(mpmath.expj(-2 * mpmath.pi * k * n * s)
+                         for k in range(spec.d)) / spec.d
+        x = mpmath.pi * n * mpmath.mpf(lengths[-1])
+        return complex(total * mpmath.expj(-x) * mpmath.sin(x) / x)
+
+
 class TestCoefficientCache:
     KAHANE = kahane_smooth(LogPower(1.0, 0.5), 12, seed=7)
 
     def test_strategy_from_the_pieces(self):
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        salem, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d,
-                                           xi=xi, generations=6, seed=3))
+        salem, _ = salem_measure(_salem_spec(6, 3))
+        rebuilt = CircleMeasure(pieces=np.column_stack(
+            [salem.piece_a, salem.piece_b, salem.piece_d]))
         with_atom = CircleMeasure(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 0.25)])
         assert self.KAHANE._leaves and lebesgue()._leaves
         assert not (salem._leaves or with_atom._leaves or atomic([(0.0, 1.0)])._leaves)
+        # Salem takes the Riesz product; the same pieces alone the kernel
+        assert salem._riesz and not rebuilt._leaves and rebuilt._riesz is None
+        assert self.KAHANE._riesz is None and with_atom._riesz is None
 
-    @pytest.mark.parametrize("kind", ["leaves", "kernel"])
+    @pytest.mark.parametrize("J, d, xi", [(11, None, None), (16, None, None),
+                                          (11, 3, 0.2), (11, 2, 0.125)])
+    def test_product_matches_mpmath(self, J, d, xi):
+        # xi = 1/8 makes the first step 5/16: n s_1 is an integer at n = 64
+        # and 40000, where D_d is 1 (0/0 in its quotient form)
+        spec = _salem_spec(J, 7, d, xi)
+        mu, _ = salem_measure(spec)
+        got = np.empty(1, dtype=complex)
+        for n in (1, 7, 64, 1000, 40000, 2**22 + 1):
+            mu._fill_product(n, got)
+            assert abs(got[0] - _mp_riesz(spec, n)) <= 1e-15, n
+
+    def test_product_matches_the_kernel_within_the_pieces_rounding(self):
+        # the stored pieces round the product's geometry: with the exact
+        # starts a*_k = sum_j k_j s_j, mass m = 2^-J and length L, piece k
+        # differs by |m'_k - m| in mass, |c'_k - c*_k| in midpoint and
+        # |l'_k - L| in length, which bounds |kernel - product| at n by
+        # sum |m'_k - m| + n m sum (2 pi |c'_k - c*_k| + pi |l'_k - L|), plus
+        # the kernel's own rounding of terms of size density/(pi n)
+        spec = _salem_spec(11, 7)
+        mu, _ = salem_measure(spec)
+        d, steps, length = mu._riesz
+        digits = (np.arange(d**11)[:, None] // d ** np.arange(10, -1, -1)) % d
+        s, big_l, m = ([Fraction(x) for x in steps], Fraction(length),
+                       Fraction(1, d**11))
+        dm = dc = dl = Fraction(0)
+        for ks, a, b, rho in zip(digits, mu.piece_a, mu.piece_b, mu.piece_d):
+            start = sum(int(k) * x for k, x in zip(ks, s))
+            a, b = Fraction(a), Fraction(b)
+            dm += abs(Fraction(rho) * (b - a) - m)
+            dc += m * abs((a + b) / 2 - start - big_l / 2)
+            dl += m * abs(b - a - big_l)
+        n = np.arange(1, 2**16 + 1)
+        bound = (float(dm) + n * (2 * np.pi * float(dc) + np.pi * float(dl))
+                 + 2.0**-53 * mu.piece_d.sum() / (np.pi * n))
+        got = np.empty(n.size, dtype=complex)
+        mu._fill_product(1, got)
+        assert (np.abs(got - mu.fourier_many(range(1, 2**16 + 1))) <= bound).all()
+
+    @pytest.mark.parametrize("kind", ["leaves", "product", "kernel"])
     def test_grown_cache_is_one_block(self, kind, monkeypatch):
         # growing in steps gives the bits of one block of the strategy, and
-        # a leaf measure never reaches the blocked kernel
+        # a leaf or Salem measure never reaches the blocked kernel
         if kind == "leaves":
             mu = kahane_smooth(LogPower(1.0, 0.5), 6, seed=1)
             want = np.empty(1000, dtype=complex)
             mu._fill_leaves(1, want)
+        elif kind == "product":
+            mu, _ = salem_measure(_salem_spec(11, 7))
+            want = np.empty(1000, dtype=complex)
+            mu._fill_product(1, want)
         else:
             mu = CircleMeasure(atoms=[(0.3, 0.5)], pieces=[(0.1, 0.2, 2.0)])
             want = mu.fourier_many(range(1, 1001))
@@ -821,7 +905,7 @@ class TestCoefficientCache:
             got = mu.coefficients(count)
             assert got.shape == (count,)
         assert np.allclose(got, want, rtol=0, atol=1e-15)
-        if kind == "leaves":
+        if kind != "kernel":
             assert sent == [] and np.array_equal(got, want)
         else:
             assert sent == [1, 6, 93, 900]
