@@ -59,16 +59,16 @@ class MeasureContext:
     spec: dict
     mu: CircleMeasure
     phi: object
-    support: IntervalSet | None = None
-    label: str = "measure"
+    support: IntervalSet | None
+    depth: int
+    seed: int
 
 
-def _spec_int(fields: dict, key: str, default: int) -> int:
-    """fields[key], or default when absent; a UsageError unless it is a
-    JSON integer (a bool, float or string is not rounded into one)."""
-    value = fields.get(key, default)
+def _spec_int(value, name: str) -> int:
+    """value; a UsageError unless it is a JSON integer (a bool, float or
+    string is not rounded into one)."""
     if type(value) is not int:
-        raise UsageError(f"{key} must be an integer, got {json.dumps(value)}")
+        raise UsageError(f"{name} must be an integer, got {json.dumps(value)}")
     return value
 
 
@@ -80,82 +80,85 @@ def _spec_real(value, name: str) -> float:
     return float(value)
 
 
-def _known_keys(fields: dict, known, where: str) -> None:
-    """A UsageError naming the first key of fields outside known."""
-    extra = [k for k in fields if k not in known]
+def _checked(fields: dict, defaults: dict, where: str) -> dict:
+    """fields, with each absent key that has a default filled in, checked
+    by its default's type: an int takes ``_spec_int``, a float
+    ``_spec_real``, None any value.  An unknown key is a UsageError."""
+    extra = [k for k in fields if k not in defaults]
     if extra:
         raise UsageError(f"unknown {where} key {json.dumps(extra[0])}; "
-                         f"expected {' | '.join(known)}")
+                         f"expected {' | '.join(defaults)}")
+    check = {int: _spec_int, float: _spec_real}
+    return {k: check.get(type(d), lambda v, _: v)(fields.get(k, d), k)
+            for k, d in defaults.items() if k in fields or d is not None}
 
 
-def _effective_seed(spec: dict, cfg: RunConfig) -> int:
-    """The construction seed: the spec's own ``seed`` wins over ``--seed``."""
-    return _spec_int(spec, "seed", cfg.seed)
+def _build_atomic(p: dict, depth: int, seed: int):
+    atoms = p.get("atoms")
+    if not atoms:
+        raise UsageError("atomic spec needs params.atoms = [[x, mass], ...]")
+    if not (isinstance(atoms, list)
+            and all(isinstance(row, list) for row in atoms)):
+        raise UsageError("atoms must be a list of [x, mass] rows")
+    mu = atomic([[_spec_real(v, "atom position or mass")
+                  for v in row] for row in atoms])
+    # one degenerate arc per merged atom: a position given twice is
+    # one atom, and its mass is counted once
+    E = IntervalSet.from_arcs(np.column_stack([mu.atom_x, mu.atom_x]))
+    return mu, PowerLaw(1.0, 0.5), E
 
 
-def _effective_depth(spec: dict, cfg: RunConfig) -> int:
-    """The construction depth: ``--depth`` wins over the spec's ``depth``."""
-    return cfg.depth if cfg.depth is not None else _spec_int(spec, "depth", 12)
+def _build_kahane(p: dict, depth: int, seed: int):
+    phi = LogPower(p["C"], p["gamma"])
+    return kahane_smooth(phi, depth, seed=seed), phi, None
 
 
-# the keys of a spec, and the params each measure type reads
-_SPEC_KEYS = ("type", "params", "depth", "seed")
-_PARAMS = {"lebesgue": ("mass",), "atomic": ("atoms",),
-           "kahane": ("C", "gamma"), "salem": ("alpha", "epsilon", "d", "xi")}
+def _build_salem(p: dict, depth: int, seed: int):
+    if ("d" in p) != ("xi" in p):
+        raise UsageError("salem params d and xi must be given together")
+    if "d" in p:
+        d, xi = _spec_int(p["d"], "d"), _spec_real(p["xi"], "xi")
+    else:
+        d, xi = choose_salem_parameters(p["alpha"], p["epsilon"])
+    mu, E = salem_measure(SalemSpec(alpha=p["alpha"], epsilon=p["epsilon"],
+                                    d=d, xi=xi, generations=depth, seed=seed))
+    return mu, PowerLaw(1.0, p["alpha"] / 2.0), E
+
+
+# One record per spec type: its params and their defaults (None: no
+# default), and ``build(params, depth, seed) -> (measure, gauge, carrier or
+# None)``.  Builders look the constructors up by name at call time, so a
+# wrapper installed on the module attribute sees the call.
+MEASURES = {
+    "lebesgue": ({"mass": 1.0}, lambda p, depth, seed: (
+        lebesgue(p["mass"]), LogPower(1.0, 0.5), None)),
+    "atomic": ({"atoms": None}, _build_atomic),
+    "kahane": ({"C": 1.0, "gamma": 0.5}, _build_kahane),
+    "salem": ({"alpha": 0.8, "epsilon": 0.05, "d": None, "xi": None},
+              _build_salem),
+}
 
 
 def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
     """The measure of a spec.  An unknown key, in the spec or in its
     params, is a UsageError, and so is a real field that is not a JSON
-    number."""
+    number.  ``--depth`` wins over its depth, and its seed over ``--seed``."""
     if not isinstance(spec, dict):
         raise UsageError("measure spec must be a JSON object")
-    _known_keys(spec, _SPEC_KEYS, "spec")
+    _checked(spec, dict.fromkeys(("type", "params", "depth", "seed")), "spec")
     kind = spec.get("type")
-    if not isinstance(kind, str) or kind not in _PARAMS:
+    if not isinstance(kind, str) or kind not in MEASURES:
         raise UsageError(f"unknown measure type {kind!r}; expected "
-                         f"{' | '.join(_PARAMS)}")
+                         f"{' | '.join(MEASURES)}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise UsageError("measure spec params must be a JSON object")
-    _known_keys(params, _PARAMS[kind], f"{kind} params")
-    depth = _effective_depth(spec, cfg)
-    seed = _effective_seed(spec, cfg)
-    if kind == "lebesgue":
-        mu = lebesgue(_spec_real(params.get("mass", 1.0), "mass"))
-        return MeasureContext(spec, mu, LogPower(1.0, 0.5), label="lebesgue")
-    if kind == "atomic":
-        atoms = params.get("atoms")
-        if not atoms:
-            raise UsageError("atomic spec needs params.atoms = [[x, mass], ...]")
-        if not (isinstance(atoms, list)
-                and all(isinstance(row, list) for row in atoms)):
-            raise UsageError("atoms must be a list of [x, mass] rows")
-        mu = atomic([[_spec_real(v, "atom position or mass")
-                      for v in row] for row in atoms])
-        # one degenerate arc per merged atom: a position given twice is
-        # one atom, and its mass is counted once
-        E = IntervalSet.from_arcs(np.column_stack([mu.atom_x, mu.atom_x]))
-        return MeasureContext(spec, mu, PowerLaw(1.0, 0.5), support=E,
-                              label="atomic")
-    if kind == "kahane":
-        phi = LogPower(_spec_real(params.get("C", 1.0), "C"),
-                       _spec_real(params.get("gamma", 0.5), "gamma"))
-        mu = kahane_smooth(phi, depth, seed=seed)
-        return MeasureContext(spec, mu, phi, label="kahane")
-    alpha = _spec_real(params.get("alpha", 0.8), "alpha")
-    epsilon = _spec_real(params.get("epsilon", 0.05), "epsilon")
-    if ("d" in params) != ("xi" in params):
-        raise UsageError("salem params d and xi must be given together")
-    if "d" in params:
-        d, xi = _spec_int(params, "d", 2), _spec_real(params["xi"], "xi")
-    else:
-        d, xi = choose_salem_parameters(alpha, epsilon)
-    sspec = SalemSpec(alpha=alpha, epsilon=epsilon, d=d, xi=xi,
-                      generations=depth, seed=seed)
-    mu, E = salem_measure(sspec)
-    return MeasureContext(spec, mu, PowerLaw(1.0, alpha / 2.0), support=E,
-                          label="salem")
+    defaults, build = MEASURES[kind]
+    params = _checked(params, defaults, f"{kind} params")
+    depth = (cfg.depth if cfg.depth is not None
+             else _spec_int(spec.get("depth", 12), "depth"))
+    seed = _spec_int(spec.get("seed", cfg.seed), "seed")
+    return MeasureContext(spec, *build(params, depth, seed), depth, seed)
 
 
 # -- output plumbing -------------------------------------------------------
@@ -247,7 +250,7 @@ CHECKS = {
         grid=(0.6, 5.4, 17, "log1m"), presets=("theorem-main",)),
     "multiplier": Check(
         lambda ctx, cfg, _: diag.multiplier_log_onebox(
-            ctx.mu, cfg.p, min(_effective_depth(ctx.spec, cfg), 12)),
+            ctx.mu, cfg.p, min(ctx.depth, 12)),
         "The box measure |S'|^p (1-|z|)^{p-1} dA satisfies the one-box "
         "condition with logarithmic gain, so S multiplies the weighted Besov "
         "space.",
@@ -286,7 +289,7 @@ CHECKS = {
         presets=("theorem-necessity", "salem")),
     "poisson-martingale": Check(
         lambda ctx, cfg, _: diag.poisson_martingale_gap(
-            ctx.mu, min(_effective_depth(ctx.spec, cfg), 16)),
+            ctx.mu, min(ctx.depth, 16)),
         "The Poisson integral at top-half box centers is controlled by the "
         "dyadic martingale mu(I)/|I| up to a stable additive gap."),
     "annihilator": Check(
@@ -321,7 +324,7 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
     mu, files = ctx.mu, []
 
     def write(suffix: str, text: str) -> None:
-        files.append(os.path.join(cfg.out, ctx.label + suffix))
+        files.append(os.path.join(cfg.out, ctx.spec["type"] + suffix))
         _write_atomic(files[-1], text)
 
     rows = [{"kind": "atom", "a": x, "b": x, "value": m}
@@ -357,7 +360,7 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
 def _run_and_write(name: str, ctx: MeasureContext, cfg: RunConfig):
     """Run one check and write its JSON and CSV reports; returns both."""
     report = run_check(name, ctx, cfg)
-    stem = os.path.join(cfg.out, f"{ctx.label}_{report.name}")
+    stem = os.path.join(cfg.out, f"{ctx.spec['type']}_{report.name}")
     files = [stem + ".json", stem + ".csv"]
     _write_atomic(files[0], report.to_json())
     _write_atomic(files[1], report.to_csv())
@@ -376,7 +379,6 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_suite(cfg: RunConfig) -> int:
     ctx = build_measure(cfg.spec, cfg)
     entries = []
-    worst = 0
     if cfg.preset == "salem":
         cmd_measure(cfg, ctx)
     for name in PRESETS[cfg.preset]:
@@ -384,15 +386,13 @@ def cmd_suite(cfg: RunConfig) -> int:
         entries.append({"check": report.name, "verdict": report.verdict,
                         "statement": CHECKS[report.name].statement,
                         "files": [os.path.basename(f) for f in files]})
-        if not report.passed:
-            worst = 1
         print(f"{report.name}: {report.verdict}")
-    summary = {"preset": cfg.preset, "seed": _effective_seed(cfg.spec, cfg),
-               "measure": cfg.spec, "reports": entries}
+    summary = {"preset": cfg.preset, "seed": ctx.seed, "measure": cfg.spec,
+               "reports": entries}
     spath = os.path.join(cfg.out, "summary.json")
     _write_atomic(spath, json_text(summary))
     print(spath)
-    return worst
+    return 0 if all(e["verdict"] == "pass" for e in entries) else 1
 
 
 # -- entry point -----------------------------------------------------------
@@ -467,13 +467,10 @@ def main(argv=None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
+    commands = {"measure": cmd_measure, "check": cmd_check, "suite": cmd_suite}
     try:
         cfg = RunConfig(**dict(vars(ns), spec=_parse_spec(ns.spec)))
-        if cfg.command == "measure":
-            return cmd_measure(cfg)
-        if cfg.command == "check":
-            return cmd_check(cfg)
-        return cmd_suite(cfg)
+        return commands[cfg.command](cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -212,9 +212,16 @@ def pmean_ratio(mu: CircleMeasure, phi, p: float, r_grid) -> CheckReport:
         log_lhs = float(math.log(2.0 * math.pi) + logsumexp(p * pois) - math.log(m))
         br = float(phi.bracket(1.0 - r))
         rows.append({"r": r, "log_lhs": log_lhs, "bracket": br})
-    x = np.array([r["bracket"] ** 2 for r in rows])
+    try:
+        x = np.array([r["bracket"] ** 2 for r in rows])
+    except OverflowError:
+        x = np.full(len(rows), math.inf)
     y = np.array([r["log_lhs"] - math.log(r["bracket"]) for r in rows])
-    if len(rows) >= 2 and np.ptp(x) > 0:
+    if not np.isfinite(x).all():
+        # a gauge whose squared bracket overflows: no fit decides, and the
+        # NaN spread reads inconclusive
+        cp = logc = math.nan
+    elif len(rows) >= 2 and np.ptp(x) > 0:
         cp, logc = np.polyfit(x, y, 1)
     else:
         cp, logc = 0.0, float(y.mean())

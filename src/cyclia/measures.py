@@ -201,7 +201,10 @@ class CircleMeasure:
         if (self.piece_d < 0).any():
             raise ValueError("negative density in positive measure")
         piece_masses = self.piece_d * (self.piece_b - self.piece_a)
-        self.total_mass = float(self.atom_m.sum() + piece_masses.sum())
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            self.total_mass = float(self.atom_m.sum() + piece_masses.sum())
+        if not math.isfinite(self.total_mass):
+            raise ValueError(f"total mass {self.total_mass} is not finite")
         # the CDF table: the density part is linear between the interleaved
         # piece edges (kept nondecreasing where pieces touch within 1e-15),
         # and the atoms are a step function of their cumulative masses

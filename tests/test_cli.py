@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from cyclia import cli, diagnostics, measures, models, norms
-from cyclia.cli import (CHECKS, PRESETS, RunConfig, build_measure,
+from cyclia.cli import (CHECKS, MEASURES, PRESETS, RunConfig, build_measure,
                         build_parser, main, make_grid, run_check)
 
 ATOM_SPEC = '{"type": "atomic", "params": {"atoms": [[0.0, 1.0]]}}'
@@ -23,6 +24,15 @@ SALEM_SPEC = ('{"type": "salem", "params": {"alpha": 0.8, "epsilon": 0.05},'
               ' "depth": 8, "seed": 3}')
 KAHANE_SPEC = ('{"type": "kahane", "params": {"C": 1.0, "gamma": 0.5},'
                ' "depth": 10, "seed": 7}')
+
+# a small spec of each measure type, and the constructor its builder calls
+SMALL_SPECS = {
+    "lebesgue": ({"type": "lebesgue"}, "lebesgue"),
+    "atomic": ({"type": "atomic", "params": {"atoms": [[0.0, 1.0]]}},
+               "atomic"),
+    "kahane": ({"type": "kahane", "depth": 4, "seed": 7}, "kahane_smooth"),
+    "salem": ({"type": "salem", "depth": 4, "seed": 3}, "salem_measure"),
+}
 
 PACKAGE = ("diagnostics", "dyadic", "measures", "models", "norms", "profiles")
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -215,6 +225,34 @@ class TestCheckCommand:
         assert data["fits"]["verdict_first"] == "convergent"
         assert data["fits"]["verdict_weighted"] == "inconclusive"
         assert data["worst_ratio"] is None
+
+    @pytest.mark.parametrize("params", ['{"C": 1e308}',
+                                        '{"C": 1e200, "gamma": 0.9}'])
+    def test_overflowing_gauge_bracket_is_inconclusive(self, tmp_path, capsys,
+                                                       params):
+        # the squared bracket overflows a float: a report, not a traceback
+        spec = '{"type": "kahane", "params": %s, "depth": 4}' % params
+        out = str(tmp_path / "c")
+        assert run("check", "--spec", spec, "--check", "pmeans",
+                   "--out", out) == 1
+        assert sorted(os.listdir(out)) == ["kahane_pmeans.csv",
+                                           "kahane_pmeans.json"]
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "pmeans: inconclusive"
+        with open(os.path.join(out, "kahane_pmeans.json")) as fh:
+            assert json.load(fh)["worst_ratio"] is None
+
+    @pytest.mark.parametrize("command", ["measure", "check"])
+    def test_overflowing_total_mass_is_a_configuration_error(
+            self, tmp_path, capsys, command):
+        # two finite atoms whose masses sum past the float range
+        spec = ('{"type": "atomic", "params": '
+                '{"atoms": [[0.0, 1e308], [0.5, 1e308]]}}')
+        check = ["--check", "fourier-decay"] if command == "check" else []
+        assert run(command, "--spec", spec, *check,
+                   "--out", str(tmp_path / "c")) == 2
+        assert "total mass inf is not finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, below):
@@ -627,15 +665,7 @@ class TestRegistry:
     def test_readme_check_table_is_the_registry(self):
         # the README's check table names the checks in table order, with
         # each one's default grid and presets
-        with open(os.path.join(REPO, "README.md")) as fh:
-            lines = fh.read().splitlines()
-        head = next(i for i, line in enumerate(lines)
-                    if line.startswith("| Check | Default grid"))
-        rows = []
-        for line in lines[head + 2:]:
-            if not line.startswith("|"):
-                break
-            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        rows = _readme_table("| Check | Default grid")
         assert [row[0].strip("`") for row in rows] == list(CHECKS)
         for name, grid, _, _, presets in rows:
             check = CHECKS[name.strip("`")]
@@ -647,6 +677,65 @@ class TestRegistry:
                                       scale), name
             assert tuple(p.strip("`") for p in presets.split(", ")
                          if p != "—") == check.presets, name
+
+    def test_readme_spec_table_is_the_registry(self):
+        # the README's spec table names the measure types in table order,
+        # with each one's params and defaults, the class of its gauge and
+        # whether it has a carrier
+        rows = _readme_table("| Type | Params (default)")
+        assert [row[0].strip("`") for row in rows] == list(MEASURES)
+        for kind, params, gauge, carrier in rows:
+            kind = kind.strip("`")
+            defaults, _ = MEASURES[kind]
+            named = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", params)
+            assert [k for k, _ in named] == list(defaults), kind
+            for k, default in named:
+                want = defaults[k]
+                assert (default == "" if want is None
+                        else float(default) == want), (kind, k)
+            spec = SMALL_SPECS[kind][0]
+            ctx = build_measure(spec, RunConfig(command="measure", spec=spec))
+            assert gauge.strip("`").startswith(
+                type(ctx.phi).__name__ + "("), kind
+            assert (carrier == "none") == (ctx.support is None), kind
+
+    @pytest.mark.parametrize("kind", list(SMALL_SPECS))
+    def test_builders_call_the_constructors_by_name(self, monkeypatch, kind):
+        # the tracer wraps the constructors where cli holds them by name,
+        # so its measures.build.* metrics see only the calls made that way
+        spec, name = SMALL_SPECS[kind]
+        made, constructor = [], getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            made.append(constructor(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(cli, name, counting)
+        ctx = build_measure(spec, RunConfig(command="measure", spec=spec))
+        assert len(made) == 1
+        mu = made[0][0] if isinstance(made[0], tuple) else made[0]
+        assert ctx.mu is mu
+
+    def test_benchmark_setup_builds_what_the_oracles_assume(self, monkeypatch):
+        # the benchmark's set-up step runs build_measure on every workload
+        # spec with a default RunConfig; its oracles compute their
+        # references at the workload's depth and the spec's seed
+        monkeypatch.syspath_prepend(os.path.join(REPO, "bench"))
+        workloads = importlib.import_module("workloads")
+        depths = {"kahane": workloads.KAHANE_DEPTH,
+                  "salem": workloads.SALEM_GENERATIONS}
+        assert depths == {"kahane": 12, "salem": 11}
+        built = set()
+        for name, build in workloads.WORKLOADS.items():
+            for spec in build(7).specs:
+                ctx = build_measure(spec, RunConfig(command="check",
+                                                    spec=spec))
+                assert ctx.seed == spec.get("seed", 0), name
+                if spec["type"] in depths:
+                    assert ctx.seed == 7, name
+                    assert ctx.depth == depths[spec["type"]], name
+                built.add(spec["type"])
+        assert built == {"kahane", "salem", "atomic"}
 
     def test_run_check_fills_runtime_not_serialized(self):
         spec = json.loads(LEB_SPEC)
@@ -726,6 +815,19 @@ class TestRegistry:
                              == name), None)
                 assert node is not None, test_id
                 scope = node.body
+
+
+def _readme_table(header):
+    """The cells of the README table whose header line starts with header."""
+    with open(os.path.join(REPO, "README.md")) as fh:
+        lines = fh.read().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
 
 
 def _parse(path):

@@ -196,6 +196,16 @@ class TestPMeans:
         assert rep.passed
         assert rep.fits["residual_spread_decades"] < 1.0
 
+    @pytest.mark.parametrize("phi", [LogPower(1e308, 0.5),
+                                     LogPower(1e200, 0.9)])
+    def test_overflowing_bracket_is_inconclusive(self, phi):
+        # the squared bracket overflows a float: no fit, so no verdict
+        rep = pmean_ratio(LEB, phi, 3.0, [0.5, 0.9, 0.99])
+        assert math.isnan(rep.worst_ratio)
+        assert rep.verdict == "inconclusive"
+        assert [row["bracket"] for row in rep.table] == [
+            phi.bracket(1.0 - r) for r in (0.5, 0.9, 0.99)]
+
 
 class TestPoissonMartingale:
     def test_lebesgue_constant_gap(self):

@@ -187,6 +187,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-finite"):
             CircleMeasure(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"atoms": [(0.0, 1e308), (0.5, 1e308)]},
+        {"atoms": [(0.5, 1e308)], "pieces": [(0.0, 1.0, 1e308)]}])
+    def test_overflowing_total_mass_raises(self, kwargs):
+        # every mass is finite, their sum is not: no CDF, no moduli (pieces
+        # alone cannot overflow, as their densities are finite on [0, 1))
+        with pytest.raises(ValueError, match="total mass inf is not finite"):
+            CircleMeasure(**kwargs)
+
     def test_salem_support_matches_a_tuple_built_reference(self):
         spec = SalemSpec(alpha=0.8, epsilon=0.05, d=2, xi=2 ** -1.25,
                          generations=8, seed=3)
