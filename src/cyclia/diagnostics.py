@@ -555,9 +555,12 @@ def fourier_lp_summability(mu: CircleMeasure, p: float,
         raise ValueError("p must be at least 2")
     if n_max < 4:
         raise ValueError("n_max too small")
-    mags = np.abs(mu.coefficients(n_max)) ** p
-    base = mu.total_mass ** p
-    csum = base + 2.0 * np.cumsum(mags)
+    try:
+        base = mu.total_mass ** p
+    except OverflowError:
+        base = math.inf
+    with np.errstate(over="ignore"):
+        csum = base + 2.0 * np.cumsum(np.abs(mu.coefficients(n_max)) ** p)
     rows = []
     prev = base
     k = 0
@@ -568,15 +571,20 @@ def fourier_lp_summability(mu: CircleMeasure, p: float,
         prev = s
         k += 1
     incs = np.array([row["increment"] for row in rows])
-    if incs.max() <= 1e-15 * max(prev, 1.0):
-        slope = -math.inf
+    total = prev
+    if not math.isfinite(total):
+        # a partial sum that overflows: no fit decides, and the NaN tail
+        # fraction reads inconclusive
+        slope = tail_fraction = math.nan
     else:
-        keep = incs > 0
-        slope = _fit_slope(np.log([row["K"] for row in rows])[keep],
-                           np.log(incs[keep]))
-    total = float(rows[-1]["partial_sum"])
-    head = float(rows[-3]["partial_sum"]) if len(rows) >= 3 else 0.0
-    tail_fraction = (total - head) / total if total > 0 else 0.0
+        if incs.max() <= 1e-15 * max(total, 1.0):
+            slope = -math.inf
+        else:
+            keep = incs > 0
+            slope = _fit_slope(np.log([row["K"] for row in rows])[keep],
+                               np.log(incs[keep]))
+        head = float(rows[-3]["partial_sum"]) if len(rows) >= 3 else 0.0
+        tail_fraction = (total - head) / total if total > 0 else 0.0
     return CheckReport(
         name="fourier-lp", params={"p": p, "n_max": n_max}, table=rows,
         fits={"increment_slope": slope, "partial_sum": total,

@@ -7,8 +7,10 @@
     c (1 + zeta)/(1 - zeta) and 2 c e^{-2 pi i x}/(1 - zeta)^2, with
     zeta = r e^{2 pi i phi}, phi the exact offset of the ring point from
     x and 1 - zeta formed from sines, free of cancellation.  The sums run
-    in blocks of at most _ATOM_BLOCK (atom, point) pairs, and an atomic
-    measure fills no coefficient cache.
+    in blocks of at most _ATOM_BLOCK (atom, point) pairs, one point slice
+    at a time: a slice's sums reach the consumer (the jet herglotz_jet
+    returns, or log |f'| in a sweep's buffer) before the next slice is
+    formed, and an atomic measure fills no coefficient cache.
   - The pieces give H = mu(T) + 2 sum_{n>=1} hat mu(n) z^n: their
     truncated coefficients, viewed as rows of length M, are folded by a
     rank-one damping (a row factor times a real column factor, and a
@@ -52,10 +54,12 @@ __all__ = [
 ]
 
 _TWO_PI_I = 2j * np.pi
-# (atom, point) pairs per block of the direct atom sums: their real
-# temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold.  The
-# ring-length arrays (0.5-2 MiB at M = 2^16) are above it, and glibc maps
-# and returns such arrays on every ring, so a sweep owns them (RingBuffers)
+# (atom, point) pairs per block of the direct atom sums, which reach their
+# consumer one point slice at a time (_atom_slices).  A slice spans at most
+# _ATOM_BLOCK/2 points, so with one atom per block its temporaries take 32
+# and 64 KiB, below glibc's 128 KiB mmap threshold: glibc returned the
+# working set of 2^13-point slices and faulted it back on every slice (8
+# times the minor faults of the multiplier check on the unit atom)
 _ATOM_BLOCK = 1 << 13
 
 
@@ -229,89 +233,66 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
 
 
 class RingBuffers:
-    """The ring-length arrays of one sweep over rings, which it passes to
-    each ring it evaluates (FunctionModel.log_abs_dring): a (2, M) complex
-    jet, an M-point real result and the atoms' turn tables, one per
-    offset.  It holds one set, for the M of its latest ring; a ring of
-    another M replaces it.  The sweeps visit M in monotone order, so each
-    allocates once per M instead of having glibc map and return the
-    arrays on every ring.  What a ring leaves in them lives until the next
-    ring."""
+    """The M-point real result of one sweep over rings, which it passes to
+    each ring it evaluates (FunctionModel.log_abs_dring).  It holds one
+    array, for the M of its latest ring; a ring of another M replaces it.
+    The sweeps visit M in monotone order, so each allocates once per M
+    instead of having glibc map and return the array on every ring.  What
+    a ring leaves in it lives until the next ring."""
 
     def __init__(self):
-        self.m = None
-
-    def _sized(self, m: int) -> "RingBuffers":
-        if m != self.m:
-            self.m, self._jet, self._real, self._turns = m, None, None, {}
-        return self
-
-    def zero_jet(self, m: int) -> np.ndarray:
-        """The (2, M) complex jet, zeroed."""
-        if self._sized(m)._jet is None:
-            self._jet = np.zeros((2, m), dtype=complex)
-        else:
-            self._jet.fill(0.0)
-        return self._jet
+        self._real = np.empty(0)
 
     def real(self, m: int) -> np.ndarray:
         """The M-point real array, holding what the last ring left."""
-        if self._sized(m)._real is None:
+        if self._real.size != m:
             self._real = np.empty(m)
         return self._real
 
-    def turns(self, m: int, offset: float):
-        """_turns(m, offset), computed once per (M, offset)."""
-        turns = self._sized(m)._turns
-        if offset not in turns:
-            turns[offset] = _turns(m, offset)
-        return turns[offset]
 
-
-def _turns(m: int, offset: float):
-    """The turns (k + offset)/M of the M ring points as hi + lo: hi in
-    [-1/2, 1/2), lo the rounding error of hi (None when every one is 0).
-    k + offset is split exactly, and M is a power of two."""
-    k_all = np.arange(m, dtype=float)
-    hi = k_all + offset
-    lo = (offset - (hi - k_all)) / m                  # k + offset - hi
-    hi /= m
-    hi -= hi >= 0.5
-    return hi, (lo if lo.any() else None)
-
-
-def _atom_blocks(mu: CircleMeasure, turns):
-    """The atoms against the M ring points of ``turns`` (_turns) in blocks
-    of at most _ATOM_BLOCK (atom, point) pairs: (points, s, c, masses,
-    e^{-2 pi i x}), the points a slice of k, s = sin(pi phi) and
-    c = cos(pi phi) (atoms, points) arrays, phi = (k + offset)/M - x
-    reduced to [-1/2, 1/2].
+def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
+    """The atoms' sums at the M ring points r e^{2 pi i (k + offset)/M},
+    one point slice at a time: (slice of k, sums), sums a (2, n) complex
+    array for the slice's n points.  The atoms against the slice form
+    blocks of at most _ATOM_BLOCK (atom, point) pairs, and each block's
+    add(sums, s, c, masses, e^{-2 pi i x}) adds its terms into sums, from
+    zero, in atom order; s = sin(pi phi) and c = cos(pi phi) are (atoms,
+    points) arrays, phi = (k + offset)/M - x reduced to [-1/2, 1/2].
 
     phi is accurate to a few ulps relatively, so a ring point close to an
     atom keeps its distance to it: (k + offset)/M is carried as hi + lo,
-    both turns and atoms are taken in [-1/2, 1/2), so hi - x is exact
-    where they are close with one sign and adds magnitudes across 0, and
-    lo joins after the reduction.  c is taken as sin(pi (1/2 - |phi|)),
-    whose argument is exact where c is small, so s and c are both
-    accurate to an ulp relatively."""
-    hi, lo = turns
-    m = hi.size
-    x, mass = mu.atom_x, mu.atom_m
-    x = x - (x >= 0.5)
+    hi in [-1/2, 1/2) and lo its rounding error (k + offset is split
+    exactly, and M is a power of two), both turns and atoms are taken in
+    [-1/2, 1/2), so hi - x is exact where they are close with one sign
+    and adds magnitudes across 0, and lo joins after the reduction.  A
+    slice skips lo (phi is never -0.0) when k + offset is exact at its
+    last k, 0 <= offset < 1, and so at every smaller k.  c is taken as
+    sin(pi (1/2 - |phi|)), whose argument is exact where c is small, so s
+    and c are both accurate to an ulp relatively."""
+    x = mu.atom_x - (mu.atom_x >= 0.5)
+    mass, conj_w = mu.atom_m, np.exp(-_TWO_PI_I * x)
     per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
-    span = min(m, max(1, _ATOM_BLOCK // per))        # points per block
-    for i in range(0, x.size, per):
-        xs = x[i:i + per, None]
-        conj_w = np.exp(-_TWO_PI_I * xs[:, 0])
-        for k in range(0, m, span):
-            phi = hi[k:k + span] - xs
+    span = min(m, _ATOM_BLOCK // max(per, 2))        # points per slice
+    for k in range(0, m, span):
+        ks = np.arange(k, min(k + span, m), dtype=float)
+        hi = ks + offset
+        last = ks[-1]                 # (last + offset) - last is exact
+        lo = (None if 0.0 <= offset < 1.0 and (last + offset) - last == offset
+              else (offset - (hi - ks)) / m)          # k + offset - hi
+        hi /= m
+        if hi[-1] >= 0.5:                             # hi is nondecreasing
+            hi -= hi >= 0.5
+        sums = np.zeros((2, ks.size), dtype=complex)
+        for i in range(0, x.size, per):
+            phi = hi - x[i:i + per, None]
             phi -= np.round(phi)
             if lo is not None:
-                phi += lo[k:k + span]
+                phi += lo
             s = np.sin(np.pi * phi)
             phi = np.abs(phi, out=phi)
             c = np.sin(np.pi * (0.5 - phi))
-            yield slice(k, k + span), s, c, mass[i:i + per], conj_w
+            add(sums, s, c, mass[i:i + per], conj_w[i:i + per])
+        yield slice(k, k + ks.size), sums
 
 
 def _cplx(re, im):
@@ -327,58 +308,51 @@ def _atom_sum(w, terms):
     return w[0] * terms[0] if w.size == 1 else w @ terms
 
 
-def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float,
-              buffers: RingBuffers | None = None) -> np.ndarray:
-    """The atoms' (H, H') on the ring as a (2, M) array, summed directly
-    (into the jet of ``buffers`` when given).  With zeta =
-    r e^{2 pi i phi}, 1 - zeta = a - i b, a = (1 - r) + 2 r s^2 and
-    b = 2 r s c, free of cancellation near the atom; an atom of mass c_x
-    gives c_x (1 + zeta)/(1 - zeta) = c_x ((1 - r^2) + 2 i b)/(a^2 + b^2)
-    and 2 c_x e^{-2 pi i x}/(1 - zeta)^2 = 2 c_x e^{-2 pi i x} v^2,
-    v = (a + i b)/(a^2 + b^2), each to a few ulps at every point."""
-    buffers = RingBuffers() if buffers is None else buffers
-    jet = buffers.zero_jet(m)
-    h, h1 = jet
+def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float):
+    """The atoms' (H, H') on the ring, summed directly slice by slice
+    (_atom_slices).  With zeta = r e^{2 pi i phi}, 1 - zeta = a - i b,
+    a = (1 - r) + 2 r s^2 and b = 2 r s c, free of cancellation near the
+    atom; an atom of mass c_x gives c_x (1 + zeta)/(1 - zeta) =
+    c_x ((1 - r^2) + 2 i b)/(a^2 + b^2) and 2 c_x e^{-2 pi i x}/(1 - zeta)^2
+    = 2 c_x e^{-2 pi i x} v^2, v = (a + i b)/(a^2 + b^2), each to a few
+    ulps at every point."""
     one_minus_r2 = (1.0 - r) * (1.0 + r)
-    for k, s, c, mass, conj_w in _atom_blocks(mu, buffers.turns(m, offset)):
+
+    def add(sums, s, c, mass, conj_w):
         a = (1.0 - r) + (2.0 * r) * (s * s)
         b = (2.0 * r) * (s * c)
         q = 1.0 / (a * a + b * b)
-        h[k] += _atom_sum(mass, _cplx(one_minus_r2 * q, 2.0 * b * q))
+        sums[0] += _atom_sum(mass, _cplx(one_minus_r2 * q, 2.0 * b * q))
         v = _cplx(a * q, b * q)
-        h1[k] += _atom_sum(2.0 * mass * conj_w, v * v)
-    return jet
+        sums[1] += _atom_sum(2.0 * mass * conj_w, v * v)
+    return _atom_slices(mu, m, offset, add)
 
 
 def _atom_dilation_jet(mu: CircleMeasure, r: float, t: float, m: int,
-                       offset: float,
-                       buffers: RingBuffers | None = None) -> np.ndarray:
+                       offset: float):
     """The atoms' (D, D') = (A(z) - A(t z), A'(z) - t A'(t z)), A their
-    Herglotz integral, as a (2, M) array summed directly (into the jet of
-    ``buffers`` when given): an atom of mass c_x gives
-    2 c_x (1 - t) zeta/((1 - zeta)(1 - t zeta)) and 2 c_x e^{-2 pi i x}
-    (1 - t)(1 - t zeta^2)/((1 - zeta)(1 - t zeta))^2, which do not cancel
-    as t -> 1.  As in _atom_jet, 1 - zeta, 1 - t zeta and 1 - t zeta^2
-    are formed from sines and positive sums."""
-    buffers = RingBuffers() if buffers is None else buffers
-    jet = buffers.zero_jet(m)
-    d, d1 = jet
+    Herglotz integral, summed directly slice by slice (_atom_slices): an
+    atom of mass c_x gives 2 c_x (1 - t) zeta/((1 - zeta)(1 - t zeta)) and
+    2 c_x e^{-2 pi i x} (1 - t)(1 - t zeta^2)/((1 - zeta)(1 - t zeta))^2,
+    which do not cancel as t -> 1.  As in _atom_jet, 1 - zeta, 1 - t zeta
+    and 1 - t zeta^2 are formed from sines and positive sums."""
     tr, tr2 = t * r, t * r * r
     one_minus_tr = (1.0 - t) + t * (1.0 - r)
     one_minus_tr2 = (1.0 - t) + t * ((1.0 - r) * (1.0 + r))
-    for k, s, c, mass, conj_w in _atom_blocks(mu, buffers.turns(m, offset)):
+
+    def add(sums, s, c, mass, conj_w):
         ss = s * s
         sin2 = 2.0 * (s * c)                          # of 2 pi phi
         cos2 = 1.0 - 2.0 * ss
         v = 1.0 / (_cplx((1.0 - r) + (2.0 * r) * ss, -r * sin2)
                    * _cplx(one_minus_tr + (2.0 * tr) * ss, -tr * sin2))
         w = 2.0 * (1.0 - t) * mass
-        d[k] += _atom_sum(w, _cplx(r * cos2, r * sin2) * v)
+        sums[0] += _atom_sum(w, _cplx(r * cos2, r * sin2) * v)
         v *= v
         v *= _cplx(one_minus_tr2 + (2.0 * tr2) * (sin2 * sin2),
                    (-2.0 * tr2) * (sin2 * cos2))
-        d1[k] += _atom_sum(w * conj_w, v)
-    return jet
+        sums[1] += _atom_sum(w * conj_w, v)
+    return _atom_slices(mu, m, offset, add)
 
 
 def _piece_jet(pieces: CircleMeasure, r: float, m: int, offset: float):
@@ -401,8 +375,46 @@ def _piece_dilation_jet(pieces: CircleMeasure, r: float, t: float, m: int,
     return np.fft.ifft(spec, n=m, axis=1, norm="forward")
 
 
-def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
-                 buffers: RingBuffers | None = None
+def _ring_slices(mu: CircleMeasure, atoms, pieces, *args):
+    """An exponent jet of mu on a ring, slice by slice: (slice of k, (2, n)
+    array).  Without atoms it is the pieces' jet pieces(mu, *args) in one
+    slice; with atoms it is the slices of atoms(mu, *args), to each of
+    which, after the atoms' sums, the same slice of the (2, M) jet of the
+    pieces (_piece_measure) is added."""
+    if not mu.atom_x.size:
+        yield slice(None), pieces(mu, *args)
+        return
+    rest = pieces(mu._piece_measure(), *args) if mu.piece_a.size else None
+    for k, sums in atoms(mu, *args):
+        if rest is not None:
+            sums += rest[:, k]
+        yield k, sums
+
+
+def _gathered(slices, m: int) -> np.ndarray:
+    """The (2, M) jet of a ring's slices: the first slice itself when it
+    spans the ring."""
+    jet = None
+    for k, part in slices:
+        if part.shape[1] == m:
+            return part
+        if jet is None:
+            jet = np.empty((2, m), dtype=complex)
+        jet[:, k] = part
+    return jet
+
+
+def _herglotz_slices(mu: CircleMeasure, r: float, m: int, offset: float):
+    """(H, H') on the ring of herglotz_jet, slice by slice (_ring_slices)."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError("ring radius must be in [0, 1)")
+    if r == 0.0:
+        return [(slice(None), np.array(
+            [[mu.total_mass], [2.0 * mu.coefficients(1)[0]]]).repeat(m, 1))]
+    return _ring_slices(mu, _atom_jet, _piece_jet, r, m, offset)
+
+
+def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(H, H') at the M points z_k = r e^{2 pi i (k + offset)/M}, k = 0..M-1.
 
@@ -410,20 +422,9 @@ def herglotz_jet(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
     the atoms summed directly on the ring (_atom_jet), so an atomic measure
     fills no coefficient cache, and the pieces from one inverse FFT of
     _spectrum over their own coefficients (_piece_measure).  At r = 0,
-    H = mu(T) and H' = 2 hat mu(1).  With ``buffers`` the atoms' sums go
-    into their jet, and (H, H') are its rows until the next ring.
+    H = mu(T) and H' = 2 hat mu(1).
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError("ring radius must be in [0, 1)")
-    if r == 0.0:
-        return (np.full(m, mu.total_mass, dtype=complex),
-                np.full(m, 2.0 * mu.coefficients(1)[0], dtype=complex))
-    if not mu.atom_x.size:
-        return tuple(_piece_jet(mu, r, m, offset))
-    jet = _atom_jet(mu, r, m, offset, buffers)
-    if mu.piece_a.size:
-        jet += _piece_jet(mu._piece_measure(), r, m, offset)
-    return tuple(jet)
+    return tuple(_gathered(_herglotz_slices(mu, r, m, offset), m))
 
 
 def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
@@ -438,7 +439,7 @@ def herglotz_ring(mu: CircleMeasure, r: float, m: int, offset: float = 0.0,
 class FunctionModel:
     """Analytic function on the disc, evaluated as the jet (f, f') on full
     equispaced rings; the norms read log |f'|, which a model may compute
-    without forming f, in the RingBuffers that a sweep passes."""
+    without forming f, into the RingBuffers that a sweep passes."""
 
     def jet(self, r: float, m: int, offset: float = 0.0):
         """(f, f') at the M points r e^{2 pi i (k + offset)/M}."""
@@ -453,32 +454,34 @@ class FunctionModel:
     def log_abs_dring(self, r: float, m: int, offset: float = 0.0,
                       buffers: RingBuffers | None = None) -> np.ndarray:
         """log |f'| at the ring points of jet; -inf where f' is 0.  With
-        ``buffers`` the ring's arrays and the result are theirs: the
-        caller may overwrite the result, and the next ring does."""
+        ``buffers`` the result is theirs: the caller may overwrite it, and
+        the next ring does."""
         out = (RingBuffers() if buffers is None else buffers).real(m)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.dring(r, m, offset), out=out), out=out)
 
 
 class _ExponentialModel(FunctionModel):
-    """exp(-alpha E), E's ring jet (E, E') from _exponent_jet: the one
-    body of the inner power and of the dilation quotient."""
+    """exp(-alpha E), E's ring jet (E, E') slice by slice from
+    _exponent_slices: the one body of the inner power and of the dilation
+    quotient."""
 
     def jet(self, r, m, offset=0.0):
-        e, e1 = self._exponent_jet(r, m, offset)
+        e, e1 = _gathered(self._exponent_slices(r, m, offset), m)
         f = np.exp(-self.alpha * e)
         return f, -self.alpha * e1 * f
 
     def log_abs_dring(self, r, m, offset=0.0, buffers=None):
         """log |E'| + log alpha - alpha Re E, in that order, so exp(-alpha E)
-        never overflows or underflows; Re E is scaled in place."""
-        buffers = RingBuffers() if buffers is None else buffers
-        e, e1 = self._exponent_jet(r, m, offset, buffers)
-        out = buffers.real(m)
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(e1, out=out), out=out)
-        out += math.log(self.alpha)
-        out -= np.multiply(e.real, self.alpha, out=e.real)
+        never overflows or underflows; each slice of E is reduced into the
+        result as it is summed, and Re E is scaled in place."""
+        out = (RingBuffers() if buffers is None else buffers).real(m)
+        for k, (e, e1) in self._exponent_slices(r, m, offset):
+            part = out[k]
+            with np.errstate(divide="ignore"):
+                np.log(np.abs(e1, out=part), out=part)
+            part += math.log(self.alpha)
+            part -= np.multiply(e.real, self.alpha, out=e.real)
         return out
 
 
@@ -497,8 +500,8 @@ class SingularInnerPower(_ExponentialModel):
         if self.alpha <= 0:
             raise ValueError("power must be positive")
 
-    def _exponent_jet(self, r, m, offset, buffers=None):
-        return herglotz_jet(self.mu, r, m, offset, buffers)
+    def _exponent_slices(self, r, m, offset):
+        return _herglotz_slices(self.mu, r, m, offset)
 
 
 class Polynomial(FunctionModel):
@@ -532,18 +535,12 @@ class DilationQuotient(_ExponentialModel):
     def alpha(self):
         return self.inner.alpha
 
-    def _exponent_jet(self, r, m, offset, buffers=None):
-        """(D, D') on the ring as a (2, M) array, the atoms' part summed
-        into the jet of ``buffers`` when given."""
+    def _exponent_slices(self, r, m, offset):
+        """(D, D') on the ring slice by slice (_ring_slices)."""
         if not 0.0 < r < 1.0:
             raise ValueError("ring radius must be in (0, 1)")
-        t, mu = self.t, self.inner.mu
-        if not mu.atom_x.size:
-            return _piece_dilation_jet(mu, r, t, m, offset)
-        jet = _atom_dilation_jet(mu, r, t, m, offset, buffers)
-        if mu.piece_a.size:
-            jet += _piece_dilation_jet(mu._piece_measure(), r, t, m, offset)
-        return jet
+        return _ring_slices(self.inner.mu, _atom_dilation_jet,
+                            _piece_dilation_jet, r, self.t, m, offset)
 
 
 # -- Maclaurin coefficients ------------------------------------------------

@@ -242,6 +242,20 @@ class TestCheckCommand:
         with open(os.path.join(out, "kahane_pmeans.json")) as fh:
             assert json.load(fh)["worst_ratio"] is None
 
+    def test_overflowing_lp_partial_sum_is_inconclusive(self, tmp_path,
+                                                        capsys):
+        # mu(T)^p overflows a float: a report, not a traceback
+        spec = '{"type": "lebesgue", "params": {"mass": 1e200}}'
+        out = str(tmp_path / "c")
+        assert run("check", "--spec", spec, "--check", "fourier-lp",
+                   "--out", out) == 1
+        assert sorted(os.listdir(out)) == ["lebesgue_fourier-lp.csv",
+                                           "lebesgue_fourier-lp.json"]
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "fourier-lp: inconclusive"
+        with open(os.path.join(out, "lebesgue_fourier-lp.json")) as fh:
+            assert json.load(fh)["worst_ratio"] is None
+
     @pytest.mark.parametrize("command", ["measure", "check"])
     def test_overflowing_total_mass_is_a_configuration_error(
             self, tmp_path, capsys, command):
@@ -887,6 +901,27 @@ def test_cli_runs_without_scipy(tmp_path):
                  if line.startswith("exit "))
     assert sorted(codes) == sorted([*CHECKS, *PRESETS])
     assert set(codes.values()) <= {"0", "1"}, codes
+
+
+def test_moduli_leave_numpy_ma_unimported(tmp_path):
+    """The moduli and the breakpoints take their sorted unique values
+    without np.unique, whose plain call imports numpy.ma (13 ms, about
+    0.8 MiB) to ask whether its input is masked."""
+    code = (
+        "import sys\n"
+        "from cyclia import cli\n"
+        "kahane = '{\"type\": \"kahane\", \"depth\": 6, \"seed\": 7}'\n"
+        "salem = '{\"type\": \"salem\", \"depth\": 6, \"seed\": 3}'\n"
+        "cli.main(['check', '--spec', kahane, '--check', 'anderson',"
+        " '--out', sys.argv[1]])\n"
+        "cli.main(['suite', '--spec', salem, '--preset', 'salem',"
+        " '--out', sys.argv[1]])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_benchmark_tracer_runs_the_package(tmp_path):

@@ -18,7 +18,7 @@ from cyclia.measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
 from cyclia.models import (DilationQuotient, FunctionModel, Polynomial,
-                           SingularInnerPower, maclaurin)
+                           SingularInnerPower, herglotz_jet, maclaurin)
 from cyclia.norms import (QuadratureGrid, _radial_rule, besov_seminorm,
                           default_grid)
 from cyclia.profiles import LogPower, PowerLaw
@@ -424,6 +424,33 @@ class TestSweepBuffers:
         want = report()
         assert (got.table, got.fits) == (want.table, want.fits)
 
+    @pytest.mark.parametrize("check", ["multiplier", "derivative-sup"])
+    def test_streamed_rings_equal_full_jet_rings(self, check, monkeypatch):
+        # the atom sweeps on 3 atoms: the rings stream the atoms' sums into
+        # log |S'| one point slice at a time, with the report of rings
+        # reduced from the full (2, M) jet
+        mu = atomic([(0.1, 0.5), (0.4, 0.3), (0.8, 0.2)])
+        grid = QuadratureGrid.build(u_max=8.0, panels=4)
+
+        def report():
+            if check == "multiplier":
+                return multiplier_log_onebox(mu, 3.0, 4, grid)
+            return derivative_sup_ratio(mu, PHI, [1 - 2.0**-k
+                                                  for k in range(2, 12)])
+
+        def full_jet(self, r, m, offset=0.0, buffers=None):
+            e, e1 = np.stack(herglotz_jet(self.mu, r, m, offset))
+            with np.errstate(divide="ignore"):
+                out = np.log(np.abs(e1))
+            out += math.log(self.alpha)
+            out -= self.alpha * e.real
+            return out
+
+        got = report()
+        monkeypatch.setattr(SingularInnerPower, "log_abs_dring", full_jet)
+        want = report()
+        assert (got.table, got.fits) == (want.table, want.fits)
+
 
 class TestRingCount:
     @pytest.mark.parametrize("k", range(10, 16))
@@ -551,6 +578,18 @@ class TestFourier:
         rep = fourier_lp_summability(lebesgue(2.0), 3.0, 256)
         assert rep.passed
         assert rep.fits["partial_sum"] == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("mu", [lebesgue(1e200), atomic([(0.0, 1e120)])],
+                             ids=["base", "coefficients"])
+    def test_lp_overflowing_partial_sum_is_inconclusive(self, mu):
+        # mu(T)^p, or the coefficients' sum, overflows a float: no fit
+        # decides, so no verdict
+        with np.errstate(all="raise"):
+            rep = fourier_lp_summability(mu, 4.0, 256)
+        assert math.isnan(rep.worst_ratio)
+        assert math.isnan(rep.fits["increment_slope"])
+        assert rep.verdict == "inconclusive"
+        assert rep.table[-1]["partial_sum"] == math.inf
 
     def test_lp_salem_passes(self, salem):
         mu, _ = salem

@@ -290,6 +290,26 @@ class TestSalem:
         assert math.log(d) / math.log(1 / xi) == pytest.approx(0.8)
 
 
+class TestUnique:
+    @pytest.mark.parametrize("x", [
+        [0.25, -0.0, 0.5, 0.0, 0.25, 1.0, -0.0, 0.5],
+        [-0.0, 0.0],
+        [0.0, -0.0, 3.0],
+        [],
+        np.array([[0.5, 0.5], [-1.0, 2.0]]),
+        np.array([3, 1, 3, -2, 1], dtype=np.int64),
+        np.array([7, 7], dtype=np.int32),
+    ], ids=["repeats", "-0,0", "0,-0", "empty", "2-d", "int64", "int32"])
+    def test_matches_np_unique(self, x):
+        # the same values, signs of zero and dtype as np.unique
+        want = np.unique(np.asarray(x))
+        got = measures._unique(np.asarray(x))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        if got.dtype.kind == "f":
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestModuli:
     def test_lebesgue_moduli(self):
         mu = lebesgue()

@@ -138,6 +138,17 @@ def _ring(r, m, offset=0.0):
     return r * np.exp(2j * np.pi * (np.arange(m) + offset) / m)
 
 
+def _atom_jet(mu, r, m, offset):
+    """The atoms' (H, H') on the ring as a (2, M) array, gathered from
+    their slices."""
+    return models._gathered(models._atom_jet(mu, r, m, offset), m)
+
+
+def _exponent_jet(f, r, m, offset):
+    """An exponential model's (E, E') on the ring as a (2, M) array."""
+    return models._gathered(f._exponent_slices(r, m, offset), m)
+
+
 def _assert_close(got, want, atol=None):
     if atol is None:
         atol = 1e-10 * max(1.0, np.abs(want).max())
@@ -302,7 +313,7 @@ class TestJetKernel:
         assert (models._truncation_order(r, pieces.total_mass) < m) == fewer
         h, h1 = herglotz_jet(pieces, r, m, offset)
         if mu.atom_x.size:
-            ha, ha1 = models._atom_jet(mu, r, m, offset)
+            ha, ha1 = _atom_jet(mu, r, m, offset)
             got, got1 = herglotz_jet(mu, r, m, offset)
             assert np.array_equal(got, h + ha)
             assert np.array_equal(got1, h1 + ha1)
@@ -429,8 +440,8 @@ class TestAtomKernel:
         r, m, t = 1.0 - 10.0**-k, 64, 0.999
         mu = atomic(atoms)
         h, h1 = herglotz_jet(mu, r, m, offset)
-        d, d1 = DilationQuotient(SingularInnerPower(mu), t)._exponent_jet(
-            r, m, offset)
+        d, d1 = _exponent_jet(DilationQuotient(SingularInnerPower(mu), t),
+                              r, m, offset)
         want, want1, want_d, want_d1 = _mp_atom_jets(atoms, r, m, offset, t)
         z = _ring(r, m, offset)
         moduli = sum(c * np.abs((w + z) / (w - z))
@@ -439,6 +450,20 @@ class TestAtomKernel:
         assert (np.abs(h1 - want1) / np.abs(want1)).max() <= 1e-14
         assert (np.abs(d - want_d) / np.abs(want_d)).max() <= 1e-13
         assert (np.abs(d1 - want_d1) / np.abs(want_d1)).max() <= 1e-13
+
+    def test_exact_last_turn_means_no_rounding_error(self):
+        # a slice skips the turns' rounding error lo = k + offset - hi when
+        # k + offset is exact at its last k: then lo is zero at every k of
+        # the slice, whatever its first k
+        exact = 0
+        for offset in [0.0, 0.5, 0.25, 2.0**-30, 0.3, 1 - 2.0**-53, 1e-300]:
+            for first, last in [(0, 0), (0, 63), (32, 63), (0, 65535),
+                                (2**39, 2**40 - 1), (2**50, 2**51 - 1)]:
+                ks = np.unique(np.linspace(first, last, 4097).round())
+                if (np.float64(last) + offset) - last == offset:
+                    exact += 1
+                    assert not (offset - ((ks + offset) - ks)).any()
+        assert exact == 25
 
     def test_many_atoms_in_bounded_blocks(self):
         # 2^14 atoms of mass 2^-14 at x_j = (j + delta)/2^14 on a 2^10-point
@@ -577,6 +602,26 @@ BUFFER_MEASURES = {
 }
 
 
+def _forty_atoms(pieces=()):
+    rng = np.random.default_rng(5)
+    return CircleMeasure(atoms=np.column_stack(
+        [rng.random(40), rng.uniform(0.01, 0.1, 40)]), pieces=pieces)
+
+
+# (measure, M) of the streamed-ring tests: the unit atom, 3 atoms, 40
+# atoms in blocks of 32 and 8 (M = 256) and one at a time (M = 2^14), and
+# atoms plus pieces, with the 40 atoms' two blocks at M = 256
+STREAM_MEASURES = {
+    "unit": (lambda: atomic([(0.0, 1.0)]), 1 << 16),
+    "three": (lambda: atomic([(0.1, 0.5), (0.4, 0.3), (0.8, 0.2)]), 1 << 14),
+    "forty-256": (_forty_atoms, 256),
+    "forty-2^14": (_forty_atoms, 1 << 14),
+    "both": (BUFFER_MEASURES["both"], 1 << 14),
+    "forty-both": (lambda: _forty_atoms([(0.1, 0.3, 2.0), (0.6, 0.7, 1.0)]),
+                   256),
+}
+
+
 class TestRingBuffers:
     @pytest.mark.parametrize("kind", list(BUFFER_MEASURES))
     @pytest.mark.parametrize("model", ["inner", "quotient", "polynomial"])
@@ -606,32 +651,76 @@ class TestRingBuffers:
             np.testing.assert_array_equal(values, want)
             assert top == float(want.max())
 
-    @pytest.mark.parametrize("kind", list(BUFFER_MEASURES))
-    @pytest.mark.parametrize("offset", [0.0, 0.5])
-    def test_jet_in_buffers_equals_fresh_jet(self, kind, offset):
-        mu, buffers = BUFFER_MEASURES[kind](), RingBuffers()
-        for r, m in [(0.3, 256), (0.99, 256), (0.9, 64), (0.5, 256)]:
-            h, h1 = herglotz_jet(mu, r, m, offset, buffers)
-            want, want1 = herglotz_jet(mu, r, m, offset)
-            np.testing.assert_array_equal(h, want)
-            np.testing.assert_array_equal(h1, want1)
-
     def test_one_set_at_a_time(self):
-        # the jet, the real array and a turn table per offset are made
-        # once per M; a ring of another M replaces them
+        # the set is one array, the real result: made once per M, and a
+        # ring of another M replaces it
         buffers = RingBuffers()
-        jet, real = buffers.zero_jet(64), buffers.real(64)
-        turns = buffers.turns(64, 0.5)
-        jet[:] = 1.0
-        assert buffers.zero_jet(64) is jet and not jet.any()
-        assert buffers.real(64) is real and buffers.turns(64, 0.5) is turns
-        assert buffers.turns(64, 0.0) is not turns
+        real = buffers.real(64)
+        assert buffers.real(64) is real
         assert buffers.real(128).shape == (128,)
-        assert buffers.m == 128 and buffers.turns(128, 0.5)[0].shape == (128,)
         assert buffers.real(64) is not real
-        hi, lo = buffers.turns(64, 0.5)
-        np.testing.assert_array_equal(hi, turns[0])
-        np.testing.assert_array_equal(lo, turns[1])
+        assert list(vars(buffers)) == ["_real"]
+
+    @pytest.mark.parametrize("kind", list(STREAM_MEASURES))
+    @pytest.mark.parametrize("model", ["inner", "quotient"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_streamed_rings_equal_full_jet(self, kind, model, offset):
+        # the atoms' sums reach log |f'| one point slice at a time, the
+        # pieces' slice added after the atoms' sums: the bits of one
+        # reduction over the full (2, M) jet, atoms plus pieces (several
+        # atoms per block at M = 256, one per block and several slices at
+        # M = 2^14 and 2^16)
+        make, m = STREAM_MEASURES[kind]
+        mu = make()
+        inner = SingularInnerPower(mu, 0.7)
+        f = inner if model == "inner" else DilationQuotient(inner, 0.9)
+        atoms, pieces = ((models._atom_jet, models._piece_jet)
+                         if model == "inner" else
+                         (models._atom_dilation_jet,
+                          models._piece_dilation_jet))
+        args = (0.9,) if model == "quotient" else ()
+        for r in (0.5, 0.99, 0.99999):
+            want = models._gathered(atoms(mu, r, *args, m, offset), m)
+            if mu.piece_a.size:
+                want += pieces(mu._piece_measure(), r, *args, m, offset)
+            if model == "inner":
+                h, h1 = herglotz_jet(mu, r, m, offset)
+                np.testing.assert_array_equal(h, want[0])
+                np.testing.assert_array_equal(h1, want[1])
+            e, e1 = want
+            with np.errstate(divide="ignore"):
+                reduced = np.log(np.abs(e1))
+            reduced += math.log(f.alpha)
+            reduced -= f.alpha * e.real
+            np.testing.assert_array_equal(f.log_abs_dring(r, m, offset),
+                                          reduced)
+
+    def test_slices_keep_the_bits_of_one_block(self, monkeypatch):
+        # one atom per block: each point's arithmetic is its own, so the
+        # slices give the bits of one slice over the whole ring
+        mu, m = atomic([(0.3, 1.0)]), 1 << 14
+        f = DilationQuotient(SingularInnerPower(mu, 0.7), 0.9)
+        sliced = [herglotz_jet(mu, 0.999, m, 0.5), f.log_abs_dring(0.999, m)]
+        assert len(list(models._atom_jet(mu, 0.999, m, 0.5))) > 1
+        monkeypatch.setattr(models, "_ATOM_BLOCK", 2 * m)
+        assert len(list(models._atom_jet(mu, 0.999, m, 0.5))) == 1
+        whole = [herglotz_jet(mu, 0.999, m, 0.5), f.log_abs_dring(0.999, m)]
+        np.testing.assert_array_equal(sliced[0], whole[0])
+        np.testing.assert_array_equal(sliced[1], whole[1])
+
+    @pytest.mark.parametrize("model", ["inner", "quotient"])
+    def test_fresh_atom_ring_holds_no_ring_length_jet(self, model):
+        # a fresh unit-atom ring at M = 2^16 holds its 0.5 MiB result and
+        # one slice's sums and temporaries; a (2, M) jet alone is 2 MiB
+        inner = SingularInnerPower(ATOM)
+        f = inner if model == "inner" else DilationQuotient(inner, 0.5)
+        tracemalloc.start()
+        try:
+            f.log_abs_dring(0.999, 1 << 16, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     @pytest.mark.parametrize("r, t, m", [(0.3, 0.5, 1024), (0.97, 0.5, 64),
                                          (0.97, 0.99, 64), (0.5, 0.9, 1)],
@@ -651,8 +740,8 @@ class TestRingBuffers:
         dilated = _padded(models._spectrum(mu, t * r, m, offset), m)
         dilated[1] *= t
         want = np.fft.ifft(spec - dilated, axis=1, norm="forward")
-        got = DilationQuotient(SingularInnerPower(mu), t)._exponent_jet(
-            r, m, offset)
+        got = _exponent_jet(DilationQuotient(SingularInnerPower(mu), t),
+                            r, m, offset)
         np.testing.assert_array_equal(got, want)
 
 
@@ -793,7 +882,7 @@ class TestLeafFolds:
         r, m = 0.9, 256
         h, h1 = herglotz_jet(mu, r, m, offset)
         hp, hp1 = herglotz_jet(pieces, r, m, offset)
-        ha, ha1 = models._atom_jet(mu, r, m, offset)
+        ha, ha1 = _atom_jet(mu, r, m, offset)
         np.testing.assert_array_equal(h, hp + ha)
         np.testing.assert_array_equal(h1, hp1 + ha1)
         count, w = _row_factors(r, m, offset)
