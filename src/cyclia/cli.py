@@ -189,8 +189,9 @@ _MAX_GRID = 1024  # points of a --grid-count grid; the largest default is 17
 def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
               scale: str) -> np.ndarray:
     """linspace(start, stop, count), each replaced by its ``--grid-*`` flag
-    when given, mapped by the check's own scale: ``dyadic`` takes 2^-x and
-    ``log1m`` takes 1 - 10^-x (radii or dilations: every point in (0, 1))."""
+    when given, mapped by the check's own scale: ``dyadic`` takes 2^-x (t
+    in (0, 1]) and ``log1m`` takes 1 - 10^-x (radii or dilations, in
+    (0, 1)); a point outside its range is a usage error naming the flag."""
     if cfg.grid_start is not None:
         start = cfg.grid_start
     if cfg.grid_stop is not None:
@@ -200,14 +201,14 @@ def make_grid(cfg: RunConfig, start: float, stop: float, count: int,
     if not 1 <= count <= _MAX_GRID:
         raise UsageError(f"grid count must be in 1..{_MAX_GRID}, got {count}")
     x = np.linspace(start, stop, count)
-    if scale == "dyadic":
-        return 2.0 ** -x
-    grid = 1.0 - 10.0 ** -x
-    bad = ~((grid > 0.0) & (grid < 1.0))
+    dyadic = scale == "dyadic"
+    grid = 2.0 ** -x if dyadic else 1.0 - 10.0 ** -x
+    bad = ~((grid > 0.0) & ((grid <= 1.0) if dyadic else (grid < 1.0)))
     if bad.any():
         flag, value = ("--grid-start", start) if bad[0] else ("--grid-stop", stop)
-        raise UsageError(f"{flag} {value:g} puts a log1m grid point at "
-                         f"{float(grid[bad][0])!r}, outside (0, 1)")
+        raise UsageError(f"{flag} {value:g} puts a {scale} grid point at "
+                         f"{float(grid[bad][0])!r}, outside "
+                         f"{'(0, 1]' if dyadic else '(0, 1)'}")
     return grid
 
 

@@ -21,8 +21,8 @@ from .dyadic import logsumexp, martingale_from_measure
 from .measures import (CircleMeasure, IntervalSet, bc_entropy,
                        modulus_continuity, modulus_smoothness,
                        smoothness_constant)
-from .models import (DilationQuotient, RingBuffers, SingularInnerPower,
-                     herglotz_ring, maclaurin)
+from .models import (DilationQuotient, SingularInnerPower, herglotz_ring,
+                     maclaurin)
 from .norms import (QuadratureGrid, _angular_counts, _kronrod, _panel_map,
                     _radial_rule, besov_seminorm, default_grid)
 from .profiles import SmoothnessProfile
@@ -288,9 +288,9 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
     For every dyadic I up to max_generation the box integral of
     |S_mu'|^p (1-|z|)^{p-1} is compared against |I| (log(e/|I|))^{1-p/2};
     the check passes when the per-generation sup of that ratio stabilizes.
-    Each quadrature ring is evaluated once, in RingBuffers the check owns,
-    and its cell-aligned partial sums are folded upward through the
-    generations.
+    Each quadrature ring is evaluated once, into the array the previous
+    ring returned, and its cell-aligned partial sums are folded upward
+    through the generations.
     """
     if p <= 2:
         raise ValueError("p must exceed 2")
@@ -304,13 +304,13 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
                                   grid.nodes_per_panel, grid.m_min, grid.m_max)
     S = SingularInnerPower(mu, 1.0)
     box = {n: np.zeros(2**n) for n in range(1, max_generation + 1)}
-    buffers = RingBuffers()
+    dens = None
     for u, r, w, m in zip(us, rs.tolist(), ws, ms.tolist()):
         g = min(int(u), max_generation)   # deepest generation this ring reaches
         if g < 1:
             continue
         with np.errstate(over="ignore"):
-            dens = S.log_abs_dring(r, m, offset=0.5, buffers=buffers)
+            dens = S.log_abs_dring(r, m, offset=0.5, out=dens)
             np.exp(np.multiply(dens, p, out=dens), out=dens)
         cells = dens.reshape(2**g, -1).sum(axis=1) * (
             w * (1.0 - r) ** (p - 1.0) * r * (2.0 * math.pi / m))
@@ -336,14 +336,15 @@ def multiplier_log_onebox(mu: CircleMeasure, p: float, max_generation: int,
 
 def derivative_sup_ratio(mu: CircleMeasure, phi, r_grid) -> CheckReport:
     """sup_{|z|=r} |S_mu'(z)| (1-r) / phi(1-r), boundedness across r_grid;
-    the rings are evaluated in RingBuffers the check owns."""
+    each ring is evaluated into the array the previous ring returned."""
     S = SingularInnerPower(mu, 1.0)
     rows = []
-    buffers = RingBuffers()
+    dens = None
     for r in np.atleast_1d(np.asarray(r_grid, dtype=float)):
         r = float(r)
         m = _ring_count(r, floor=4096)
-        log_sup = float(S.log_abs_dring(r, m, buffers=buffers).max())
+        dens = S.log_abs_dring(r, m, out=dens)
+        log_sup = float(dens.max())
         sup = math.exp(log_sup) if log_sup < 700.0 else math.inf
         ratio = sup * (1.0 - r) / float(phi.phi(1.0 - r))
         rows.append({"r": r, "sup_deriv": sup, "ratio": ratio})
@@ -413,6 +414,8 @@ def integrability_report(phi: SmoothnessProfile, p: float,
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     x, wk, _ = _kronrod(8)
     w, (dw,) = _panel_map(np.sqrt(np.arange(_OCTAVES + 1) * math.log(2.0)),
                           x, [wk])

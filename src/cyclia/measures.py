@@ -373,7 +373,7 @@ class CircleMeasure:
         atom's coefficients, which do not decay, are filled only when a
         caller asks for hat mu itself, and a leaf measure's ring folds read
         its table and form the reciprocals 1/n instead (_leaf_folds).
-        Ring-length arrays that no sweep's RingBuffers hold (the spectrum
+        Ring-length arrays that no sweep holds across rings (the spectrum
         and its inverse FFT) are allocated on every ring; they are not
         mapped afresh each time only while a freed block of at least 8 MiB
         keeps glibc's mmap and trim thresholds raised.  On a leaf measure
@@ -382,8 +382,9 @@ class CircleMeasure:
         four Besov passes of the Kahane depth 12 brown-shields row in one
         process take 8-9k minor faults in the first and at most 1k in each
         of the others, against 100-190k in every pass (0.5-0.7 s against
-        0.35-0.5 s) with blocks of 4 MiB.  A block held across rings (in
-        RingBuffers) frees nothing, and the pass refaults the same way.
+        0.35-0.5 s) with blocks of 4 MiB.  A block held across rings (as a
+        sweep holds its log |f'|) frees nothing, and the pass refaults the
+        same way.
         A full buffer is reallocated at 3/2 of its capacity (or the request,
         if larger), so the copies cost O(1) per coefficient; a ring sweep
         that asks for its largest count first sizes it once.  A count above
@@ -417,22 +418,13 @@ class CircleMeasure:
 
     def _fill_leaves(self, start: int, out: np.ndarray) -> None:
         """out[k] = hat mu(n), n = start + k >= 1, for p uniform leaves:
-        T[n mod p]/(2 pi i n).  The table (_table) is copied cyclically from
-        start mod p, so every phase is exact, however large n; the division
-        goes in blocks of _FILL."""
+        T[n mod p]/(2 pi i n).  The table (_table) is copied cyclically
+        (_cyclic), so every phase is exact, however large n; the copy and
+        the division go in blocks of _FILL."""
         table = self._table()
-        p, k0 = table.size, start % table.size
-        head = min(out.size, p - k0)
-        out[:head] = table[k0:k0 + head]
-        rest = min(out.size, p) - head
-        out[head:head + rest] = table[:rest]
-        head += rest
-        while head < out.size:  # out[:head] has period p: double it
-            more = min(head, out.size - head)
-            out[head:head + more] = out[:more]
-            head += more
         for s in range(0, out.size, _FILL):
             block = out[s:s + _FILL]
+            block[...] = _cyclic(table, start + s, block.size)
             block /= 2j * np.pi * np.arange(start + s, start + s + block.size)
 
     def _fill_product(self, start: int, out: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CoefficientVector, FunctionModel, RingBuffers
+from .models import CoefficientVector, FunctionModel
 
 __all__ = [
     "QuadratureGrid", "lp_a_norm", "weighted_l2alpha",
@@ -210,13 +210,14 @@ def besov_seminorm(f: FunctionModel, p: float,
     coefficients, and builds every cache the others read (the coefficient
     cache, a leaf measure's table, the pieces of a measure with atoms).
     Two workers, the calling thread and one more, then take the other
-    rings from the outside in, alternately, each in RingBuffers of its own
-    and under the caller's numpy error state (a thread does not inherit
-    np.errstate).  The ring kernel makes no BLAS call on a leaf measure
+    rings from the outside in, alternately, each passing its last ring's
+    array back to the next (FunctionModel.log_abs_dring) and under the
+    caller's numpy error state (a thread does not inherit np.errstate).
+    The ring kernel makes no BLAS call on a leaf measure
     (CircleMeasure._leaf_folds), so the two run side by side.  The sums
     run from the inside out, in a fixed order, so the result has the bits
     of a sequential pass.  |f'|^p is read as exp(p log |f'|) from the
-    model's log_abs_dring, in place in the worker's RingBuffers.  The
+    model's log_abs_dring, in place in the worker's array.  The
     outermost ring whose mean of |f'|^p is not finite, or which raises,
     ends the pass as it would a sequential one: both numbers read inf, or
     the exception propagates once both workers have stopped.
@@ -232,7 +233,7 @@ def besov_seminorm(f: FunctionModel, p: float,
     state = dict(np.geterr(), call=np.geterrcall())
 
     def sweep(rings):
-        buffers = RingBuffers()
+        dens = None
         with np.errstate(**state):
             for i in rings:
                 with lock:
@@ -240,7 +241,7 @@ def besov_seminorm(f: FunctionModel, p: float,
                         return
                 try:
                     dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]),
-                                           buffers=buffers)
+                                           out=dens)
                     means[i] = float(np.mean(np.exp(
                         np.multiply(dens, p, out=dens), out=dens)))
                     if math.isfinite(means[i]):

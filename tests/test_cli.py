@@ -226,6 +226,17 @@ class TestCheckCommand:
         assert data["fits"]["verdict_weighted"] == "inconclusive"
         assert data["worst_ratio"] is None
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_nonpositive_epsilon_is_a_configuration_error(self, tmp_path,
+                                                          capsys, epsilon):
+        # the gauge integral's weight exp(epsilon bracket^2) needs epsilon > 0
+        spec = ('{"type": "kahane", "params": {"C": 1.0, "gamma": 0.5},'
+                ' "depth": 6, "seed": 7}')
+        assert run("check", "--spec", spec, "--check", "integrability",
+                   "--epsilon", epsilon, "--out", str(tmp_path / "c")) == 2
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "c")
+
     @pytest.mark.parametrize("params", ['{"C": 1e308}',
                                         '{"C": 1e200, "gamma": 0.9}'])
     def test_overflowing_gauge_bracket_is_inconclusive(self, tmp_path, capsys,
@@ -302,6 +313,19 @@ class TestCheckCommand:
                    flag, value, "--out", str(tmp_path / "c")) == 2
         err = capsys.readouterr().err
         assert f"{flag} {value} puts a log1m grid point at {point}," in err
+        assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("flag, value, point", [
+        ("--grid-start", "-1", "2.0"), ("--grid-stop", "1100", "0.0")])
+    def test_dyadic_point_outside_the_unit_interval_is_a_usage_error(
+            self, tmp_path, capsys, flag, value, point):
+        # 2^-x leaves (0, 1] for x < 0, and rounds to 0 for x above 1074
+        assert run("check", "--spec", KAHANE_SPEC, "--check", "anderson",
+                   flag, value, "--grid-count", "3",
+                   "--out", str(tmp_path / "c")) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value} puts a dyadic grid point at {point}," in err
+        assert "outside (0, 1]" in err
         assert not os.path.exists(tmp_path / "c")
 
     def test_cache_budget_is_a_configuration_error(self, tmp_path, capsys):

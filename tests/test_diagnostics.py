@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -359,17 +360,17 @@ SWEEP_MEASURES = {
 
 
 class TestSweepBuffers:
-    """Each sweep owns one RingBuffers and passes it to ring after ring;
-    its numbers are those of fresh per-ring calls, bit for bit, so no
-    ring reads what an earlier one left, and no value a sweep read from
+    """Each sweep passes each ring's log |f'| back to the next ring as
+    out=; its numbers are those of fresh per-ring calls, bit for bit, so
+    no ring reads what an earlier one left, and no value a sweep read from
     a ring is overwritten by the next."""
 
     @pytest.fixture
     def fresh_rings(self, monkeypatch):
-        """Installs log_abs_dring without buffers: every ring is fresh."""
+        """Installs log_abs_dring that ignores out=: every ring is fresh."""
         def install():
             for cls in (SingularInnerPower, DilationQuotient):
-                def per_ring(self, r, m, offset=0.0, buffers=None,
+                def per_ring(self, r, m, offset=0.0, out=None,
                              original=cls.log_abs_dring):
                     return original(self, r, m, offset)
 
@@ -424,6 +425,39 @@ class TestSweepBuffers:
         want = report()
         assert (got.table, got.fits) == (want.table, want.fits)
 
+    @pytest.mark.parametrize("sweep, starts", [
+        ("besov", 3), ("multiplier", 1), ("derivative-sup", 1)])
+    def test_each_ring_gets_the_last_result_back(self, sweep, starts,
+                                                 monkeypatch):
+        # the reuse policy: a sweep passes every ring after its first the
+        # array its thread's previous ring returned, which that ring writes
+        # when it has the same M, so the sweep allocates once per M
+        # (besov_seminorm starts three times: the outermost ring alone,
+        # then each worker's share)
+        calls, original = [], SingularInnerPower.log_abs_dring
+
+        def recorded(self, r, m, offset=0.0, out=None):
+            got = original(self, r, m, offset, out)
+            calls.append((threading.get_ident(), m, out, got))
+            return got
+
+        monkeypatch.setattr(SingularInnerPower, "log_abs_dring", recorded)
+        mu = SWEEP_MEASURES["atoms"]()
+        grid = QuadratureGrid.build(u_max=8.0, panels=4)
+        if sweep == "besov":
+            besov_seminorm(SingularInnerPower(mu, 1.0), 3.0, grid)
+        elif sweep == "multiplier":
+            multiplier_log_onebox(mu, 3.0, 4, grid)
+        else:
+            derivative_sup_ratio(mu, PHI, [1 - 2.0**-k for k in range(2, 12)])
+        last = {}
+        for thread, m, out, got in calls:
+            assert out is None or out is last[thread]
+            assert (got is out) == (out is not None and out.size == m)
+            last[thread] = got
+        assert sum(out is None for _, _, out, _ in calls) == starts
+        assert any(got is out for _, _, out, got in calls)
+
     @pytest.mark.parametrize("check", ["multiplier", "derivative-sup"])
     def test_streamed_rings_equal_full_jet_rings(self, check, monkeypatch):
         # the atom sweeps on 3 atoms: the rings stream the atoms' sums into
@@ -438,7 +472,7 @@ class TestSweepBuffers:
             return derivative_sup_ratio(mu, PHI, [1 - 2.0**-k
                                                   for k in range(2, 12)])
 
-        def full_jet(self, r, m, offset=0.0, buffers=None):
+        def full_jet(self, r, m, offset=0.0, out=None):
             e, e1 = np.stack(herglotz_jet(self.mu, r, m, offset))
             with np.errstate(divide="ignore"):
                 out = np.log(np.abs(e1))

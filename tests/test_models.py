@@ -11,9 +11,9 @@ from cyclia import measures, models
 from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
-from cyclia.models import (DilationQuotient, Polynomial, RingBuffers,
-                           SingularInnerPower, herglotz, herglotz_derivative,
-                           herglotz_jet, herglotz_ring, maclaurin, poisson)
+from cyclia.models import (DilationQuotient, Polynomial, SingularInnerPower,
+                           herglotz, herglotz_derivative, herglotz_jet,
+                           herglotz_ring, maclaurin, poisson)
 from cyclia.norms import QuadratureGrid, besov_seminorm
 from cyclia.profiles import LogPower
 
@@ -623,43 +623,55 @@ STREAM_MEASURES = {
 
 
 class TestRingBuffers:
+    # a sweep passes each ring's log |f'| back to the next ring as out=
     @pytest.mark.parametrize("kind", list(BUFFER_MEASURES))
     @pytest.mark.parametrize("model", ["inner", "quotient", "polynomial"])
     @pytest.mark.parametrize("offset", [0.0, 0.5])
     def test_reused_buffers_equal_fresh_rings(self, kind, model, offset):
-        # one RingBuffers through several rings of one M, one of another M
-        # and back: each ring's log |f'| is the fresh call's, bit for bit
-        # (the atoms' sums start from zero, not from the last ring), and
-        # what a ring returned is the buffers' own, so a value read from it
-        # before the next ring is that ring's
+        # each ring's result passed back to the next, through several rings
+        # of one M, one of another M and back: a ring of the same M returns
+        # the array it was passed, one of another M a new array, and each
+        # ring's log |f'| is the fresh call's, bit for bit (the atoms' sums
+        # start from zero, not from the last ring), so a value read from a
+        # ring before the next is that ring's
         mu = BUFFER_MEASURES[kind]()
         f = {"inner": SingularInnerPower(mu, 0.7),
              "quotient": DilationQuotient(SingularInnerPower(mu, 0.3), 0.9),
              "polynomial": Polynomial([1.0, -0.5, 0.25, 2.0])}[model]
         rings = [(0.3, 256), (0.9, 256), (0.99, 256), (0.999, 64),
                  (0.5, 256), (0.95, 256)]
-        buffers = RingBuffers()
-        read, previous = [], None
+        read, out = [], None
         for r, m in rings:
-            got = f.log_abs_dring(r, m, offset, buffers=buffers)
-            if previous is not None and previous.size == m:
-                assert np.shares_memory(got, previous)
+            got = f.log_abs_dring(r, m, offset, out=out)
+            assert got.shape == (m,)
+            if out is not None:
+                assert (got is out) == (out.size == m)
+                assert out.size == m or not np.shares_memory(got, out)
             read.append((float(got.max()), got.copy()))
-            previous = got
+            out = got
         for (r, m), (top, values) in zip(rings, read):
             want = f.log_abs_dring(r, m, offset)
             np.testing.assert_array_equal(values, want)
             assert top == float(want.max())
 
     def test_one_set_at_a_time(self):
-        # the set is one array, the real result: made once per M, and a
-        # ring of another M replaces it
-        buffers = RingBuffers()
-        real = buffers.real(64)
-        assert buffers.real(64) is real
-        assert buffers.real(128).shape == (128,)
-        assert buffers.real(64) is not real
-        assert list(vars(buffers)) == ["_real"]
+        # out is written only when it holds the ring's M points: an array
+        # of another size or shape is left as it was, and the ring gets a
+        # new M-point array with the fresh call's bits
+        inner = SingularInnerPower(ATOM, 0.7)
+        for f in (inner, DilationQuotient(inner, 0.9),
+                  Polynomial([1.0, -0.5, 0.25, 2.0])):
+            want = f.log_abs_dring(0.9, 64, 0.5)
+            for other in (np.full(128, 7.0), np.full(32, 7.0),
+                          np.full((2, 32), 7.0), np.full((64, 1), 7.0)):
+                got = f.log_abs_dring(0.9, 64, 0.5, out=other)
+                assert got.shape == (64,)
+                assert not np.shares_memory(got, other)
+                assert (other == 7.0).all()
+                np.testing.assert_array_equal(got, want)
+            mine = np.full(64, 7.0)
+            assert f.log_abs_dring(0.9, 64, 0.5, out=mine) is mine
+            np.testing.assert_array_equal(mine, want)
 
     @pytest.mark.parametrize("kind", list(STREAM_MEASURES))
     @pytest.mark.parametrize("model", ["inner", "quotient"])

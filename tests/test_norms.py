@@ -20,7 +20,7 @@ ATOM_S = SingularInnerPower(atomic([(0.0, 1.0)]), 1.0)
 
 def _ring_by_ring(f, p, grid, rings):
     """besov_seminorm's value and estimate from its rings evaluated one at
-    a time in the order ``rings``, on one thread, each without buffers."""
+    a time in the order ``rings``, on one thread, each into a new array."""
     means = [0.0] * len(grid)
     for i in rings:
         dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]))
@@ -224,8 +224,8 @@ class _Spiked(FunctionModel):
     def jet(self, r, m, offset=0.0):
         return Z.jet(r, m, offset)
 
-    def log_abs_dring(self, r, m, offset=0.0, buffers=None):
-        out = super().log_abs_dring(r, m, offset, buffers)
+    def log_abs_dring(self, r, m, offset=0.0, out=None):
+        out = super().log_abs_dring(r, m, offset, out)
         if r <= self.r_spike and not (
                 self.worker_only
                 and threading.current_thread() is threading.main_thread()):
@@ -260,10 +260,10 @@ class TestThreadedSweep:
         class Raised(Exception):
             pass
 
-        def failing(self, r, m, offset=0.0, buffers=None):
+        def failing(self, r, m, offset=0.0, out=None):
             if r <= r_first:
                 raise Raised(r)
-            return original(self, r, m, offset, buffers)
+            return original(self, r, m, offset, out)
 
         monkeypatch.setattr(SingularInnerPower, "log_abs_dring", failing)
         threads = threading.active_count()

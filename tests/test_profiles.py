@@ -138,3 +138,9 @@ class TestIntegrability:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             integrability_report(LogPower(1.0, 0.5), p=0.0, epsilon=0.1)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0])
+    def test_invalid_epsilon(self, epsilon):
+        # the weight exp(epsilon bracket^2) of the condition needs epsilon > 0
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            integrability_report(LogPower(1.0, 0.5), p=3.0, epsilon=epsilon)
