@@ -379,6 +379,8 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_suite(cfg: RunConfig) -> int:
     ctx = build_measure(cfg.spec, cfg)
+    if "korenblum" in PRESETS[cfg.preset]:
+        _support(ctx)  # a usage error before any artifact is written
     entries = []
     if cfg.preset == "salem":
         cmd_measure(cfg, ctx)

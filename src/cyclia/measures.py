@@ -593,12 +593,15 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class SalemSpec:
-    """Parameters of the Cantor-type construction with polynomial Fourier decay.
+    """Parameters of a Salem-style Cantor construction.
 
     Branching d >= 2, ratio 0 < xi < 1/d, spacing nu = (xi + 1/d)/2; at step j
     each interval spawns d children of length xi_j * |I| whose consecutive
     left endpoints sit nu * |I| apart, with xi_j drawn uniformly from
-    [(1 - 1/(j+1)^2) xi, xi].
+    [(1 - 1/(j+1)^2) xi, xi].  Every parent of a generation splits alike, so
+    the measure is a Riesz product, and it shows no power Fourier decay: at
+    J = 12 the log-log slopes of its envelope over octaves 2-12 read -0.113
+    to -0.032 on 24 seeds, against the target alpha/2 = 0.4.
     """
 
     alpha: float
@@ -634,16 +637,6 @@ class SalemSpec:
         js = np.arange(1, self.generations + 1)
         lo = (1.0 - 1.0 / (js + 1) ** 2) * self.xi
         return lo + rng.random(self.generations) * (self.xi - lo)
-
-    def gamma_sequence(self) -> np.ndarray:
-        """Gamma_j = prod_{i<=j} (nu - xi_i), the discarded-length bookkeeping."""
-        return np.cumprod(self.nu - self.xi_sequence())
-
-    def gamma_bound(self, j: int) -> float:
-        """((1/d - xi)/2)^j * exp((pi^2/6 - 1) * 2 xi / (1/d - xi))."""
-        base = (1.0 / self.d - self.xi) / 2.0
-        return base**j * math.exp((math.pi**2 / 6 - 1.0)
-                                  * 2.0 * self.xi / (1.0 / self.d - self.xi))
 
 
 def choose_salem_parameters(alpha: float, epsilon: float) -> tuple[int, float]:

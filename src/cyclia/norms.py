@@ -217,10 +217,11 @@ def besov_seminorm(f: FunctionModel, p: float,
     (CircleMeasure._leaf_folds), so the two run side by side.  The sums
     run from the inside out, in a fixed order, so the result has the bits
     of a sequential pass.  |f'|^p is read as exp(p log |f'|) from the
-    model's log_abs_dring, in place in the worker's array.  The
-    outermost ring whose mean of |f'|^p is not finite, or which raises,
-    ends the pass as it would a sequential one: both numbers read inf, or
-    the exception propagates once both workers have stopped.
+    model's log_abs_dring, in place in the worker's array.  A ring whose
+    mean of |f'|^p is not finite, or which raises, ends its worker's share
+    (the worker's first failure is its outermost); once both workers have
+    stopped, the outermost failing ring ends the pass as it would a
+    sequential one: both numbers read inf, or its exception propagates.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -229,16 +230,12 @@ def besov_seminorm(f: FunctionModel, p: float,
     n = len(grid)
     means = [0.0] * n
     ended = {}          # ring index -> the exception it raised, or None
-    lock = threading.Lock()
     state = dict(np.geterr(), call=np.geterrcall())
 
     def sweep(rings):
         dens = None
         with np.errstate(**state):
             for i in rings:
-                with lock:
-                    if ended and i < max(ended):  # a ring outside ended it
-                        return
                 try:
                     dens = f.log_abs_dring(float(grid.r[i]), int(grid.m[i]),
                                            out=dens)
@@ -249,8 +246,7 @@ def besov_seminorm(f: FunctionModel, p: float,
                     exc = None
                 except Exception as err:
                     exc = err
-                with lock:
-                    ended[i] = exc
+                ended[i] = exc
                 return
 
     sweep([n - 1])
@@ -259,10 +255,6 @@ def besov_seminorm(f: FunctionModel, p: float,
         worker.start()
         try:
             sweep(range(n - 2, -1, -2))
-        except BaseException:
-            with lock:
-                ended[n] = None               # the worker stops at its next ring
-            raise
         finally:
             worker.join()
     if ended:

@@ -1,10 +1,9 @@
-"""Smoothness gauges phi on (0, 1] and the gauge integrals of the theorems.
+"""Smoothness gauges phi on (0, 1] and their accumulated brackets.
 
-A gauge is positive and nondecreasing, with a declared exponent beta0 such
-that phi(t)/t^beta0 is almost decreasing; ``regularity_report`` witnesses
-all three on one fixed grid of t.  The accumulated gauge
-bracket(s) = (int_s^1 phi(t)^2 / t dt)^(1/2) has a closed form for each
-of the two families, log-power and power-law.
+A gauge is a positive, nondecreasing phi(t), vectorized over t, in one of
+two families: log-power C (log(e/t))^(-gamma) and power-law C t^beta.  The
+accumulated gauge bracket(s) = (int_s^1 phi(t)^2 / t dt)^(1/2) has a closed
+form for each.
 """
 
 from __future__ import annotations
@@ -16,34 +15,13 @@ import numpy as np
 
 __all__ = ["SmoothnessProfile", "LogPower", "PowerLaw"]
 
-# the grid on which a gauge's regularity is witnessed
-_REGULARITY_GRID = np.geomspace(1e-10, 1.0, 400)
-
 
 class SmoothnessProfile:
     """Base gauge.  Subclasses implement phi(t), vectorized over t, and
     the accumulated gauge bracket(s) in closed form."""
 
-    beta0: float
-
     def phi(self, t):
         raise NotImplementedError
-
-    def almost_decreasing_constant(self) -> float:
-        """Least c with phi(s)/s^beta0 >= c phi(t)/t^beta0 for s < t on the grid."""
-        g = np.asarray(self.phi(_REGULARITY_GRID)) / _REGULARITY_GRID**self.beta0
-        running_max_right = np.maximum.accumulate(g[::-1])[::-1]
-        return float(np.min(g / running_max_right))
-
-    def regularity_report(self) -> dict:
-        """Positivity, monotonicity and the almost-decreasing witness on a grid."""
-        vals = np.asarray(self.phi(_REGULARITY_GRID))
-        return {
-            "positive": bool((vals > 0).all()),
-            "nondecreasing": bool((np.diff(vals) >= -1e-15).all()),
-            "beta0": self.beta0,
-            "almost_decreasing_constant": self.almost_decreasing_constant(),
-        }
 
 
 @dataclass(frozen=True)
@@ -56,12 +34,6 @@ class LogPower(SmoothnessProfile):
     def __post_init__(self):
         if self.C <= 0 or self.gamma <= 0:
             raise ValueError("C and gamma must be positive")
-
-    @property
-    def beta0(self) -> float:
-        # phi(t)/t^b is decreasing iff b > gamma/log(e/t); b > gamma
-        # works for all t, clamped into (0, 1).
-        return min(0.95, self.gamma + 0.25)
 
     def phi(self, t):
         t = np.asarray(t, dtype=float)
@@ -87,10 +59,6 @@ class PowerLaw(SmoothnessProfile):
     def __post_init__(self):
         if self.C <= 0 or not 0.0 < self.beta < 1.0:
             raise ValueError("need C > 0 and 0 < beta < 1")
-
-    @property
-    def beta0(self) -> float:
-        return self.beta
 
     def phi(self, t):
         return self.C * np.asarray(t, dtype=float) ** self.beta

@@ -602,6 +602,19 @@ class TestSuiteCommand:
             for fname in rep["files"]:
                 assert os.path.exists(os.path.join(out, fname))
 
+    def test_salem_preset_refuses_a_spec_without_support_first(
+            self, tmp_path, capsys):
+        # korenblum reads the measure's support: a spec without one is a
+        # usage error before any check runs or any artifact is written
+        out = tmp_path / "s"
+        spec = '{"type": "kahane", "depth": 6, "seed": 7}'
+        assert run("suite", "--spec", spec, "--preset", "salem",
+                   "--out", str(out)) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "korenblum needs a measure with support" in captured.err
+
     def test_summary_validates_against_schema(self, tmp_path):
         # cyclia builds every field of summary.json and does not validate it
         # at run time; the summary of every preset matches the packaged schema
@@ -830,20 +843,32 @@ class TestRegistry:
         assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
     def test_every_exported_name_is_reached(self):
-        # an exported name is referenced by the CLI, the acceptance gate,
-        # the benchmark's tracer or another definition of the package, or
-        # it is a paper statement whose test exists
+        # an exported name, and each public method or property of an
+        # exported class, is referenced by the CLI, the acceptance gate,
+        # the benchmark's tracer or another definition of the package (a
+        # sibling member counts, the member itself does not), or it is a
+        # paper statement whose test exists
         reached = set()
         for path in REACHING:
             reached |= _identifiers(_parse(path), strings=True)
+        exported, members = [], []
         for name in PACKAGE:
+            names = importlib.import_module(f"cyclia.{name}").__all__
+            exported += names
             for node in _parse(f"src/cyclia/{name}.py").body:
                 own = getattr(node, "name", None)
+                if isinstance(node, ast.ClassDef):
+                    methods = [m for m in node.body
+                               if isinstance(m, ast.FunctionDef)]
+                    node.body = [s for s in node.body if s not in methods]
+                    for m in methods:
+                        reached |= _identifiers(m) - {own, m.name}
+                        if own in names and not m.name.startswith("_"):
+                            members.append((own, m.name))
                 reached |= _identifiers(node) - {own}
-        exported = [n for name in PACKAGE
-                    for n in importlib.import_module(f"cyclia.{name}").__all__]
         assert [n for n in exported
                 if n not in reached and n not in PAPER_STATEMENTS] == []
+        assert sorted(f"{c}.{m}" for c, m in members if m not in reached) == []
         assert sorted(set(PAPER_STATEMENTS) - set(exported)) == []
         for test_id in PAPER_STATEMENTS.values():
             path, *names = test_id.split("::")

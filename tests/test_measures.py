@@ -268,12 +268,6 @@ class TestSalem:
         parent_len = xis[0] * xis[1]
         assert np.allclose(gaps01, spec.nu * parent_len)
 
-    def test_gamma_bound(self):
-        spec = self.spec(J=10)
-        gam = spec.gamma_sequence()
-        for j in range(1, 11):
-            assert gam[j - 1] <= spec.gamma_bound(j) * (1 + 1e-12)
-
     def test_leaf_count_is_bounded(self):
         # d^J leaves (and as many gaps) are refused before any is built
         for d, xi, J in ((2, 0.3, 64), (2, 0.3, 23), (3, 0.2, 14)):

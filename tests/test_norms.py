@@ -272,6 +272,38 @@ class TestThreadedSweep:
         assert raised.value.args == (r_first,)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("raising", [4, 2],
+                             ids=["caller-inside", "caller-outside"])
+    def test_the_two_shares_end_differently(self, raising, monkeypatch):
+        # the worker's first ring (the third from outside) is not finite,
+        # and one ring of the calling thread's share raises, its second
+        # (inside) or its first (outside): the outer of the two ends the
+        # pass, as in a sequential one, and no thread outlives the pass
+        grid, original = self.GRID, SingularInnerPower.log_abs_dring
+        r_spiked, r_raising = float(grid.r[-3]), float(grid.r[-raising])
+
+        class Raised(Exception):
+            pass
+
+        def failing(self, r, m, offset=0.0, out=None):
+            if r == r_raising:
+                raise Raised(r)
+            out = original(self, r, m, offset, out)
+            if r == r_spiked:
+                out[0] = math.inf
+            return out
+
+        monkeypatch.setattr(SingularInnerPower, "log_abs_dring", failing)
+        f = SingularInnerPower(atomic([(0.0, 1.0)]))
+        threads = threading.active_count()
+        if r_raising < r_spiked:
+            assert besov_seminorm(f, 2.0, grid) == (math.inf, math.inf)
+        else:
+            with pytest.raises(Raised) as raised:
+                besov_seminorm(f, 2.0, grid)
+            assert raised.value.args == (r_raising,)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("spike", [math.inf, math.nan])
     @pytest.mark.parametrize("ring", [-1, -2, -3, 0])
     def test_a_non_finite_ring_reads_inf(self, spike, ring):

@@ -34,15 +34,6 @@ class TestLogPower:
         with pytest.raises(ValueError):
             LogPower(1.0, 0.0)
 
-    def test_beta0_is_gamma_plus_quarter_clamped(self):
-        assert LogPower(1.0, 0.5).beta0 == 0.75
-        assert LogPower(1.0, 0.8).beta0 == 0.95
-
-    def test_regularity_report(self):
-        rep = LogPower(1.0, 0.5).regularity_report()
-        assert rep["positive"] and rep["nondecreasing"]
-        assert rep["almost_decreasing_constant"] > 0
-
 
 class TestPowerLaw:
     def test_bracket_closed_form(self):
@@ -51,12 +42,19 @@ class TestPowerLaw:
         target = 3.0 * math.sqrt((1 - s**0.5) / 0.5)
         assert phi.bracket(s) == pytest.approx(target, rel=1e-12)
 
-    def test_beta0_equals_beta(self):
-        assert PowerLaw(1.0, 0.3).beta0 == 0.3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PowerLaw(1.0, 1.5)
+
+
+@pytest.mark.parametrize("gauge", [
+    LogPower(1.0, 0.5), LogPower(2.0, 0.3), LogPower(1.0, 0.9),
+    PowerLaw(1.0, 0.5), PowerLaw(3.0, 0.25), PowerLaw(1.0, 0.95)],
+    ids=repr)
+def test_phi_is_positive_and_nondecreasing(gauge):
+    vals = gauge.phi(np.geomspace(1e-10, 1.0, 400))
+    assert (vals > 0).all()
+    assert (np.diff(vals) >= 0).all()
 
 
 # phi and the bracket of each gauge as functions of v = log(e/t), written
