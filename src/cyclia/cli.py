@@ -334,12 +334,14 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
              zip(mu.piece_a.tolist(), mu.piece_b.tolist(), mu.piece_d.tolist())]
     write("_measure.csv", csv_table(rows, ["kind", "a", "b", "value"]))
 
-    trows = []
-    ts = [2.0**-k for k in range(2, 13)]
-    for t, delta, omega in zip(ts, modulus_continuity(mu, ts).tolist(),
-                               modulus_smoothness(mu, ts).tolist()):
-        trows.append({"t": t, "delta": delta, "omega": omega,
-                      "fitted_C": omega / (t * float(ctx.phi.phi(t)))})
+    ts = 2.0 ** -np.arange(2, 13)
+    delta, omega = modulus_continuity(mu, ts), modulus_smoothness(mu, ts)
+    # a gauge that underflows to 0 fits C = inf (or NaN where omega is 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fitted = omega / (ts * ctx.phi.phi(ts))
+    trows = [{"t": t, "delta": d, "omega": o, "fitted_C": c} for t, d, o, c
+             in zip(ts.tolist(), delta.tolist(), omega.tolist(),
+                    fitted.tolist())]
     write("_moduli.csv", csv_table(trows, ["t", "delta", "omega", "fitted_C"]))
 
     coeffs = np.concatenate([[mu.total_mass], mu.coefficients(512)])
@@ -358,20 +360,20 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
     return 0
 
 
-def _run_and_write(name: str, ctx: MeasureContext, cfg: RunConfig):
-    """Run one check and write its JSON and CSV reports; returns both."""
-    report = run_check(name, ctx, cfg)
+def _write_report(report: CheckReport, ctx: MeasureContext,
+                  cfg: RunConfig) -> list[str]:
+    """Write a report's JSON and CSV; returns both paths."""
     stem = os.path.join(cfg.out, f"{ctx.spec['type']}_{report.name}")
     files = [stem + ".json", stem + ".csv"]
     _write_atomic(files[0], report.to_json())
     _write_atomic(files[1], report.to_csv())
-    return report, files
+    return files
 
 
 def cmd_check(cfg: RunConfig) -> int:
     ctx = build_measure(cfg.spec, cfg)
-    report, files = _run_and_write(cfg.check, ctx, cfg)
-    for f in files:
+    report = run_check(cfg.check, ctx, cfg)
+    for f in _write_report(report, ctx, cfg):
         print(f)
     print(f"{report.name}: {report.verdict}")
     return 0 if report.passed else 1
@@ -381,11 +383,14 @@ def cmd_suite(cfg: RunConfig) -> int:
     ctx = build_measure(cfg.spec, cfg)
     if "korenblum" in PRESETS[cfg.preset]:
         _support(ctx)  # a usage error before any artifact is written
-    entries = []
     if cfg.preset == "salem":
         cmd_measure(cfg, ctx)
-    for name in PRESETS[cfg.preset]:
-        report, files = _run_and_write(name, ctx, cfg)
+    # every check runs before a report is written, so a usage error that
+    # only a later check detects leaves no report behind
+    reports = [run_check(name, ctx, cfg) for name in PRESETS[cfg.preset]]
+    entries = []
+    for report in reports:
+        files = _write_report(report, ctx, cfg)
         entries.append({"check": report.name, "verdict": report.verdict,
                         "statement": CHECKS[report.name].statement,
                         "files": [os.path.basename(f) for f in files]})
@@ -477,7 +482,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         print(f"error: invalid configuration: {e}", file=sys.stderr)
         return 2
     except MemoryError:

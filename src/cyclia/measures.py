@@ -785,7 +785,8 @@ def modulus_smoothness(mu: CircleMeasure, t) -> np.ndarray:
 def smoothness_constant(mu: CircleMeasure, phi: SmoothnessProfile, t_grid) -> float:
     """Least admissible C on the grid for omega_mu(t) <= C t phi(t)."""
     ts = _t_grid(t_grid)
-    return float((modulus_smoothness(mu, ts) / (ts * phi.phi(ts))).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float((modulus_smoothness(mu, ts) / (ts * phi.phi(ts))).max())
 
 
 # -- Beurling-Carleson entropy --------------------------------------------

@@ -45,12 +45,9 @@ import numpy as np
 from .measures import CircleMeasure, _check_budget
 
 __all__ = [
-    "herglotz", "herglotz_derivative", "poisson", "herglotz_jet",
-    "herglotz_ring",
-    "FunctionModel", "SingularInnerPower",
-    "Polynomial", "DilationQuotient",
-    "CoefficientVector", "maclaurin",
-    "EvaluationError",
+    "herglotz", "herglotz_derivative", "herglotz_jet", "herglotz_ring",
+    "FunctionModel", "SingularInnerPower", "Polynomial", "DilationQuotient",
+    "maclaurin",
 ]
 
 _TWO_PI_I = 2j * np.pi
@@ -61,10 +58,6 @@ _TWO_PI_I = 2j * np.pi
 # working set of 2^13-point slices and faulted it back on every slice (8
 # times the minor faults of the multiplier check on the unit atom)
 _ATOM_BLOCK = 1 << 13
-
-
-class EvaluationError(ValueError):
-    """A scalar Herglotz integral's arc bisection did not converge."""
 
 
 # -- scalar Herglotz integrals --------------------------------------------
@@ -109,7 +102,7 @@ def _arc_log_sum(a, b, dens, z):
         if not ok.all():
             depth += 1
             if depth > 200:
-                raise EvaluationError("arc bisection failed to converge")
+                raise ValueError("arc bisection failed to converge")
             a, b, d = a[~ok], b[~ok], d[~ok]
             mid = 0.5 * (a + b)
             stack.append((a, mid, d))
@@ -165,11 +158,6 @@ def herglotz_derivative(mu: CircleMeasure, z: complex) -> complex:
         out += np.sum(mu.piece_d * _chord(mu.piece_a, mu.piece_b)
                       / ((wa - z) * (wb - z))) / (1j * np.pi)
     return complex(out)
-
-
-def poisson(mu: CircleMeasure, z: complex) -> float:
-    """Poisson integral P_mu(z) = Re H(z); P_mu(0) = mu(T)."""
-    return herglotz(mu, z).real
 
 
 # -- spectral ring evaluation ---------------------------------------------
@@ -535,39 +523,17 @@ class DilationQuotient(_ExponentialModel):
 # -- Maclaurin coefficients ------------------------------------------------
 
 
-@dataclass
-class CoefficientVector:
-    """Maclaurin coefficients hat f(0..K) with extraction metadata."""
-
-    coeffs: np.ndarray
-    radius: float
-    samples: int
-    alias_bounds: np.ndarray
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-
 def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length()
 
 
-def maclaurin(f: FunctionModel, k_max: int) -> CoefficientVector:
+def maclaurin(f: FunctionModel, k_max: int) -> np.ndarray:
     """hat f(0..k_max) by the Cauchy integral on a radius-r circle with M
     equispaced samples (one FFT): M = 4 * next power of two above k_max,
-    and r chosen so the alias factor r^(M - k_max) is 1e-14.  The recorded
-    per-coefficient alias bound is sup|f| r^(M-k) / (1 - r^M), with sup|f|
-    estimated from the samples.
+    and r chosen so the alias factor r^(M - k_max) is 1e-14.
     """
     m = 4 * _next_pow2(k_max + 1)
     r = math.exp(math.log(1e-14) / (m - k_max))
-    samples = f.ring(r, m)
-    fft = np.fft.fft(samples)
+    fft = np.fft.fft(f.ring(r, m))
     ks = np.arange(k_max + 1)
-    coeffs = fft[: k_max + 1] * np.exp(-ks * math.log(r)) / m
-    sup = float(np.abs(samples).max())
-    alias = sup * np.exp((m - ks) * math.log(r)) / (1.0 - r**m)
-    return CoefficientVector(coeffs, r, m, alias)
+    return fft[: k_max + 1] * np.exp(-ks * math.log(r)) / m

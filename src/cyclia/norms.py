@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CoefficientVector, FunctionModel
+from .models import FunctionModel
 
 __all__ = [
     "QuadratureGrid", "lp_a_norm", "weighted_l2alpha",
@@ -174,23 +174,17 @@ def default_grid() -> QuadratureGrid:
 # -- coefficient norms -----------------------------------------------------
 
 
-def _coeff_array(c):
-    if isinstance(c, CoefficientVector):
-        return np.asarray(c.coeffs)
-    return np.asarray(c)
-
-
 def lp_a_norm(c, p: float) -> float:
     """(sum_k |hat f(k)|^p)^(1/p) over the stored truncation."""
     if p <= 0:
         raise ValueError("p must be positive")
-    a = np.abs(_coeff_array(c))
+    a = np.abs(np.asarray(c))
     return float((a**p).sum() ** (1.0 / p))
 
 
 def weighted_l2alpha(c, alpha: float) -> float:
     """(sum_k |hat f(k)|^2 (1+k)^alpha)^(1/2)."""
-    a = np.abs(_coeff_array(c))
+    a = np.abs(np.asarray(c))
     k = np.arange(a.size)
     return float(math.sqrt(((a**2) * (1.0 + k) ** alpha).sum()))
 

@@ -1,18 +1,23 @@
 import ast
+import contextlib
 import csv
 import importlib
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclia import cli, diagnostics, measures, models, norms
 from cyclia.cli import (CHECKS, MEASURES, PRESETS, RunConfig, build_measure,
@@ -65,6 +70,19 @@ class TestMeasureCommand:
         out = str(tmp_path / "m")
         assert run("measure", "--spec", LEB_SPEC, "--out", out) == 0
         assert len(os.listdir(out)) == 3
+
+    def test_fitted_C_against_the_scalar_quotient(self, tmp_path):
+        # one numpy division per grid, bit for bit the per-row quotient
+        out = str(tmp_path / "m")
+        assert run("measure", "--spec", KAHANE_SPEC, "--out", out) == 0
+        phi = build_measure(json.loads(KAHANE_SPEC),
+                            RunConfig("measure", {})).phi
+        with open(os.path.join(out, "kahane_moduli.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 11
+        for row in rows:
+            t, omega = float(row["t"]), float(row["omega"])
+            assert float(row["fitted_C"]) == omega / (t * float(phi.phi(t)))
 
     def test_moduli_constant_rows_for_atom(self, tmp_path):
         out = str(tmp_path / "m")
@@ -252,6 +270,34 @@ class TestCheckCommand:
             "pmeans: inconclusive"
         with open(os.path.join(out, "kahane_pmeans.json")) as fh:
             assert json.load(fh)["worst_ratio"] is None
+
+    def test_zero_gauge_is_a_report(self, tmp_path, capsys):
+        # phi underflows to 0 below t = 2^-7, where this near-Lebesgue
+        # measure has omega = 0: fitted C and the derivative ratio read
+        # NaN, with no exception and no warning
+        spec = '{"type": "kahane", "params": {"gamma": 400}, "depth": 4}'
+        out = str(tmp_path / "c")
+        assert run("measure", "--spec", spec, "--out", out) == 0
+        with open(os.path.join(out, "kahane_moduli.csv")) as fh:
+            fitted = [row["fitted_C"] for row in csv.DictReader(fh)]
+        assert fitted == ["0"] * 6 + ["nan"] * 5
+        assert run("check", "--spec", spec, "--check", "derivative-sup",
+                   "--out", out) == 1
+        assert run("check", "--spec", spec, "--check", "pmeans",
+                   "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            os.path.join(out, "kahane_pmeans.csv"), "pmeans: pass"]
+        with open(os.path.join(out, "kahane_pmeans.json")) as fh:
+            assert json.load(fh)["fits"]["smoothness_constant"] is None
+
+    def test_zero_gauge_bracket_is_inconclusive(self, tmp_path, capsys):
+        # the bracket's closed form rounds to 0: a report, not exit 2
+        spec = '{"type": "kahane", "params": {"gamma": 1e308}, "depth": 4}'
+        out = str(tmp_path / "c")
+        assert run("check", "--spec", spec, "--check", "pmeans",
+                   "--out", out) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "pmeans: inconclusive"
 
     def test_overflowing_lp_partial_sum_is_inconclusive(self, tmp_path,
                                                         capsys):
@@ -614,6 +660,23 @@ class TestSuiteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "korenblum needs a measure with support" in captured.err
+
+    @pytest.mark.parametrize("preset, flags, message", [
+        ("theorem-power", ["--p", "2"], "p must exceed 2"),
+        ("theorem-main", ["--grid-stop", "17"],
+         "puts a log1m grid point at 1.0")])
+    def test_usage_error_in_a_later_check_writes_nothing(
+            self, tmp_path, capsys, preset, flags, message):
+        # a flag that only a later check refuses: every check runs before
+        # any report is written, so the earlier checks leave no artifact
+        out = tmp_path / "s"
+        spec = '{"type": "kahane", "depth": 6, "seed": 7}'
+        assert run("suite", "--spec", spec, "--preset", preset, *flags,
+                   "--out", str(out)) == 2
+        assert not out.exists() or list(out.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_summary_validates_against_schema(self, tmp_path):
         # cyclia builds every field of summary.json and does not validate it
@@ -997,3 +1060,108 @@ def test_benchmark_tracer_runs_the_package(tmp_path):
     assert [(op["exit"], op["raised"]) for op in result["ops"]] == [(0, None)] * 2
     assert {"cli.run_check", "norms.besov_seminorm",
             "models.herglotz_ring"} <= {span[0] for span in result["spans"]}
+
+
+# -- cli.main on drawn invocations ----------------------------------------
+
+# the checks cheap enough to run on every draw, at --depth <= 4
+CHEAP_CHECKS = ("anderson", "pmeans", "integrability", "fourier-decay",
+                "fourier-lp", "korenblum", "poisson-martingale")
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2),
+                 st.lists(st.integers(0, 1), max_size=2))
+EDGES = st.sampled_from([0.0, -1.0, 1e-320, 1e200, 1e308])
+
+
+def reals(lo, hi):
+    return st.one_of(st.floats(lo, hi), EDGES)
+
+
+PARAMS = {
+    "lebesgue": st.fixed_dictionaries({}, optional={"mass": reals(0.1, 4.0)}),
+    "atomic": st.fixed_dictionaries({"atoms": st.lists(
+        st.tuples(reals(-1.0, 2.0), reals(0.0, 2.0)).map(list),
+        min_size=1, max_size=3)}),
+    "kahane": st.fixed_dictionaries({}, optional={
+        "C": reals(0.1, 4.0),
+        "gamma": st.one_of(reals(0.05, 2.0), st.just(400.0))}),
+    "salem": st.fixed_dictionaries(
+        {"alpha": reals(0.05, 0.95), "epsilon": st.floats(0.02, 0.5)},
+        optional={"dxi": st.tuples(st.integers(-1, 8), reals(0.05, 0.95))}),
+}
+
+
+@st.composite
+def spec_texts(draw):
+    """A JSON spec of one of the four types, from good and edge values;
+    one draw in four spoils it, by an unknown type or key, a junk value
+    or malformed text."""
+    kind = draw(st.sampled_from(sorted(PARAMS)))
+    params = draw(PARAMS[kind])
+    if "dxi" in params:
+        params["d"], params["xi"] = params.pop("dxi")
+    spec = {"type": kind, "params": params}
+    if draw(st.booleans()):
+        spec["seed"] = draw(st.integers(0, 9))
+    spoil = draw(st.integers(0, 15))
+    if spoil == 15:
+        spec["type"] = draw(st.sampled_from(["cantor", 1, None]))
+    elif spoil == 14:
+        params[draw(st.sampled_from(["bogus", "C", "mass", "atoms"]))] = \
+            draw(JUNK)
+    elif spoil == 13:
+        spec["seed"] = draw(JUNK)
+    elif spoil == 12:
+        return draw(st.sampled_from(["{", "[]", '{"type": 1}', '"lebesgue"']))
+    return json.dumps(spec)
+
+
+FLAG_VALUES = {
+    "--p": st.one_of(st.floats(0.5, 6.0), EDGES),
+    "--alpha": st.one_of(st.floats(0.01, 2.0), EDGES),
+    "--epsilon": st.one_of(st.floats(0.01, 1.0), EDGES, st.just(1e6)),
+    "--grid-start": st.one_of(st.floats(0.1, 16.0), st.just(-1.0)),
+    "--grid-stop": st.one_of(st.floats(0.1, 16.0), st.just(-1.0)),
+    "--grid-count": st.one_of(st.integers(1, 6), st.sampled_from([0, 2000])),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(("measure",) + CHEAP_CHECKS))
+    argv = (["measure"] if command == "measure"
+            else ["check", "--check", command])
+    argv += ["--spec", draw(spec_texts())]
+    depth = draw(st.one_of(st.integers(1, 4), st.sampled_from([-1, 0])))
+    argv += ["--depth", str(depth)]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)),
+                              unique=True, max_size=2)):
+        argv += [flag, str(draw(FLAG_VALUES[flag]))]
+    return argv
+
+
+ZERO_GAUGE = '{"type": "kahane", "params": {"gamma": 400}}'
+
+
+# numpy's RuntimeWarnings print and do not raise outside the tests: they
+# fire on masses and params near the edges of the float range (1e308,
+# 1e-320), and this test does not gate them
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(["measure", "--spec", ZERO_GAUGE, "--depth", "4"])
+@example(["check", "--check", "pmeans", "--spec", ZERO_GAUGE, "--depth", "4"])
+@example(["check", "--check", "pmeans", "--depth", "4", "--spec",
+          '{"type": "kahane", "params": {"gamma": 1e308}}'])
+@example(["measure", "--depth", "4", "--spec",
+          '{"type": "kahane", "params": {"C": 1e-320}}'])
+@given(invocations())
+def test_main_exits_without_raising(argv):
+    """main returns 0, 1 or 2 and raises nothing; exit 2 leaves --out
+    empty."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + ["--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not os.path.exists(out) or os.listdir(out) == []

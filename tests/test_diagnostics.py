@@ -207,6 +207,13 @@ class TestPMeans:
         assert [row["bracket"] for row in rep.table] == [
             phi.bracket(1.0 - r) for r in (0.5, 0.9, 0.99)]
 
+    def test_zero_bracket_is_inconclusive(self):
+        # the bracket's closed form rounds to 0: no log, so no verdict
+        rep = pmean_ratio(LEB, LogPower(1.0, 1e308), 3.0, [0.5, 0.9, 0.99])
+        assert [row["bracket"] for row in rep.table] == [0.0] * 3
+        assert math.isnan(rep.worst_ratio)
+        assert rep.verdict == "inconclusive"
+
 
 class TestPoissonMartingale:
     def test_lebesgue_constant_gap(self):
@@ -348,6 +355,14 @@ class TestDerivativeSup:
         rs = [1 - 2.0**-k for k in range(2, 15)]
         rep = derivative_sup_ratio(kahane, PHI, rs)
         assert rep.passed
+
+    def test_zero_gauge_ratio_is_inf(self):
+        # phi(1 - r) underflows to 0 at r = 0.999: the ratio reads inf, with
+        # no exception and no warning, and the trend rule fails it
+        rep = derivative_sup_ratio(ATOM, LogPower(1.0, 400.0), [0.5, 0.999])
+        assert math.isfinite(rep.table[0]["ratio"])
+        assert rep.table[1]["ratio"] == math.inf
+        assert rep.verdict == "fail"
 
 
 # atoms only, pieces only, both
@@ -542,10 +557,10 @@ class TestAnnihilator:
     @pytest.fixture(scope="class")
     def atom_coeffs(self):
         # hat S(0..801) of the unit atom, K = 800
-        return maclaurin(SingularInnerPower(ATOM, 1.0), 801).coeffs
+        return maclaurin(SingularInnerPower(ATOM, 1.0), 801)
 
     def test_lebesgue_exact_zero(self):
-        c = maclaurin(SingularInnerPower(LEB, 1.0), 101).coeffs
+        c = maclaurin(SingularInnerPower(LEB, 1.0), 101)
         v = annihilator_pairing(c, 0, 0.9)
         assert abs(v) < 1e-14
 

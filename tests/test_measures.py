@@ -354,6 +354,14 @@ class TestModuli:
         c2 = smoothness_constant(mu, LogPower(2.0, 0.5), [2.0**-5])
         assert c1 == pytest.approx(2 * c2)
 
+    def test_smoothness_constant_of_zero_gauge(self):
+        # phi(2^-12) underflows to 0: omega/0 reads inf, and 0/0 NaN,
+        # with no warning
+        phi = LogPower(1.0, 400.0)
+        assert smoothness_constant(atomic([(0.0, 1.0)]), phi,
+                                   [2.0**-12]) == math.inf
+        assert math.isnan(smoothness_constant(lebesgue(), phi, [2.0**-12]))
+
     def test_anderson_lebesgue_passes(self):
         rep = anderson_report(lebesgue(), [2.0**-k for k in range(2, 10)])
         assert rep.passed
