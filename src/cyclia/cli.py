@@ -383,11 +383,11 @@ def cmd_suite(cfg: RunConfig) -> int:
     ctx = build_measure(cfg.spec, cfg)
     if "korenblum" in PRESETS[cfg.preset]:
         _support(ctx)  # a usage error before any artifact is written
+    # every check runs before a table or report is written, so a usage
+    # error that only a later check detects leaves no file behind
+    reports = [run_check(name, ctx, cfg) for name in PRESETS[cfg.preset]]
     if cfg.preset == "salem":
         cmd_measure(cfg, ctx)
-    # every check runs before a report is written, so a usage error that
-    # only a later check detects leaves no report behind
-    reports = [run_check(name, ctx, cfg) for name in PRESETS[cfg.preset]]
     entries = []
     for report in reports:
         files = _write_report(report, ctx, cfg)

@@ -347,8 +347,9 @@ def derivative_sup_ratio(mu: CircleMeasure, phi, r_grid) -> CheckReport:
         dens = S.log_abs_dring(r, m, out=dens)
         log_sup = float(dens.max())
         sup = math.exp(log_sup) if log_sup < 700.0 else math.inf
+        # sup |S'| = 0 obeys any bound, also where phi(1 - r) underflows
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = float(sup * (1.0 - r) / phi.phi(1.0 - r))
+            ratio = float(sup * (1.0 - r) / phi.phi(1.0 - r)) if sup else 0.0
         rows.append({"r": r, "sup_deriv": sup, "ratio": ratio})
     ratios = np.array([r["ratio"] for r in rows])
     rs = np.array([r["r"] for r in rows])

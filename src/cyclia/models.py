@@ -10,7 +10,12 @@
     in blocks of at most _ATOM_BLOCK (atom, point) pairs, one point slice
     at a time: a slice's sums reach the consumer (the jet herglotz_jet
     returns, or the log |f'| of log_abs_dring) before the next slice is
-    formed, and an atomic measure fills no coefficient cache.
+    formed in the same buffer, and an atomic measure fills no coefficient
+    cache.  The sines do not depend on r: a measure keeps the turn blocks
+    of its latest ring layout, keyed by (M, offset, atoms per block,
+    points per slice), up to _TURN_MEMO (atom, point) pairs, and a ring
+    publishes them whole in one assignment, so a sweep's rings of one M
+    compute them once.
   - The pieces give H = mu(T) + 2 sum_{n>=1} hat mu(n) z^n: their
     truncated coefficients, viewed as rows of length M, are folded by a
     rank-one damping (a row factor times a real column factor, and a
@@ -58,6 +63,9 @@ _TWO_PI_I = 2j * np.pi
 # working set of 2^13-point slices and faulted it back on every slice (8
 # times the minor faults of the multiplier check on the unit atom)
 _ATOM_BLOCK = 1 << 13
+# (atom, point) pairs of the largest ring layout whose turn blocks a measure
+# keeps (_atom_slices): the unit atom at the 2^16-point ring cap, 1 MiB
+_TURN_MEMO = 1 << 16
 
 
 # -- scalar Herglotz integrals --------------------------------------------
@@ -220,14 +228,11 @@ def _spectrum(mu: CircleMeasure, r: float, m: int, offset: float):
     return folds
 
 
-def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
-    """The atoms' sums at the M ring points r e^{2 pi i (k + offset)/M},
-    one point slice at a time: (slice of k, sums), sums a (2, n) complex
-    array for the slice's n points.  The atoms against the slice form
-    blocks of at most _ATOM_BLOCK (atom, point) pairs, and each block's
-    add(sums, s, c, masses, e^{-2 pi i x}) adds its terms into sums, from
-    zero, in atom order; s = sin(pi phi) and c = cos(pi phi) are (atoms,
-    points) arrays, phi = (k + offset)/M - x reduced to [-1/2, 1/2].
+def _turn_blocks(x, m: int, offset: float, per: int, span: int):
+    """The turn blocks of an atom ring layout (_atom_slices), slice after
+    slice of span points and, within a slice, block after block of per
+    atoms: (s s, s c), read-only (atoms, points) arrays, s = sin(pi phi)
+    and c = cos(pi phi), phi = (k + offset)/M - x reduced to [-1/2, 1/2].
 
     phi is accurate to a few ulps relatively, so a ring point close to an
     atom keeps its distance to it: (k + offset)/M is carried as hi + lo,
@@ -239,10 +244,6 @@ def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
     last k, 0 <= offset < 1, and so at every smaller k.  c is taken as
     sin(pi (1/2 - |phi|)), whose argument is exact where c is small, so s
     and c are both accurate to an ulp relatively."""
-    x = mu.atom_x - (mu.atom_x >= 0.5)
-    mass, conj_w = mu.atom_m, np.exp(-_TWO_PI_I * x)
-    per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
-    span = min(m, _ATOM_BLOCK // max(per, 2))        # points per slice
     for k in range(0, m, span):
         ks = np.arange(k, min(k + span, m), dtype=float)
         hi = ks + offset
@@ -252,17 +253,52 @@ def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
         hi /= m
         if hi[-1] >= 0.5:                             # hi is nondecreasing
             hi -= hi >= 0.5
-        sums = np.zeros((2, ks.size), dtype=complex)
         for i in range(0, x.size, per):
             phi = hi - x[i:i + per, None]
             phi -= np.round(phi)
             if lo is not None:
                 phi += lo
             s = np.sin(np.pi * phi)
-            phi = np.abs(phi, out=phi)
-            c = np.sin(np.pi * (0.5 - phi))
-            add(sums, s, c, mass[i:i + per], conj_w[i:i + per])
-        yield slice(k, k + ks.size), sums
+            c = np.sin(np.pi * (0.5 - np.abs(phi, out=phi)), out=phi)
+            c *= s                                    # s c
+            s *= s                                    # s s
+            s.flags.writeable = c.flags.writeable = False
+            yield s, c
+
+
+def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
+    """The atoms' sums at the M ring points r e^{2 pi i (k + offset)/M},
+    one point slice at a time: (slice of k, sums), sums a (2, n) complex
+    array for the slice's n points.  The atoms against the slice form
+    blocks of at most _ATOM_BLOCK (atom, point) pairs, and each block's
+    add(sums, s s, s c, masses, e^{-2 pi i x}) adds its terms into sums,
+    from zero, in atom order, with the turn block of _turn_blocks.  The
+    slices share one buffer: a slice's sums are overwritten by the next.
+
+    The turn blocks do not depend on r, and a measure keeps those of its
+    latest layout, keyed by (M, offset, atoms per block, points per
+    slice), when the layout has at most _TURN_MEMO (atom, point) pairs:
+    a ring builds them in full and publishes the key and the blocks as
+    one tuple in one assignment, and reads the tuple it found when it
+    started, so a ring on another thread never sees a partial memo."""
+    x = mu.atom_x - (mu.atom_x >= 0.5)
+    mass, conj_w = mu.atom_m, np.exp(-_TWO_PI_I * x)
+    per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
+    span = min(m, _ATOM_BLOCK // max(per, 2))        # points per slice
+    key, memo = (m, offset, per, span), mu._turn_memo
+    if memo is None or memo[0] != key:
+        memo = key, _turn_blocks(x, m, offset, per, span)
+        if x.size * m <= _TURN_MEMO:
+            memo = key, tuple(memo[1])
+            mu._turn_memo = memo
+    blocks = iter(memo[1])
+    buffer = np.empty((2, span), dtype=complex)
+    for k in range(0, m, span):
+        sums = buffer[:, :min(span, m - k)]
+        sums.fill(0.0)
+        for i in range(0, x.size, per):
+            add(sums, *next(blocks), mass[i:i + per], conj_w[i:i + per])
+        yield slice(k, k + sums.shape[1]), sums
 
 
 def _cplx(re, im):
@@ -288,12 +324,13 @@ def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float):
     ulps at every point."""
     one_minus_r2 = (1.0 - r) * (1.0 + r)
 
-    def add(sums, s, c, mass, conj_w):
-        a = (1.0 - r) + (2.0 * r) * (s * s)
-        b = (2.0 * r) * (s * c)
+    def add(sums, ss, sc, mass, conj_w):
+        a = (1.0 - r) + (2.0 * r) * ss
+        b = (2.0 * r) * sc
         q = 1.0 / (a * a + b * b)
         sums[0] += _atom_sum(mass, _cplx(one_minus_r2 * q, 2.0 * b * q))
         v = _cplx(a * q, b * q)
+        del a, b, q                   # a cold ring's peak holds the turn memo
         sums[1] += _atom_sum(2.0 * mass * conj_w, v * v)
     return _atom_slices(mu, m, offset, add)
 
@@ -310,9 +347,8 @@ def _atom_dilation_jet(mu: CircleMeasure, r: float, t: float, m: int,
     one_minus_tr = (1.0 - t) + t * (1.0 - r)
     one_minus_tr2 = (1.0 - t) + t * ((1.0 - r) * (1.0 + r))
 
-    def add(sums, s, c, mass, conj_w):
-        ss = s * s
-        sin2 = 2.0 * (s * c)                          # of 2 pi phi
+    def add(sums, ss, sc, mass, conj_w):
+        sin2 = 2.0 * sc                               # of 2 pi phi
         cos2 = 1.0 - 2.0 * ss
         v = 1.0 / (_cplx((1.0 - r) + (2.0 * r) * ss, -r * sin2)
                    * _cplx(one_minus_tr + (2.0 * tr) * ss, -tr * sin2))

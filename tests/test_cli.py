@@ -273,8 +273,9 @@ class TestCheckCommand:
 
     def test_zero_gauge_is_a_report(self, tmp_path, capsys):
         # phi underflows to 0 below t = 2^-7, where this near-Lebesgue
-        # measure has omega = 0: fitted C and the derivative ratio read
-        # NaN, with no exception and no warning
+        # measure has omega = 0: fitted C reads NaN, with no exception and
+        # no warning.  Its sup |S'| is 0 on every ring, which obeys any
+        # bound: each derivative ratio reads 0 and the check passes
         spec = '{"type": "kahane", "params": {"gamma": 400}, "depth": 4}'
         out = str(tmp_path / "c")
         assert run("measure", "--spec", spec, "--out", out) == 0
@@ -282,7 +283,13 @@ class TestCheckCommand:
             fitted = [row["fitted_C"] for row in csv.DictReader(fh)]
         assert fitted == ["0"] * 6 + ["nan"] * 5
         assert run("check", "--spec", spec, "--check", "derivative-sup",
-                   "--out", out) == 1
+                   "--out", out) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "derivative-sup: pass"
+        with open(os.path.join(out, "kahane_derivative-sup.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert {(row["sup_deriv"], row["ratio"])
+                for row in rows} == {("0", "0")}
         assert run("check", "--spec", spec, "--check", "pmeans",
                    "--out", out) == 0
         assert capsys.readouterr().out.splitlines()[-2:] == [
@@ -677,6 +684,19 @@ class TestSuiteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_salem_preset_refuses_a_bad_p_before_its_tables(
+            self, tmp_path, capsys):
+        # fourier-lp refuses p < 2: the preset's checks run before the
+        # measure tables are written, so the suite leaves no file
+        out = tmp_path / "s"
+        spec = '{"type": "salem", "depth": 6, "seed": 3}'
+        assert run("suite", "--spec", spec, "--preset", "salem", "--p", "1",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p must be at least 2" in captured.err
 
     def test_summary_validates_against_schema(self, tmp_path):
         # cyclia builds every field of summary.json and does not validate it

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import mpmath
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclia import measures, models
+from cyclia.diagnostics import derivative_sup_ratio, multiplier_log_onebox
 from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
                              choose_salem_parameters, kahane_smooth, lebesgue,
                              salem_measure)
@@ -722,9 +724,11 @@ class TestRingBuffers:
 
     @pytest.mark.parametrize("model", ["inner", "quotient"])
     def test_fresh_atom_ring_holds_no_ring_length_jet(self, model):
-        # a fresh unit-atom ring at M = 2^16 holds its 0.5 MiB result and
-        # one slice's sums and temporaries; a (2, M) jet alone is 2 MiB
-        inner = SingularInnerPower(ATOM)
+        # a fresh unit-atom ring at M = 2^16 holds its 0.5 MiB result, the
+        # 1 MiB of turn blocks it keeps, and one slice's sums and
+        # temporaries; a (2, M) jet alone is 2 MiB.  The measure is its
+        # own, so no earlier ring has built its turn blocks
+        inner = SingularInnerPower(atomic([(0.0, 1.0)]))
         f = inner if model == "inner" else DilationQuotient(inner, 0.5)
         tracemalloc.start()
         try:
@@ -755,6 +759,112 @@ class TestRingBuffers:
         got = _exponent_jet(DilationQuotient(SingularInnerPower(mu), t),
                             r, m, offset)
         np.testing.assert_array_equal(got, want)
+
+
+# the measures of the turn-memo tests: the unit atom, 3 atoms, atoms plus
+# pieces
+MEMO_MEASURES = {
+    "unit": STREAM_MEASURES["unit"][0],
+    "three": STREAM_MEASURES["three"][0],
+    "both": BUFFER_MEASURES["both"],
+}
+
+
+def _memo_model(mu, model):
+    inner = SingularInnerPower(mu, 0.7)
+    return inner if model == "inner" else DilationQuotient(inner, 0.9)
+
+
+class TestTurnMemo:
+    # a measure keeps the turn blocks (s s, s c) of its latest atom ring
+    # layout, which do not depend on r (models._atom_slices)
+    @pytest.mark.parametrize("block", [None, 1 << 10])
+    @pytest.mark.parametrize("kind", list(MEMO_MEASURES))
+    @pytest.mark.parametrize("model", ["inner", "quotient"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_memo_rings_equal_fresh_rings(self, monkeypatch, block, kind,
+                                          model, offset):
+        # rings of M1, M1, M2, M1 at varying r, then M1 at the other
+        # offset: the second reads the first's turn blocks, the others
+        # rebuild them, and each ring has the bits of the same ring on a
+        # fresh measure, whose memo is cold (also with 2^10 pairs per block,
+        # in more slices)
+        mu = MEMO_MEASURES[kind]()
+        f = _memo_model(mu, model)
+        m1, m2 = 1 << 12, 1 << 14
+        if block is not None:
+            # the default layout's blocks are not read in the smaller ones
+            f.log_abs_dring(0.7, m1, offset)
+            monkeypatch.setattr(models, "_ATOM_BLOCK", block)
+        for r, m, off in [(0.9, m1, offset), (0.999, m1, offset),
+                          (0.99, m2, offset), (0.5, m1, offset),
+                          (0.9, m1, 0.5 - offset)]:
+            got = f.log_abs_dring(r, m, off)
+            assert mu._turn_memo[0][:2] == (m, off)
+            jet = f.jet(r, m, off)
+            fresh = _memo_model(MEMO_MEASURES[kind](), model)
+            np.testing.assert_array_equal(got, fresh.log_abs_dring(r, m, off))
+            fresh = _memo_model(MEMO_MEASURES[kind](), model)
+            for part, want in zip(jet, fresh.jet(r, m, off)):
+                np.testing.assert_array_equal(part, want)
+
+    def test_threads_keep_the_bits_of_a_sequential_pass(self):
+        # two threads sweep rings of two sizes on one measure, each
+        # replacing the other's memo: every ring has the bits of a
+        # sequential pass on a fresh measure
+        sizes = (1 << 12, 1 << 13)
+        rs = [1.0 - 2.0**-k for k in range(2, 14)]
+        f = DilationQuotient(SingularInnerPower(atomic([(0.0, 1.0)])), 0.9)
+        start, got = threading.Barrier(len(sizes)), {}
+
+        def sweep(m):
+            start.wait()
+            got[m] = [f.log_abs_dring(r, m, 0.5) for r in rs]
+
+        threads = [threading.Thread(target=sweep, args=(m,)) for m in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        seq = DilationQuotient(SingularInnerPower(atomic([(0.0, 1.0)])), 0.9)
+        for m in sizes:
+            for r, values in zip(rs, got[m], strict=True):
+                np.testing.assert_array_equal(values,
+                                              seq.log_abs_dring(r, m, 0.5))
+
+    def test_large_layouts_hold_no_memo(self):
+        # two atoms at M = 2^16 are 2^17 (atom, point) pairs, twice the
+        # limit: such a ring recomputes its turns and replaces no memo
+        mu = atomic([(0.1, 0.6), (0.55, 0.4)])
+        herglotz_jet(mu, 0.99, 1 << 16)
+        assert mu._turn_memo is None
+        herglotz_jet(mu, 0.99, 1 << 15)
+        key, blocks = mu._turn_memo
+        assert key[0] == 1 << 15
+        assert sum(ss.size for ss, _ in blocks) == models._TURN_MEMO
+        assert not any(a.flags.writeable for block in blocks for a in block)
+        herglotz_jet(mu, 0.99, 1 << 16)
+        assert mu._turn_memo[0] == key
+
+    def test_one_build_per_layout_of_a_sweep(self, monkeypatch):
+        # the unit atom's multiplier check runs 128 rings on 9 layouts and
+        # derivative-sup 17 rings on 5: each layout's turn blocks are built
+        # once
+        builds, rings = [], []
+        build, slices = models._turn_blocks, models._atom_slices
+        monkeypatch.setattr(models, "_turn_blocks",
+                            lambda *a: builds.append(a[1:3]) or build(*a))
+        monkeypatch.setattr(models, "_atom_slices",
+                            lambda *a: rings.append(a[1:3]) or slices(*a))
+        multiplier_log_onebox(atomic([(0.0, 1.0)]), 3.0, 12)
+        assert (len(rings), len(builds)) == (128, 9)
+        assert sorted(set(rings)) == builds
+        builds.clear()
+        rings.clear()
+        derivative_sup_ratio(atomic([(0.0, 1.0)]), LogPower(1.0, 0.5),
+                             1.0 - 10.0 ** -np.linspace(0.6, 5.4, 17))
+        assert (len(rings), len(builds)) == (17, 5)
+        assert sorted(set(rings)) == builds
 
 
 def _kahane(depth):
