@@ -9,6 +9,7 @@ the same seed reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -164,7 +165,9 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
 # -- output plumbing -------------------------------------------------------
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, text) -> None:
+    """Write text, a string or an iterable of strings, to path through a
+    temporary file in its directory."""
     d = os.path.dirname(path) or "."
     try:
         os.makedirs(d, exist_ok=True)
@@ -173,7 +176,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise UsageError(f"cannot write to output directory {d!r}: {e}")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -328,10 +331,12 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
         files.append(os.path.join(cfg.out, ctx.spec["type"] + suffix))
         _write_atomic(files[-1], text)
 
-    rows = [{"kind": "atom", "a": x, "b": x, "value": m}
-            for x, m in zip(mu.atom_x.tolist(), mu.atom_m.tolist())]
-    rows += [{"kind": "piece", "a": a, "b": b, "value": d} for a, b, d in
-             zip(mu.piece_a.tolist(), mu.piece_b.tolist(), mu.piece_d.tolist())]
+    # the rows are formed one at a time: a Salem measure has d^J pieces
+    rows = itertools.chain(
+        ({"kind": "atom", "a": x, "b": x, "value": m}
+         for x, m in zip(mu.atom_x.tolist(), mu.atom_m.tolist())),
+        ({"kind": "piece", "a": a, "b": b, "value": d} for a, b, d in
+         zip(mu.piece_a.tolist(), mu.piece_b.tolist(), mu.piece_d.tolist())))
     write("_measure.csv", csv_table(rows, ["kind", "a", "b", "value"]))
 
     ts = 2.0 ** -np.arange(2, 13)
@@ -365,7 +370,7 @@ def _write_report(report: CheckReport, ctx: MeasureContext,
     """Write a report's JSON and CSV; returns both paths."""
     stem = os.path.join(cfg.out, f"{ctx.spec['type']}_{report.name}")
     files = [stem + ".json", stem + ".csv"]
-    _write_atomic(files[0], report.to_json())
+    _write_atomic(files[0], report.json_chunks())
     _write_atomic(files[1], report.to_csv())
     return files
 
@@ -384,17 +389,19 @@ def cmd_suite(cfg: RunConfig) -> int:
     if "korenblum" in PRESETS[cfg.preset]:
         _support(ctx)  # a usage error before any artifact is written
     # every check runs before a table or report is written, so a usage
-    # error that only a later check detects leaves no file behind
+    # error that only a later check detects leaves no file behind; the
+    # reports are written and dropped before the salem tables are formed
     reports = [run_check(name, ctx, cfg) for name in PRESETS[cfg.preset]]
+    entries = [{"check": r.name, "verdict": r.verdict,
+                "statement": CHECKS[r.name].statement,
+                "files": [os.path.basename(f)
+                          for f in _write_report(r, ctx, cfg)]}
+               for r in reports]
+    del reports
     if cfg.preset == "salem":
         cmd_measure(cfg, ctx)
-    entries = []
-    for report in reports:
-        files = _write_report(report, ctx, cfg)
-        entries.append({"check": report.name, "verdict": report.verdict,
-                        "statement": CHECKS[report.name].statement,
-                        "files": [os.path.basename(f) for f in files]})
-        print(f"{report.name}: {report.verdict}")
+    for e in entries:
+        print(f"{e['check']}: {e['verdict']}")
     summary = {"preset": cfg.preset, "seed": ctx.seed, "measure": cfg.spec,
                "reports": entries}
     spath = os.path.join(cfg.out, "summary.json")

@@ -239,7 +239,6 @@ class CircleMeasure:
         self._coef = np.empty(0, dtype=complex)
         self._ncoef = 0
         self._pieces = None
-        self._turn_memo = None  # (layout, turn blocks): models._atom_slices
 
     # -- mass queries ------------------------------------------------------
 

@@ -276,7 +276,8 @@ def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
     slices share one buffer: a slice's sums are overwritten by the next.
 
     The turn blocks do not depend on r, and a measure keeps those of its
-    latest layout, keyed by (M, offset, atoms per block, points per
+    latest layout in mu._turn_memo, which only this function sets and
+    reads, keyed by (M, offset, atoms per block, points per
     slice), when the layout has at most _TURN_MEMO (atom, point) pairs:
     a ring builds them in full and publishes the key and the blocks as
     one tuple in one assignment, and reads the tuple it found when it
@@ -285,7 +286,7 @@ def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
     mass, conj_w = mu.atom_m, np.exp(-_TWO_PI_I * x)
     per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
     span = min(m, _ATOM_BLOCK // max(per, 2))        # points per slice
-    key, memo = (m, offset, per, span), mu._turn_memo
+    key, memo = (m, offset, per, span), getattr(mu, "_turn_memo", None)
     if memo is None or memo[0] != key:
         memo = key, _turn_blocks(x, m, offset, per, span)
         if x.size * m <= _TURN_MEMO:
@@ -309,9 +310,12 @@ def _cplx(re, im):
 
 
 def _atom_sum(w, terms):
-    """w @ terms, the sum over the atoms (rows); one atom is a scaling (a
-    one-row product takes BLAS's slow path)."""
-    return w[0] * terms[0] if w.size == 1 else w @ terms
+    """w @ terms, the sum over the atoms (rows); one atom is a scaling of
+    terms in place (a one-row product takes BLAS's slow path), scalar
+    first: a complex product's rounding depends on the operand order."""
+    if w.size == 1:
+        return np.multiply(w[0], terms[0], out=terms[0])
+    return w @ terms
 
 
 def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float):
@@ -325,13 +329,24 @@ def _atom_jet(mu: CircleMeasure, r: float, m: int, offset: float):
     one_minus_r2 = (1.0 - r) * (1.0 + r)
 
     def add(sums, ss, sc, mass, conj_w):
-        a = (1.0 - r) + (2.0 * r) * ss
-        b = (2.0 * r) * sc
-        q = 1.0 / (a * a + b * b)
-        sums[0] += _atom_sum(mass, _cplx(one_minus_r2 * q, 2.0 * b * q))
-        v = _cplx(a * q, b * q)
-        del a, b, q                   # a cold ring's peak holds the turn memo
-        sums[1] += _atom_sum(2.0 * mass * conj_w, v * v)
+        # in place, in one complex buffer: a cold ring's peak holds the
+        # turn memo
+        a = np.multiply(ss, 2.0 * r)
+        a += 1.0 - r
+        b = np.multiply(sc, 2.0 * r)
+        q = a * a
+        q += b * b
+        q = np.divide(1.0, q, out=q)
+        v = np.empty(q.shape, dtype=complex)
+        np.multiply(q, one_minus_r2, out=v.real)
+        np.multiply(b, 2.0, out=v.imag)
+        v.imag *= q
+        sums[0] += _atom_sum(mass, v)
+        np.multiply(a, q, out=v.real)
+        np.multiply(b, q, out=v.imag)
+        del a, b, q
+        v *= v
+        sums[1] += _atom_sum(2.0 * mass * conj_w, v)
     return _atom_slices(mu, m, offset, add)
 
 

@@ -46,7 +46,7 @@ class TestReport:
         rep = CheckReport(name="x", params={"p": 3.0}, table=[{"a": 1.0}],
                           fits={"c": 2.0}, worst_ratio=0.1, threshold=1.0,
                           runtime=12.3)
-        data = json.loads(rep.to_json())
+        data = json.loads("".join(rep.json_chunks()))
         assert data["verdict"] == "pass"
         assert "runtime" not in data
 
@@ -63,7 +63,7 @@ class TestReport:
                           threshold=threshold)
         assert rep.verdict == verdict
         assert rep.passed == (verdict == "pass")
-        data = json.loads(rep.to_json())
+        data = json.loads("".join(rep.json_chunks()))
         assert data["verdict"] == verdict
         if math.isnan(worst):
             assert data["worst_ratio"] is None
@@ -72,8 +72,23 @@ class TestReport:
         rep = CheckReport(name="x", params={}, table=[],
                           fits={"lo": -math.inf, "hi": np.float64(math.inf),
                                 "nan": math.nan})
-        assert json.loads(rep.to_json())["fits"] == {
+        assert json.loads("".join(rep.json_chunks()))["fits"] == {
             "lo": "-inf", "hi": "inf", "nan": None}
+
+    def test_json_pieces_are_the_dumped_text(self):
+        # the pieces join to json.dumps' text of the same payload, so a
+        # report written piece by piece has the bytes of one written whole
+        table = [{"a": 0.1 * k, "b": [k, math.inf], "c": np.float64(-k)}
+                 for k in range(300)]
+        rep = CheckReport(name="x", params={"p": 3.0}, table=table,
+                          fits={"nan": math.nan}, worst_ratio=2.0)
+        want = json.dumps(diagnostics._jsonable({
+            "name": "x", "params": {"p": 3.0}, "table": table,
+            "fits": {"nan": math.nan}, "worst_ratio": 2.0, "threshold": 0.0,
+            "verdict": "fail"}), indent=2, sort_keys=True) + "\n"
+        assert "".join(rep.json_chunks()) == want
+        assert diagnostics.json_text(table) == json.dumps(
+            diagnostics._jsonable(table), indent=2, sort_keys=True) + "\n"
 
     def test_csv_layout(self):
         rep = CheckReport(name="x", params={}, table=[{"a": 1.0, "b": 2}])
@@ -364,6 +379,18 @@ class TestDerivativeSup:
         assert rep.table[1]["ratio"] == math.inf
         assert rep.verdict == "fail"
 
+    def test_underflowed_sup_is_not_zero(self):
+        # a mass of 1e7 puts log sup |S'| near -3e6 at r = 0.5 and near
+        # -5e3 at r = 0.999: finite, but exp underflows to 0.  Where phi
+        # is positive the ratio reads 0; where phi(1 - r) underflows too
+        # the ratio is unknown, reads NaN and fails, unlike an exact zero
+        rep = derivative_sup_ratio(atomic([(0.0, 1e7)]), LogPower(1.0, 400.0),
+                                   [0.5, 0.999])
+        assert [row["sup_deriv"] for row in rep.table] == [0.0, 0.0]
+        assert rep.table[0]["ratio"] == 0.0
+        assert math.isnan(rep.table[1]["ratio"])
+        assert rep.verdict == "fail"
+
 
 # atoms only, pieces only, both
 SWEEP_MEASURES = {
@@ -598,7 +625,8 @@ class TestFourier:
         assert rep.fits["slope"] == -math.inf
         assert rep.table == [] and rep.to_csv() == ""
         assert rep.passed
-        assert json.loads(rep.to_json())["fits"]["slope"] == "-inf"
+        data = json.loads("".join(rep.json_chunks()))
+        assert data["fits"]["slope"] == "-inf"
 
     def test_envelope_ties_take_the_first_n(self):
         # |hat mu(n)| = 1 at every multiple of 5, up to rounding; each
