@@ -277,11 +277,11 @@ def _atom_slices(mu: CircleMeasure, m: int, offset: float, add):
 
     The turn blocks do not depend on r, and a measure keeps those of its
     latest layout in mu._turn_memo, which only this function sets and
-    reads, keyed by (M, offset, atoms per block, points per
-    slice), when the layout has at most _TURN_MEMO (atom, point) pairs:
-    a ring builds them in full and publishes the key and the blocks as
-    one tuple in one assignment, and reads the tuple it found when it
-    started, so a ring on another thread never sees a partial memo."""
+    reads, keyed by (M, offset, atoms per block, points per slice), when
+    the layout has at most _TURN_MEMO (atom, point) pairs: a ring builds
+    them in full and publishes the key and the blocks as one tuple in one
+    assignment, and reads the tuple it found when it started, so a ring
+    on another thread never sees a partial memo."""
     x = mu.atom_x - (mu.atom_x >= 0.5)
     mass, conj_w = mu.atom_m, np.exp(-_TWO_PI_I * x)
     per = max(1, min(x.size, _ATOM_BLOCK // m))      # atoms per block
