@@ -15,17 +15,17 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import diagnostics as diag
-from .diagnostics import CheckReport, csv_table, json_text
-from .measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
-                       bc_entropy, choose_salem_parameters, kahane_smooth,
-                       lebesgue, modulus_continuity, modulus_smoothness,
-                       salem_measure)
+from .diagnostics import CheckReport, csv_table, json_chunks
+from .measures import (CircleMeasure, IntervalSet, atomic, bc_entropy,
+                       kahane_smooth, lebesgue, modulus_continuity,
+                       modulus_smoothness, salem_measure)
 from .models import SingularInnerPower
 from .profiles import LogPower, PowerLaw
 
@@ -115,15 +115,25 @@ def _build_kahane(p: dict, depth: int, seed: int):
 
 
 def _build_salem(p: dict, depth: int, seed: int):
+    """(d, xi) = (2, 2^(-1/alpha)), a Cantor set of dimension alpha, unless
+    both are given; alpha also sets the gauge t^(alpha/2).  epsilon is only
+    checked: the construction does not pin down its role."""
     if ("d" in p) != ("xi" in p):
         raise UsageError("salem params d and xi must be given together")
     if "d" in p:
         d, xi = _spec_int(p["d"], "d"), _spec_real(p["xi"], "xi")
-    else:
-        d, xi = choose_salem_parameters(p["alpha"], p["epsilon"])
-    mu, E = salem_measure(SalemSpec(alpha=p["alpha"], epsilon=p["epsilon"],
-                                    d=d, xi=xi, generations=depth, seed=seed))
-    return mu, PowerLaw(1.0, p["alpha"] / 2.0), E
+    alpha = p["alpha"]
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    if p["epsilon"] <= 0:
+        raise ValueError("epsilon must be positive")
+    if "d" not in p:
+        d, xi = 2, 2 ** (-1.0 / alpha)
+        if 1.0 / d - xi < 1e-2:
+            warnings.warn(f"xi={xi:.4f} is close to the 1/d={1 / d} "
+                          "boundary; gap lengths degenerate")
+    mu, E = salem_measure(d, xi, depth, seed)
+    return mu, PowerLaw(1.0, alpha / 2.0), E
 
 
 # One record per spec type: its params and their defaults (None: no
@@ -165,9 +175,9 @@ def build_measure(spec: dict, cfg: RunConfig) -> MeasureContext:
 # -- output plumbing -------------------------------------------------------
 
 
-def _write_atomic(path: str, text) -> None:
-    """Write text, a string or an iterable of strings, to path through a
-    temporary file in its directory."""
+def _write_atomic(path: str, chunks) -> None:
+    """Write an iterable of strings to path through a temporary file in
+    its directory."""
     d = os.path.dirname(path) or "."
     try:
         os.makedirs(d, exist_ok=True)
@@ -176,7 +186,7 @@ def _write_atomic(path: str, text) -> None:
         raise UsageError(f"cannot write to output directory {d!r}: {e}")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -327,9 +337,9 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
         ctx = build_measure(cfg.spec, cfg)
     mu, files = ctx.mu, []
 
-    def write(suffix: str, text: str) -> None:
+    def write(suffix: str, chunks) -> None:
         files.append(os.path.join(cfg.out, ctx.spec["type"] + suffix))
-        _write_atomic(files[-1], text)
+        _write_atomic(files[-1], chunks)
 
     # the rows are formed one at a time: a Salem measure has d^J pieces
     rows = itertools.chain(
@@ -359,7 +369,7 @@ def cmd_measure(cfg: RunConfig, ctx: MeasureContext | None = None) -> int:
         payload = {"entropy": ent.total, "verdict": ent.verdict,
                    "generation_subtotals": [[g, s] for g, s in
                                             ent.generation_subtotals]}
-        write("_bc_entropy.json", json_text(payload))
+        write("_bc_entropy.json", json_chunks(payload))
     for f in files:
         print(f)
     return 0
@@ -405,7 +415,7 @@ def cmd_suite(cfg: RunConfig) -> int:
     summary = {"preset": cfg.preset, "seed": ctx.seed, "measure": cfg.spec,
                "reports": entries}
     spath = os.path.join(cfg.out, "summary.json")
-    _write_atomic(spath, json_text(summary))
+    _write_atomic(spath, json_chunks(summary))
     print(spath)
     return 0 if all(e["verdict"] == "pass" for e in entries) else 1
 

@@ -28,7 +28,7 @@ from .norms import (QuadratureGrid, _angular_counts, _kronrod, _panel_map,
 from .profiles import SmoothnessProfile
 
 __all__ = [
-    "CheckReport", "TREND_SLOPE_MAX", "csv_table", "json_text",
+    "CheckReport", "TREND_SLOPE_MAX", "csv_table", "json_chunks",
     "brown_shields_table", "pmean_ratio", "poisson_martingale_gap",
     "multiplier_log_onebox", "derivative_sup_ratio",
     "anderson_report", "korenblum_necessity", "annihilator_pairing",
@@ -88,8 +88,10 @@ class CheckReport:
             "fits": self.fits, "worst_ratio": self.worst_ratio,
             "threshold": self.threshold, "verdict": self.verdict})
 
-    def to_csv(self) -> str:
-        return csv_table(self.table, list(self.table[0])) if self.table else ""
+    def to_csv(self):
+        """The report's CSV artifact in lines (csv_table); none when the
+        table is empty."""
+        return csv_table(self.table, list(self.table[0])) if self.table else ()
 
 
 def _jsonable(x):
@@ -120,23 +122,19 @@ def json_chunks(x):
     yield "\n"
 
 
-def json_text(x) -> str:
-    """The JSON text of json_chunks(x) as one string."""
-    return "".join(json_chunks(x))
-
-
 def _csv_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
     return str(x)
 
 
-def csv_table(rows, keys) -> str:
-    """CSV text of ``rows`` (dicts) under a header of ``keys``; floats are
-    written with 17 significant digits so they round-trip exactly."""
-    lines = [",".join(keys)]
-    lines += [",".join(_csv_cell(row[k]) for k in keys) for row in rows]
-    return "\n".join(lines) + "\n"
+def csv_table(rows, keys):
+    """The CSV text of ``rows`` (dicts) under a header of ``keys``, one
+    line at a time, as json_chunks yields its pieces; floats are written
+    with 17 significant digits so they round-trip exactly."""
+    yield ",".join(keys) + "\n"
+    for row in rows:
+        yield ",".join(_csv_cell(row[k]) for k in keys) + "\n"
 
 
 def _fit_slope(x, y) -> float:

@@ -51,9 +51,8 @@ from .dyadic import MAX_DEPTH
 from .profiles import SmoothnessProfile
 
 __all__ = [
-    "CircleMeasure", "IntervalSet", "SalemSpec",
-    "lebesgue", "atomic", "kahane_smooth", "salem_measure",
-    "choose_salem_parameters", "modulus_continuity", "modulus_smoothness",
+    "CircleMeasure", "IntervalSet", "lebesgue", "atomic", "kahane_smooth",
+    "salem_measure", "modulus_continuity", "modulus_smoothness",
     "smoothness_constant", "bc_entropy",
 ]
 
@@ -185,7 +184,8 @@ class CircleMeasure:
         # right in input order
         self.atom_x, group = np.unique(_turn(atoms[:, 0]), return_inverse=True)
         self.atom_m = np.zeros(self.atom_x.size)
-        np.add.at(self.atom_m, group, atoms[:, 1])
+        with np.errstate(over="ignore"):  # refused with the total mass
+            np.add.at(self.atom_m, group, atoms[:, 1])
 
         a, b, d = pieces.T
         bad = ~(b > a)
@@ -591,9 +591,20 @@ class IntervalSet:
         return IntervalSet(arcs=arcs, gaps=gaps, gap_generation=np.zeros(len(gaps), int))
 
 
-@dataclass(frozen=True)
-class SalemSpec:
-    """Parameters of a Salem-style Cantor construction.
+def _xi_sequence(xi: float, generations: int, seed: int) -> np.ndarray:
+    """The ratios xi_j, j = 1..J, of salem_measure: xi_j uniform on
+    [(1 - 1/(j+1)^2) xi, xi], drawn from the seeded generator in order, so
+    a shorter J draws a prefix of a longer one."""
+    rng = np.random.default_rng(seed)
+    js = np.arange(1, generations + 1)
+    lo = (1.0 - 1.0 / (js + 1) ** 2) * xi
+    return lo + rng.random(generations) * (xi - lo)
+
+
+def salem_measure(d: int, xi: float, generations: int,
+                  seed: int = 0) -> tuple[CircleMeasure, IntervalSet]:
+    """Generation-J Salem-style Cantor construction with the uniform mass
+    d^-J per leaf.
 
     Branching d >= 2, ratio 0 < xi < 1/d, spacing nu = (xi + 1/d)/2; at step j
     each interval spawns d children of length xi_j * |I| whose consecutive
@@ -602,75 +613,28 @@ class SalemSpec:
     the measure is a Riesz product, and it shows no power Fourier decay: at
     J = 12 the log-log slopes of its envelope over octaves 2-12 read -0.113
     to -0.032 on 24 seeds, against the target alpha/2 = 0.4.
-    """
-
-    alpha: float
-    epsilon: float
-    d: int
-    xi: float
-    generations: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.d < 2:
-            raise ValueError("branching d must be at least 2")
-        if not 0.0 < self.xi < 1.0 / self.d:
-            raise ValueError("need 0 < xi < 1/d")
-        if self.generations < 1:
-            raise ValueError("need at least one generation")
-        # generations > MAX_DEPTH alone exceeds the bound (d >= 2); testing
-        # it first keeps the power small
-        if self.generations > MAX_DEPTH or self.d ** self.generations > 2 ** MAX_DEPTH:
-            raise ValueError(f"d^generations = {self.d}^{self.generations} leaves "
-                             f"exceed 2^{MAX_DEPTH}")
-
-    @property
-    def nu(self) -> float:
-        return (self.xi + 1.0 / self.d) / 2.0
-
-    def xi_sequence(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        js = np.arange(1, self.generations + 1)
-        lo = (1.0 - 1.0 / (js + 1) ** 2) * self.xi
-        return lo + rng.random(self.generations) * (self.xi - lo)
-
-
-def choose_salem_parameters(alpha: float, epsilon: float) -> tuple[int, float]:
-    """Heuristic (d, xi) = (2, 2^(-1/alpha)); the exact dependence on
-    (alpha, epsilon) is not pinned down by the construction, only that
-    xi = d^(-1/alpha) matches Hausdorff dimension alpha.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = 2
-    xi = d ** (-1.0 / alpha)
-    if 1.0 / d - xi < 1e-2:
-        import warnings
-
-        warnings.warn(f"xi={xi:.4f} is close to the 1/d={1 / d} boundary; "
-                      "gap lengths degenerate", stacklevel=2)
-    return d, xi
-
-
-def salem_measure(spec: SalemSpec) -> tuple[CircleMeasure, IntervalSet]:
-    """Generation-J Cantor construction with the uniform mass d^-J per leaf.
 
     Returns the piecewise-constant measure and the IntervalSet holding the
     closed leaves of E_J together with every discarded gap, labeled by the
     generation at which it appeared.
     """
-    d, J, nu = spec.d, spec.generations, spec.nu
-    if (d - 1) * nu + spec.xi >= 1.0:
+    if d < 2:
+        raise ValueError("branching d must be at least 2")
+    if not 0.0 < xi < 1.0 / d:
+        raise ValueError("need 0 < xi < 1/d")
+    if generations < 1:
+        raise ValueError("need at least one generation")
+    # generations > MAX_DEPTH alone exceeds the bound (d >= 2); testing it
+    # first keeps the power small
+    if generations > MAX_DEPTH or d ** generations > 2 ** MAX_DEPTH:
+        raise ValueError(f"d^generations = {d}^{generations} leaves "
+                         f"exceed 2^{MAX_DEPTH}")
+    J, nu = generations, (xi + 1.0 / d) / 2.0
+    if (d - 1) * nu + xi >= 1.0:
         raise ValueError("children would overflow the parent interval")
     # one description builds both the pieces and the product: the lengths
     # L_j and the steps s_j = nu L_{j-1} between siblings
-    lengths = np.cumprod(np.concatenate([[1.0], spec.xi_sequence()]))
+    lengths = np.cumprod(np.concatenate([[1.0], _xi_sequence(xi, J, seed)]))
     steps = nu * lengths[:-1]
     starts = np.array([0.0])
     gaps, gap_gen = [], []
@@ -682,7 +646,12 @@ def salem_measure(spec: SalemSpec) -> tuple[CircleMeasure, IntervalSet]:
         gap_gen.append(np.full(kids.size, j))
         starts = kids.ravel()  # sorted: each parent's children in order
     length = lengths[J]
-    density = float(d) ** -J / length
+    # a leaf length that underflows leaves no finite density, refused here
+    # as CircleMeasure refuses it, without numpy's division warning
+    with np.errstate(divide="ignore", over="ignore"):
+        density = float(d) ** -J / length
+    if not math.isfinite(density):
+        raise ValueError("non-finite piece value")
     arcs = np.column_stack([starts, starts + length])
     measure = CircleMeasure(pieces=np.column_stack([arcs, np.full(starts.size, density)]))
     measure._riesz = (d, steps, length)

@@ -16,8 +16,7 @@ from cyclia.diagnostics import (brown_shields_table, derivative_sup_ratio,
                                 integrability_report, korenblum_necessity,
                                 multiplier_log_onebox, pmean_ratio)
 from cyclia.dyadic import martingale_from_measure, max_square, tail_distribution
-from cyclia.measures import (SalemSpec, atomic, bc_entropy,
-                             choose_salem_parameters, kahane_smooth, lebesgue,
+from cyclia.measures import (atomic, bc_entropy, kahane_smooth, lebesgue,
                              salem_measure, smoothness_constant)
 from cyclia.models import (Polynomial, SingularInnerPower, herglotz,
                            herglotz_derivative, maclaurin)
@@ -100,9 +99,7 @@ def test_criterion_3_besov_quadrature():
 def test_criterion_4_martingale_laws():
     t0 = time.perf_counter()
     phi = LogPower(1.0, 0.5)
-    d, xi = choose_salem_parameters(0.8, 0.05)
-    salem_mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d,
-                                          xi=xi, generations=12, seed=3))
+    salem_mu, _ = salem_measure(2, 2 ** -1.25, 12, seed=3)
     constructions = {
         "lebesgue": lebesgue(),
         "atom": ATOM,
@@ -175,10 +172,7 @@ def test_criterion_5_theorem_main_pipeline():
 
 def test_criterion_6_salem_pipeline():
     t0 = time.perf_counter()
-    d, xi = choose_salem_parameters(0.8, 0.05)
-    spec = SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi, generations=12,
-                     seed=3)
-    mu, E = salem_measure(spec)
+    mu, E = salem_measure(2, 2 ** -1.25, 12, seed=3)
 
     ent = bc_entropy(E)
     subs = [s for _, s in ent.generation_subtotals]

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -323,14 +324,24 @@ class TestCheckCommand:
     @pytest.mark.parametrize("command", ["measure", "check"])
     def test_overflowing_total_mass_is_a_configuration_error(
             self, tmp_path, capsys, command):
-        # two finite atoms whose masses sum past the float range
-        spec = ('{"type": "atomic", "params": '
-                '{"atoms": [[0.0, 1e308], [0.5, 1e308]]}}')
+        # two finite atoms whose masses sum past the float range, apart or
+        # merged into one, and a Salem leaf length that underflows to 0:
+        # one line on stderr, and no numpy warning before it
         check = ["--check", "fourier-decay"] if command == "check" else []
-        assert run(command, "--spec", spec, *check,
-                   "--out", str(tmp_path / "c")) == 2
-        assert "total mass inf is not finite" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "c")
+        for spec, message in [
+                ('{"type": "atomic", "params": '
+                 '{"atoms": [[0.0, 1e308], [0.5, 1e308]]}}',
+                 "total mass inf is not finite"),
+                ('{"type": "atomic", "params": '
+                 '{"atoms": [[0, 1e308], [0, 1e308]]}}',
+                 "total mass inf is not finite"),
+                ('{"type": "salem", "params": {"d": 2, "xi": 1e-200}, '
+                 '"depth": 3}', "non-finite piece value")]:
+            assert run(command, "--spec", spec, *check,
+                       "--out", str(tmp_path / "c")) == 2
+            assert capsys.readouterr().err == \
+                f"error: invalid configuration: {message}\n"
+            assert not os.path.exists(tmp_path / "c")
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, below):
@@ -445,13 +456,48 @@ class TestCheckCommand:
                    "--tolerance", "0", "--out", str(tmp_path / "c")) == 2
         assert not os.path.exists(tmp_path / "c")
 
-    def test_zero_epsilon_reaches_the_salem_construction(self, tmp_path,
-                                                         capsys):
-        spec = ('{"type": "salem", "params": {"epsilon": 0}, "depth": 6,'
-                ' "seed": 3}')
+    @pytest.mark.parametrize("param, value, message", [
+        ("alpha", 0, "alpha must be in (0, 1)"),
+        ("alpha", 1, "alpha must be in (0, 1)"),
+        ("alpha", 1.5, "alpha must be in (0, 1)"),
+        ("epsilon", 0, "epsilon must be positive"),
+        ("epsilon", -1, "epsilon must be positive")],
+        ids=["alpha-0", "alpha-1", "alpha-1.5", "epsilon-0", "epsilon-neg"])
+    @pytest.mark.parametrize("dxi", [{}, {"d": 3, "xi": 0.2}],
+                             ids=["default", "d-xi"])
+    def test_salem_alpha_or_epsilon_out_of_range_is_a_configuration_error(
+            self, tmp_path, capsys, dxi, param, value, message):
+        # the spec's alpha and epsilon are checked whether or not d and xi
+        # are given, before the construction
+        spec = json.dumps({"type": "salem", "params": {param: value, **dxi},
+                           "depth": 6, "seed": 3})
         assert run("check", "--spec", spec, "--check", "korenblum",
                    "--out", str(tmp_path / "c")) == 2
-        assert "epsilon must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: invalid configuration: {message}\n"
+        assert not os.path.exists(tmp_path / "c")
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8, 0.95])
+    def test_salem_default_parameters_have_dimension_alpha(self, alpha):
+        # without d and xi the spec builds (d, xi) = (2, 2^(-1/alpha)),
+        # whose Cantor set has dimension log d / log(1/xi) = alpha
+        spec = {"type": "salem", "params": {"alpha": alpha}, "depth": 7,
+                "seed": 5}
+        ctx = build_measure(spec, RunConfig("measure", spec))
+        mu, E = measures.salem_measure(2, 2 ** (-1 / alpha), 7, seed=5)
+        for name in ("piece_a", "piece_b", "piece_d"):
+            assert np.array_equal(getattr(ctx.mu, name), getattr(mu, name))
+        assert np.array_equal(ctx.support.gaps, E.gaps)
+        assert math.log(2) / math.log(1 / 2 ** (-1 / alpha)) == \
+            pytest.approx(alpha)
+        assert ctx.phi.beta == alpha / 2
+
+    def test_salem_alpha_near_one_warns(self):
+        # xi = 2^(-1/0.99) sits within 1e-2 of 1/d = 0.5
+        spec = {"type": "salem", "params": {"alpha": 0.99}, "depth": 4}
+        with pytest.warns(UserWarning, match=r"xi=0\.4965 is close to the "
+                          r"1/d=0\.5 boundary; gap lengths degenerate"):
+            build_measure(spec, RunConfig("measure", spec))
 
     def test_check_flags_leave_the_salem_construction(self, tmp_path):
         # --alpha and --epsilon are flags of the checks (the inner power of
@@ -655,6 +701,23 @@ class TestSuiteCommand:
             for fname in rep["files"]:
                 assert os.path.exists(os.path.join(out, fname))
 
+    def test_report_csv_is_written_line_by_line(self, tmp_path):
+        # korenblum's 2048 rows at Salem depth 11: the CSV goes to its file
+        # one line at a time, and its whole text (129 KB) is never formed
+        mu, E = measures.salem_measure(2, 2 ** -1.25, 11, seed=7)
+        report = diagnostics.korenblum_necessity(mu, E)
+        assert len(report.table) == 2048
+        path = str(tmp_path / "korenblum.csv")
+        tracemalloc.start()
+        try:
+            cli._write_atomic(path, report.to_csv())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with open(path) as fh:
+            assert fh.read() == "".join(report.to_csv())
+        assert peak < os.path.getsize(path)
+
     def test_salem_preset_refuses_a_spec_without_support_first(
             self, tmp_path, capsys):
         # korenblum reads the measure's support: a spec without one is a
@@ -729,9 +792,9 @@ class TestSuiteCommand:
         calls = []
         build = cli.salem_measure
 
-        def counting(spec):
-            calls.append(spec)
-            return build(spec)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
 
         monkeypatch.setattr(cli, "salem_measure", counting)
         run("suite", "--spec", SALEM_SPEC, "--preset", "salem",
@@ -1105,8 +1168,12 @@ PARAMS = {
         "C": reals(0.1, 4.0),
         "gamma": st.one_of(reals(0.05, 2.0), st.just(400.0))}),
     "salem": st.fixed_dictionaries(
-        {"alpha": reals(0.05, 0.95), "epsilon": st.floats(0.02, 0.5)},
-        optional={"dxi": st.tuples(st.integers(-1, 8), reals(0.05, 0.95))}),
+        # alpha stays out of (0.97, 1), where the boundary UserWarning
+        # would raise under the tests' warning filter
+        {"alpha": st.one_of(reals(0.05, 0.95), st.sampled_from([1.0, 1.5])),
+         "epsilon": reals(0.02, 0.5)},
+        optional={"dxi": st.tuples(st.integers(-1, 8), st.one_of(
+            reals(0.05, 0.95), st.just(1e-200)))}),
 }
 
 

@@ -15,9 +15,8 @@ from cyclia.diagnostics import (TREND_SLOPE_MAX, CheckReport, _trend_report,
                                 fourier_lp_summability, korenblum_necessity,
                                 multiplier_log_onebox, pmean_ratio,
                                 poisson_martingale_gap)
-from cyclia.measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
-                             choose_salem_parameters, kahane_smooth, lebesgue,
-                             salem_measure)
+from cyclia.measures import (CircleMeasure, IntervalSet, atomic,
+                             kahane_smooth, lebesgue, salem_measure)
 from cyclia.models import (DilationQuotient, FunctionModel, Polynomial,
                            SingularInnerPower, herglotz_jet, maclaurin)
 from cyclia.norms import (QuadratureGrid, _radial_rule, besov_seminorm,
@@ -36,9 +35,7 @@ def kahane():
 
 @pytest.fixture(scope="module")
 def salem():
-    d, xi = choose_salem_parameters(0.8, 0.05)
-    return salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                                   generations=10, seed=3))
+    return salem_measure(2, 2 ** -1.25, 10, seed=3)
 
 
 class TestReport:
@@ -87,12 +84,12 @@ class TestReport:
             "fits": {"nan": math.nan}, "worst_ratio": 2.0, "threshold": 0.0,
             "verdict": "fail"}), indent=2, sort_keys=True) + "\n"
         assert "".join(rep.json_chunks()) == want
-        assert diagnostics.json_text(table) == json.dumps(
+        assert "".join(diagnostics.json_chunks(table)) == json.dumps(
             diagnostics._jsonable(table), indent=2, sort_keys=True) + "\n"
 
     def test_csv_layout(self):
         rep = CheckReport(name="x", params={}, table=[{"a": 1.0, "b": 2}])
-        lines = rep.to_csv().strip().split("\n")
+        lines = "".join(rep.to_csv()).strip().split("\n")
         assert lines[0] == "a,b"
         assert lines[1].startswith("1,")
 
@@ -623,7 +620,7 @@ class TestFourier:
         # every hat mu(n), n >= 1, vanishes: no envelope to fit, and a pass
         rep = fourier_decay_fit(LEB, 256)
         assert rep.fits["slope"] == -math.inf
-        assert rep.table == [] and rep.to_csv() == ""
+        assert rep.table == [] and "".join(rep.to_csv()) == ""
         assert rep.passed
         data = json.loads("".join(rep.json_chunks()))
         assert data["fits"]["slope"] == "-inf"

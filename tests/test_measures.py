@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cyclia import measures
 from cyclia.diagnostics import anderson_report
-from cyclia.measures import (CircleMeasure, IntervalSet, SalemSpec, atomic,
-                             bc_entropy, choose_salem_parameters,
+from cyclia.measures import (CircleMeasure, IntervalSet, atomic, bc_entropy,
                              kahane_smooth, lebesgue, modulus_continuity,
                              modulus_smoothness, salem_measure,
                              smoothness_constant)
@@ -85,9 +84,7 @@ class TestCircleMeasure:
     def test_cdf_continuous_at_the_seam(self):
         # the period is the table's own last value: for this measure the
         # pairwise total_mass differs from the sequential sums by 2e-14
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                                        generations=10, seed=3))
+        mu, _ = salem_measure(2, 2 ** -1.25, 10, seed=3)
         assert mu.cdf(1.0) == mu.cdf(np.nextafter(1.0, 0.0))
         assert mu.cdf(-1e-17) == mu.cdf(0.0)
 
@@ -189,21 +186,22 @@ class TestConstruction:
 
     @pytest.mark.parametrize("kwargs", [
         {"atoms": [(0.0, 1e308), (0.5, 1e308)]},
-        {"atoms": [(0.5, 1e308)], "pieces": [(0.0, 1.0, 1e308)]}])
+        {"atoms": [(0.5, 1e308)], "pieces": [(0.0, 1.0, 1e308)]},
+        {"atoms": [(0.0, 1e308), (0.0, 1e308)]}])
     def test_overflowing_total_mass_raises(self, kwargs):
         # every mass is finite, their sum is not: no CDF, no moduli (pieces
-        # alone cannot overflow, as their densities are finite on [0, 1))
+        # alone cannot overflow, as their densities are finite on [0, 1));
+        # two atoms that merge overflow without numpy's warning
         with pytest.raises(ValueError, match="total mass inf is not finite"):
             CircleMeasure(**kwargs)
 
     def test_salem_support_matches_a_tuple_built_reference(self):
-        spec = SalemSpec(alpha=0.8, epsilon=0.05, d=2, xi=2 ** -1.25,
-                         generations=8, seed=3)
-        mu, E = salem_measure(spec)
+        d, xi = 2, 2 ** -1.25
+        mu, E = salem_measure(d, xi, 8, seed=3)
         # the construction written with tuples, one gap at a time
-        d, nu, xis = spec.d, spec.nu, spec.xi_sequence()
+        nu, xis = (xi + 1 / d) / 2, measures._xi_sequence(xi, 8, 3)
         starts, length, gaps, gens = np.array([0.0]), 1.0, [], []
-        for j in range(1, spec.generations + 1):
+        for j in range(1, 9):
             child_len = xis[j - 1] * length
             offsets = np.arange(d) * (nu * length)
             for k in range(d):
@@ -240,48 +238,70 @@ class TestConstruction:
 
 
 class TestSalem:
-    def spec(self, J=8, seed=3):
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        return SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                         generations=J, seed=seed)
+    XI = 2 ** -1.25
 
     def test_leaf_count_and_mass(self):
-        spec = self.spec()
-        mu, E = salem_measure(spec)
-        assert len(E.arcs) == spec.d ** spec.generations
+        mu, E = salem_measure(2, self.XI, 8, seed=3)
+        assert len(E.arcs) == 2 ** 8
         assert mu.total_mass == pytest.approx(1.0, abs=1e-10)
 
     def test_support_carries_full_mass(self):
-        mu, E = salem_measure(self.spec())
+        mu, E = salem_measure(2, self.XI, 8, seed=3)
         mass = mu.closed_arc_mass(*np.array(E.arcs).T).sum()
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_spacing_and_ratios(self):
-        spec = self.spec(J=3)
-        xis = spec.xi_sequence()
-        assert np.all(xis <= spec.xi + 1e-15)
-        assert np.all(xis >= (1 - 1 / (np.arange(2, 5) ** 2)) * spec.xi)
-        mu, E = salem_measure(spec)
+        xis = measures._xi_sequence(self.XI, 3, 3)
+        assert np.all(xis <= self.XI + 1e-15)
+        assert np.all(xis >= (1 - 1 / (np.arange(2, 5) ** 2)) * self.XI)
+        mu, E = salem_measure(2, self.XI, 3, seed=3)
         # consecutive left endpoints of sibling arcs sit nu*|parent| apart
         lefts = np.array([a for a, _ in E.arcs])
-        gaps01 = np.diff(lefts)[::spec.d]
+        gaps01 = np.diff(lefts)[::2]
         parent_len = xis[0] * xis[1]
-        assert np.allclose(gaps01, spec.nu * parent_len)
+        assert np.allclose(gaps01, (self.XI + 0.5) / 2 * parent_len)
 
-    def test_leaf_count_is_bounded(self):
+    def test_leaf_count_is_bounded(self, monkeypatch):
         # d^J leaves (and as many gaps) are refused before any is built
         for d, xi, J in ((2, 0.3, 64), (2, 0.3, 23), (3, 0.2, 14)):
             with pytest.raises(ValueError, match="leaves exceed 2\\^22"):
-                SalemSpec(alpha=0.5, epsilon=0.05, d=d, xi=xi, generations=J)
-        SalemSpec(alpha=0.5, epsilon=0.05, d=3, xi=0.2, generations=13)
+                salem_measure(d, xi, J)
+
+        # 3^13 and 4^11 = 2^22 leaves pass every check: the construction
+        # begins with the draw of the ratios
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+        monkeypatch.setattr(measures, "_xi_sequence", built)
+        for d, J in ((3, 13), (4, 11)):
+            with pytest.raises(Built):
+                salem_measure(d, 0.2, J)
 
     def test_ratio_above_reciprocal_branching_rejected(self):
-        with pytest.raises(ValueError):
-            SalemSpec(alpha=0.5, epsilon=0.05, d=4, xi=0.26, generations=2)
+        with pytest.raises(ValueError, match="need 0 < xi < 1/d"):
+            salem_measure(4, 0.26, 2)
 
-    def test_choose_parameters_dimension(self):
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        assert math.log(d) / math.log(1 / xi) == pytest.approx(0.8)
+    @pytest.mark.parametrize("d, xi, J, message", [
+        (1, 0.5, 4, "branching d must be at least 2"),
+        (2, 0.0, 2, "need 0 < xi < 1/d"),
+        (2, 0.3, 0, "need at least one generation"),
+        (2, 1e-200, 3, "non-finite piece value"),
+        (2, 1e-106, 3, "non-finite piece value")],
+        ids=["d", "xi-zero", "generations", "leaf-underflow",
+             "density-overflow"])
+    def test_parameters_out_of_range_are_refused(self, d, xi, J, message):
+        # a leaf length of 0 (1e-600) or 1e-318 leaves an infinite density:
+        # refused without numpy's division or overflow warning, which the
+        # test configuration turns into an error
+        with pytest.raises(ValueError, match=message):
+            salem_measure(d, xi, J)
+
+    def test_xi_sequence_draws_a_prefix(self):
+        # a deeper construction extends the ratios of a shallower one
+        short, long = (measures._xi_sequence(self.XI, J, 3) for J in (9, 12))
+        assert np.array_equal(short, long[:9])
 
 
 class TestUnique:
@@ -332,9 +352,7 @@ class TestModuli:
         # a window of length 1 scanned through the CDF rounds above mu(T)
         # on these measures: by 3.8e-14 on the Salem one, 1 ulp on the other
         if kind == "salem":
-            d, xi = choose_salem_parameters(0.8, 0.05)
-            mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d,
-                                            xi=xi, generations=11, seed=3))
+            mu, _ = salem_measure(2, 2 ** -1.25, 11, seed=3)
         else:
             mu = CircleMeasure(atoms=[(0.1, 1.1), (0.25, 0.9)],
                                pieces=[(0.45, 0.8, 1.3)])
@@ -386,9 +404,7 @@ class TestEntropyAndSets:
         assert rep.convergent
 
     def test_salem_entropy_converges(self):
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        _, E = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                                       generations=12, seed=3))
+        _, E = salem_measure(2, 2 ** -1.25, 12, seed=3)
         rep = bc_entropy(E)
         assert rep.verdict == "convergent"
         subs = [s for _, s in rep.generation_subtotals]
@@ -534,9 +550,7 @@ class TestSmoothnessOracle:
         if kind == "kahane":
             mu = kahane_smooth(LogPower(1.0, 0.5), 8, seed=seed)
         else:
-            d, xi = choose_salem_parameters(0.8, 0.05)
-            mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d,
-                                            xi=xi, generations=7, seed=seed))
+            mu, _ = salem_measure(2, 2 ** -1.25, 7, seed=seed)
         assert mu.breakpoints.size == 256
         ts = [2.0**-2, 2.0**-4, 2.0**-6, 2.0**-8]
         got = modulus_smoothness(mu, ts)
@@ -687,9 +701,7 @@ class TestDifferenceScan:
 
     @pytest.mark.parametrize("seed", [7, 1001])
     def test_salem_moduli_keep_their_bits(self, seed, monkeypatch):
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                                        generations=11, seed=seed))
+        mu, _ = salem_measure(2, 2 ** -1.25, 11, seed=seed)
         got = [modulus_continuity(mu, _T_GRID), modulus_smoothness(mu, _T_GRID)]
         monkeypatch.setattr(measures, "_difference_sup", _translate_scan)
         want = [modulus_continuity(mu, _T_GRID), modulus_smoothness(mu, _T_GRID)]
@@ -821,9 +833,7 @@ class TestFourierKernel:
         # in row chunks of _WORKSPACE = 2^20 elements (252 rows); the
         # chunk's factors and product, not the range, set the peak, and
         # the rows keep the bits of a range of one chunk
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                                        generations=11, seed=3))
+        mu, _ = salem_measure(2, 2 ** -1.25, 11, seed=3)
         tracemalloc.start()
         try:
             got = mu.fourier_many(range(1, 2**16 + 1))
@@ -834,25 +844,18 @@ class TestFourierKernel:
         assert np.array_equal(got[:4096], mu.fourier_many(range(1, 4097)))
 
 
-def _salem_spec(J, seed, d=None, xi=None):
-    if d is None:
-        d, xi = choose_salem_parameters(0.8, 0.05)
-    return SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi, generations=J,
-                     seed=seed)
-
-
-def _mp_riesz(spec, n):
+def _mp_riesz(d, xi, J, seed, n):
     """hat mu(n) of the Salem Riesz product in 40-digit arithmetic, over the
     float steps nu L_{j-1} and leaf length L_J of the construction."""
-    lengths = [1.0]
-    for xi in spec.xi_sequence():
-        lengths.append(lengths[-1] * xi)
+    lengths, nu = [1.0], (xi + 1.0 / d) / 2.0
+    for xi_j in measures._xi_sequence(xi, J, seed):
+        lengths.append(lengths[-1] * xi_j)
     with mpmath.workdps(40):
         total = mpmath.mpc(1)
         for length in lengths[:-1]:
-            s = mpmath.mpf(spec.nu * length)
+            s = mpmath.mpf(nu * length)
             total *= sum(mpmath.expj(-2 * mpmath.pi * k * n * s)
-                         for k in range(spec.d)) / spec.d
+                         for k in range(d)) / d
         x = mpmath.pi * n * mpmath.mpf(lengths[-1])
         return complex(total * mpmath.expj(-x) * mpmath.sin(x) / x)
 
@@ -861,7 +864,7 @@ class TestCoefficientCache:
     KAHANE = kahane_smooth(LogPower(1.0, 0.5), 12, seed=7)
 
     def test_strategy_from_the_pieces(self):
-        salem, _ = salem_measure(_salem_spec(6, 3))
+        salem, _ = salem_measure(2, 2 ** -1.25, 6, seed=3)
         rebuilt = CircleMeasure(pieces=np.column_stack(
             [salem.piece_a, salem.piece_b, salem.piece_d]))
         with_atom = CircleMeasure(atoms=[(0.5, 1.0)], pieces=[(0.0, 1.0, 0.25)])
@@ -876,12 +879,13 @@ class TestCoefficientCache:
     def test_product_matches_mpmath(self, J, d, xi):
         # xi = 1/8 makes the first step 5/16: n s_1 is an integer at n = 64
         # and 40000, where D_d is 1 (0/0 in its quotient form)
-        spec = _salem_spec(J, 7, d, xi)
-        mu, _ = salem_measure(spec)
+        if d is None:
+            d, xi = 2, 2 ** -1.25
+        mu, _ = salem_measure(d, xi, J, seed=7)
         got = np.empty(1, dtype=complex)
         for n in (1, 7, 64, 1000, 40000, 2**22 + 1):
             mu._fill_product(n, got)
-            assert abs(got[0] - _mp_riesz(spec, n)) <= 1e-15, n
+            assert abs(got[0] - _mp_riesz(d, xi, J, 7, n)) <= 1e-15, n
 
     def test_product_matches_the_kernel_within_the_pieces_rounding(self):
         # the stored pieces round the product's geometry: with the exact
@@ -890,8 +894,7 @@ class TestCoefficientCache:
         # |l'_k - L| in length, which bounds |kernel - product| at n by
         # sum |m'_k - m| + n m sum (2 pi |c'_k - c*_k| + pi |l'_k - L|), plus
         # the kernel's own rounding of terms of size density/(pi n)
-        spec = _salem_spec(11, 7)
-        mu, _ = salem_measure(spec)
+        mu, _ = salem_measure(2, 2 ** -1.25, 11, seed=7)
         d, steps, length = mu._riesz
         digits = (np.arange(d**11)[:, None] // d ** np.arange(10, -1, -1)) % d
         s, big_l, m = ([Fraction(x) for x in steps], Fraction(length),
@@ -919,7 +922,7 @@ class TestCoefficientCache:
             want = np.empty(1000, dtype=complex)
             mu._fill_leaves(1, want)
         elif kind == "product":
-            mu, _ = salem_measure(_salem_spec(11, 7))
+            mu, _ = salem_measure(2, 2 ** -1.25, 11, seed=7)
             want = np.empty(1000, dtype=complex)
             mu._fill_product(1, want)
         else:

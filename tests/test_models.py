@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cyclia import measures, models
 from cyclia.diagnostics import derivative_sup_ratio, multiplier_log_onebox
-from cyclia.measures import (CircleMeasure, SalemSpec, atomic,
-                             choose_salem_parameters, kahane_smooth, lebesgue,
+from cyclia.measures import (CircleMeasure, atomic, kahane_smooth, lebesgue,
                              salem_measure)
 from cyclia.models import (DilationQuotient, Polynomial, SingularInnerPower,
                            herglotz, herglotz_derivative, herglotz_jet,
@@ -106,9 +105,7 @@ class TestRings:
         assert np.abs(ring - scal).max() < 1e-10
 
     def test_ring_matches_scalar_salem(self):
-        d, xi = choose_salem_parameters(0.8, 0.05)
-        mu, _ = salem_measure(SalemSpec(alpha=0.8, epsilon=0.05, d=d, xi=xi,
-                                        generations=6, seed=1))
+        mu, _ = salem_measure(2, 2 ** -1.25, 6, seed=1)
         r, m = 0.95, 32
         ring = herglotz_ring(mu, r, m)
         pts = r * np.exp(2j * np.pi * np.arange(m) / m)
